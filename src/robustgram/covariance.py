@@ -3,9 +3,11 @@
 The sample is split into consecutive blocks of size q; each block yields the
 PSD matrix A_i = (1/(q(q-1))) sum_{j<k} (X_j - X_k)(X_j - X_k)^T, an unbiased
 estimate of the covariance that only sees differences, hence is exactly
-translation invariant.  The matrix-level machinery of :mod:`robustgram.gram`
-then runs on the quadratic values theta^T A_i theta instead of squared
-projections.
+translation invariant.  The estimator represents A_i by its q(q-1)/2
+generating vectors (X_j - X_k) / sqrt(q(q-1)), so theta^T A_i theta is a
+group sum of squared projections, and runs the same polarization loop as the
+Gram estimator (:func:`robustgram.gram.iterate_polarization`) on them.  For
+q = 2 that is exactly the Gram estimator on the scaled differences.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as bnd
-from .gram import GramEstimate, NumericalError, _descending_eigenbasis, frobenius_error, positive_part
+from .gram import GramEstimate, iterate_polarization, polarize, positive_part
 from .influence import psi
-from .mestimator import Sample, lambda_from_squares, scale_from_squares, tilde_n_from_squares
+from .mestimator import Sample, tilde_n_from_squares
 
 logger = logging.getLogger(__name__)
 
@@ -47,12 +49,12 @@ class BlockSet:
         return np.einsum("mij,i,j->m", self.blocks, theta, theta)
 
 
-def make_blocks(sample: Sample, q: int) -> BlockSet:
-    """Split contiguously into floor(n/q) blocks and form their covariances.
+def _pair_differences(sample: Sample, q: int) -> np.ndarray:
+    """Generating vectors (x_j - x_k) / sqrt(q(q-1)), j < k, of each q-block.
 
-    A_i = (1/(q(q-1))) sum_{j<k in block i} (x_j - x_k)(x_j - x_k)^T, computed
-    from the pairwise differences themselves so that shifting every
-    observation by the same vector leaves the blocks bitwise unchanged.
+    Splits the sample contiguously into floor(n/q) blocks and returns an
+    (m, q(q-1)/2, d) array.  Only differences enter, so shifting every
+    observation by the same vector leaves the result bitwise unchanged.
     Trailing n mod q observations are discarded with a warning.
     """
     if q < 2:
@@ -66,8 +68,18 @@ def make_blocks(sample: Sample, q: int) -> BlockSet:
                        rest, sample.n, q)
     x = sample.data[: m * q].reshape(m, q, sample.d)
     jj, kk = np.triu_indices(q, k=1)
-    diffs = x[:, jj, :] - x[:, kk, :]  # (m, q(q-1)/2, d)
-    blocks = np.einsum("mpi,mpj->mij", diffs, diffs) / (q * (q - 1.0))
+    return (x[:, jj, :] - x[:, kk, :]) / math.sqrt(q * (q - 1.0))
+
+
+def make_blocks(sample: Sample, q: int) -> BlockSet:
+    """Split contiguously into floor(n/q) blocks and form their covariances.
+
+    A_i = (1/(q(q-1))) sum_{j<k in block i} (x_j - x_k)(x_j - x_k)^T is the
+    sum of the outer products of the block's ``_pair_differences``, so
+    shifting every observation by the same vector leaves it bitwise unchanged.
+    """
+    vectors = _pair_differences(sample, q)
+    blocks = np.einsum("mpi,mpj->mij", vectors, vectors)
     blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
     return BlockSet(blocks=blocks, q=q)
 
@@ -99,20 +111,10 @@ def block_moment_bounds(sigma: np.ndarray, kappa: float, q: int) -> tuple:
     return (w * op + coef * tr / q, w * tr2 + coef * tr * tr / q)
 
 
-def _scale_on_values(v: np.ndarray, epsilon: float) -> float:
-    """Robust scale of non-negative quadratic values with adaptive truncation."""
-    if not (v > 0.0).any():
-        return 0.0
-    try:
-        lam = lambda_from_squares(v, epsilon)
-    except ValueError:
-        lam = 1.0 / math.sqrt(v.size)
-    return scale_from_squares(v, lam).value
-
-
-def _certified_estimator(v: np.ndarray, norm_sq: float, grid: bnd.Grid,
+def _certified_estimator(p: np.ndarray, norm_sq: float, grid: bnd.Grid,
                          coeffs: list, sigma: float) -> float:
-    """Grid-selected estimate on quadratic values (smallest lambda if vacuous)."""
+    """Grid-selected estimate from (m, g) projections (smallest lambda if vacuous)."""
+    v = np.sum(p * p, axis=1)
     best_bound, best_val = math.inf, None
     for (lam, _), co in zip(grid.points, coeffs):
         val = tilde_n_from_squares(v, lam)
@@ -124,48 +126,14 @@ def _certified_estimator(v: np.ndarray, norm_sq: float, grid: bnd.Grid,
     return best_val
 
 
-def _polarized_matrix(rotated: np.ndarray, estimator) -> np.ndarray:
-    """Assemble C from per-direction estimates on the rotated quadratic values."""
-    m, d, _ = rotated.shape
-    c = np.zeros((d, d))
-    diag = np.einsum("mii->mi", rotated)
-    for i in range(d):
-        c[i, i] = 0.25 * estimator(4.0 * diag[:, i], 4.0)
-        for j in range(i + 1, d):
-            v_plus = diag[:, i] + 2.0 * rotated[:, i, j] + diag[:, j]
-            v_minus = diag[:, i] - 2.0 * rotated[:, i, j] + diag[:, j]
-            # quadratic values are non-negative up to roundoff
-            v_plus = np.clip(v_plus, 0.0, None)
-            v_minus = np.clip(v_minus, 0.0, None)
-            c[i, j] = c[j, i] = 0.25 * (estimator(v_plus, 2.0) - estimator(v_minus, 2.0))
-    return c
-
-
-def plugin_block_kappa(blocks: BlockSet, n_directions: int = 50, seed: int = 0) -> float:
-    """Plug-in directional kurtosis of the centered data, from q = 2 style pairs."""
-    rng = np.random.default_rng(seed)
-    d = blocks.blocks.shape[1]
-    dirs = [np.eye(d)[i] for i in range(d)]
-    raw = rng.standard_normal((n_directions, d))
-    dirs += [r / np.linalg.norm(r) for r in raw if np.linalg.norm(r) > 0]
-    best = 1.0
-    for theta in dirs:
-        v = blocks.quadratic_values(theta)
-        m2 = float(np.mean(v))
-        if m2 <= 0.0:
-            continue
-        best = max(best, float(np.mean(v * v)) / (m2 * m2))
-    return best
-
-
 def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
                       mode: str = "iterative-practical", num_updates: int = 4,
                       stop_tol: float = 1e-8, mb: bnd.MomentBounds = None,
                       psd: bool = False) -> GramEstimate:
     """Robust estimate of the covariance matrix with unknown mean.
 
-    mode "iterative-practical" runs the rotating-eigenbasis polarization loop
-    with the adaptive scale solver on the block quadratic values.  Mode
+    Both modes run ``iterate_polarization`` on the blocks' generating vectors.
+    Mode "iterative-practical" uses its default adaptive scale solver.  Mode
     "grid-certified" replaces the per-direction scale by the grid-selected
     estimator (kappa mapped through the q-block transfer, n replaced by the
     block count); it requires enough blocks for the theoretical grid.
@@ -173,51 +141,33 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
     """
     if mode not in ("iterative-practical", "grid-certified"):
         raise ValueError(f"unknown mode {mode!r}")
-    blocks = make_blocks(sample, q)
-    mvals = blocks.blocks.shape[0]
+    vectors = _pair_differences(sample, q)
+    update = None
+    if mode == "grid-certified":
+        from .harness import kappa_plugin  # harness imports this module
 
-    if mode == "iterative-practical":
-        def estimator(v, _norm_sq):
-            return _scale_on_values(v, epsilon)
-    else:
-        kappa_x = mb.kappa if mb is not None else plugin_block_kappa(blocks)
+        m = len(vectors)
+        kappa_x = (mb.kappa if mb is not None
+                   else kappa_plugin(Sample(vectors.reshape(-1, sample.d))))
         kappa_prime = 1.0 + bnd.tau_q(kappa_x, q) / q
-        op_sq = np.array([np.linalg.eigvalsh(a).max() ** 2 for a in blocks.blocks])
-        s4_a = float(np.mean(op_sq)) ** 0.25
-        tr_a = float(np.mean(np.trace(blocks.blocks, axis1=1, axis2=2)))
+        # ||A_i||_op is the squared spectral norm of the block's vectors
+        s4_a = float(np.mean(np.linalg.norm(vectors, ord=2, axis=(1, 2)) ** 4)) ** 0.25
+        tr_a = float(np.sum(vectors * vectors)) / m
         mb_blocks = bnd.MomentBounds(kappa=kappa_prime, s4=s4_a,
                                      trace_g=max(tr_a, s4_a**2 / math.sqrt(kappa_prime)),
                                      certified=mb is not None and mb.certified)
-        grid = bnd.make_grid(mvals, mb_blocks, a=0.5, epsilon=epsilon)
+        grid = bnd.make_grid(m, mb_blocks, a=0.5, epsilon=epsilon)
         coeffs = bnd.coeffs_for_grid(grid, mb_blocks)
         try:
-            sigma = min(bnd.sigma_default(mvals, mb_blocks, epsilon), s4_a**2)
+            sigma = min(bnd.sigma_default(m, mb_blocks, epsilon), s4_a**2)
         except ValueError:
             sigma = s4_a**2
 
-        def estimator(v, norm_sq):
-            return _certified_estimator(v, norm_sq, grid, coeffs, sigma)
+        def update(w):
+            return polarize(w, lambda p, norm_sq: _certified_estimator(
+                p, norm_sq, grid, coeffs, sigma))
 
-    prev = blocks.blocks.mean(axis=0)
-    prev = 0.5 * (prev + prev.T)
-    basis = _descending_eigenbasis(prev)
-    qmat = prev
-    deltas = []
-    iterations = 0
-    for k in range(num_updates):
-        rotated = np.einsum("mij,ip,jq->mpq", blocks.blocks, basis, basis)
-        c = _polarized_matrix(rotated, estimator)
-        qmat = basis @ c @ basis.T
-        qmat = 0.5 * (qmat + qmat.T)
-        if not np.all(np.isfinite(qmat)):
-            raise NumericalError(f"non-finite iterate at update {k}")
-        deltas.append(math.sqrt(frobenius_error(qmat, prev)))
-        iterations = k + 1
-        if deltas[-1] < stop_tol:
-            break
-        prev = qmat
-        basis = _descending_eigenbasis(qmat)
+    est = iterate_polarization(vectors, epsilon, num_updates, stop_tol, update)
     if psd:
-        qmat = positive_part(qmat)
-    return GramEstimate(matrix=qmat, iterations=iterations,
-                        frobenius_deltas=deltas, lambda_used=[])
+        est.matrix = positive_part(est.matrix)
+    return est

@@ -15,6 +15,15 @@ def sample_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def overflow_csv(tmp_path):
+    # finite entries whose squares overflow float64
+    rng = np.random.default_rng(1)
+    path = tmp_path / "huge.csv"
+    save_matrix_csv(str(path), 1e160 * rng.standard_normal((40, 3)))
+    return str(path)
+
+
 class TestEstimate:
     def test_writes_outputs(self, sample_csv, tmp_path, capsys):
         out = tmp_path / "est"
@@ -30,6 +39,10 @@ class TestEstimate:
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv")]) == 1
+
+    def test_overflow_is_numerical_failure(self, overflow_csv, tmp_path, capsys):
+        assert main(["estimate", overflow_csv, "--out", str(tmp_path / "est")]) == 2
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestBounds:
@@ -102,3 +115,7 @@ class TestCov:
         assert main(["cov", sample_csv, "--q", "3", "--psd", "--out", str(out)]) == 0
         m = np.loadtxt(str(out), delimiter=",")
         assert np.linalg.eigvalsh(m).min() >= -1e-10
+
+    def test_overflow_is_numerical_failure(self, overflow_csv, tmp_path, capsys):
+        assert main(["cov", overflow_csv, "--out", str(tmp_path / "cov.csv")]) == 2
+        assert "numerical failure" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from robustgram.covariance import (
     r_lambda_sym,
     robust_covariance,
 )
-from robustgram.gram import frobenius_error
+from robustgram.gram import NumericalError, frobenius_error, robust_gram
 from robustgram.influence import psi
 from robustgram.mestimator import Sample, r_lambda
 
@@ -240,6 +240,30 @@ class TestRobustCovariance:
         est = robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified",
                                 num_updates=2)
         assert frobenius_error(est.matrix, np.eye(d)) <= 0.5
+
+    def test_q2_equals_gram_on_scaled_differences(self):
+        # one code path: q = 2 is the Gram estimator on (x_{2i} - x_{2i+1}) / sqrt(2)
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((120, 4))
+        x[rng.random(120) < 0.05] *= 4.0
+        cov = robust_covariance(Sample(x), q=2, epsilon=0.1)
+        gram = robust_gram(Sample((x[0::2] - x[1::2]) / math.sqrt(2.0)), epsilon=0.1)
+        np.testing.assert_array_equal(cov.matrix, gram.matrix)
+        assert cov.frobenius_deltas == gram.frobenius_deltas
+
+    def test_diagnostics_populated(self):
+        rng = np.random.default_rng(14)
+        for q in (2, 3):
+            est = robust_covariance(Sample(rng.standard_normal((90, 3))), q=q, num_updates=4)
+            assert 1 <= est.iterations <= 4
+            assert len(est.frobenius_deltas) == est.iterations
+            assert len(est.lambda_used) == est.iterations
+            assert all(lam > 0 for lam in est.lambda_used)
+
+    def test_overflow_is_numerical_error(self):
+        rng = np.random.default_rng(15)
+        with pytest.raises(NumericalError, match="start matrix"):
+            robust_covariance(Sample(1e160 * rng.standard_normal((20, 3))), q=2)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):

@@ -189,6 +189,21 @@ class TestRobustGram:
         with pytest.raises(NumericalError, match=r"\(0, 0\)"):
             robust_gram(s, scale_fn=broken)
 
+    def test_overflow_is_numerical_error(self):
+        rng = np.random.default_rng(15)
+        s = Sample(1e160 * rng.standard_normal((20, 3)))
+        with pytest.raises(NumericalError, match="start matrix"):
+            robust_gram(s)
+
+    def test_eigh_failure_is_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        rng = np.random.default_rng(16)
+        with pytest.raises(NumericalError, match="eigendecomposition"):
+            robust_gram(Sample(rng.standard_normal((20, 3))))
+
     def test_needs_two_observations(self):
         with pytest.raises(ValueError):
             robust_gram(Sample(np.ones((1, 3))))
