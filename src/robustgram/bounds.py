@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .influence import C_UNIVERSAL
-from .mestimator import Sample, tilde_n
+from .mestimator import Sample, tilde_n, tilde_n_from_squares
 
 # Rounded-up constants as printed in the source analysis; the exact values
 # 2 cosh(1/8)^2, (2+3c)/(4(2+c)) and 2 (2+c) cosh(1/4)^2 are slightly smaller,
@@ -233,21 +233,18 @@ class SelectedEstimate(NamedTuple):
     vacuous: bool
 
 
-def select_hat_n(sample: Sample, theta, grid: Grid, sigma: float,
-                 mb: MomentBounds) -> SelectedEstimate:
-    """Adaptive estimator: tilde_n at the grid point minimizing its own bound.
+def select_from_squares(v, norm_sq: float, grid: Grid, coeffs: list,
+                        sigma: float) -> SelectedEstimate:
+    """Adaptive estimator on squared values v of a direction with squared norm norm_sq.
 
-    Ties break toward the smallest grid index; if every bound is vacuous the
-    smallest-lambda point is returned with ``vacuous=True``.
+    Computes tilde_n at every grid point and keeps the one minimizing its own
+    bound b_bound(tilde_n / norm_sq).  Ties break toward the smallest grid
+    index; if every bound is vacuous the smallest-lambda point is returned
+    with ``vacuous=True``.
     """
-    theta = np.asarray(theta, dtype=float)
-    norm_sq = float(theta @ theta)
-    if norm_sq == 0.0:
-        raise ValueError("theta must be non-zero")
-    coeffs = coeffs_for_grid(grid, mb)
     values, bounds_at = [], []
     for (lam, _), co in zip(grid.points, coeffs):
-        val = tilde_n(sample, theta, lam)
+        val = tilde_n_from_squares(v, lam)
         values.append(val)
         bounds_at.append(b_bound(val / norm_sq, sigma, co))
     best = int(np.argmin(bounds_at))
@@ -256,6 +253,17 @@ def select_hat_n(sample: Sample, theta, grid: Grid, sigma: float,
         best = 0  # smallest lambda
     lam, beta = grid.points[best]
     return SelectedEstimate(values[best], lam, beta, bounds_at[best], vacuous)
+
+
+def select_hat_n(sample: Sample, theta, grid: Grid, sigma: float,
+                 mb: MomentBounds) -> SelectedEstimate:
+    """``select_from_squares`` on the squared projections of the sample on theta."""
+    theta = np.asarray(theta, dtype=float)
+    norm_sq = float(theta @ theta)
+    if norm_sq == 0.0:
+        raise ValueError("theta must be non-zero")
+    p = sample.projections(theta)
+    return select_from_squares(p * p, norm_sq, grid, coeffs_for_grid(grid, mb), sigma)
 
 
 def zeta_star(t: float, mb: MomentBounds, K: int, epsilon: float) -> float:

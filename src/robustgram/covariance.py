@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds as bnd
 from .gram import GramEstimate, iterate_polarization, polarize, positive_part
 from .influence import psi
-from .mestimator import Sample, tilde_n_from_squares
+from .mestimator import Sample
 
 logger = logging.getLogger(__name__)
 
@@ -111,21 +111,6 @@ def block_moment_bounds(sigma: np.ndarray, kappa: float, q: int) -> tuple:
     return (w * op + coef * tr / q, w * tr2 + coef * tr * tr / q)
 
 
-def _certified_estimator(p: np.ndarray, norm_sq: float, grid: bnd.Grid,
-                         coeffs: list, sigma: float) -> float:
-    """Grid-selected estimate from (m, g) projections (smallest lambda if vacuous)."""
-    v = np.sum(p * p, axis=1)
-    best_bound, best_val = math.inf, None
-    for (lam, _), co in zip(grid.points, coeffs):
-        val = tilde_n_from_squares(v, lam)
-        b = bnd.b_bound(val / norm_sq, sigma, co)
-        if b < best_bound:
-            best_bound, best_val = b, val
-    if best_val is None:
-        best_val = tilde_n_from_squares(v, grid.points[0][0])
-    return best_val
-
-
 def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
                       mode: str = "iterative-practical", num_updates: int = 4,
                       stop_tol: float = 1e-8, mb: bnd.MomentBounds = None,
@@ -135,8 +120,9 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
     Both modes run ``iterate_polarization`` on the blocks' generating vectors.
     Mode "iterative-practical" uses its default adaptive scale solver.  Mode
     "grid-certified" replaces the per-direction scale by the grid-selected
-    estimator (kappa mapped through the q-block transfer, n replaced by the
-    block count); it requires enough blocks for the theoretical grid.
+    estimator ``bounds.select_from_squares`` (kappa mapped through the
+    q-block transfer, n replaced by the block count); it requires enough
+    blocks for the theoretical grid.
     Set ``psd=True`` to clamp negative eigenvalues of the final estimate.
     """
     if mode not in ("iterative-practical", "grid-certified"):
@@ -164,8 +150,8 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
             sigma = s4_a**2
 
         def update(w):
-            return polarize(w, lambda p, norm_sq: _certified_estimator(
-                p, norm_sq, grid, coeffs, sigma))
+            return polarize(w, lambda p, norm_sq: bnd.select_from_squares(
+                np.sum(p * p, axis=1), norm_sq, grid, coeffs, sigma).value)
 
     est = iterate_polarization(vectors, epsilon, num_updates, stop_tol, update)
     if psd:

@@ -1,13 +1,13 @@
 """Direction-wise robust estimators of second moments.
 
-Two equivalent parameterizations are implemented.  The criterion
-``r_lambda(theta) = mean(psi(<theta, X_i>^2 - lambda))`` has a root in the
-scaling ``alpha`` of ``theta``; the estimate of E<theta, X>^2 is
-``tilde_n = lambda / alpha^2``.  The scale form solves
-``sum(psi(lambda (p_i^2 / S - 1))) = 0`` directly in S.  Substituting
-``alpha^2 = lambda / S`` shows the two criteria are identical, so
-``tilde_n(sample, theta, lam) == robust_scale(X @ theta, lam).value``;
-both routes are kept and cross-checked in the tests.
+The criterion ``r_lambda(theta) = mean(psi(<theta, X_i>^2 - lambda))`` is
+non-decreasing in the scaling ``alpha`` of ``theta``.  The estimate of
+E<theta, X>^2 is ``tilde_n = lambda / alpha_hat^2`` with ``alpha_hat =
+sup{alpha : r_lambda(alpha theta) <= 0}``.  Under ``alpha^2 = lambda / S``
+the criterion becomes ``sum(psi(lambda (p_i^2 / S - 1)))``, non-increasing
+in S, so ``tilde_n`` is its smallest root.  One solver, ``scale_from_squares``,
+finds that root; ``tilde_n``, ``alpha_hat`` and ``robust_scale`` express it
+in the paper's notation.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ class ScaleResult:
     iterations: int
     converged: bool
     method: str  # "newton" or "bisection-fallback"
+    plateau: bool = False  # moved to the left edge of a flat root interval
 
 
 def r_lambda(sample: Sample, theta, lam: float) -> float:
@@ -66,86 +67,39 @@ def r_lambda(sample: Sample, theta, lam: float) -> float:
     return float(np.mean(psi(p * p - lam)))
 
 
-def alpha_root_from_squares(v: np.ndarray, lam: float) -> float:
-    """Largest alpha >= 0 with mean(psi(alpha^2 v_i - lambda)) <= 0.
-
-    ``v`` holds the non-negative squared projections.  The criterion is
-    non-decreasing in alpha, so the root is bracketed by doubling and
-    refined by bisection (relative width 1e-12) plus three Newton steps.
-    Returns +inf when the criterion stays non-positive for all alpha.
-    """
+def tilde_n_from_squares(v, lam: float) -> float:
+    """``tilde_n`` on squared projection values: the scale solve, 0 if v vanishes."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     v = np.asarray(v, dtype=float)
-    nonzero = v > 0.0
-    if not nonzero.any():
-        return math.inf
-    n = v.size
-    # value of the criterion as alpha -> inf
-    limit = (nonzero.sum() * LOG2 + (n - nonzero.sum()) * psi(-lam)) / n
-
-    def crit(alpha):
-        return float(np.mean(psi(alpha * alpha * v - lam)))
-
-    if limit <= 0.0:
-        return math.inf
-    hi = 1.0
-    for _ in range(64):
-        if crit(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if crit(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    alpha = lo
-    for _ in range(3):
-        f = crit(alpha)
-        slope = float(np.mean(psi_prime(alpha * alpha * v - lam) * 2.0 * alpha * v))
-        if slope <= 1e-300:
-            break
-        step = alpha - f / slope
-        if not (0.0 < step < 2.0 * hi):
-            break
-        alpha = step
-    return alpha
-
-
-def alpha_hat(sample: Sample, theta, lam: float) -> float:
-    """sup{alpha >= 0 : r_lambda(alpha * theta) <= 0}; +inf when degenerate."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    p = sample.projections(theta)
-    return alpha_root_from_squares(p * p, lam)
+    return scale_from_squares(v, lam).value if (v > 0.0).any() else 0.0
 
 
 def tilde_n(sample: Sample, theta, lam: float) -> float:
     """Robust estimate lambda / alpha_hat^2 of E<theta, X>^2 (0 if alpha_hat = inf)."""
-    a = alpha_hat(sample, theta, lam)
-    if math.isinf(a):
-        return 0.0
-    return lam / (a * a)
+    p = sample.projections(theta)
+    return tilde_n_from_squares(p * p, lam)
 
 
-def tilde_n_from_squares(v, lam: float) -> float:
-    """``tilde_n`` evaluated directly on squared projection values."""
-    a = alpha_root_from_squares(v, lam)
-    if math.isinf(a):
-        return 0.0
-    return lam / (a * a)
+def alpha_hat(sample: Sample, theta, lam: float) -> float:
+    """sup{alpha >= 0 : r_lambda(alpha * theta) <= 0} = sqrt(lambda / tilde_n).
+
+    +inf when tilde_n is 0 (the criterion never turns positive).
+    """
+    t = tilde_n(sample, theta, lam)
+    return math.sqrt(lam / t) if t > 0.0 else math.inf
 
 
 def scale_from_squares(v, lam: float, tol: float = 1e-10, max_iter: int = 100) -> ScaleResult:
-    """Solve sum(psi(lambda (v_i / S - 1))) = 0 for S > 0, v_i >= 0 given.
+    """Smallest S > 0 with sum(psi(lambda (v_i / S - 1))) <= 0, v_i >= 0 given.
 
     Newton from S0 = mean(v) with a maintained sign bracket; any step that
-    leaves the bracket, or a derivative below 1e-14, falls back to bisection.
-    ``tol`` bounds the absolute psi-sum residual at the returned value.
+    leaves the bracket, or a scale-free derivative |S f'(S)| below 1e-14,
+    falls back to bisection.  ``tol`` bounds the absolute psi-sum residual
+    at the returned value.  When the criterion stays within ``tol`` of 0
+    from the converged point down to the left edge of a flat stretch, that
+    edge is returned (``plateau=True``), which is the sup in the alpha form.
+    Returns 0 (not converged) when the criterion is non-positive near S = 0.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -154,6 +108,9 @@ def scale_from_squares(v, lam: float, tol: float = 1e-10, max_iter: int = 100) -
     v = np.asarray(v, dtype=float)
     if v.size == 0 or not (v > 0.0).any():
         raise ValueError("scale solve needs at least one non-zero entry")
+    s = float(np.mean(v))
+    if not math.isfinite(s):
+        raise ValueError("scale solve needs finite values with a finite mean")
 
     def f(s):
         return float(np.sum(psi(lam * (v / s - 1.0))))
@@ -161,16 +118,29 @@ def scale_from_squares(v, lam: float, tol: float = 1e-10, max_iter: int = 100) -
     def fprime(s):
         return float(np.sum(psi_prime(lam * (v / s - 1.0)) * (-lam * v / (s * s))))
 
+    def root(s, it, method):
+        # A flat root stretch needs negatively saturated non-zero terms
+        # (psi = -log 2), so lambda > 1.  Its left edge is the largest
+        # v_i lambda / (lambda - 1) below s: left of it term i leaves
+        # saturation and f rises.
+        if lam > 1.0:
+            edges = v[v > 0.0] * (lam / (lam - 1.0))
+            edges = edges[edges < s]
+            if edges.size:
+                edge = float(edges.max())
+                if abs(f(edge)) <= tol:
+                    return ScaleResult(edge, it, True, method, plateau=True)
+        return ScaleResult(s, it, True, method)
+
     n_zero = int(np.sum(v == 0.0))
     n_pos = v.size - n_zero
     # criterion value as S -> 0+; if non-positive there is no positive root
     if n_pos * LOG2 + n_zero * psi(-lam) <= 0.0:
         return ScaleResult(0.0, 0, False, "bisection-fallback")
 
-    s = float(np.mean(v))
     fs = f(s)
     if abs(fs) <= tol:
-        return ScaleResult(s, 0, True, "newton")
+        return root(s, 0, "newton")
     # f is decreasing in S: bracket [lo, hi] with f(lo) > 0 > f(hi)
     if fs > 0.0:
         lo, hi = s, 2.0 * s
@@ -184,7 +154,7 @@ def scale_from_squares(v, lam: float, tol: float = 1e-10, max_iter: int = 100) -
     method = "newton"
     for it in range(1, max_iter + 1):
         fp = fprime(s)
-        if abs(fp) < 1e-14:
+        if abs(fp * s) < 1e-14:
             step = 0.5 * (lo + hi)
             method = "bisection-fallback"
         else:
@@ -195,7 +165,7 @@ def scale_from_squares(v, lam: float, tol: float = 1e-10, max_iter: int = 100) -
         s = step
         fs = f(s)
         if abs(fs) <= tol:
-            return ScaleResult(s, it, True, method)
+            return root(s, it, method)
         if fs > 0.0:
             lo = s
         else:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from robustgram.influence import psi
+from robustgram.influence import psi, psi_prime
 from robustgram.mestimator import (
     Sample,
     adaptive_lambda,
@@ -13,9 +15,10 @@ from robustgram.mestimator import (
     robust_scale,
     scale_from_squares,
     tilde_n,
+    tilde_n_from_squares,
 )
 
-from oracles import bisect_alpha, bisect_scale, gridscan_scale
+from oracles import bisect_alpha, bisect_scale, gridscan_scale, scale_criterion
 
 
 def one_direction_sample(values):
@@ -201,6 +204,12 @@ class TestRobustScale:
         assert not res.converged
         assert res.value == 0.0
 
+    def test_non_finite_input_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            robust_scale(np.array([1e200, 1.0, 2.0]), 0.5)  # squares overflow
+        with pytest.raises(ValueError, match="finite"):
+            tilde_n_from_squares(np.array([np.inf, 1.0, 2.0]), 0.5)
+
     def test_method_reported(self):
         res = robust_scale(np.array([1.0, 2.0, 0.5]), 0.3)
         assert res.method in ("newton", "bisection-fallback")
@@ -232,6 +241,56 @@ class TestEquivalence:
             via_oracle = gridscan_scale(p * p, lam)
             assert via_alpha == pytest.approx(via_scale, rel=1e-8)
             assert via_alpha == pytest.approx(via_oracle, rel=1e-8)
+
+
+# psi saturates at +-log 2, so the scale criterion can vanish on a whole
+# interval once lambda > 1; the sup-alpha root is the interval's left edge
+# v_i lambda / (lambda - 1).  Checked against closed forms, because a
+# bisection oracle lands wherever the rounding noise on the interval says.
+PLATEAUS = [
+    ([1.0, 100.0], 3.0, 1.5),
+    ([1.0] * 3 + [100.0] * 3, 5.0, 1.25),
+    ([1.0, 1.0, 100.0, 1000.0], 3.0, 1.5),  # Newton reaches it from the right
+]
+
+
+class TestPlateau:
+    @pytest.mark.parametrize("v, lam, edge", PLATEAUS)
+    def test_left_edge(self, v, lam, edge):
+        res = scale_from_squares(np.array(v), lam)
+        assert res.converged and res.plateau
+        assert res.value == pytest.approx(edge, rel=1e-10)
+
+    @pytest.mark.parametrize("v, lam, edge", PLATEAUS)
+    def test_paper_notation_agrees(self, v, lam, edge):
+        p = np.sqrt(v)
+        s, theta = one_direction_sample(p), np.array([1.0])
+        assert tilde_n(s, theta, lam) == pytest.approx(edge, rel=1e-10)
+        assert alpha_hat(s, theta, lam) == pytest.approx(math.sqrt(lam / edge), rel=1e-10)
+        assert robust_scale(p, lam).value == pytest.approx(edge, rel=1e-10)
+
+
+SQUARES = st.one_of(st.sampled_from([0.0, 1.0, 100.0]), st.floats(1e-6, 1e6))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(v=st.lists(SQUARES, min_size=1, max_size=30).filter(lambda v: max(v) > 0.0),
+       lam=st.floats(0.05, 5.0), k=st.integers(-60, 60))
+@example(v=[0.0, 0.0, 593.0], lam=0.25, k=39)  # absolute derivative cutoff fired here
+def test_scale_solver_properties(v, lam, k):
+    v = np.array(v)
+    res = scale_from_squares(v, lam)
+    if res.value == 0.0:
+        return  # no positive root
+    s = res.value
+    assert res.converged
+    assert abs(scale_criterion(v, lam, s)) <= 1e-10
+    # s is not inside a flat root interval: just left of it f rises or moves
+    below = s * (1.0 - 1e-9)
+    slopes = psi_prime(lam * (v[v > 0.0] / below - 1.0))
+    assert scale_criterion(v, lam, below) > 1e-10 or np.any(slopes != 0.0)
+    # degree-2 homogeneity holds exactly under power-of-two scaling
+    assert scale_from_squares(v * 2.0**k, lam).value == s * 2.0**k
 
 
 class TestAdaptiveLambda:
