@@ -150,8 +150,9 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
             sigma = s4_a**2
 
         def update(w):
-            return polarize(w, lambda p, norm_sq: bnd.select_from_squares(
-                np.sum(p * p, axis=1), norm_sq, grid, coeffs, sigma).value)
+            return polarize(w, lambda p, norm_sq: [
+                bnd.select_from_squares(np.sum(row * row, axis=1), ns, grid, coeffs, sigma).value
+                for row, ns in zip(p, norm_sq.tolist())])
 
     est = iterate_polarization(vectors, epsilon, num_updates, stop_tol, update)
     if psd:

@@ -5,9 +5,17 @@ non-decreasing in the scaling ``alpha`` of ``theta``.  The estimate of
 E<theta, X>^2 is ``tilde_n = lambda / alpha_hat^2`` with ``alpha_hat =
 sup{alpha : r_lambda(alpha theta) <= 0}``.  Under ``alpha^2 = lambda / S``
 the criterion becomes ``sum(psi(lambda (p_i^2 / S - 1)))``, non-increasing
-in S, so ``tilde_n`` is its smallest root.  One solver, ``scale_from_squares``,
-finds that root; ``tilde_n``, ``alpha_hat`` and ``robust_scale`` express it
-in the paper's notation.
+in S, so ``tilde_n`` is its smallest root.
+
+One solver, ``scale_from_square_rows``, finds that root for many directions
+at once: each row of a (k, n) matrix holds the squared values of one
+direction and has its own lambda.  Every row runs exactly the elementwise
+operations of a one-row solve, and a reduction along a contiguous row sums
+in the same order as on a 1-d array, so a row's result does not depend on
+the batch it is solved in.  ``scale_from_squares`` is the one-row case;
+``tilde_n``, ``alpha_hat`` and ``robust_scale`` express it in the paper's
+notation.  ``lambda_from_square_rows`` gives the adaptive truncation level
+per row in the same way.
 """
 
 from __future__ import annotations
@@ -48,6 +56,16 @@ class Sample:
         return self.data @ theta
 
 
+# Doubling or halving rounds allowed to bracket a root: 2^2100 spans the
+# float64 range from the smallest subnormal to the largest finite value.
+MAX_BRACKET_ROUNDS = 2100
+
+# Rows whose mean lies outside 2^-256 .. 2^256 are solved on v * 2^-e, e the
+# binary exponent of the mean, and their root is scaled back by 2^e.  Scaling
+# by a power of two is exact, and it keeps S^2 in the derivative in range.
+RESCALE_EXPONENT = 256
+
+
 @dataclass(frozen=True)
 class ScaleResult:
     """Outcome of the scalar scale solve."""
@@ -59,6 +77,17 @@ class ScaleResult:
     plateau: bool = False  # moved to the left edge of a flat root interval
 
 
+@dataclass(frozen=True)
+class RowScaleResult:
+    """Outcome of ``scale_from_square_rows``: one entry per row."""
+
+    value: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    bisection: np.ndarray  # a step fell back to bisection, or no root or bracket found
+    plateau: np.ndarray  # moved to the left edge of a flat root interval
+
+
 def r_lambda(sample: Sample, theta, lam: float) -> float:
     """Empirical criterion mean(psi(<theta, X_i>^2 - lambda))."""
     if lam <= 0:
@@ -67,11 +96,17 @@ def r_lambda(sample: Sample, theta, lam: float) -> float:
     return float(np.mean(psi(p * p - lam)))
 
 
+def _check_squares(v: np.ndarray) -> None:
+    if not (np.all(v >= 0.0) and np.all(np.isfinite(v))):
+        raise ValueError("squared values must be finite and non-negative")
+
+
 def tilde_n_from_squares(v, lam: float) -> float:
     """``tilde_n`` on squared projection values: the scale solve, 0 if v vanishes."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     v = np.asarray(v, dtype=float)
+    _check_squares(v)
     return scale_from_squares(v, lam).value if (v > 0.0).any() else 0.0
 
 
@@ -90,93 +125,187 @@ def alpha_hat(sample: Sample, theta, lam: float) -> float:
     return math.sqrt(lam / t) if t > 0.0 else math.inf
 
 
-def scale_from_squares(v, lam: float, tol: float = 1e-10, max_iter: int = 100) -> ScaleResult:
-    """Smallest S > 0 with sum(psi(lambda (v_i / S - 1))) <= 0, v_i >= 0 given.
+def _terms(v, lam, s):
+    """Arguments lam (v / S - 1) of psi, one row per row of v, level and scale."""
+    return lam[:, None] * (v / s[:, None] - 1.0)
 
-    Newton from S0 = mean(v) with a maintained sign bracket; any step that
-    leaves the bracket, or a scale-free derivative |S f'(S)| below 1e-14,
-    falls back to bisection.  ``tol`` bounds the absolute psi-sum residual
-    at the returned value.  When the criterion stays within ``tol`` of 0
-    from the converged point down to the left edge of a flat stretch, that
-    edge is returned (``plateau=True``), which is the sup in the alpha form.
-    Returns 0 (not converged) when the criterion is non-positive near S = 0.
+
+def _criterion(v, lam, s):
+    """Row sums of psi(lam (v / S - 1))."""
+    return np.sum(psi(_terms(v, lam, s)), axis=1)
+
+
+def _criterion_slope(t, v, lam, s):
+    """Row sums of the derivative of ``_criterion`` in S, given t = _terms(v, lam, s)."""
+    return np.sum(psi_prime(t) * (-lam[:, None] * v / (s * s)[:, None]), axis=1)
+
+
+def scale_from_square_rows(v, lam, tol: float = 1e-10, max_iter: int = 100) -> RowScaleResult:
+    """Per row r: smallest S > 0 with sum_j psi(lam_r (v_rj / S - 1)) <= 0.
+
+    ``v`` is (k, n) with finite v_rj >= 0 and a positive entry in each row;
+    ``lam`` holds one positive level per row.  Each row doubles or halves
+    from S0 = mean(v_r) to a sign bracket (at most ``MAX_BRACKET_ROUNDS``
+    rounds; a row still unbracketed is returned not converged), then runs
+    Newton from S0.  A step that leaves the bracket, or a scale-free
+    derivative |S f'(S)| below 1e-14, falls back to bisection.  ``tol``
+    bounds the absolute psi-sum residual at the returned value.  When the
+    criterion stays within ``tol`` of 0 from the converged point down to the
+    left edge of a flat stretch, that edge is returned (``plateau``), which
+    is the sup in the alpha form.  A row whose criterion is non-positive
+    near S = 0 has no positive root: value 0, not converged.  A row with a
+    mean beyond 2^+-``RESCALE_EXPONENT`` is solved rescaled by a power of
+    two, so its root scales exactly with the data.  Rows still iterating are
+    kept in compacted arrays, copied only when some of them converge.
     """
-    if lam <= 0:
+    v = np.asarray(v, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    if v.ndim != 2 or lam.shape != (len(v),):
+        raise ValueError(f"need a (k, n) matrix and k levels, got {v.shape} and {lam.shape}")
+    if not np.all(lam > 0.0):
         raise ValueError("lambda must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    v = np.asarray(v, dtype=float)
-    if v.size == 0 or not (v > 0.0).any():
+    _check_squares(v)
+    n_pos = np.count_nonzero(v > 0.0, axis=1)
+    if v.shape[1] == 0 or not n_pos.all():
         raise ValueError("scale solve needs at least one non-zero entry")
-    s = float(np.mean(v))
-    if not math.isfinite(s):
+    mean = np.mean(v, axis=1)
+    if not np.all(np.isfinite(mean)):
         raise ValueError("scale solve needs finite values with a finite mean")
+    exponent = np.frexp(mean)[1]
+    exponent[np.abs(exponent) <= RESCALE_EXPONENT] = 0
+    if exponent.any():
+        v, mean = np.ldexp(v, -exponent[:, None]), np.ldexp(mean, -exponent)
 
-    def f(s):
-        return float(np.sum(psi(lam * (v / s - 1.0))))
+    k = len(v)
+    value = np.zeros(k)
+    iterations = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    bisection = np.zeros(k, dtype=bool)
+    plateau = np.zeros(k, dtype=bool)
 
-    def fprime(s):
-        return float(np.sum(psi_prime(lam * (v / s - 1.0)) * (-lam * v / (s * s))))
+    # criterion value as S -> 0+; where it is non-positive there is no positive root
+    no_root = n_pos * LOG2 + (v.shape[1] - n_pos) * psi(-lam) <= 0.0
+    bisection[no_root] = True
+    rows, va, la, s = np.arange(k), v, lam, mean
+    if no_root.any():
+        rows, va, la, s = rows[~no_root], va[~no_root], la[~no_root], s[~no_root]
+    t = _terms(va, la, s)  # kept for the slope at the same S
+    fs = np.sum(psi(t), axis=1)
+    done = np.abs(fs) <= tol
+    converged[rows[done]] = True
+    value[rows[done]] = s[done]
+    if done.any():
+        rows, va, la, s, fs, t = (a[~done] for a in (rows, va, la, s, fs, t))
 
-    def root(s, it, method):
-        # A flat root stretch needs negatively saturated non-zero terms
-        # (psi = -log 2), so lambda > 1.  Its left edge is the largest
-        # v_i lambda / (lambda - 1) below s: left of it term i leaves
-        # saturation and f rises.
-        if lam > 1.0:
-            edges = v[v > 0.0] * (lam / (lam - 1.0))
-            edges = edges[edges < s]
-            if edges.size:
-                edge = float(edges.max())
-                if abs(f(edge)) <= tol:
-                    return ScaleResult(edge, it, True, method, plateau=True)
-        return ScaleResult(s, it, True, method)
+    # f is decreasing in S: widen to a bracket [lo, hi] with f(lo) > 0 > f(hi)
+    up = fs > 0.0
+    lo = np.where(up, s, 0.5 * s)
+    hi = np.where(up, 2.0 * s, s)
+    b, vb, lb, ub = np.arange(len(rows)), va, la, up
+    for _ in range(MAX_BRACKET_ROUNDS):
+        if not b.size:
+            break
+        f_end = _criterion(vb, lb, np.where(ub, hi[b], lo[b]))
+        wider = np.where(ub, f_end > 0.0, f_end < 0.0)
+        if not wider.all():
+            b, vb, lb, ub = b[wider], vb[wider], lb[wider], ub[wider]
+        bu, bd = b[ub], b[~ub]
+        lo[bu], hi[bu] = hi[bu], 2.0 * hi[bu]
+        lo[bd], hi[bd] = 0.5 * lo[bd], lo[bd]
+    if b.size:
+        value[rows[b]] = 0.5 * (lo[b] + hi[b])
+        bisection[rows[b]] = True
+        keep = np.ones(len(rows), dtype=bool)
+        keep[b] = False
+        rows, va, la, s, fs, t, lo, hi = (a[keep] for a in (rows, va, la, s, fs, t, lo, hi))
 
-    n_zero = int(np.sum(v == 0.0))
-    n_pos = v.size - n_zero
-    # criterion value as S -> 0+; if non-positive there is no positive root
-    if n_pos * LOG2 + n_zero * psi(-lam) <= 0.0:
-        return ScaleResult(0.0, 0, False, "bisection-fallback")
-
-    fs = f(s)
-    if abs(fs) <= tol:
-        return root(s, 0, "newton")
-    # f is decreasing in S: bracket [lo, hi] with f(lo) > 0 > f(hi)
-    if fs > 0.0:
-        lo, hi = s, 2.0 * s
-        while f(hi) > 0.0:
-            lo, hi = hi, 2.0 * hi
-    else:
-        lo, hi = 0.5 * s, s
-        while f(lo) < 0.0:
-            lo, hi = 0.5 * lo, lo
-
-    method = "newton"
+    bis = np.zeros(len(rows), dtype=bool)
     for it in range(1, max_iter + 1):
-        fp = fprime(s)
-        if abs(fp * s) < 1e-14:
-            step = 0.5 * (lo + hi)
-            method = "bisection-fallback"
-        else:
+        if not rows.size:
+            break
+        fp = _criterion_slope(t, va, la, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
             step = s - fs / fp
-            if not (lo < step < hi):
-                step = 0.5 * (lo + hi)
-                method = "bisection-fallback"
-        s = step
-        fs = f(s)
-        if abs(fs) <= tol:
-            return root(s, it, method)
-        if fs > 0.0:
-            lo = s
-        else:
-            hi = s
-    return ScaleResult(0.5 * (lo + hi), max_iter, False, method)
+        fall_back = (np.abs(fp * s) < 1e-14) | ~((lo < step) & (step < hi))
+        s = np.where(fall_back, 0.5 * (lo + hi), step)
+        bis |= fall_back
+        t = _terms(va, la, s)
+        fs = np.sum(psi(t), axis=1)
+        done = np.abs(fs) <= tol
+        right = fs > 0.0
+        lo = np.where(right, s, lo)
+        hi = np.where(right, hi, s)
+        if done.any():
+            r = rows[done]
+            value[r], iterations[r], converged[r], bisection[r] = s[done], it, True, bis[done]
+            keep = ~done
+            rows, va, la, s, fs, t, lo, hi, bis = (
+                a[keep] for a in (rows, va, la, s, fs, t, lo, hi, bis))
+    value[rows] = 0.5 * (lo + hi)
+    iterations[rows] = max_iter
+    bisection[rows] = bis
+
+    # A flat root stretch needs negatively saturated non-zero terms
+    # (psi = -log 2), so lambda > 1.  Its left edge is the largest
+    # v_i lambda / (lambda - 1) below S: left of it term i leaves
+    # saturation and f rises.  Edges are positive, so 0 marks "none".
+    rows = np.flatnonzero(converged & (lam > 1.0))
+    if rows.size:
+        vp, lp = v[rows], lam[rows]
+        edges = vp * (lp / (lp - 1.0))[:, None]
+        edge = np.where((vp > 0.0) & (edges < value[rows, None]), edges, 0.0).max(axis=1)
+        some = edge > 0.0
+        rows, vp, lp, edge = rows[some], vp[some], lp[some], edge[some]
+        flat = np.abs(_criterion(vp, lp, edge)) <= tol
+        value[rows[flat]] = edge[flat]
+        plateau[rows[flat]] = True
+    return RowScaleResult(np.ldexp(value, exponent), iterations, converged, bisection, plateau)
+
+
+def scale_from_squares(v, lam: float, tol: float = 1e-10, max_iter: int = 100) -> ScaleResult:
+    """Smallest S > 0 with sum(psi(lambda (v_i / S - 1))) <= 0, v_i >= 0 given.
+
+    The one-row case of ``scale_from_square_rows``; returns 0 (not converged)
+    when the criterion is non-positive near S = 0.
+    """
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    v = np.asarray(v, dtype=float).reshape(1, -1)
+    r = scale_from_square_rows(v, np.array([lam], dtype=float), tol, max_iter)
+    return ScaleResult(float(r.value[0]), int(r.iterations[0]), bool(r.converged[0]),
+                       "bisection-fallback" if r.bisection[0] else "newton",
+                       plateau=bool(r.plateau[0]))
 
 
 def robust_scale(p, lam: float, tol: float = 1e-10, max_iter: int = 100) -> ScaleResult:
     """Robust scale of the squared entries of ``p``; see ``scale_from_squares``."""
     p = np.asarray(p, dtype=float)
     return scale_from_squares(p * p, lam, tol=tol, max_iter=max_iter)
+
+
+def lambda_from_square_rows(v, epsilon: float) -> np.ndarray:
+    """``lambda_from_squares`` for each row of the (k, n) matrix ``v``.
+
+    A row with zero sample variance gets nan.  Raises when the sample is
+    too small (n < 2 or u >= 1), which holds for every row alike.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    v = np.asarray(v, dtype=float)
+    n = v.shape[1]
+    if n < 2:
+        raise ValueError("need at least two observations")
+    u = 2.0 * math.log(1.0 / epsilon) / n
+    if u >= 1.0:
+        raise ValueError(f"sample too small: 2 log(1/epsilon)/n = {u:.3f} >= 1")
+    m = np.mean(v, axis=1)
+    var = np.sum((v - m[:, None]) ** 2, axis=1) / (n - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = m * np.sqrt(u * (1.0 - u) / var)
+    lam[var <= 0.0] = np.nan
+    return lam
 
 
 def lambda_from_squares(v, epsilon: float) -> float:
@@ -187,20 +316,10 @@ def lambda_from_squares(v, epsilon: float) -> float:
     is too small (u >= 1) or degenerate (var = 0); callers substitute a
     configured floor in that case.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    v = np.asarray(v, dtype=float)
-    n = v.size
-    if n < 2:
-        raise ValueError("need at least two observations")
-    u = 2.0 * math.log(1.0 / epsilon) / n
-    if u >= 1.0:
-        raise ValueError(f"sample too small: 2 log(1/epsilon)/n = {u:.3f} >= 1")
-    m = float(np.mean(v))
-    var = float(np.sum((v - m) ** 2) / (n - 1))
-    if var <= 0.0:
+    lam = float(lambda_from_square_rows(np.asarray(v, dtype=float).reshape(1, -1), epsilon)[0])
+    if math.isnan(lam):
         raise ValueError("degenerate sample: zero variance of squared values")
-    return m * math.sqrt(u * (1.0 - u) / var)
+    return lam
 
 
 def adaptive_lambda(p, epsilon: float) -> float:

@@ -8,6 +8,7 @@ from robustgram.gram import (
     empirical_gram,
     frobenius_error,
     polarization_update,
+    polarize,
     positive_part,
     robust_gram,
     robust_scale_fn,
@@ -111,6 +112,47 @@ class TestPolarizationUpdate:
         w = rng.standard_normal((25, 5))
         c = polarization_update(w, robust_scale_fn, 0.1)
         np.testing.assert_array_equal(c, c.T)
+
+
+def _projection_cases():
+    rng = np.random.default_rng(17)
+    zero = rng.standard_t(3, size=(200, 5))
+    zero[:, 3] = 0.0
+    return {
+        "paper size": rng.standard_t(3, size=(100, 10)),
+        # 36 directions of 3000 projections: 5 to a block at BLOCK_ELEMS = 2^14
+        "several blocks": rng.standard_t(3, size=(3000, 6)),
+        "grouped": rng.standard_t(3, size=(90, 3, 4)),
+        "zero column": zero,
+        "d > n": rng.standard_t(3, size=(6, 9)),
+    }
+
+
+class TestBlockedUpdate:
+    @pytest.mark.parametrize("name", list(_projection_cases()))
+    def test_default_equals_one_direction_at_a_time(self, name):
+        w = _projection_cases()[name]
+        blocked_lams, single_lams = [], []
+        blocked = polarization_update(w, None, 0.1, lam_log=blocked_lams)
+        single = polarization_update(
+            w, lambda p, eps: robust_scale_fn(p, eps, lam_log=single_lams), 0.1)
+        np.testing.assert_array_equal(blocked, single)
+        assert blocked_lams == single_lams
+
+    def test_estimator_sees_blocks_and_norms(self):
+        rng = np.random.default_rng(18)
+        w = rng.standard_normal((4000, 3))
+        shapes, norms = [], []
+
+        def estimate(p, norm_sq):
+            shapes.append(p.shape)
+            norms.extend(norm_sq.tolist())
+            return np.mean(p * p, axis=1)
+
+        c = polarize(w, estimate)
+        assert shapes == [(4, 4000), (4, 4000), (1, 4000)]
+        assert norms == [4.0, 2.0, 2.0, 2.0, 2.0, 4.0, 2.0, 2.0, 4.0]
+        np.testing.assert_allclose(c, w.T @ w / 4000, rtol=1e-12)
 
 
 class TestRobustGram:

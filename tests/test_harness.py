@@ -173,6 +173,12 @@ class TestBenchmark:
         assert s["mean_error_robust"] == pytest.approx(2.0)
         assert s["mean_error_empirical"] == pytest.approx(4.0)
 
+    def test_golden_errors_of_the_reference_experiment(self):
+        # pins the solver's arithmetic: any change to it moves these errors
+        golden = [5.598184902179093, 8.082191818444867, 5.595405765744396, 6.90949489221555]
+        res = run_benchmark(ExperimentConfig(trials=4, seed=0))
+        assert [r.error_robust for r in res] == [pytest.approx(g, rel=1e-12) for g in golden]
+
     def test_median_improvement_on_mixture(self):
         cfg = ExperimentConfig(n=100, d=10, trials=30, alpha_mix=0.05, seed=77,
                                epsilon=0.1)

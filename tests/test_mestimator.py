@@ -5,14 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import robustgram.mestimator as mestimator
 from robustgram.influence import psi, psi_prime
 from robustgram.mestimator import (
     Sample,
     adaptive_lambda,
     alpha_hat,
+    lambda_from_square_rows,
     lambda_from_squares,
     r_lambda,
     robust_scale,
+    scale_from_square_rows,
     scale_from_squares,
     tilde_n,
     tilde_n_from_squares,
@@ -291,6 +294,88 @@ def test_scale_solver_properties(v, lam, k):
     assert scale_criterion(v, lam, below) > 1e-10 or np.any(slopes != 0.0)
     # degree-2 homogeneity holds exactly under power-of-two scaling
     assert scale_from_squares(v * 2.0**k, lam).value == s * 2.0**k
+
+
+BAD_SQUARES = [[np.nan, 0.0], [-np.inf, 0.0], [-1.0, 0.0]]
+
+
+class TestRowSolver:
+    @staticmethod
+    def assert_rows_match_one_row_solves(v, lam):
+        rows = scale_from_square_rows(v, lam)
+        for k, (row, level) in enumerate(zip(v, lam)):
+            one = scale_from_squares(row, level)
+            assert rows.value[k] == one.value
+            assert rows.iterations[k] == one.iterations
+            assert rows.converged[k] == one.converged
+            assert ("bisection-fallback" if rows.bisection[k] else "newton") == one.method
+            assert rows.plateau[k] == one.plateau
+        return rows
+
+    def test_mixed_batch_matches_one_row_solves(self):
+        rng = np.random.default_rng(20)
+        v = np.vstack([
+            [1.0, 1.0, 100.0, 1000.0],        # lambda > 1 plateau, edge 1.5
+            [4.0, 0.0, 0.0, 0.0],             # no positive root (S -> 0 corner)
+            [1.0, 0.0, 2.0, 3.0],
+            [7.0, 7.0, 7.0, 7.0],             # root at the mean, no iteration
+            rng.uniform(0.1, 10.0, 4) * 1e-150,
+            rng.uniform(0.1, 10.0, 4),
+            rng.uniform(0.1, 10.0, 4) * 1e150,
+            [1e-3, 5.0, 0.0, 2e4],
+        ])
+        lam = np.array([3.0, 2.0, 0.4, 0.3, 0.2, 0.7, 0.5, 1.5])
+        rows = self.assert_rows_match_one_row_solves(v, lam)
+        assert rows.plateau[0] and rows.value[0] == pytest.approx(1.5, rel=1e-10)
+        assert rows.value[1] == 0.0 and not rows.converged[1]
+        assert rows.iterations[3] == 0
+        assert rows.converged[[0, 2, 3, 4, 5, 6, 7]].all()
+
+    def test_random_batch_matches_one_row_solves(self):
+        rng = np.random.default_rng(21)
+        v = rng.standard_t(2, size=(60, 50)) ** 2
+        v[rng.random(v.shape) < 0.1] = 0.0
+        v *= 10.0 ** rng.integers(-8, 8, size=(60, 1))
+        self.assert_rows_match_one_row_solves(v, rng.uniform(0.05, 5.0, 60))
+
+    def test_extreme_scales_are_exact(self):
+        # S^2 in the derivative would overflow at 2^1000 and underflow at
+        # 2^-1000; the roots must still scale exactly with the data
+        rng = np.random.default_rng(22)
+        base = rng.uniform(0.1, 10.0, 40)
+        base[:3] = 100.0
+        v = np.vstack([base * 2.0**-1000, base, base * 2.0**1000])
+        rows = self.assert_rows_match_one_row_solves(v, np.full(3, 0.3))
+        assert rows.converged.all()
+        assert rows.value[0] == rows.value[1] * 2.0**-1000
+        assert rows.value[2] == rows.value[1] * 2.0**1000
+
+    def test_bracket_search_is_capped(self, monkeypatch):
+        # the mean sits far right of the root, so bracketing needs many halvings
+        v = np.vstack([[1.0] * 39 + [1e6], [1.0, 2.0, 3.0] + [2.0] * 37])
+        capped = scale_from_square_rows(v, np.array([0.5, 0.5]))
+        monkeypatch.setattr(mestimator, "MAX_BRACKET_ROUNDS", 2)
+        rows = scale_from_square_rows(v, np.array([0.5, 0.5]))
+        assert not rows.converged[0] and rows.bisection[0] and rows.iterations[0] == 0
+        assert rows.converged[1] and rows.value[1] == capped.value[1]
+
+    @pytest.mark.parametrize("bad", BAD_SQUARES)
+    def test_rejects_non_finite_or_negative(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tilde_n_from_squares(np.array(bad), 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            scale_from_square_rows(np.array([[1.0, 2.0], bad]), np.array([0.5, 0.5]))
+
+    def test_lambda_rows_match_one_row(self):
+        rng = np.random.default_rng(23)
+        v = rng.standard_t(3, size=(5, 80)) ** 2
+        v[2] = 4.0  # zero variance
+        lam = lambda_from_square_rows(v, 0.1)
+        for k in (0, 1, 3, 4):
+            assert lam[k] == lambda_from_squares(v[k], 0.1)
+        assert math.isnan(lam[2])
+        with pytest.raises(ValueError):
+            lambda_from_squares(v[2], 0.1)
 
 
 class TestAdaptiveLambda:
