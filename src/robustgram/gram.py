@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mestimator import Sample, lambda_from_square_rows, scale_from_square_rows
+from .mestimator import Sample, lambda_from_square_rows, scale_from_squares
 
 logger = logging.getLogger(__name__)
 
@@ -107,8 +107,8 @@ def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list = None) -> n
     lam[np.isnan(lam)] = 1.0 / math.sqrt(v.shape[1])
     if lam_log is not None:
         lam_log.extend(lam.tolist())
-    result = scale_from_square_rows(v, lam)
-    failed = np.count_nonzero(~result.converged)
+    result = scale_from_squares(v, lam)
+    failed = np.count_nonzero(~result.row_converged)
     if failed:
         logger.warning("%d of %d scale solves did not converge", failed, len(v))
     out[live] = result.value

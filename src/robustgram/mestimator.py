@@ -7,13 +7,13 @@ sup{alpha : r_lambda(alpha theta) <= 0}``.  Under ``alpha^2 = lambda / S``
 the criterion becomes ``sum(psi(lambda (p_i^2 / S - 1)))``, non-increasing
 in S, so ``tilde_n`` is its smallest root.
 
-One solver, ``scale_from_square_rows``, finds that root for many directions
-at once: each row of a (k, n) matrix holds the squared values of one
-direction and has its own lambda.  Every row runs exactly the elementwise
-operations of a one-row solve, and a reduction along a contiguous row sums
-in the same order as on a 1-d array, so a row's result does not depend on
-the batch it is solved in.  ``scale_from_squares`` is the one-row case;
-``tilde_n``, ``alpha_hat`` and ``robust_scale`` express it in the paper's
+One solver, ``scale_from_squares``, finds that root for one direction or
+for many at once: each row of a (k, n) matrix holds the squared values of
+one direction and has its own lambda.  Every row runs exactly the
+elementwise operations of a one-row solve, and a reduction along a
+contiguous row sums in the same order as on a 1-d array, so a row's result
+does not depend on the batch it is solved in.  ``tilde_n``, ``alpha_hat``
+and ``robust_scale`` express the one-direction case in the paper's
 notation.  ``lambda_from_square_rows`` gives the adaptive truncation level
 per row in the same way.
 """
@@ -79,13 +79,30 @@ class ScaleResult:
 
 @dataclass(frozen=True)
 class RowScaleResult:
-    """Outcome of ``scale_from_square_rows``: one entry per row."""
+    """Outcome of a scale solve on the rows of a matrix: one entry per row.
+
+    ``iterations``, ``converged`` and ``method`` summarize the whole call in
+    the terms of ``ScaleResult``: summed iterations, every row converged,
+    and "bisection-fallback" when some row fell back.
+    """
 
     value: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
+    row_iterations: np.ndarray
+    row_converged: np.ndarray
     bisection: np.ndarray  # a step fell back to bisection, or no root or bracket found
     plateau: np.ndarray  # moved to the left edge of a flat root interval
+
+    @property
+    def iterations(self) -> int:
+        return int(self.row_iterations.sum())
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.row_converged.all())
+
+    @property
+    def method(self) -> str:
+        return "bisection-fallback" if self.bisection.any() else "newton"
 
 
 def r_lambda(sample: Sample, theta, lam: float) -> float:
@@ -140,7 +157,7 @@ def _criterion_slope(t, v, lam, s):
     return np.sum(psi_prime(t) * (-lam[:, None] * v / (s * s)[:, None]), axis=1)
 
 
-def scale_from_square_rows(v, lam, tol: float = 1e-10, max_iter: int = 100) -> RowScaleResult:
+def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
     """Per row r: smallest S > 0 with sum_j psi(lam_r (v_rj / S - 1)) <= 0.
 
     ``v`` is (k, n) with finite v_rj >= 0 and a positive entry in each row;
@@ -264,19 +281,22 @@ def scale_from_square_rows(v, lam, tol: float = 1e-10, max_iter: int = 100) -> R
     return RowScaleResult(np.ldexp(value, exponent), iterations, converged, bisection, plateau)
 
 
-def scale_from_squares(v, lam: float, tol: float = 1e-10, max_iter: int = 100) -> ScaleResult:
+def scale_from_squares(v, lam, tol: float = 1e-10, max_iter: int = 100):
     """Smallest S > 0 with sum(psi(lambda (v_i / S - 1))) <= 0, v_i >= 0 given.
 
-    The one-row case of ``scale_from_square_rows``; returns 0 (not converged)
-    when the criterion is non-positive near S = 0.
+    ``v`` of shape (n,) with a scalar ``lam`` gives a ``ScaleResult``; the
+    value is 0 (not converged) when the criterion is non-positive near
+    S = 0.  ``v`` of shape (k, n) with k levels solves each row as that
+    one-row case and gives a ``RowScaleResult``; see ``_scale_rows``.
     """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        return _scale_rows(v, lam, tol, max_iter)
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    v = np.asarray(v, dtype=float).reshape(1, -1)
-    r = scale_from_square_rows(v, np.array([lam], dtype=float), tol, max_iter)
-    return ScaleResult(float(r.value[0]), int(r.iterations[0]), bool(r.converged[0]),
-                       "bisection-fallback" if r.bisection[0] else "newton",
-                       plateau=bool(r.plateau[0]))
+    r = _scale_rows(v.reshape(1, -1), np.array([lam], dtype=float), tol, max_iter)
+    return ScaleResult(float(r.value[0]), int(r.row_iterations[0]), bool(r.row_converged[0]),
+                       r.method, plateau=bool(r.plateau[0]))
 
 
 def robust_scale(p, lam: float, tol: float = 1e-10, max_iter: int = 100) -> ScaleResult:

@@ -15,7 +15,6 @@ from robustgram.mestimator import (
     lambda_from_squares,
     r_lambda,
     robust_scale,
-    scale_from_square_rows,
     scale_from_squares,
     tilde_n,
     tilde_n_from_squares,
@@ -302,12 +301,12 @@ BAD_SQUARES = [[np.nan, 0.0], [-np.inf, 0.0], [-1.0, 0.0]]
 class TestRowSolver:
     @staticmethod
     def assert_rows_match_one_row_solves(v, lam):
-        rows = scale_from_square_rows(v, lam)
+        rows = scale_from_squares(v, lam)
         for k, (row, level) in enumerate(zip(v, lam)):
             one = scale_from_squares(row, level)
             assert rows.value[k] == one.value
-            assert rows.iterations[k] == one.iterations
-            assert rows.converged[k] == one.converged
+            assert rows.row_iterations[k] == one.iterations
+            assert rows.row_converged[k] == one.converged
             assert ("bisection-fallback" if rows.bisection[k] else "newton") == one.method
             assert rows.plateau[k] == one.plateau
         return rows
@@ -327,9 +326,13 @@ class TestRowSolver:
         lam = np.array([3.0, 2.0, 0.4, 0.3, 0.2, 0.7, 0.5, 1.5])
         rows = self.assert_rows_match_one_row_solves(v, lam)
         assert rows.plateau[0] and rows.value[0] == pytest.approx(1.5, rel=1e-10)
-        assert rows.value[1] == 0.0 and not rows.converged[1]
-        assert rows.iterations[3] == 0
-        assert rows.converged[[0, 2, 3, 4, 5, 6, 7]].all()
+        assert rows.value[1] == 0.0 and not rows.row_converged[1]
+        assert rows.row_iterations[3] == 0
+        assert rows.row_converged[[0, 2, 3, 4, 5, 6, 7]].all()
+        # the call-level summary reads like a ScaleResult
+        assert rows.iterations == int(rows.row_iterations.sum())
+        assert not rows.converged and rows.method == "bisection-fallback"
+        assert scale_from_squares(v[2:4], lam[2:4]).converged
 
     def test_random_batch_matches_one_row_solves(self):
         rng = np.random.default_rng(21)
@@ -346,25 +349,25 @@ class TestRowSolver:
         base[:3] = 100.0
         v = np.vstack([base * 2.0**-1000, base, base * 2.0**1000])
         rows = self.assert_rows_match_one_row_solves(v, np.full(3, 0.3))
-        assert rows.converged.all()
+        assert rows.row_converged.all()
         assert rows.value[0] == rows.value[1] * 2.0**-1000
         assert rows.value[2] == rows.value[1] * 2.0**1000
 
     def test_bracket_search_is_capped(self, monkeypatch):
         # the mean sits far right of the root, so bracketing needs many halvings
         v = np.vstack([[1.0] * 39 + [1e6], [1.0, 2.0, 3.0] + [2.0] * 37])
-        capped = scale_from_square_rows(v, np.array([0.5, 0.5]))
+        capped = scale_from_squares(v, np.array([0.5, 0.5]))
         monkeypatch.setattr(mestimator, "MAX_BRACKET_ROUNDS", 2)
-        rows = scale_from_square_rows(v, np.array([0.5, 0.5]))
-        assert not rows.converged[0] and rows.bisection[0] and rows.iterations[0] == 0
-        assert rows.converged[1] and rows.value[1] == capped.value[1]
+        rows = scale_from_squares(v, np.array([0.5, 0.5]))
+        assert not rows.row_converged[0] and rows.bisection[0] and rows.row_iterations[0] == 0
+        assert rows.row_converged[1] and rows.value[1] == capped.value[1]
 
     @pytest.mark.parametrize("bad", BAD_SQUARES)
     def test_rejects_non_finite_or_negative(self, bad):
         with pytest.raises(ValueError, match="finite"):
             tilde_n_from_squares(np.array(bad), 0.5)
         with pytest.raises(ValueError, match="finite"):
-            scale_from_square_rows(np.array([[1.0, 2.0], bad]), np.array([0.5, 0.5]))
+            scale_from_squares(np.array([[1.0, 2.0], bad]), np.array([0.5, 0.5]))
 
     def test_lambda_rows_match_one_row(self):
         rng = np.random.default_rng(23)
