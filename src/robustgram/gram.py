@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mestimator import Sample, lambda_from_square_rows, scale_from_squares
+from .mestimator import Sample, SampleSizeError, lambda_from_square_rows, scale_from_squares
 
 logger = logging.getLogger(__name__)
 
 # Projections per block of directions (rows x m x g): a block and the
-# solver's temporaries stay within a 2 MB L2 cache; larger blocks ran slower.
+# solver's temporaries stay within a 2 MB L2 cache; 2^13 ran slower and
+# 2^15 no faster.
 BLOCK_ELEMS = 2**14
 
 
@@ -88,8 +89,10 @@ def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list = None) -> n
 
     ``p`` holds one direction's projections per row, shape (k, n) or
     (k, m, g); a group contributes the sum of its squares.  A row falls back
-    to lambda = 1/sqrt(n) where the adaptive formula is undefined (tiny n or
-    degenerate squared values).  Rows without a positive square give 0.
+    to lambda = 1/sqrt(n) where the adaptive formula is undefined (a sample
+    too small for epsilon, or zero variance of the squared values); other
+    errors, such as epsilon outside (0, 1), propagate.  Rows without a
+    positive square give 0.
     """
     v = p * p
     if v.ndim == 3:
@@ -102,7 +105,7 @@ def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list = None) -> n
         v = v[live]
     try:
         lam = lambda_from_square_rows(v, epsilon)
-    except ValueError:
+    except SampleSizeError:
         lam = np.full(len(v), np.nan)
     lam[np.isnan(lam)] = 1.0 / math.sqrt(v.shape[1])
     if lam_log is not None:
@@ -200,8 +203,11 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     update is ``polarization_update`` with the block-solved
     ``robust_scale_fn``.  Stops after ``num_updates`` or once consecutive
     iterates are closer than ``stop_tol`` in Frobenius norm.  Non-finite
-    matrices and eigh failures raise NumericalError.
+    matrices and eigh failures raise NumericalError; epsilon outside (0, 1)
+    raises ValueError.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
     if num_updates < 1:
         raise ValueError("num_updates must be at least 1")
     track = update is None

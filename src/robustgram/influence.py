@@ -5,6 +5,12 @@ identity with a bounded, odd, non-decreasing function ``psi``.  The concave
 envelope ``chi`` is a quadratic smoothing of ``psi`` above the point where
 ``psi'' = -1/4``; it is what the bound calculators in :mod:`robustgram.bounds`
 are derived from.  Everything here is pure and array-friendly.
+
+``psi`` and ``psi_prime`` are the inner loop of every scale solve, so they
+evaluate one formula on c = min(|t|, 1) in place, with no saturation branch.
+Two identities in float64 make that exact: at the cap c = 1 the body
+c (c/2 - 1) is -1/2 and -log1p(-1/2) == log(2) to the last bit, and
+(1 - c) / ((1 - c) + (c/2) c) is 0 / (1/2) = 0.
 """
 
 from __future__ import annotations
@@ -51,6 +57,16 @@ def _maybe_scalar(out, t):
     return out
 
 
+def _capped_abs(arr):
+    """min(|t|, 1) in a fresh array.
+
+    The kernels below work in place on fresh arrays, 0-d ones for scalar
+    input, because a ufunc without ``out`` turns 0-d input into a scalar.
+    """
+    c = np.abs(arr, out=np.empty(arr.shape))
+    return np.minimum(c, 1.0, out=c)
+
+
 def psi(t):
     """Bounded odd influence function.
 
@@ -58,11 +74,14 @@ def psi(t):
     extended by psi(-t) = -psi(t).  Accepts scalars or arrays.
     """
     arr = _as_float_array(t)
-    a = np.abs(arr)
-    capped = np.minimum(a, 1.0)
-    # 1 - a + a^2/2 >= 1/2 on [0, 1], so log1p is safe
-    body = -np.log1p(capped * (0.5 * capped - 1.0))
-    out = np.sign(arr) * np.where(a >= 1.0, LOG2, body)
+    c = _capped_abs(arr)
+    # c (c/2 - 1) = (1 - c + c^2/2) - 1 lies in [-1/2, 0]; it is -1/2 at the cap
+    body = np.multiply(c, 0.5, out=np.empty_like(c))
+    body -= 1.0
+    body *= c
+    out = np.log1p(body, out=body)
+    # log1p(body) <= 0, so its magnitude with the sign of t is sign(t) * (-log1p)
+    np.copysign(out, arr, out=out)
     return _maybe_scalar(out, t)
 
 
@@ -72,9 +91,13 @@ def psi_prime(t):
     At t = +/-1 the interior one-sided value 0 is used, which coincides with
     the flat exterior branch, so the function is continuous.
     """
-    a = np.abs(_as_float_array(t))
-    capped = np.minimum(a, 1.0)
-    out = np.where(a >= 1.0, 0.0, (1.0 - capped) / (1.0 - capped + 0.5 * capped * capped))
+    c = _capped_abs(_as_float_array(t))
+    # (1 - c) / ((1 - c) + (c/2) c); at the cap this is 0 / (1/2) = 0 exactly
+    out = np.subtract(1.0, c, out=np.empty_like(c))
+    den = np.multiply(c, 0.5, out=np.empty_like(c))
+    den *= c
+    den += out
+    np.divide(out, den, out=out)
     return _maybe_scalar(out, t)
 
 

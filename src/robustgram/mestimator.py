@@ -66,6 +66,10 @@ MAX_BRACKET_ROUNDS = 2100
 RESCALE_EXPONENT = 256
 
 
+class SampleSizeError(ValueError):
+    """The sample is too small for the adaptive truncation level."""
+
+
 @dataclass(frozen=True)
 class ScaleResult:
     """Outcome of the scalar scale solve."""
@@ -144,7 +148,10 @@ def alpha_hat(sample: Sample, theta, lam: float) -> float:
 
 def _terms(v, lam, s):
     """Arguments lam (v / S - 1) of psi, one row per row of v, level and scale."""
-    return lam[:, None] * (v / s[:, None] - 1.0)
+    t = v / s[:, None]
+    t -= 1.0
+    t *= lam[:, None]
+    return t
 
 
 def _criterion(v, lam, s):
@@ -152,9 +159,15 @@ def _criterion(v, lam, s):
     return np.sum(psi(_terms(v, lam, s)), axis=1)
 
 
-def _criterion_slope(t, v, lam, s):
-    """Row sums of the derivative of ``_criterion`` in S, given t = _terms(v, lam, s)."""
-    return np.sum(psi_prime(t) * (-lam[:, None] * v / (s * s)[:, None]), axis=1)
+def _criterion_slope(t, nlv, s):
+    """Row sums of the derivative of ``_criterion`` in S.
+
+    ``t`` is ``_terms(v, lam, s)`` and ``nlv`` is -lam v, so the derivative
+    terms are psi'(t) (-lam v) / S^2.
+    """
+    slope = nlv / (s * s)[:, None]
+    slope *= psi_prime(t)
+    return np.sum(slope, axis=1)
 
 
 def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
@@ -239,10 +252,11 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
         rows, va, la, s, fs, t, lo, hi = (a[keep] for a in (rows, va, la, s, fs, t, lo, hi))
 
     bis = np.zeros(len(rows), dtype=bool)
+    nlv = -la[:, None] * va
     for it in range(1, max_iter + 1):
         if not rows.size:
             break
-        fp = _criterion_slope(t, va, la, s)
+        fp = _criterion_slope(t, nlv, s)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = s - fs / fp
         fall_back = (np.abs(fp * s) < 1e-14) | ~((lo < step) & (step < hi))
@@ -258,8 +272,8 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
             r = rows[done]
             value[r], iterations[r], converged[r], bisection[r] = s[done], it, True, bis[done]
             keep = ~done
-            rows, va, la, s, fs, t, lo, hi, bis = (
-                a[keep] for a in (rows, va, la, s, fs, t, lo, hi, bis))
+            rows, va, la, nlv, s, fs, t, lo, hi, bis = (
+                a[keep] for a in (rows, va, la, nlv, s, fs, t, lo, hi, bis))
     value[rows] = 0.5 * (lo + hi)
     iterations[rows] = max_iter
     bisection[rows] = bis
@@ -308,18 +322,19 @@ def robust_scale(p, lam: float, tol: float = 1e-10, max_iter: int = 100) -> Scal
 def lambda_from_square_rows(v, epsilon: float) -> np.ndarray:
     """``lambda_from_squares`` for each row of the (k, n) matrix ``v``.
 
-    A row with zero sample variance gets nan.  Raises when the sample is
-    too small (n < 2 or u >= 1), which holds for every row alike.
+    A row with zero sample variance gets nan.  Raises ``SampleSizeError``
+    when the sample is too small (n < 2 or u >= 1), which holds for every
+    row alike, and ``ValueError`` for epsilon outside (0, 1).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     v = np.asarray(v, dtype=float)
     n = v.shape[1]
     if n < 2:
-        raise ValueError("need at least two observations")
+        raise SampleSizeError("need at least two observations")
     u = 2.0 * math.log(1.0 / epsilon) / n
     if u >= 1.0:
-        raise ValueError(f"sample too small: 2 log(1/epsilon)/n = {u:.3f} >= 1")
+        raise SampleSizeError(f"sample too small: 2 log(1/epsilon)/n = {u:.3f} >= 1")
     m = np.mean(v, axis=1)
     var = np.sum((v - m[:, None]) ** 2, axis=1) / (n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -40,6 +40,14 @@ class TestEstimate:
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv")]) == 1
 
+    @pytest.mark.parametrize("epsilon", ["5", "0", "-1"])
+    def test_epsilon_outside_unit_interval_is_config_error(self, sample_csv, tmp_path, capsys,
+                                                          epsilon):
+        out = tmp_path / "est"
+        assert main(["estimate", sample_csv, "--out", str(out), "--epsilon", epsilon]) == 1
+        assert "epsilon" in capsys.readouterr().err
+        assert not (out / "q.csv").exists()
+
     def test_overflow_is_numerical_failure(self, overflow_csv, tmp_path, capsys):
         assert main(["estimate", overflow_csv, "--out", str(tmp_path / "est")]) == 2
         assert "numerical failure" in capsys.readouterr().err
@@ -115,6 +123,14 @@ class TestCov:
         assert main(["cov", sample_csv, "--q", "3", "--psd", "--out", str(out)]) == 0
         m = np.loadtxt(str(out), delimiter=",")
         assert np.linalg.eigvalsh(m).min() >= -1e-10
+
+    @pytest.mark.parametrize("epsilon", ["5", "0", "-1"])
+    def test_epsilon_outside_unit_interval_is_config_error(self, sample_csv, tmp_path, capsys,
+                                                          epsilon):
+        out = tmp_path / "cov.csv"
+        assert main(["cov", sample_csv, "--out", str(out), "--epsilon", epsilon]) == 1
+        assert "epsilon" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflow_is_numerical_failure(self, overflow_csv, tmp_path, capsys):
         assert main(["cov", overflow_csv, "--out", str(tmp_path / "cov.csv")]) == 2

@@ -273,3 +273,10 @@ class TestRobustCovariance:
         rng = np.random.default_rng(12)
         est = robust_covariance(Sample(rng.standard_normal((50, 4))), q=2)
         assert np.max(np.abs(est.matrix - est.matrix.T)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["iterative-practical", "grid-certified"])
+    @pytest.mark.parametrize("epsilon", [5.0, 0.0, -1.0])
+    def test_epsilon_outside_unit_interval_raises(self, mode, epsilon):
+        s = Sample(np.random.default_rng(19).standard_normal((60, 3)))
+        with pytest.raises(ValueError, match="epsilon"):
+            robust_covariance(s, q=2, epsilon=epsilon, mode=mode)

@@ -13,6 +13,7 @@ from robustgram.gram import (
     robust_gram,
     robust_scale_fn,
 )
+from robustgram.harness import ExperimentConfig, gen_mixture, trial_rng
 from robustgram.mestimator import Sample
 
 
@@ -249,3 +250,48 @@ class TestRobustGram:
     def test_needs_two_observations(self):
         with pytest.raises(ValueError):
             robust_gram(Sample(np.ones((1, 3))))
+
+    @pytest.mark.parametrize("epsilon", [5.0, 1.0, 0.0, -1.0, math.nan])
+    def test_epsilon_outside_unit_interval_raises(self, epsilon):
+        s = Sample(np.random.default_rng(17).standard_normal((50, 3)))
+        with pytest.raises(ValueError, match="epsilon"):
+            robust_gram(s, epsilon=epsilon)
+
+    def test_small_sample_falls_back_to_inverse_root_n(self):
+        # 2 log(1/0.01) / 5 > 1: the adaptive level is undefined at n = 5
+        est = robust_gram(Sample(np.random.default_rng(18).standard_normal((5, 2))),
+                          epsilon=0.01)
+        assert est.lambda_used[0] == 1.0 / math.sqrt(5)
+
+    # upper triangle, row by row, of the estimate on trial 1 of the reference
+    # experiment (its solves move when the Newton slope changes by one ulp);
+    # computed with the saturation-branch kernel on x86-64 with numpy 2.4.6
+    # and OpenBLAS (another BLAS may round the rotations differently)
+    REFERENCE_UPPER = [
+        "0x1.cb0f94c0acf04p+1", "0x1.596088aff70e2p+0", "0x1.a948a97603c74p-9",
+        "0x1.7d4cd6f1486e8p-1", "0x1.a90563f5cea54p-3", "-0x1.0b757f576f4d2p-2",
+        "-0x1.b40fb1a0ce8e0p-3", "0x1.84ca868084ae8p-3", "0x1.5f2504b7f91aap-3",
+        "0x1.abdf6391aa688p-3", "0x1.6b8831523ef4dp+1", "-0x1.92b38ffcf3f1ep-4",
+        "0x1.96435dba287f8p-6", "-0x1.0bde43d2f0c08p-1", "-0x1.491c79c4f82f6p-2",
+        "0x1.d6ba079875140p-3", "0x1.0cac7e8067052p-2", "0x1.e67d8590ba6a9p-3",
+        "-0x1.ee0a91ed8df35p-8", "0x1.ffda527d1c80ap-3", "0x1.ee4ccf4fc5fd8p-4",
+        "0x1.27a39636e2cd5p-2", "0x1.f9f3e2c859e86p-4", "0x1.ea9c1a446472dp-6",
+        "-0x1.bd45aa9c0b8f4p-3", "-0x1.134f24ff1aa68p-4", "0x1.3575ecf2e4b56p-10",
+        "0x1.0dbc5c19a4deap-1", "0x1.c7a9779f9649ep-4", "-0x1.8ffb42aeef3c0p-2",
+        "-0x1.7e078a6193524p-5", "-0x1.56c5d1c4e86e4p-4", "0x1.4d067c10e2c26p-4",
+        "-0x1.267434466afb0p-4", "0x1.18d79c48090b2p-1", "0x1.6a64efbff3dddp-2",
+        "-0x1.a43f304d6afdep-6", "-0x1.1b4483c5f7b52p-4", "-0x1.0566f5b588d8ep-3",
+        "-0x1.39455853494a2p-4", "0x1.821552f546f4ep-1", "-0x1.f76598c64941ap-7",
+        "0x1.620902fa89e1ep-3", "-0x1.762114e2e9961p-3", "0x1.8c65ceaf4fa57p-5",
+        "0x1.0d8427ea9cda0p-3", "-0x1.5c22ea6b05b24p-3", "0x1.aaed486618ea9p-5",
+        "0x1.7dea03ff8a89cp-5", "0x1.e8ab610ab4fb8p-2", "-0x1.ab655e9150461p-5",
+        "-0x1.b4de46b54933cp-3", "0x1.2e4db0f8f4d72p-3", "0x1.4e4b6371a04a4p-5",
+        "0x1.49e4396cc1c5ep-2",
+    ]
+
+    def test_bitwise_reference_matrix(self):
+        cfg = ExperimentConfig(seed=0)
+        q = robust_gram(gen_mixture(cfg, trial_rng(cfg.seed, 1)), epsilon=cfg.epsilon,
+                        num_updates=cfg.num_updates).matrix
+        np.testing.assert_array_equal(q, q.T)
+        assert [float(x).hex() for x in q[np.triu_indices(cfg.d)]] == self.REFERENCE_UPPER

@@ -71,6 +71,66 @@ class TestPsiPrime:
             assert psi_prime(float(t)) == pytest.approx(num, abs=1e-6)
 
 
+def _psi_where_form(t):
+    """psi as evaluated with an explicit saturation branch."""
+    a = np.abs(t)
+    c = np.minimum(a, 1.0)
+    return np.sign(t) * np.where(a >= 1.0, LOG2, -np.log1p(c * (0.5 * c - 1.0)))
+
+
+def _psi_prime_where_form(t):
+    a = np.abs(t)
+    c = np.minimum(a, 1.0)
+    return np.where(a >= 1.0, 0.0, (1.0 - c) / (1.0 - c + 0.5 * c * c))
+
+
+class TestKernelExact:
+    """The branch-free kernel equals the saturation-branch formulas bit for bit."""
+
+    EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+             -np.nextafter(1.0, 0.0), -np.nextafter(1.0, 2.0), np.inf, -np.inf,
+             5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-160, 0.5, -0.5,
+             1e300, -1e300]
+
+    def _inputs(self):
+        rng = np.random.default_rng(21)
+        wide = rng.standard_normal(20_000) * 10.0 ** rng.integers(-320, 6, 20_000)
+        near = 1.0 + rng.uniform(-1e-6, 1e-6, 2000) * rng.choice([-1.0, 1.0], 2000)
+        flat = np.concatenate([self.EDGES, wide, near, -near])
+        return [flat, flat[: 20 * 100].reshape(20, 100), rng.standard_normal((7, 3))]
+
+    def test_identities(self):
+        assert -np.log1p(-0.5) == LOG2
+        assert 1.0 * (0.5 * 1.0 - 1.0) == -0.5
+        assert (1.0 - 1.0) / ((1.0 - 1.0) + 0.5 * 1.0 * 1.0) == 0.0
+
+    def test_psi_equals_where_form(self):
+        for t in self._inputs():
+            out = psi(t)
+            assert out.shape == t.shape
+            np.testing.assert_array_equal(out, _psi_where_form(t))
+
+    def test_psi_prime_equals_where_form(self):
+        for t in self._inputs():
+            out = psi_prime(t)
+            assert out.shape == t.shape
+            np.testing.assert_array_equal(out, _psi_prime_where_form(t))
+
+    def test_scalars_give_floats(self):
+        for t in self.EDGES + [np.float64(0.3), np.array(-2.0)]:
+            for f, ref in ((psi, _psi_where_form), (psi_prime, _psi_prime_where_form)):
+                out = f(t)
+                assert type(out) is float
+                assert out == ref(np.asarray(t, dtype=float))
+
+    def test_input_not_modified(self):
+        t = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+        before = t.copy()
+        psi(t)
+        psi_prime(t)
+        np.testing.assert_array_equal(t, before)
+
+
 class TestChi:
     def test_equals_psi_below_z1(self):
         for z in np.linspace(-10, Z1, 200):

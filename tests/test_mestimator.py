@@ -434,3 +434,34 @@ class TestLightTailSanity:
         # and the independent oracle lands in the same band
         ref = bisect_scale(p * p, lam)
         assert m * (1.0 - band) <= ref <= m * (1.0 + band)
+
+
+class TestBitwisePin:
+    """Exact values of a seeded row batch: a one-ulp change in psi or in the
+    psi arguments moves them.  (A one-ulp change in the Newton slope rarely
+    moves a root; ``test_gram.py`` pins a whole estimate for that.)
+
+    The hex literals were computed with the saturation-branch kernel (the
+    form kept in ``tests/test_influence.py``) on x86-64 with numpy 2.4.6.
+    """
+
+    VALUES = [
+        "0x1.02132fbf3327ap+0", "0x1.41ccd50b17f4bp+0", "0x1.fa5e21c074b5ap-499",
+        "0x1.5d8aa033afc6bp-1", "0x1.55aa197aa9bc5p-1", "0x0.0p+0",
+        "0x1.cef968c724d3cp-1", "0x1.8000000000000p+0",
+    ]
+
+    def test_row_batch(self):
+        rng = np.random.default_rng(20240)
+        v = rng.standard_t(3, (8, 60)) ** 2
+        lam = rng.uniform(0.05, 4.0, 8)
+        v[2] *= 1e-150
+        v[5, :30] = 0.0  # no positive root at lambda = 4
+        v[7] = np.repeat([1.0, 100.0], 30)  # flat root stretch with left edge 1.5
+        lam[5], lam[7] = 4.0, 3.0
+        r = scale_from_squares(v, lam)
+        assert [float(x).hex() for x in r.value] == self.VALUES
+        assert r.row_iterations.tolist() == [5, 4, 5, 5, 6, 0, 5, 0]
+        assert r.bisection.tolist() == [True] * 7 + [False]
+        assert r.plateau.tolist() == [False] * 7 + [True]
+        assert r.row_converged.tolist() == [True] * 5 + [False, True, True]
