@@ -201,21 +201,31 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     estimate (the mean of the A_i initially), lets ``update`` map the
     projections to the matrix C in that basis, and rotates back.  The default
     update is ``polarization_update`` with the block-solved
-    ``robust_scale_fn``.  Stops after ``num_updates`` or once consecutive
-    iterates are closer than ``stop_tol`` in Frobenius norm.  Non-finite
-    matrices and eigh failures raise NumericalError; epsilon outside (0, 1)
-    raises ValueError.
+    ``robust_scale_fn``.  Stops after ``num_updates`` or once
+    ||Q_k - Q_{k-1}||_F <= ``stop_tol`` ||Q_{k-1}||_F.  The default update is
+    homogeneous of degree 2 and each of its steps scales exactly under a
+    power of two, so it runs on the vectors divided by 2^e, e the binary
+    exponent of the largest |entry|, and its result is multiplied by 2^(2e):
+    scaling the data by 2^k scales the estimate by 4^k bit for bit wherever
+    both are representable.  A custom ``update`` sees the vectors as given.
+    Non-finite matrices, an estimate beyond the floating-point range and
+    eigh failures raise NumericalError; epsilon outside (0, 1) raises
+    ValueError.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if num_updates < 1:
         raise ValueError("num_updates must be at least 1")
     track = update is None
+    flat = vectors.reshape(-1, vectors.shape[-1])
+    e = 0
     if track:
         lam_log = []
         update = functools.partial(polarization_update, scale_fn=None, epsilon=epsilon,
                                    lam_log=lam_log)
-    flat = vectors.reshape(-1, vectors.shape[-1])
+        e = int(np.frexp(np.max(np.abs(flat), initial=0.0))[1])
+        flat = np.ldexp(flat, -e)
+        vectors = flat.reshape(vectors.shape)
     prev = _mean_matrix(vectors)
     if not np.all(np.isfinite(prev)):
         raise NumericalError("non-finite start matrix (data out of floating-point range)")
@@ -233,10 +243,18 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
         if track:
             lam_means.append(float(np.mean(lam_log)) if lam_log else math.nan)
         deltas.append(math.sqrt(frobenius_error(q, prev)))
-        if deltas[-1] < stop_tol:
+        if deltas[-1] <= stop_tol * np.linalg.norm(prev):
             break
         prev = q
         basis = _descending_eigenbasis(q)
+    if e:
+        with np.errstate(over="ignore"):
+            q = np.ldexp(q, 2 * e)
+            deltas = np.ldexp(deltas, 2 * e).tolist()
+        if not np.all(np.isfinite(q)):
+            raise NumericalError(
+                f"estimate out of floating-point range: the iteration from the start matrix "
+                f"ran on the vectors divided by 2^{e}, and 4^{e} times its result overflows")
     return GramEstimate(matrix=q, iterations=len(deltas),
                         frobenius_deltas=deltas, lambda_used=lam_means)
 

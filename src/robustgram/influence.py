@@ -7,7 +7,8 @@ envelope ``chi`` is a quadratic smoothing of ``psi`` above the point where
 are derived from.  Everything here is pure and array-friendly.
 
 ``psi`` and ``psi_prime`` are the inner loop of every scale solve, so they
-evaluate one formula on c = min(|t|, 1) in place, with no saturation branch.
+evaluate one formula on c = min(|t|, 1) in place, with no saturation branch;
+``psi_and_prime`` gives both from one pass, sharing c and c/2.
 Two identities in float64 make that exact: at the cap c = 1 the body
 c (c/2 - 1) is -1/2 and -log1p(-1/2) == log(2) to the last bit, and
 (1 - c) / ((1 - c) + (c/2) c) is 0 / (1/2) = 0.
@@ -99,6 +100,27 @@ def psi_prime(t):
     den += out
     np.divide(out, den, out=out)
     return _maybe_scalar(out, t)
+
+
+def psi_and_prime(t):
+    """(``psi(t)``, ``psi_prime(t)``) from one pass over t.
+
+    Both formulas read c = min(|t|, 1) and c/2, computed once; every other
+    operation is the one ``psi`` or ``psi_prime`` performs, in the same
+    order, so each output equals its single-function value bit for bit.
+    """
+    arr = _as_float_array(t)
+    c = _capped_abs(arr)
+    half = np.multiply(c, 0.5, out=np.empty_like(c))
+    den = np.multiply(half, c, out=np.empty_like(c))
+    half -= 1.0
+    half *= c
+    value = np.log1p(half, out=half)
+    np.copysign(value, arr, out=value)
+    prime = np.subtract(1.0, c, out=c)
+    den += prime
+    np.divide(prime, den, out=prime)
+    return _maybe_scalar(value, t), _maybe_scalar(prime, t)
 
 
 def chi(z):

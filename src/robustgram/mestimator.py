@@ -9,13 +9,19 @@ in S, so ``tilde_n`` is its smallest root.
 
 One solver, ``scale_from_squares``, finds that root for one direction or
 for many at once: each row of a (k, n) matrix holds the squared values of
-one direction and has its own lambda.  Every row runs exactly the
-elementwise operations of a one-row solve, and a reduction along a
-contiguous row sums in the same order as on a 1-d array, so a row's result
-does not depend on the batch it is solved in.  ``tilde_n``, ``alpha_hat``
-and ``robust_scale`` express the one-direction case in the paper's
-notation.  ``lambda_from_square_rows`` gives the adaptive truncation level
-per row in the same way.
+one direction and has its own lambda.  It is one safeguarded Newton loop in
+the paper's variable x = 1/S = alpha^2 / lambda, in which the criterion is
+nearly linear.  Its step stays inside a sign bracket that every evaluation
+tightens, with bisection, doubling or halving as the fallbacks, and f and
+f' come from one fused ``psi_and_prime`` pass.  A row stops once |f| <= tol
+and S is resolved to about 2^-40 relative: by the size of the next Newton
+step, by the width of the bracket, or because the criterion is flat.  Every
+row runs exactly the elementwise operations of a one-row solve, and a
+reduction along a contiguous row sums in the same order as on a 1-d array,
+so a row's result does not depend on the batch it is solved in.
+``tilde_n``, ``alpha_hat`` and ``robust_scale`` express the one-direction
+case in the paper's notation.  ``lambda_from_square_rows`` gives the
+adaptive truncation level per row in the same way.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .influence import LOG2, psi, psi_prime
+from .influence import LOG2, psi, psi_and_prime
 
 
 @dataclass(frozen=True)
@@ -61,8 +67,9 @@ class Sample:
 MAX_BRACKET_ROUNDS = 2100
 
 # Rows whose mean lies outside 2^-256 .. 2^256 are solved on v * 2^-e, e the
-# binary exponent of the mean, and their root is scaled back by 2^e.  Scaling
-# by a power of two is exact, and it keeps S^2 in the derivative in range.
+# binary exponent of the mean, and their root is scaled back by 2^e; their
+# adaptive level is computed on the same rescaled row.  Scaling by a power of
+# two is exact, and it keeps lam / S and the variance of the row in range.
 RESCALE_EXPONENT = 256
 
 
@@ -147,46 +154,36 @@ def alpha_hat(sample: Sample, theta, lam: float) -> float:
 
 
 def _terms(v, lam, s):
-    """Arguments lam (v / S - 1) of psi, one row per row of v, level and scale."""
-    t = v / s[:, None]
-    t -= 1.0
-    t *= lam[:, None]
-    return t
-
-
-def _criterion(v, lam, s):
-    """Row sums of psi(lam (v / S - 1))."""
-    return np.sum(psi(_terms(v, lam, s)), axis=1)
-
-
-def _criterion_slope(t, nlv, s):
-    """Row sums of the derivative of ``_criterion`` in S.
-
-    ``t`` is ``_terms(v, lam, s)`` and ``nlv`` is -lam v, so the derivative
-    terms are psi'(t) (-lam v) / S^2.
-    """
-    slope = nlv / (s * s)[:, None]
-    slope *= psi_prime(t)
-    return np.sum(slope, axis=1)
+    """lam v / S and the psi arguments lam v / S - lam; one row, level and scale per row of v."""
+    a = v * (lam / s)[:, None]
+    return a, a - lam[:, None]
 
 
 def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
-    """Per row r: smallest S > 0 with sum_j psi(lam_r (v_rj / S - 1)) <= 0.
+    """Per row r: smallest S > 0 with f(S) = sum_j psi(lam_r (v_rj / S - 1)) <= 0.
 
     ``v`` is (k, n) with finite v_rj >= 0 and a positive entry in each row;
-    ``lam`` holds one positive level per row.  Each row doubles or halves
-    from S0 = mean(v_r) to a sign bracket (at most ``MAX_BRACKET_ROUNDS``
-    rounds; a row still unbracketed is returned not converged), then runs
-    Newton from S0.  A step that leaves the bracket, or a scale-free
-    derivative |S f'(S)| below 1e-14, falls back to bisection.  ``tol``
-    bounds the absolute psi-sum residual at the returned value.  When the
-    criterion stays within ``tol`` of 0 from the converged point down to the
-    left edge of a flat stretch, that edge is returned (``plateau``), which
-    is the sup in the alpha form.  A row whose criterion is non-positive
-    near S = 0 has no positive root: value 0, not converged.  A row with a
-    mean beyond 2^+-``RESCALE_EXPONENT`` is solved rescaled by a power of
-    two, so its root scales exactly with the data.  Rows still iterating are
-    kept in compacted arrays, copied only when some of them converge.
+    ``lam`` holds one positive level per row.  Each row runs one safeguarded
+    Newton loop on x = 1/S = alpha^2 / lam, in which the criterion is nearly
+    linear.  It starts at S0 = mean(v_r) with the bracket lo = 0, hi = inf,
+    and every evaluation moves lo or hi to S by the sign of f.  The step is
+    S / (1 - f / d), with d = -S f'(S) = sum_j psi'(t_j) lam v_rj / S, and
+    is taken when it lies in (lo, hi) and d >= 1e-14.  Otherwise the row
+    bisects once both ends are known, and doubles lo or halves hi before.
+    Newton and bisection steps count against ``max_iter``, doubling and
+    halving against ``MAX_BRACKET_ROUNDS``; a row out of either budget
+    returns its last point, not converged.  A row stops when |f| <= ``tol``
+    and either |f| <= 2^-40 d, which places the root to about 1e-12
+    relative, or d < 1e-14 (a flat criterion), or hi - lo <= 2^-40 hi.  The
+    last clause ends a tangential root, where rounding noise in f exceeds
+    2^-40 d before the Newton steps settle.  When the criterion stays
+    within ``tol`` of 0 from the converged point down to the left edge of a
+    flat stretch, that edge is returned (``plateau``), which is the sup in
+    the alpha form.  A row whose criterion is non-positive near S = 0 has no
+    positive root: value 0, not converged.  A row with a mean beyond
+    2^+-``RESCALE_EXPONENT`` is solved rescaled by a power of two, so its
+    root scales exactly with the data.  Rows still iterating are kept in
+    compacted arrays, copied only when some of them stop.
     """
     v = np.asarray(v, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -221,62 +218,41 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
     rows, va, la, s = np.arange(k), v, lam, mean
     if no_root.any():
         rows, va, la, s = rows[~no_root], va[~no_root], la[~no_root], s[~no_root]
-    t = _terms(va, la, s)  # kept for the slope at the same S
-    fs = np.sum(psi(t), axis=1)
-    done = np.abs(fs) <= tol
-    converged[rows[done]] = True
-    value[rows[done]] = s[done]
-    if done.any():
-        rows, va, la, s, fs, t = (a[~done] for a in (rows, va, la, s, fs, t))
-
-    # f is decreasing in S: widen to a bracket [lo, hi] with f(lo) > 0 > f(hi)
-    up = fs > 0.0
-    lo = np.where(up, s, 0.5 * s)
-    hi = np.where(up, 2.0 * s, s)
-    b, vb, lb, ub = np.arange(len(rows)), va, la, up
-    for _ in range(MAX_BRACKET_ROUNDS):
-        if not b.size:
-            break
-        f_end = _criterion(vb, lb, np.where(ub, hi[b], lo[b]))
-        wider = np.where(ub, f_end > 0.0, f_end < 0.0)
-        if not wider.all():
-            b, vb, lb, ub = b[wider], vb[wider], lb[wider], ub[wider]
-        bu, bd = b[ub], b[~ub]
-        lo[bu], hi[bu] = hi[bu], 2.0 * hi[bu]
-        lo[bd], hi[bd] = 0.5 * lo[bd], lo[bd]
-    if b.size:
-        value[rows[b]] = 0.5 * (lo[b] + hi[b])
-        bisection[rows[b]] = True
-        keep = np.ones(len(rows), dtype=bool)
-        keep[b] = False
-        rows, va, la, s, fs, t, lo, hi = (a[keep] for a in (rows, va, la, s, fs, t, lo, hi))
-
+    lo, hi = np.zeros(len(rows)), np.full(len(rows), np.inf)
+    steps, rounds = np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=int)
     bis = np.zeros(len(rows), dtype=bool)
-    nlv = -la[:, None] * va
-    for it in range(1, max_iter + 1):
-        if not rows.size:
-            break
-        fp = _criterion_slope(t, nlv, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = s - fs / fp
-        fall_back = (np.abs(fp * s) < 1e-14) | ~((lo < step) & (step < hi))
-        s = np.where(fall_back, 0.5 * (lo + hi), step)
-        bis |= fall_back
-        t = _terms(va, la, s)
-        fs = np.sum(psi(t), axis=1)
-        done = np.abs(fs) <= tol
-        right = fs > 0.0
+    while rows.size:
+        a, t = _terms(va, la, s)
+        terms, slopes = psi_and_prime(t)
+        f = np.sum(terms, axis=1)
+        slopes *= a
+        d = np.sum(slopes, axis=1)
+        right = f > 0.0  # the root lies right of S
         lo = np.where(right, s, lo)
         hi = np.where(right, hi, s)
-        if done.any():
-            r = rows[done]
-            value[r], iterations[r], converged[r], bisection[r] = s[done], it, True, bis[done]
-            keep = ~done
-            rows, va, la, nlv, s, fs, t, lo, hi, bis = (
-                a[keep] for a in (rows, va, la, nlv, s, fs, t, lo, hi, bis))
-    value[rows] = 0.5 * (lo + hi)
-    iterations[rows] = max_iter
-    bisection[rows] = bis
+        flat = d < 1e-14
+        done = (np.abs(f) <= tol) & ((np.abs(f) <= 2.0**-40 * d) | flat
+                                     | (hi - lo <= 2.0**-40 * hi))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = s / (1.0 - f / d)
+        newton = ~flat & (lo < step) & (step < hi)
+        bracketed = (lo > 0.0) & (hi < np.inf)
+        counted = newton | bracketed
+        spent = np.where(counted, steps >= max_iter, rounds >= MAX_BRACKET_ROUNDS)
+        stop = done | spent
+        if stop.any():
+            r = rows[stop]
+            value[r], iterations[r], converged[r] = s[stop], steps[stop], done[stop]
+            bisection[r] = (bis | ~(done | counted))[stop]
+        s = np.where(newton, step, np.where(
+            bracketed, 0.5 * (lo + hi), np.where(right, 2.0 * lo, 0.5 * hi)))
+        steps += counted
+        rounds += ~counted
+        bis |= ~newton & bracketed
+        if stop.any():
+            keep = ~stop
+            rows, va, la, s, lo, hi, steps, rounds, bis = (
+                x[keep] for x in (rows, va, la, s, lo, hi, steps, rounds, bis))
 
     # A flat root stretch needs negatively saturated non-zero terms
     # (psi = -log 2), so lambda > 1.  Its left edge is the largest
@@ -289,7 +265,7 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
         edge = np.where((vp > 0.0) & (edges < value[rows, None]), edges, 0.0).max(axis=1)
         some = edge > 0.0
         rows, vp, lp, edge = rows[some], vp[some], lp[some], edge[some]
-        flat = np.abs(_criterion(vp, lp, edge)) <= tol
+        flat = np.abs(np.sum(psi(_terms(vp, lp, edge)[1]), axis=1)) <= tol
         value[rows[flat]] = edge[flat]
         plateau[rows[flat]] = True
     return RowScaleResult(np.ldexp(value, exponent), iterations, converged, bisection, plateau)
@@ -336,6 +312,11 @@ def lambda_from_square_rows(v, epsilon: float) -> np.ndarray:
     if u >= 1.0:
         raise SampleSizeError(f"sample too small: 2 log(1/epsilon)/n = {u:.3f} >= 1")
     m = np.mean(v, axis=1)
+    # lambda is scale-free, so the rescale leaves its bits
+    exponent = np.frexp(m)[1]
+    exponent[np.abs(exponent) <= RESCALE_EXPONENT] = 0
+    if exponent.any():
+        v, m = np.ldexp(v, -exponent[:, None]), np.ldexp(m, -exponent)
     var = np.sum((v - m[:, None]) ** 2, axis=1) / (n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = m * np.sqrt(u * (1.0 - u) / var)

@@ -95,6 +95,17 @@ def central_difference(fn, t: float, h: float = 1e-6) -> float:
     return (fn(t + h) - fn(t - h)) / (2.0 * h)
 
 
+def assert_scales_by_powers_of_four(estimate, x, k):
+    """Check estimate(2^k x) == 4^k estimate(x) bit for bit where 4^k estimate(x) is representable."""
+    base = estimate(x)
+    got = estimate(np.ldexp(x, k))
+    with np.errstate(under="ignore"):
+        expected = np.ldexp(base, 2 * k)
+        exact = np.ldexp(expected, -2 * k) == base
+    assert exact.any()
+    np.testing.assert_array_equal(got[exact], expected[exact])
+
+
 def pairwise_block_covariance(x: np.ndarray, q: int) -> np.ndarray:
     """Brute-force sum over within-block pairs for one block of rows."""
     d = x.shape[1]

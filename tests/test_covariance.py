@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robustgram.covariance import (
     BlockSet,
@@ -14,7 +16,7 @@ from robustgram.gram import NumericalError, frobenius_error, robust_gram
 from robustgram.influence import psi
 from robustgram.mestimator import Sample, r_lambda
 
-from oracles import pairwise_block_covariance
+from oracles import assert_scales_by_powers_of_four, pairwise_block_covariance
 
 
 def lattice_sample(rng, n, d, scale=4.0):
@@ -280,3 +282,14 @@ class TestRobustCovariance:
         s = Sample(np.random.default_rng(19).standard_normal((60, 3)))
         with pytest.raises(ValueError, match="epsilon"):
             robust_covariance(s, q=2, epsilon=epsilon, mode=mode)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), k=st.integers(-500, 500))
+@example(seed=0, k=-20)
+@example(seed=1, k=500)
+@example(seed=2, k=-500)
+def test_robust_covariance_scales_exactly(seed, k):
+    x = np.random.default_rng(seed).standard_t(3, (80, 3))
+    assert_scales_by_powers_of_four(
+        lambda y: robust_covariance(Sample(y), q=2, epsilon=0.1).matrix, x, k)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robustgram.gram import (
     NumericalError,
@@ -14,7 +16,10 @@ from robustgram.gram import (
     robust_scale_fn,
 )
 from robustgram.harness import ExperimentConfig, gen_mixture, trial_rng
-from robustgram.mestimator import Sample
+from robustgram import gram
+from robustgram.mestimator import Sample, scale_from_squares
+
+from oracles import assert_scales_by_powers_of_four
 
 
 def mean_of_squares(p, eps):
@@ -265,28 +270,28 @@ class TestRobustGram:
 
     # upper triangle, row by row, of the estimate on trial 1 of the reference
     # experiment (its solves move when the Newton slope changes by one ulp);
-    # computed with the saturation-branch kernel on x86-64 with numpy 2.4.6
-    # and OpenBLAS (another BLAS may round the rotations differently)
+    # computed with the one-loop solver on x86-64 with numpy 2.4.6 and
+    # OpenBLAS (another BLAS may round the rotations differently)
     REFERENCE_UPPER = [
-        "0x1.cb0f94c0acf04p+1", "0x1.596088aff70e2p+0", "0x1.a948a97603c74p-9",
-        "0x1.7d4cd6f1486e8p-1", "0x1.a90563f5cea54p-3", "-0x1.0b757f576f4d2p-2",
-        "-0x1.b40fb1a0ce8e0p-3", "0x1.84ca868084ae8p-3", "0x1.5f2504b7f91aap-3",
-        "0x1.abdf6391aa688p-3", "0x1.6b8831523ef4dp+1", "-0x1.92b38ffcf3f1ep-4",
-        "0x1.96435dba287f8p-6", "-0x1.0bde43d2f0c08p-1", "-0x1.491c79c4f82f6p-2",
-        "0x1.d6ba079875140p-3", "0x1.0cac7e8067052p-2", "0x1.e67d8590ba6a9p-3",
-        "-0x1.ee0a91ed8df35p-8", "0x1.ffda527d1c80ap-3", "0x1.ee4ccf4fc5fd8p-4",
-        "0x1.27a39636e2cd5p-2", "0x1.f9f3e2c859e86p-4", "0x1.ea9c1a446472dp-6",
-        "-0x1.bd45aa9c0b8f4p-3", "-0x1.134f24ff1aa68p-4", "0x1.3575ecf2e4b56p-10",
-        "0x1.0dbc5c19a4deap-1", "0x1.c7a9779f9649ep-4", "-0x1.8ffb42aeef3c0p-2",
-        "-0x1.7e078a6193524p-5", "-0x1.56c5d1c4e86e4p-4", "0x1.4d067c10e2c26p-4",
-        "-0x1.267434466afb0p-4", "0x1.18d79c48090b2p-1", "0x1.6a64efbff3dddp-2",
-        "-0x1.a43f304d6afdep-6", "-0x1.1b4483c5f7b52p-4", "-0x1.0566f5b588d8ep-3",
-        "-0x1.39455853494a2p-4", "0x1.821552f546f4ep-1", "-0x1.f76598c64941ap-7",
-        "0x1.620902fa89e1ep-3", "-0x1.762114e2e9961p-3", "0x1.8c65ceaf4fa57p-5",
-        "0x1.0d8427ea9cda0p-3", "-0x1.5c22ea6b05b24p-3", "0x1.aaed486618ea9p-5",
-        "0x1.7dea03ff8a89cp-5", "0x1.e8ab610ab4fb8p-2", "-0x1.ab655e9150461p-5",
-        "-0x1.b4de46b54933cp-3", "0x1.2e4db0f8f4d72p-3", "0x1.4e4b6371a04a4p-5",
-        "0x1.49e4396cc1c5ep-2",
+        "0x1.cb0f94c0f2256p+1", "0x1.596088af73c90p+0", "0x1.a948a92db6914p-9",
+        "0x1.7d4cd6f04dbe5p-1", "0x1.a90563f5c70fbp-3", "-0x1.0b757f59849dep-2",
+        "-0x1.b40fb19f4a321p-3", "0x1.84ca8682b98c0p-3", "0x1.5f2504b60bebcp-3",
+        "0x1.abdf638d43d3ep-3", "0x1.6b8831526715ap+1", "-0x1.92b38ff5a9ce2p-4",
+        "0x1.96435de6402f4p-6", "-0x1.0bde43d38eea0p-1", "-0x1.491c79c358636p-2",
+        "0x1.d6ba079619d3ep-3", "0x1.0cac7e803a7b8p-2", "0x1.e67d859411e55p-3",
+        "-0x1.ee0a91b40ec38p-8", "0x1.ffda527b8381dp-3", "0x1.ee4ccf4b4f152p-4",
+        "0x1.27a39639a891ep-2", "0x1.f9f3e2d0ab245p-4", "0x1.ea9c1a4307adep-6",
+        "-0x1.bd45aa9824398p-3", "-0x1.134f250548a6ap-4", "0x1.3575ef20470c6p-10",
+        "0x1.0dbc5c18e57f0p-1", "0x1.c7a9779dd6a79p-4", "-0x1.8ffb42ad3cef9p-2",
+        "-0x1.7e078a64f4e41p-5", "-0x1.56c5d1ce50530p-4", "0x1.4d067c0d8416bp-4",
+        "-0x1.26743436b9e08p-4", "0x1.18d79c46b2b78p-1", "0x1.6a64efbf6f73ap-2",
+        "-0x1.a43f30649df82p-6", "-0x1.1b4483c91a83ep-4", "-0x1.0566f5b7b6925p-3",
+        "-0x1.39455849b6098p-4", "0x1.821552f6337e2p-1", "-0x1.f76598ac6f1ecp-7",
+        "0x1.620902fb8e046p-3", "-0x1.762114dd2da6fp-3", "0x1.8c65ceaeb3a80p-5",
+        "0x1.0d8427eba2544p-3", "-0x1.5c22ea6e0a98dp-3", "0x1.aaed486e22312p-5",
+        "0x1.7dea040fd0e12p-5", "0x1.e8ab6107cb469p-2", "-0x1.ab655ea4d730ap-5",
+        "-0x1.b4de46ae51bd0p-3", "0x1.2e4db0fc3d40fp-3", "0x1.4e4b6379079d9p-5",
+        "0x1.49e439661ef91p-2",
     ]
 
     def test_bitwise_reference_matrix(self):
@@ -295,3 +300,43 @@ class TestRobustGram:
                         num_updates=cfg.num_updates).matrix
         np.testing.assert_array_equal(q, q.T)
         assert [float(x).hex() for x in q[np.triu_indices(cfg.d)]] == self.REFERENCE_UPPER
+
+    def test_reference_trials_take_no_bisection_step(self, monkeypatch):
+        # Newton on 1/S from the row mean stays inside its bracket on the
+        # reference experiment; the former Newton in S bisected most rows
+        results = []
+
+        def solve(v, lam):
+            results.append(scale_from_squares(v, lam))
+            return results[-1]
+
+        monkeypatch.setattr(gram, "scale_from_squares", solve)
+        cfg = ExperimentConfig(seed=0)
+        for t in range(4):
+            robust_gram(gen_mixture(cfg, trial_rng(cfg.seed, t)), epsilon=cfg.epsilon,
+                        num_updates=cfg.num_updates)
+        # 4 trials x 4 updates, each one block with the 100 directions of d = 10
+        assert [len(r.value) for r in results] == [100] * 16
+        for r in results:
+            assert r.row_converged.all() and not r.bisection.any()
+
+    def test_small_scale_runs_every_update(self):
+        # at 2^-20 the first Frobenius delta is about 1e-13, below an absolute
+        # stop_tol of 1e-8: the loop stopped after one update, 25% off
+        cfg = ExperimentConfig(seed=0)
+        x = gen_mixture(cfg, trial_rng(cfg.seed, 1)).data
+        base = robust_gram(Sample(x), epsilon=cfg.epsilon, num_updates=cfg.num_updates)
+        small = robust_gram(Sample(np.ldexp(x, -20)), epsilon=cfg.epsilon,
+                            num_updates=cfg.num_updates)
+        assert small.iterations == base.iterations == 4
+        np.testing.assert_array_equal(small.matrix, np.ldexp(base.matrix, -40))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), k=st.integers(-500, 500))
+@example(seed=0, k=-20)
+@example(seed=1, k=500)
+@example(seed=2, k=-500)
+def test_robust_gram_scales_exactly(seed, k):
+    x = np.random.default_rng(seed).standard_t(3, (40, 3))
+    assert_scales_by_powers_of_four(lambda y: robust_gram(Sample(y), epsilon=0.1).matrix, x, k)

@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from robustgram.influence import C_UNIVERSAL, CONSTANTS, P1, SUP_CHI, Z1, chi, psi, psi_prime
+from robustgram.influence import (
+    C_UNIVERSAL,
+    CONSTANTS,
+    P1,
+    SUP_CHI,
+    Z1,
+    chi,
+    psi,
+    psi_and_prime,
+    psi_prime,
+)
 
 from oracles import central_difference, psi_ref
 
@@ -116,18 +126,27 @@ class TestKernelExact:
             assert out.shape == t.shape
             np.testing.assert_array_equal(out, _psi_prime_where_form(t))
 
+    def test_fused_kernel_equals_single_kernels(self):
+        for t in self._inputs():
+            value, slope = psi_and_prime(t)
+            np.testing.assert_array_equal(value, psi(t))
+            np.testing.assert_array_equal(slope, psi_prime(t))
+
     def test_scalars_give_floats(self):
         for t in self.EDGES + [np.float64(0.3), np.array(-2.0)]:
             for f, ref in ((psi, _psi_where_form), (psi_prime, _psi_prime_where_form)):
                 out = f(t)
                 assert type(out) is float
                 assert out == ref(np.asarray(t, dtype=float))
+            assert psi_and_prime(t) == (psi(t), psi_prime(t))
+            assert all(type(out) is float for out in psi_and_prime(t))
 
     def test_input_not_modified(self):
         t = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
         before = t.copy()
         psi(t)
         psi_prime(t)
+        psi_and_prime(t)
         np.testing.assert_array_equal(t, before)
 
 

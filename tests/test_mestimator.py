@@ -354,11 +354,12 @@ class TestRowSolver:
         assert rows.value[2] == rows.value[1] * 2.0**1000
 
     def test_bracket_search_is_capped(self, monkeypatch):
-        # the mean sits far right of the root, so bracketing needs many halvings
+        # lambda > 1 saturates every term at the mean, far right of the root:
+        # the criterion is flat there, so the row halves many times first
         v = np.vstack([[1.0] * 39 + [1e6], [1.0, 2.0, 3.0] + [2.0] * 37])
-        capped = scale_from_squares(v, np.array([0.5, 0.5]))
+        capped = scale_from_squares(v, np.array([10.0, 0.5]))
         monkeypatch.setattr(mestimator, "MAX_BRACKET_ROUNDS", 2)
-        rows = scale_from_squares(v, np.array([0.5, 0.5]))
+        rows = scale_from_squares(v, np.array([10.0, 0.5]))
         assert not rows.row_converged[0] and rows.bisection[0] and rows.row_iterations[0] == 0
         assert rows.row_converged[1] and rows.value[1] == capped.value[1]
 
@@ -441,14 +442,14 @@ class TestBitwisePin:
     psi arguments moves them.  (A one-ulp change in the Newton slope rarely
     moves a root; ``test_gram.py`` pins a whole estimate for that.)
 
-    The hex literals were computed with the saturation-branch kernel (the
-    form kept in ``tests/test_influence.py``) on x86-64 with numpy 2.4.6.
+    The hex literals were computed with the one-loop solver (Newton on
+    1/S, fused psi/psi_prime kernel) on x86-64 with numpy 2.4.6.
     """
 
     VALUES = [
-        "0x1.02132fbf3327ap+0", "0x1.41ccd50b17f4bp+0", "0x1.fa5e21c074b5ap-499",
-        "0x1.5d8aa033afc6bp-1", "0x1.55aa197aa9bc5p-1", "0x0.0p+0",
-        "0x1.cef968c724d3cp-1", "0x1.8000000000000p+0",
+        "0x1.02132fbf3327dp+0", "0x1.41ccd50b295ccp+0", "0x1.fa5e21c074b5ap-499",
+        "0x1.5d8aa033afc6cp-1", "0x1.55aa197aa5872p-1", "0x0.0p+0",
+        "0x1.cef968c724d74p-1", "0x1.8000000000000p+0",
     ]
 
     def test_row_batch(self):
@@ -461,7 +462,7 @@ class TestBitwisePin:
         lam[5], lam[7] = 4.0, 3.0
         r = scale_from_squares(v, lam)
         assert [float(x).hex() for x in r.value] == self.VALUES
-        assert r.row_iterations.tolist() == [5, 4, 5, 5, 6, 0, 5, 0]
-        assert r.bisection.tolist() == [True] * 7 + [False]
+        assert r.row_iterations.tolist() == [5, 5, 6, 6, 7, 0, 5, 0]
+        assert r.bisection.tolist() == [False] * 5 + [True, False, False]
         assert r.plateau.tolist() == [False] * 7 + [True]
         assert r.row_converged.tolist() == [True] * 5 + [False, True, True]
