@@ -29,6 +29,13 @@ logger = logging.getLogger(__name__)
 # 2^15 no faster.
 BLOCK_ELEMS = 2**14
 
+# The default update runs on the vectors scaled by the power of two that puts
+# the largest |entry| in [2^99, 2^100).  Squares then stay below 2^200, far
+# from overflow and below the solver's rescale threshold, and every entry
+# within 2^610 of the largest keeps a normal square, so the bulk of a sample
+# with a huge outlier is still resolved.
+NORM_EXPONENT = 100
+
 
 class NumericalError(RuntimeError):
     """Raised when an iterate degenerates (non-finite entries, failed solve)."""
@@ -205,12 +212,12 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     ||Q_k - Q_{k-1}||_F <= ``stop_tol`` ||Q_{k-1}||_F.  The default update is
     homogeneous of degree 2 and each of its steps scales exactly under a
     power of two, so it runs on the vectors divided by 2^e, e the binary
-    exponent of the largest |entry|, and its result is multiplied by 2^(2e):
-    scaling the data by 2^k scales the estimate by 4^k bit for bit wherever
-    both are representable.  A custom ``update`` sees the vectors as given.
-    Non-finite matrices, an estimate beyond the floating-point range and
-    eigh failures raise NumericalError; epsilon outside (0, 1) raises
-    ValueError.
+    exponent of the largest |entry| less ``NORM_EXPONENT``, and its result
+    is multiplied by 2^(2e): scaling the data by 2^k scales the estimate by
+    4^k bit for bit wherever both are representable.  A custom ``update``
+    sees the vectors as given.  Non-finite matrices, an estimate beyond the
+    floating-point range and eigh failures raise NumericalError; epsilon
+    outside (0, 1) raises ValueError.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -223,7 +230,7 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
         lam_log = []
         update = functools.partial(polarization_update, scale_fn=None, epsilon=epsilon,
                                    lam_log=lam_log)
-        e = int(np.frexp(np.max(np.abs(flat), initial=0.0))[1])
+        e = int(np.frexp(np.max(np.abs(flat), initial=0.0))[1]) - NORM_EXPONENT
         flat = np.ldexp(flat, -e)
         vectors = flat.reshape(vectors.shape)
     prev = _mean_matrix(vectors)

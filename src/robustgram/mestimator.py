@@ -222,19 +222,23 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
     steps, rounds = np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=int)
     bis = np.zeros(len(rows), dtype=bool)
     while rows.size:
-        a, t = _terms(va, la, s)
-        terms, slopes = psi_and_prime(t)
-        f = np.sum(terms, axis=1)
-        slopes *= a
-        d = np.sum(slopes, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a, t = _terms(va, la, s)
+            terms, slopes = psi_and_prime(t)
+            f = np.sum(terms, axis=1)
+            slopes *= a
+            d = np.sum(slopes, axis=1)
+            # lam v / S = inf gives psi' 0 times inf: that term adds nothing to d
+            nan = np.isnan(d)
+            if nan.any():
+                d[nan] = np.nansum(slopes[nan], axis=1)
+            step = s / (1.0 - f / d)
         right = f > 0.0  # the root lies right of S
         lo = np.where(right, s, lo)
         hi = np.where(right, hi, s)
         flat = d < 1e-14
         done = (np.abs(f) <= tol) & ((np.abs(f) <= 2.0**-40 * d) | flat
                                      | (hi - lo <= 2.0**-40 * hi))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = s / (1.0 - f / d)
         newton = ~flat & (lo < step) & (step < hi)
         bracketed = (lo > 0.0) & (hi < np.inf)
         counted = newton | bracketed
@@ -265,7 +269,8 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
         edge = np.where((vp > 0.0) & (edges < value[rows, None]), edges, 0.0).max(axis=1)
         some = edge > 0.0
         rows, vp, lp, edge = rows[some], vp[some], lp[some], edge[some]
-        flat = np.abs(np.sum(psi(_terms(vp, lp, edge)[1]), axis=1)) <= tol
+        with np.errstate(over="ignore"):
+            flat = np.abs(np.sum(psi(_terms(vp, lp, edge)[1]), axis=1)) <= tol
         value[rows[flat]] = edge[flat]
         plateau[rows[flat]] = True
     return RowScaleResult(np.ldexp(value, exponent), iterations, converged, bisection, plateau)

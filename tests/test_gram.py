@@ -320,6 +320,17 @@ class TestRobustGram:
         for r in results:
             assert r.row_converged.all() and not r.bisection.any()
 
+    def test_huge_outlier_leaves_the_bulk_resolved(self):
+        # 1e160 * x overflowed the start matrix; after the power-of-two
+        # normalization the bulk's squares stay normal, and rows in which
+        # lam v / S overflows for the outlier still take Newton steps
+        x = np.random.default_rng(1).standard_normal((200, 3))
+        x[0] *= 1e50
+        ref = robust_gram(Sample(x)).matrix
+        x[0] *= 1e110
+        est = robust_gram(Sample(x))
+        np.testing.assert_allclose(est.matrix, ref, rtol=1e-6, atol=1e-6)
+
     def test_small_scale_runs_every_update(self):
         # at 2^-20 the first Frobenius delta is about 1e-13, below an absolute
         # stop_tol of 1e-8: the loop stopped after one update, 25% off
