@@ -249,8 +249,10 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
             raise NumericalError(f"non-finite iterate at update {k}")
         if track:
             lam_means.append(float(np.mean(lam_log)) if lam_log else math.nan)
-        deltas.append(math.sqrt(frobenius_error(q, prev)))
-        if deltas[-1] <= stop_tol * np.linalg.norm(prev):
+        # hypot scales internally: a squared distance between tiny iterates
+        # (the bulk under a huge outlier) would underflow to 0 and stop early
+        deltas.append(math.hypot(*(q - prev).ravel()))
+        if deltas[-1] <= stop_tol * math.hypot(*prev.ravel()):
             break
         prev = q
         basis = _descending_eigenbasis(q)

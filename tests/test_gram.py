@@ -322,13 +322,16 @@ class TestRobustGram:
 
     def test_huge_outlier_leaves_the_bulk_resolved(self):
         # 1e160 * x overflowed the start matrix; after the power-of-two
-        # normalization the bulk's squares stay normal, and rows in which
-        # lam v / S overflows for the outlier still take Newton steps
+        # normalization the bulk's squares stay normal, rows in which
+        # lam v / S overflows for the outlier still take Newton steps, and
+        # the distance between the tiny normalized iterates does not
+        # underflow to 0 and end the loop early
         x = np.random.default_rng(1).standard_normal((200, 3))
         x[0] *= 1e50
         ref = robust_gram(Sample(x)).matrix
         x[0] *= 1e110
         est = robust_gram(Sample(x))
+        assert est.iterations == 4
         np.testing.assert_allclose(est.matrix, ref, rtol=1e-6, atol=1e-6)
 
     def test_small_scale_runs_every_update(self):

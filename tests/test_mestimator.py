@@ -381,6 +381,15 @@ class TestRowSolver:
         with pytest.raises(ValueError):
             lambda_from_squares(v[2], 0.1)
 
+    def test_lambda_rows_are_exactly_scale_free(self):
+        # the variance of 2^-1000 v underflows and that of 2^1000 v overflows
+        # unless each row is rescaled by the power of two of its mean first
+        rng = np.random.default_rng(24)
+        v = rng.standard_t(3, size=(3, 80)) ** 2
+        lam = lambda_from_square_rows(v, 0.1)
+        for k in (-1000, -300, 300, 1000):
+            np.testing.assert_array_equal(lambda_from_square_rows(np.ldexp(v, k), 0.1), lam)
+
 
 class TestAdaptiveLambda:
     def test_spot_value(self):
