@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 scripts/bench_json.py --tag pr6 --seeds 0 1511 --runs 5 \\
+    python3 scripts/bench_json.py --tag mytag --seeds 0 1511 --runs 5 \\
         --checkout parent=../parent --checkout change=.
 
 Each ``--checkout LABEL=DIR`` names the root of a checkout that holds
