@@ -2,15 +2,17 @@
 
 Usage, from the root of a checkout::
 
-    python3 scripts/bench_json.py --tag mytag --seeds 0 1511 --runs 5 \\
+    python3 scripts/bench_json.py --tag mytag \\
         --checkout parent=../parent --checkout change=.
 
 Each ``--checkout LABEL=DIR`` names the root of a checkout that holds
 ``perfbench/`` and ``src/``; without one, the checkout this script sits in
 runs under the label ``change``.  For every workload of ``BENCHMARK.json``
-and every seed, the checkouts take turns for ``--runs`` untraced runs each,
-and the first one to run alternates, so a drift in host speed hits them
-alike.  One traced run per checkout then gives the per-layer metrics.
+and every seed, the checkouts take turns for ``RUNS`` untraced runs each,
+of the length ``BENCHMARK.json`` sets, and the first one to run alternates,
+so a drift in host speed hits them alike; the default seeds 0 and 1511
+give ten pairs of runs per workload.  One traced run per checkout then
+gives the per-layer metrics.
 
 The file holds the machine block of the first run and, per checkout,
 workload and seed, the median and every value of each end-to-end metric,
@@ -28,6 +30,9 @@ import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Untraced runs per checkout, workload and seed.
+RUNS = 5
 
 
 def run_once(command, checkout, workload, seed, seconds, trace):
@@ -59,16 +64,14 @@ def commit_of(checkout):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tag", required=True, help="the file is BENCH_<tag>.json")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0])
-    parser.add_argument("--runs", type=int, default=3, help="untraced runs per checkout")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1511])
     parser.add_argument("--checkout", action="append", metavar="LABEL=DIR",
                         help="checkout to run, repeatable; the first is the base of the ratios")
     parser.add_argument("--out", type=Path, help="output path (default: BENCH_<tag>.json here)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     end_to_end = [m["name"] for m in spec["end_to_end"]]
     checkouts = dict(c.split("=", 1) for c in (args.checkout or ["change=."]))
@@ -81,7 +84,7 @@ def main(argv=None):
     for workload in workloads:
         for seed in args.seeds:
             runs = {label: [] for label in labels}
-            for i in range(args.runs):
+            for i in range(RUNS):
                 for label in (labels if i % 2 == 0 else labels[::-1]):
                     block, result = run_once(spec["command"], checkouts[label], workload, seed,
                                              seconds, 0)
@@ -116,7 +119,7 @@ def main(argv=None):
         "tag": args.tag,
         "command": spec["command"],
         "seconds": seconds,
-        "runs": args.runs,
+        "runs": RUNS,
         "seeds": args.seeds,
         "machine": machine,
         "units": {m["name"]: m["unit"] for m in spec["end_to_end"] + spec["per_layer"]},

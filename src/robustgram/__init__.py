@@ -42,7 +42,7 @@ from .harness import (
     run_benchmark,
     true_gram,
 )
-from .influence import CONSTANTS, PsiConstants, chi, psi, psi_and_prime, psi_prime
+from .influence import CONSTANTS, PsiConstants, chi, psi, psi_prime
 from .mestimator import (
     Sample,
     ScaleResult,

@@ -42,14 +42,21 @@ def _cmd_estimate(args) -> int:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
 
-    gbar = empirical_gram(sample)
+    # the plain moments overflow long before the robust estimate does;
+    # report that rather than write inf to the CSVs and the JSON report
+    with np.errstate(over="ignore", invalid="ignore"):
+        gbar = empirical_gram(sample)
+        mb = estimate_moment_bounds(sample, seed=args.seed)
+    if not (np.all(np.isfinite(gbar))
+            and all(map(math.isfinite, (mb.kappa, mb.s4, mb.trace_g, mb.trace_g2)))):
+        raise NumericalError("the empirical Gram matrix or the moment bounds overflow "
+                             "(data out of floating-point range)")
     est = robust_gram(sample, epsilon=args.epsilon, num_updates=args.updates)
     q_plus = positive_part(est.matrix)
     save_matrix_csv(os.path.join(out_dir, "g_bar.csv"), gbar)
     save_matrix_csv(os.path.join(out_dir, "q.csv"), est.matrix)
     save_matrix_csv(os.path.join(out_dir, "q_plus.csv"), q_plus)
 
-    mb = estimate_moment_bounds(sample, seed=args.seed)
     report = {
         "n": sample.n,
         "d": sample.d,

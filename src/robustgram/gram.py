@@ -45,8 +45,11 @@ class NumericalError(RuntimeError):
 class GramEstimate:
     """Symmetric estimate with iteration diagnostics.
 
-    frobenius_deltas[k] is the Frobenius distance between update k and its
-    predecessor (the mean of the A_i for k = 0).  lambda_used holds one
+    frobenius_deltas[k] is the relative Frobenius distance
+    ||Q_k - Q_{k-1}||_F / ||Q_{k-1}||_F between update k and its predecessor
+    (the mean of the A_i for k = 0), the figure the stop test compares with
+    ``stop_tol``; it is scale-free, so it stays finite where the distance
+    itself would overflow (0 when both are 0).  lambda_used holds one
     per-update summary (mean over directions) of the adaptive truncation
     levels; empty when a custom scale function or estimator is supplied.
     """
@@ -251,15 +254,15 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
             lam_means.append(float(np.mean(lam_log)) if lam_log else math.nan)
         # hypot scales internally: a squared distance between tiny iterates
         # (the bulk under a huge outlier) would underflow to 0 and stop early
-        deltas.append(math.hypot(*(q - prev).ravel()))
-        if deltas[-1] <= stop_tol * math.hypot(*prev.ravel()):
+        dist = math.hypot(*(q - prev).ravel())
+        deltas.append(dist / math.hypot(*prev.ravel()) if dist else 0.0)
+        if deltas[-1] <= stop_tol:
             break
         prev = q
         basis = _descending_eigenbasis(q)
     if e:
         with np.errstate(over="ignore"):
             q = np.ldexp(q, 2 * e)
-            deltas = np.ldexp(deltas, 2 * e).tolist()
         if not np.all(np.isfinite(q)):
             raise NumericalError(
                 f"estimate out of floating-point range: the iteration from the start matrix "

@@ -6,9 +6,10 @@ envelope ``chi`` is a quadratic smoothing of ``psi`` above the point where
 ``psi'' = -1/4``; it is what the bound calculators in :mod:`robustgram.bounds`
 are derived from.  Everything here is pure and array-friendly.
 
-``psi`` and ``psi_prime`` are the inner loop of every scale solve, so they
-evaluate one formula on c = min(|t|, 1) in place, with no saturation branch;
-``psi_and_prime`` gives both from one pass, sharing c and c/2.
+``psi_and_prime`` is the inner loop of every scale solve: one pass gives
+psi and psi', each by one formula on c = min(|t|, 1) evaluated in place,
+with no saturation branch, sharing c and c/2.  ``psi_prime`` is its second
+output; ``psi`` alone serves the checks that need no slope.
 Two identities in float64 make that exact: at the cap c = 1 the body
 c (c/2 - 1) is -1/2 and -log1p(-1/2) == log(2) to the last bit, and
 (1 - c) / ((1 - c) + (c/2) c) is 0 / (1/2) = 0.
@@ -90,24 +91,18 @@ def psi_prime(t):
     """Derivative of ``psi``; even, in [0, 1], and 0 outside (-1, 1).
 
     At t = +/-1 the interior one-sided value 0 is used, which coincides with
-    the flat exterior branch, so the function is continuous.
+    the flat exterior branch, so the function is continuous.  It is the
+    second output of ``psi_and_prime``.
     """
-    c = _capped_abs(_as_float_array(t))
-    # (1 - c) / ((1 - c) + (c/2) c); at the cap this is 0 / (1/2) = 0 exactly
-    out = np.subtract(1.0, c, out=np.empty_like(c))
-    den = np.multiply(c, 0.5, out=np.empty_like(c))
-    den *= c
-    den += out
-    np.divide(out, den, out=out)
-    return _maybe_scalar(out, t)
+    return psi_and_prime(t)[1]
 
 
 def psi_and_prime(t):
     """(``psi(t)``, ``psi_prime(t)``) from one pass over t.
 
-    Both formulas read c = min(|t|, 1) and c/2, computed once; every other
-    operation is the one ``psi`` or ``psi_prime`` performs, in the same
-    order, so each output equals its single-function value bit for bit.
+    Both formulas read c = min(|t|, 1) and c/2, computed once.  The value
+    runs every operation of ``psi`` in the same order, so it equals
+    ``psi(t)`` bit for bit; the slope is (1 - c) / ((1 - c) + (c/2) c).
     """
     arr = _as_float_array(t)
     c = _capped_abs(arr)

@@ -174,16 +174,17 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
     halving against ``MAX_BRACKET_ROUNDS``; a row out of either budget
     returns its last point, not converged.  A row stops when |f| <= ``tol``
     and either |f| <= 2^-40 d, which places the root to about 1e-12
-    relative, or d < 1e-14 (a flat criterion), or hi - lo <= 2^-40 hi.  The
-    last clause ends a tangential root, where rounding noise in f exceeds
-    2^-40 d before the Newton steps settle.  When the criterion stays
-    within ``tol`` of 0 from the converged point down to the left edge of a
-    flat stretch, that edge is returned (``plateau``), which is the sup in
-    the alpha form.  A row whose criterion is non-positive near S = 0 has no
-    positive root: value 0, not converged.  A row with a mean beyond
-    2^+-``RESCALE_EXPONENT`` is solved rescaled by a power of two, so its
-    root scales exactly with the data.  Rows still iterating are kept in
-    compacted arrays, copied only when some of them stop.
+    relative, or d < 1e-14 (a flat criterion), or, once both ends are
+    known, hi - lo <= 2^-40 hi.  The last clause ends a tangential root,
+    where rounding noise in f exceeds 2^-40 d before the Newton steps
+    settle.  When the criterion stays within ``tol`` of 0 from the converged
+    point down to the left edge of a flat stretch, that edge is returned
+    (``plateau``), which is the sup in the alpha form.  A row whose
+    criterion is non-positive near S = 0 has no positive root: value 0, not
+    converged.  A row with a mean beyond 2^+-``RESCALE_EXPONENT`` is solved
+    rescaled by a power of two, so its root scales exactly with the data.
+    Rows still iterating are kept in compacted arrays, copied only when some
+    of them stop.
     """
     v = np.asarray(v, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -237,10 +238,11 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
         lo = np.where(right, s, lo)
         hi = np.where(right, hi, s)
         flat = d < 1e-14
-        done = (np.abs(f) <= tol) & ((np.abs(f) <= 2.0**-40 * d) | flat
-                                     | (hi - lo <= 2.0**-40 * hi))
-        newton = ~flat & (lo < step) & (step < hi)
         bracketed = (lo > 0.0) & (hi < np.inf)
+        # the width test needs both ends: with hi = inf it would read inf <= inf
+        done = (np.abs(f) <= tol) & ((np.abs(f) <= 2.0**-40 * d) | flat
+                                     | (bracketed & (hi - lo <= 2.0**-40 * hi)))
+        newton = ~flat & (lo < step) & (step < hi)
         counted = newton | bracketed
         spent = np.where(counted, steps >= max_iter, rounds >= MAX_BRACKET_ROUNDS)
         stop = done | spent

@@ -52,6 +52,18 @@ class TestEstimate:
         assert main(["estimate", overflow_csv, "--out", str(tmp_path / "est")]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_one_huge_row_is_numerical_failure(self, tmp_path, capsys):
+        # the robust estimate of this sample is finite, but the empirical
+        # Gram matrix and the moment bounds overflow
+        x = np.random.default_rng(1).standard_normal((200, 3))
+        x[0] *= 1e160
+        path = tmp_path / "outlier.csv"
+        save_matrix_csv(str(path), x)
+        out = tmp_path / "est"
+        assert main(["estimate", str(path), "--out", str(out)]) == 2
+        assert "overflow" in capsys.readouterr().err
+        assert not (out / "g_bar.csv").exists() and not (out / "estimate.json").exists()
+
 
 class TestBounds:
     def test_prints_grid_and_bounds(self, capsys):

@@ -333,6 +333,9 @@ class TestRobustGram:
         est = robust_gram(Sample(x))
         assert est.iterations == 4
         np.testing.assert_allclose(est.matrix, ref, rtol=1e-6, atol=1e-6)
+        # the distance to the overflowing mean matrix is beyond float64; the
+        # relative deltas are not
+        assert np.all(np.isfinite(est.frobenius_deltas))
 
     def test_small_scale_runs_every_update(self):
         # at 2^-20 the first Frobenius delta is about 1e-13, below an absolute
@@ -344,6 +347,7 @@ class TestRobustGram:
                             num_updates=cfg.num_updates)
         assert small.iterations == base.iterations == 4
         np.testing.assert_array_equal(small.matrix, np.ldexp(base.matrix, -40))
+        assert small.frobenius_deltas == base.frobenius_deltas
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

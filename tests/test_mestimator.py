@@ -353,6 +353,19 @@ class TestRowSolver:
         assert rows.value[0] == rows.value[1] * 2.0**-1000
         assert rows.value[2] == rows.value[1] * 2.0**1000
 
+    def test_root_approached_from_the_left_is_resolved(self):
+        # small lambda and n: f(mean) > 0 is already below tol, and every
+        # iterate stays left of the root, so the bracket never closes and
+        # only the Newton clause can end the row
+        v = np.array([[11.41, 1.17, 8.99], [3.51, 1.92, 2.81]])
+        lam = np.array([1e-3, 1e-3])
+        rows = scale_from_squares(v, lam)
+        assert rows.row_converged.all() and (rows.row_iterations >= 1).all()
+        for row, level, s in zip(v, lam, rows.value):
+            t = level * (row / s - 1.0)
+            slope = np.sum(psi_prime(t) * level * row / s)
+            assert abs(scale_criterion(row, level, s)) <= 2.0**-40 * slope
+
     def test_bracket_search_is_capped(self, monkeypatch):
         # lambda > 1 saturates every term at the mean, far right of the root:
         # the criterion is flat there, so the row halves many times first
