@@ -28,6 +28,7 @@ from .gram import NumericalError, empirical_gram, positive_part, robust_gram
 from .harness import (
     BenchmarkError,
     ConfigError,
+    MIN_KAPPA_OBSERVATIONS,
     ExperimentConfig,
     estimate_moment_bounds,
     load_sample_csv,
@@ -37,18 +38,41 @@ from .harness import (
 )
 
 
+def _interval_report(sample, mb, epsilon) -> dict:
+    """Per-axis confidence intervals and their grid, or null intervals and the reason."""
+    if mb is None:
+        return {"confidence_intervals": None,
+                "grid_note": f"moment bounds need at least {MIN_KAPPA_OBSERVATIONS} "
+                             f"observations, got {sample.n}"}
+    try:
+        grid = bnd.make_grid(sample.n, mb, epsilon=epsilon)
+        cis = []
+        for i in range(sample.d):
+            theta = np.zeros(sample.d)
+            theta[i] = 1.0
+            lo, hi = bnd.confidence_interval(sample, theta, grid, mb)
+            cis.append({"direction": i, "lower": lo,
+                        "upper": hi if math.isfinite(hi) else "inf"})
+    except ValueError as exc:
+        return {"confidence_intervals": None, "grid_note": str(exc)}
+    return {"confidence_intervals": cis, "grid": {"K": grid.K, "points": list(grid.points)}}
+
+
 def _cmd_estimate(args) -> int:
     sample = load_sample_csv(args.sample, header=args.header)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
 
     # the plain moments overflow long before the robust estimate does;
-    # report that rather than write inf to the CSVs and the JSON report
+    # report that rather than write inf to the CSVs and the JSON report.
+    # The plug-in kurtosis needs a few observations; below that the
+    # estimate is still written, without moment bounds or intervals.
     with np.errstate(over="ignore", invalid="ignore"):
         gbar = empirical_gram(sample)
-        mb = estimate_moment_bounds(sample, seed=args.seed)
-    if not (np.all(np.isfinite(gbar))
-            and all(map(math.isfinite, (mb.kappa, mb.s4, mb.trace_g, mb.trace_g2)))):
+        mb = (estimate_moment_bounds(sample, seed=args.seed)
+              if sample.n >= MIN_KAPPA_OBSERVATIONS else None)
+    moments = () if mb is None else (mb.kappa, mb.s4, mb.trace_g, mb.trace_g2)
+    if not (np.all(np.isfinite(gbar)) and all(map(math.isfinite, moments))):
         raise NumericalError("the empirical Gram matrix or the moment bounds overflow "
                              "(data out of floating-point range)")
     est = robust_gram(sample, epsilon=args.epsilon, num_updates=args.updates)
@@ -62,23 +86,11 @@ def _cmd_estimate(args) -> int:
         "d": sample.d,
         "iterations": est.iterations,
         "frobenius_deltas": est.frobenius_deltas,
-        "moment_bounds": {"kappa": mb.kappa, "s4": mb.s4, "trace_g": mb.trace_g,
-                          "trace_g2": mb.trace_g2, "certified": mb.certified},
+        "moment_bounds": None if mb is None else {
+            "kappa": mb.kappa, "s4": mb.s4, "trace_g": mb.trace_g,
+            "trace_g2": mb.trace_g2, "certified": mb.certified},
     }
-    try:
-        grid = bnd.make_grid(sample.n, mb, epsilon=args.epsilon)
-        cis = []
-        for i in range(sample.d):
-            theta = np.zeros(sample.d)
-            theta[i] = 1.0
-            lo, hi = bnd.confidence_interval(sample, theta, grid, mb)
-            cis.append({"direction": i, "lower": lo,
-                        "upper": hi if math.isfinite(hi) else "inf"})
-        report["confidence_intervals"] = cis
-        report["grid"] = {"K": grid.K, "points": list(grid.points)}
-    except ValueError as exc:
-        report["confidence_intervals"] = None
-        report["grid_note"] = str(exc)
+    report.update(_interval_report(sample, mb, args.epsilon))
     with open(os.path.join(out_dir, "estimate.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -296,6 +296,10 @@ def load_sample_csv(path: str, header: bool = False) -> Sample:
     return Sample(load_matrix_csv(path, header=header))
 
 
+# Fewest observations ``kappa_plugin`` takes.
+MIN_KAPPA_OBSERVATIONS = 4
+
+
 def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> float:
     """Plug-in directional kurtosis: max of the empirical fourth/second-moment
     ratio over the canonical basis plus random unit directions.
@@ -303,8 +307,8 @@ def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> floa
     Zero-variance directions are skipped.  For Gaussian data the value sits
     near 3; heavy-tail mixtures push it higher.
     """
-    if sample.n < 4:
-        raise ValueError("need at least 4 observations")
+    if sample.n < MIN_KAPPA_OBSERVATIONS:
+        raise ValueError(f"need at least {MIN_KAPPA_OBSERVATIONS} observations")
     rng = np.random.default_rng(seed)
     dirs = list(np.eye(sample.d))
     raw = rng.standard_normal((n_directions, sample.d))

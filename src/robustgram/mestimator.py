@@ -15,7 +15,9 @@ nearly linear.  Its step stays inside a sign bracket that every evaluation
 tightens, with bisection, doubling or halving as the fallbacks, and f and
 f' come from one fused ``psi_and_prime`` pass.  A row stops once |f| <= tol
 and S is resolved to about 2^-40 relative: by the size of the next Newton
-step, by the width of the bracket, or because the criterion is flat.  Every
+step, by the width of the bracket, or because the criterion is flat.  A
+Newton step whose landing a Taylor bound with |psi''| <= 2 already
+certifies ends the row without the pass that would confirm it.  Every
 row runs exactly the elementwise operations of a one-row solve, and a
 reduction along a contiguous row sums in the same order as on a 1-d array,
 so a row's result does not depend on the batch it is solved in.
@@ -154,9 +156,10 @@ def alpha_hat(sample: Sample, theta, lam: float) -> float:
 
 
 def _terms(v, lam, s):
-    """lam v / S and the psi arguments lam v / S - lam; one row, level and scale per row of v."""
-    a = v * (lam / s)[:, None]
-    return a, a - lam[:, None]
+    """lam / S, lam v / S and the psi arguments lam v / S - lam; one level and S per row of v."""
+    ratio = lam / s
+    a = v * ratio[:, None]
+    return ratio, a, a - lam[:, None]
 
 
 def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
@@ -174,17 +177,20 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
     halving against ``MAX_BRACKET_ROUNDS``; a row out of either budget
     returns its last point, not converged.  A row stops when |f| <= ``tol``
     and either |f| <= 2^-40 d, which places the root to about 1e-12
-    relative, or d < 1e-14 (a flat criterion), or, once both ends are
-    known, hi - lo <= 2^-40 hi.  The last clause ends a tangential root,
-    where rounding noise in f exceeds 2^-40 d before the Newton steps
-    settle.  When the criterion stays within ``tol`` of 0 from the converged
-    point down to the left edge of a flat stretch, that edge is returned
-    (``plateau``), which is the sup in the alpha form.  A row whose
-    criterion is non-positive near S = 0 has no positive root: value 0, not
-    converged.  A row with a mean beyond 2^+-``RESCALE_EXPONENT`` is solved
-    rescaled by a power of two, so its root scales exactly with the data.
-    Rows still iterating are kept in compacted arrays, copied only when some
-    of them stop.
+    relative, or d < 1e-14 (a flat criterion), or, once both ends are known,
+    hi - lo <= 2^-40 hi.  The last clause ends a tangential root, where
+    rounding noise in f exceeds 2^-40 d before the Newton steps settle.
+    A Newton step stops the row unevaluated, one step counted, when
+    |psi''| <= 2 proves its evaluation would: Taylor in x bounds |f| there
+    by b = A2 (f/d)^2, A2 = sum_j (lam v_rj / S)^2, d there from below by
+    d_low = (1 - |f/d|)(d - 2 |f/d| A2), and b <= tol, 2^-41 d_low.  When the
+    criterion stays within ``tol`` of 0 from the converged point down to the
+    left edge of a flat stretch, that edge is returned (``plateau``), which
+    is the sup in the alpha form.  A row whose criterion is non-positive
+    near S = 0 has no positive root: value 0, not converged.  A row with a
+    mean beyond 2^+-``RESCALE_EXPONENT`` is solved rescaled by a power of
+    two, so its root scales exactly with the data.  Rows still iterating are
+    kept in compacted arrays, copied only when some of them stop.
     """
     v = np.asarray(v, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -216,15 +222,15 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
     # criterion value as S -> 0+; where it is non-positive there is no positive root
     no_root = n_pos * LOG2 + (v.shape[1] - n_pos) * psi(-lam) <= 0.0
     bisection[no_root] = True
-    rows, va, la, s = np.arange(k), v, lam, mean
+    rows, va, la, s, sq = np.arange(k), v, lam, mean, np.sum(v * v, axis=1)
     if no_root.any():
-        rows, va, la, s = rows[~no_root], va[~no_root], la[~no_root], s[~no_root]
+        rows, va, la, s, sq = (x[~no_root] for x in (rows, va, la, s, sq))
     lo, hi = np.zeros(len(rows)), np.full(len(rows), np.inf)
     steps, rounds = np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=int)
     bis = np.zeros(len(rows), dtype=bool)
     while rows.size:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a, t = _terms(va, la, s)
+            ratio, a, t = _terms(va, la, s)
             terms, slopes = psi_and_prime(t)
             f = np.sum(terms, axis=1)
             slopes *= a
@@ -233,7 +239,11 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
             nan = np.isnan(d)
             if nan.any():
                 d[nan] = np.nansum(slopes[nan], axis=1)
-            step = s / (1.0 - f / d)
+            rel = f / d
+            step = s / (1.0 - rel)
+            a2 = sq * (ratio * ratio)
+            b = a2 * (rel * rel)
+            d_low = (1.0 - np.abs(rel)) * (d - 2.0 * np.abs(rel) * a2)
         right = f > 0.0  # the root lies right of S
         lo = np.where(right, s, lo)
         hi = np.where(right, hi, s)
@@ -245,10 +255,15 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
         newton = ~flat & (lo < step) & (step < hi)
         counted = newton | bracketed
         spent = np.where(counted, steps >= max_iter, rounds >= MAX_BRACKET_ROUNDS)
-        stop = done | spent
+        # a certified Newton step lands where the next evaluation would stop
+        certified = (newton & ~done & (steps < max_iter) & (b <= tol)
+                     & (b <= 2.0**-41 * d_low))
+        stop = done | spent | certified
         if stop.any():
             r = rows[stop]
-            value[r], iterations[r], converged[r] = s[stop], steps[stop], done[stop]
+            value[r] = np.where(certified, step, s)[stop]
+            iterations[r] = (steps + certified)[stop]
+            converged[r] = (done | certified)[stop]
             bisection[r] = (bis | ~(done | counted))[stop]
         s = np.where(newton, step, np.where(
             bracketed, 0.5 * (lo + hi), np.where(right, 2.0 * lo, 0.5 * hi)))
@@ -257,8 +272,8 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
         bis |= ~newton & bracketed
         if stop.any():
             keep = ~stop
-            rows, va, la, s, lo, hi, steps, rounds, bis = (
-                x[keep] for x in (rows, va, la, s, lo, hi, steps, rounds, bis))
+            rows, va, la, s, sq, lo, hi, steps, rounds, bis = (
+                x[keep] for x in (rows, va, la, s, sq, lo, hi, steps, rounds, bis))
 
     # A flat root stretch needs negatively saturated non-zero terms
     # (psi = -log 2), so lambda > 1.  Its left edge is the largest
@@ -272,7 +287,7 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
         some = edge > 0.0
         rows, vp, lp, edge = rows[some], vp[some], lp[some], edge[some]
         with np.errstate(over="ignore"):
-            flat = np.abs(np.sum(psi(_terms(vp, lp, edge)[1]), axis=1)) <= tol
+            flat = np.abs(np.sum(psi(_terms(vp, lp, edge)[2]), axis=1)) <= tol
         value[rows[flat]] = edge[flat]
         plateau[rows[flat]] = True
     return RowScaleResult(np.ldexp(value, exponent), iterations, converged, bisection, plateau)
