@@ -255,10 +255,10 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
         newton = ~flat & (lo < step) & (step < hi)
         counted = newton | bracketed
         spent = np.where(counted, steps >= max_iter, rounds >= MAX_BRACKET_ROUNDS)
+        stop = done | spent
         # a certified Newton step lands where the next evaluation would stop
-        certified = (newton & ~done & (steps < max_iter) & (b <= tol)
-                     & (b <= 2.0**-41 * d_low))
-        stop = done | spent | certified
+        certified = newton & ~stop & (b <= np.minimum(tol, 2.0**-41 * d_low))
+        stop |= certified
         if stop.any():
             r = rows[stop]
             value[r] = np.where(certified, step, s)[stop]

@@ -7,6 +7,7 @@ pair sums) and shares no solver code with the package.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def psi_ref(t: float) -> float:
@@ -132,3 +133,25 @@ def phi_plus_inverse_ref(phi_plus_fn, u: float, t_max: float = 1e12,
         else:
             hi = mid
     return lo
+
+
+@st.composite
+def degenerate_lattice_samples(draw):
+    """(x, zero): n in [2, 12], d in [1, 8] on a 1/8 lattice, with copied rows
+    and the columns flagged in ``zero`` set to 0; d > n occurs."""
+    n, d = draw(st.integers(2, 12)), draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(-64, 64), min_size=n * d, max_size=n * d))
+    x = np.array(cells, dtype=float).reshape(n, d) / 8.0
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        x[j] = x[i]
+    zero = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    x[:, zero] = 0.0
+    return x, zero
+
+
+def assert_symmetric_finite_zero_columns(q, zero):
+    """Finite, exactly symmetric, and zero columns' rows and columns at rounding level."""
+    assert np.all(np.isfinite(q))
+    np.testing.assert_array_equal(q, q.T)
+    assert np.all(np.abs(q[zero]) <= 1e-12 * np.abs(q).max())

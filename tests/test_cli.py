@@ -37,6 +37,25 @@ class TestEstimate:
         assert report["confidence_intervals"] is None
         assert "grid_note" in report
 
+    def test_three_rows_write_the_estimate_without_bounds(self, tmp_path, capsys):
+        # the plug-in kurtosis needs four observations; the estimate does not
+        x = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 0.0], [3.0, 0.25, 0.0]])
+        path = tmp_path / "three.csv"
+        save_matrix_csv(str(path), 1e160 * x)
+        out = tmp_path / "est"
+        # the empirical Gram matrix still has to be finite
+        assert main(["estimate", str(path), "--out", str(out)]) == 2
+        assert not (out / "g_bar.csv").exists()
+        save_matrix_csv(str(path), x)
+        assert main(["estimate", str(path), "--out", str(out)]) == 0
+        q = np.loadtxt(str(out / "q.csv"), delimiter=",")
+        assert q.shape == (3, 3) and np.all(np.isfinite(q))
+        assert (out / "g_bar.csv").exists() and (out / "q_plus.csv").exists()
+        report = json.loads((out / "estimate.json").read_text())
+        assert report["n"] == 3
+        assert report["moment_bounds"] is None and report["confidence_intervals"] is None
+        assert "4 observations" in report["grid_note"]
+
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv")]) == 1
 

@@ -16,7 +16,12 @@ from robustgram.gram import NumericalError, frobenius_error, robust_gram
 from robustgram.influence import psi
 from robustgram.mestimator import Sample, r_lambda
 
-from oracles import assert_scales_by_powers_of_four, pairwise_block_covariance
+from oracles import (
+    assert_scales_by_powers_of_four,
+    assert_symmetric_finite_zero_columns,
+    degenerate_lattice_samples,
+    pairwise_block_covariance,
+)
 
 
 def lattice_sample(rng, n, d, scale=4.0):
@@ -293,3 +298,16 @@ def test_robust_covariance_scales_exactly(seed, k):
     x = np.random.default_rng(seed).standard_t(3, (80, 3))
     assert_scales_by_powers_of_four(
         lambda y: robust_covariance(Sample(y), q=2, epsilon=0.1).matrix, x, k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=degenerate_lattice_samples(), shift=st.lists(st.integers(-16, 16), min_size=8,
+                                                         max_size=8))
+def test_degenerate_samples_give_symmetric_finite_estimates(case, shift):
+    # duplicate rows, zero columns, n = 2 and d > n; an integer shift of
+    # lattice data is exact, so the estimate must not move by a bit
+    x, zero = case
+    q = robust_covariance(Sample(x), q=2, epsilon=0.1).matrix
+    assert_symmetric_finite_zero_columns(q, zero)
+    shifted = x + np.array(shift[: x.shape[1]], dtype=float)
+    np.testing.assert_array_equal(robust_covariance(Sample(shifted), q=2, epsilon=0.1).matrix, q)

@@ -19,7 +19,11 @@ from robustgram.harness import ExperimentConfig, gen_mixture, trial_rng
 from robustgram import gram
 from robustgram.mestimator import Sample, scale_from_squares
 
-from oracles import assert_scales_by_powers_of_four
+from oracles import (
+    assert_scales_by_powers_of_four,
+    assert_symmetric_finite_zero_columns,
+    degenerate_lattice_samples,
+)
 
 
 def mean_of_squares(p, eps):
@@ -358,3 +362,11 @@ class TestRobustGram:
 def test_robust_gram_scales_exactly(seed, k):
     x = np.random.default_rng(seed).standard_t(3, (40, 3))
     assert_scales_by_powers_of_four(lambda y: robust_gram(Sample(y), epsilon=0.1).matrix, x, k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=degenerate_lattice_samples())
+def test_degenerate_samples_give_symmetric_finite_estimates(case):
+    # duplicate rows, zero columns, n = 2 and d > n
+    x, zero = case
+    assert_symmetric_finite_zero_columns(robust_gram(Sample(x), epsilon=0.1).matrix, zero)

@@ -81,6 +81,36 @@ class TestPsiPrime:
             assert psi_prime(float(t)) == pytest.approx(num, abs=1e-6)
 
 
+def _psi_second(t):
+    """Closed form of psi'': (t^2/2 - t) / (1 - t + t^2/2)^2 on [0, 1), odd, 0 beyond +-1."""
+    c = np.minimum(np.abs(t), 1.0)
+    body = (0.5 * c * c - c) / (1.0 - c + 0.5 * c * c) ** 2
+    return np.sign(t) * np.where(np.abs(t) < 1.0, body, 0.0)
+
+
+class TestPsiSecond:
+    """|psi''| <= 2, the bound the scale solver's certified Newton stop rests on."""
+
+    GRID = np.linspace(-3.0, 3.0, 600_001)
+
+    def test_closed_form_is_bounded_by_two(self):
+        vals = _psi_second(self.GRID)
+        assert np.all(np.abs(vals) < 2.0)
+        np.testing.assert_array_equal(_psi_second(-self.GRID), -vals)
+        assert np.all(vals[np.abs(self.GRID) >= 1.0] == 0.0)
+        # |psi''| grows on [0, 1) and reaches 2 only as t -> 1 from below
+        right = vals[(self.GRID >= 0.0) & (self.GRID < 1.0)]
+        assert np.all(np.diff(np.abs(right)) >= 0.0)
+        assert _psi_second(1.0 - 1e-9) == pytest.approx(-2.0, abs=1e-8)
+
+    def test_central_differences_of_psi_prime_are_bounded_by_two(self):
+        h = 1e-6
+        diffs = (psi_prime(self.GRID + h) - psi_prime(self.GRID - h)) / (2.0 * h)
+        assert np.all(np.abs(diffs) <= 2.0 + 1e-6)
+        away = np.minimum(np.abs(self.GRID - 1.0), np.abs(self.GRID + 1.0)) > 1e-3
+        np.testing.assert_allclose(diffs[away], _psi_second(self.GRID[away]), atol=1e-6)
+
+
 def _psi_where_form(t):
     """psi as evaluated with an explicit saturation branch."""
     a = np.abs(t)

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robustgram.mestimator as mestimator
+from robustgram import gram
+from robustgram.harness import ExperimentConfig, gen_mixture, trial_rng
 from robustgram.influence import psi, psi_prime
 from robustgram.mestimator import (
     Sample,
@@ -402,6 +404,55 @@ class TestRowSolver:
         lam = lambda_from_square_rows(v, 0.1)
         for k in (-1000, -300, 300, 1000):
             np.testing.assert_array_equal(lambda_from_square_rows(np.ldexp(v, k), 0.1), lam)
+
+
+class TestCertifiedStop:
+    """A Newton step that the |psi''| <= 2 Taylor bound certifies ends its row
+    without the kernel pass that would only confirm it."""
+
+    def test_each_row_takes_one_pass_per_step(self, monkeypatch):
+        passes = []
+
+        def counting(t):
+            passes.append(t.shape)
+            return kernel(t)
+
+        kernel = mestimator.psi_and_prime
+        monkeypatch.setattr(mestimator, "psi_and_prime", counting)
+        rng = np.random.default_rng(25)
+        v = rng.standard_t(3, (4, 40000)) ** 2
+        lam = lambda_from_square_rows(v, 0.1)
+        rows = scale_from_squares(v, lam)
+        assert rows.row_converged.all() and (rows.row_iterations > 0).all()
+        # without the certificate every row pays one pass more than its steps
+        assert sum(k * n for k, n in passes) == 40000 * rows.iterations
+        for row, level, steps in zip(v, lam, rows.row_iterations):
+            passes.clear()
+            scale_from_squares(row, level)
+            assert len(passes) == steps
+
+    def test_reference_roots_are_resolved(self, monkeypatch):
+        # every returned root still meets the stop rule's first clause,
+        # re-evaluated with the kernel at the returned scale
+        solved = []
+
+        def solve(v, lam):
+            solved.append((v, lam, scale_from_squares(v, lam)))
+            return solved[-1][2]
+
+        monkeypatch.setattr(gram, "scale_from_squares", solve)
+        cfg = ExperimentConfig(seed=0)
+        for t in range(4):
+            gram.robust_gram(gen_mixture(cfg, trial_rng(cfg.seed, t)), epsilon=cfg.epsilon,
+                             num_updates=cfg.num_updates)
+        assert len(solved) == 16
+        for v, lam, r in solved:
+            assert r.row_converged.all()
+            a = v * (lam / r.value)[:, None]
+            f = np.sum(psi(a - lam[:, None]), axis=1)
+            d = np.sum(psi_prime(a - lam[:, None]) * a, axis=1)
+            assert (np.abs(f) <= 1e-10).all()
+            assert (np.abs(f) <= 2.0**-40 * d).all()
 
 
 class TestAdaptiveLambda:
