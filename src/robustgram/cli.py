@@ -26,9 +26,9 @@ from . import bounds as bnd
 from .covariance import robust_covariance
 from .gram import NumericalError, empirical_gram, positive_part, robust_gram
 from .harness import (
+    MIN_KAPPA_OBSERVATIONS,
     BenchmarkError,
     ConfigError,
-    MIN_KAPPA_OBSERVATIONS,
     ExperimentConfig,
     estimate_moment_bounds,
     load_sample_csv,

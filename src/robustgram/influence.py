@@ -17,8 +17,8 @@ c (c/2 - 1) is -1/2 and -log1p(-1/2) == log(2) to the last bit, and
 The scale solver also uses a bound on the curvature: on [0, 1)
 psi''(t) = (t^2/2 - t) / (1 - t + t^2/2)^2, psi'' is odd and 0 beyond +-1,
 so |psi''| <= 2, reached only as t -> 1 from below.  With it a Taylor bound
-proves, from the values a Newton step already has, that the step lands on
-a root, and the solver skips the kernel pass that would only confirm it.
+proves, from the values a Newton step already has, that the evaluation at
+the step would stop the row, and the solver skips that kernel pass.
 """
 
 from __future__ import annotations

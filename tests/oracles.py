@@ -1,7 +1,9 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and shared checks used by the test suite.
 
 Everything here is deliberately naive (bisection, grid scans, brute-force
-pair sums) and shares no solver code with the package.
+pair sums) and shares no solver code with the package.  The sample
+strategy and the checks at the end serve the property tests of both
+matrix estimators.
 """
 
 import math

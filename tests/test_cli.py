@@ -37,7 +37,7 @@ class TestEstimate:
         assert report["confidence_intervals"] is None
         assert "grid_note" in report
 
-    def test_three_rows_write_the_estimate_without_bounds(self, tmp_path, capsys):
+    def test_three_rows_write_the_estimate_without_bounds(self, tmp_path):
         # the plug-in kurtosis needs four observations; the estimate does not
         x = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 0.0], [3.0, 0.25, 0.0]])
         path = tmp_path / "three.csv"
