@@ -7,7 +7,9 @@ translation invariant.  The estimator represents A_i by its q(q-1)/2
 generating vectors (X_j - X_k) / sqrt(q(q-1)), so theta^T A_i theta is a
 group sum of squared projections, and runs the same polarization loop as the
 Gram estimator (:func:`robustgram.gram.iterate_polarization`) on them.  For
-q = 2 that is exactly the Gram estimator on the scaled differences.
+q = 2 that is exactly the Gram estimator on the scaled differences.  The
+grid-certified mode only swaps the loop's one ``estimate`` hook for the
+grid-selected estimator of :mod:`robustgram.bounds`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as bnd
-from .gram import GramEstimate, iterate_polarization, polarize, positive_part
+from .gram import GramEstimate, iterate_polarization, positive_part
 from .influence import psi
 from .mestimator import Sample
 
@@ -119,8 +121,8 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
 
     Both modes run ``iterate_polarization`` on the blocks' generating vectors.
     Mode "iterative-practical" uses its default adaptive scale solver.  Mode
-    "grid-certified" replaces the per-direction scale by the grid-selected
-    estimator ``bounds.select_from_squares`` (kappa mapped through the
+    "grid-certified" passes as its ``estimate`` the grid-selected estimator
+    ``bounds.select_from_squares`` on each row (kappa mapped through the
     q-block transfer, n replaced by the block count); it requires enough
     blocks for the theoretical grid.
     Set ``psd=True`` to clamp negative eigenvalues of the final estimate.
@@ -128,7 +130,7 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
     if mode not in ("iterative-practical", "grid-certified"):
         raise ValueError(f"unknown mode {mode!r}")
     vectors = _pair_differences(sample, q)
-    update = None
+    estimate = None
     if mode == "grid-certified":
         from .harness import kappa_plugin  # harness imports this module
 
@@ -149,12 +151,11 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
         except ValueError:
             sigma = s4_a**2
 
-        def update(w):
-            return polarize(w, lambda p, norm_sq: [
-                bnd.select_from_squares(np.sum(row * row, axis=1), ns, grid, coeffs, sigma).value
-                for row, ns in zip(p, norm_sq.tolist())])
+        def estimate(p, norm_sq):
+            return [bnd.select_from_squares(np.sum(r * r, axis=1), ns, grid, coeffs, sigma).value
+                    for r, ns in zip(p, norm_sq.tolist())]
 
-    est = iterate_polarization(vectors, epsilon, num_updates, stop_tol, update)
+    est = iterate_polarization(vectors, epsilon, num_updates, stop_tol, estimate)
     if psd:
         est.matrix = positive_part(est.matrix)
     return est

@@ -7,13 +7,13 @@ mean of the A_i, re-estimates every quadratic form N(u_i +/- u_j) in the
 current eigenbasis with the robust scale solver, reassembles the matrix
 through the polarization identity, and iterates with the eigenbasis of the
 new estimate.  The d^2 directions of one update are estimated in blocks of
-rows, one row of projections per direction, so the default estimator solves
-a whole block with one call to the row solver.
+rows, one row of projections per direction, and ``estimate(P, norm_sq)`` is
+the one hook that turns a block into its quadratic forms: the default
+solves a whole block with one call to the row solver.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -29,7 +29,7 @@ logger = logging.getLogger(__name__)
 # 2^15 no faster.
 BLOCK_ELEMS = 2**14
 
-# The default update runs on the vectors scaled by the power of two that puts
+# The default estimate runs on the vectors scaled by the power of two that puts
 # the largest |entry| in [2^99, 2^100).  Squares then stay below 2^200, far
 # from overflow and below the solver's rescale threshold, and every entry
 # within 2^610 of the largest keeps a normal square, so the bulk of a sample
@@ -51,7 +51,7 @@ class GramEstimate:
     ``stop_tol``; it is scale-free, so it stays finite where the distance
     itself would overflow (0 when both are 0).  lambda_used holds one
     per-update summary (mean over directions) of the adaptive truncation
-    levels; empty when a custom scale function or estimator is supplied.
+    levels; empty when a custom ``estimate`` is supplied.
     """
 
     matrix: np.ndarray
@@ -94,7 +94,7 @@ def positive_part(q: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list = None) -> np.ndarray:
+def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list) -> np.ndarray:
     """Default scale of each row of ``p``: adaptive truncation level, then the row solver.
 
     ``p`` holds one direction's projections per row, shape (k, n) or
@@ -102,7 +102,7 @@ def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list = None) -> n
     to lambda = 1/sqrt(n) where the adaptive formula is undefined (a sample
     too small for epsilon, or zero variance of the squared values); other
     errors, such as epsilon outside (0, 1), propagate.  Rows without a
-    positive square give 0.
+    positive square give 0.  The levels used are appended to ``lam_log``.
     """
     v = p * p
     if v.ndim == 3:
@@ -118,8 +118,7 @@ def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list = None) -> n
     except SampleSizeError:
         lam = np.full(len(v), np.nan)
     lam[np.isnan(lam)] = 1.0 / math.sqrt(v.shape[1])
-    if lam_log is not None:
-        lam_log.extend(lam.tolist())
+    lam_log.extend(lam.tolist())
     result = scale_from_squares(v, lam)
     failed = np.count_nonzero(~result.row_converged)
     if failed:
@@ -128,16 +127,7 @@ def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list = None) -> n
     return out
 
 
-def robust_scale_fn(p: np.ndarray, epsilon: float, lam_log: list = None) -> float:
-    """Default per-direction scale: ``_robust_scale_rows`` on the one direction ``p``.
-
-    ``p`` holds the projections on one direction, shape (n,) or (m, g).
-    """
-    p = np.asarray(p, dtype=float)
-    return float(_robust_scale_rows(p[None], epsilon, lam_log)[0])
-
-
-def polarize(w: np.ndarray, estimate) -> np.ndarray:
+def polarization_update(w: np.ndarray, estimate) -> np.ndarray:
     """Matrix C with C_ij = (N(e_i + e_j) - N(e_i - e_j)) / 4.
 
     ``w`` holds the projections on the current basis, shape (n, d) or
@@ -147,7 +137,9 @@ def polarize(w: np.ndarray, estimate) -> np.ndarray:
     with k * n * g at most ``BLOCK_ELEMS`` (and k >= 1).  Rows that vanish
     get N = 0; the others go to estimate(P, norm_sq), which returns their N
     values, norm_sq holding each direction's squared norm (4 for the doubled
-    column on the diagonal, 2 otherwise).
+    column on the diagonal, 2 otherwise).  A ValueError from ``estimate``
+    becomes a NumericalError naming the block.  With the mean of each row's
+    squares as the estimate, C is (1/n) w^T w.
     """
     w = np.asarray(w, dtype=float)
     d = w.shape[-1]
@@ -181,20 +173,6 @@ def polarize(w: np.ndarray, estimate) -> np.ndarray:
     return c
 
 
-def polarization_update(w: np.ndarray, scale_fn, epsilon: float,
-                        lam_log: list = None) -> np.ndarray:
-    """``polarize`` with each direction estimated by scale_fn(w @ theta, epsilon).
-
-    ``scale_fn=None`` selects the default ``robust_scale_fn`` solved a whole
-    block at a time (``lam_log`` then collects the truncation levels); a
-    callable is run one direction at a time.  With the mean-of-squares scale
-    this is exactly (1/n) w^T w.
-    """
-    if scale_fn is None:
-        return polarize(w, lambda p, norm_sq: _robust_scale_rows(p, epsilon, lam_log))
-    return polarize(w, lambda p, norm_sq: [scale_fn(row, epsilon) for row in p])
-
-
 def _descending_eigenbasis(q: np.ndarray) -> np.ndarray:
     try:
         vals, vecs = np.linalg.eigh(q)
@@ -204,20 +182,22 @@ def _descending_eigenbasis(q: np.ndarray) -> np.ndarray:
 
 
 def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates: int = 4,
-                         stop_tol: float = 1e-8, update=None) -> GramEstimate:
+                         stop_tol: float = 1e-8, estimate=None) -> GramEstimate:
     """Robust mean of the A_i from generating vectors of shape (m, d) or (m, g, d).
 
     Each update projects the vectors on the eigenbasis of the previous
-    estimate (the mean of the A_i initially), lets ``update`` map the
-    projections to the matrix C in that basis, and rotates back.  The default
-    update is ``polarization_update`` with the block-solved
-    ``robust_scale_fn``.  Stops after ``num_updates`` or once
-    ||Q_k - Q_{k-1}||_F <= ``stop_tol`` ||Q_{k-1}||_F.  The default update is
-    homogeneous of degree 2 and each of its steps scales exactly under a
+    estimate (the mean of the A_i initially), builds the matrix C in that
+    basis with ``polarization_update``, and rotates back.  ``estimate(P,
+    norm_sq)`` gives the quadratic form of each block of directions; the
+    default solves each row's adaptive truncation level and robust scale
+    (``_robust_scale_rows``) and records the mean level per update in
+    ``lambda_used``.  Stops after ``num_updates`` or once
+    ||Q_k - Q_{k-1}||_F <= ``stop_tol`` ||Q_{k-1}||_F.  The default estimate
+    is homogeneous of degree 2 and each of its steps scales exactly under a
     power of two, so it runs on the vectors divided by 2^e, e the binary
     exponent of the largest |entry| less ``NORM_EXPONENT``, and its result
     is multiplied by 2^(2e): scaling the data by 2^k scales the estimate by
-    4^k bit for bit wherever both are representable.  A custom ``update``
+    4^k bit for bit wherever both are representable.  A custom ``estimate``
     sees the vectors as given.  Non-finite matrices, an estimate beyond the
     floating-point range and eigh failures raise NumericalError; epsilon
     outside (0, 1) raises ValueError.
@@ -226,13 +206,12 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
         raise ValueError("epsilon must lie in (0, 1)")
     if num_updates < 1:
         raise ValueError("num_updates must be at least 1")
-    track = update is None
+    track = estimate is None
     flat = vectors.reshape(-1, vectors.shape[-1])
-    e = 0
+    e, lam_log = 0, []
     if track:
-        lam_log = []
-        update = functools.partial(polarization_update, scale_fn=None, epsilon=epsilon,
-                                   lam_log=lam_log)
+        def estimate(p, norm_sq):
+            return _robust_scale_rows(p, epsilon, lam_log)
         e = int(np.frexp(np.max(np.abs(flat), initial=0.0))[1]) - NORM_EXPONENT
         flat = np.ldexp(flat, -e)
         vectors = flat.reshape(vectors.shape)
@@ -243,9 +222,8 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     basis = _descending_eigenbasis(prev)
     deltas, lam_means = [], []
     for k in range(num_updates):
-        if track:
-            lam_log.clear()
-        c = update((flat @ basis).reshape(vectors.shape))
+        lam_log.clear()
+        c = polarization_update((flat @ basis).reshape(vectors.shape), estimate)
         q = basis @ c @ basis.T
         q = 0.5 * (q + q.T)
         if not np.all(np.isfinite(q)):
@@ -272,13 +250,8 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
 
 
 def robust_gram(sample: Sample, epsilon: float = 0.1, num_updates: int = 4,
-                stop_tol: float = 1e-8, scale_fn=None) -> GramEstimate:
-    """Iterative robust estimate of E[X X^T]: ``iterate_polarization`` on the rows.
-
-    A custom ``scale_fn`` replaces ``robust_scale_fn`` in the polarization update.
-    """
+                stop_tol: float = 1e-8) -> GramEstimate:
+    """Iterative robust estimate of E[X X^T]: ``iterate_polarization`` on the rows."""
     if sample.n < 2:
         raise ValueError("robust_gram needs at least two observations")
-    update = None if scale_fn is None else functools.partial(
-        polarization_update, scale_fn=scale_fn, epsilon=epsilon)
-    return iterate_polarization(sample.data, epsilon, num_updates, stop_tol, update)
+    return iterate_polarization(sample.data, epsilon, num_updates, stop_tol)

@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ConfigError("epsilon must lie in (0, 1)")
         if self.num_updates < 1 or self.jobs < 1 or self.q < 2:
             raise ConfigError("num_updates, jobs must be >= 1 and q >= 2")
+        if self.q > self.n:
+            raise ConfigError(f"block size q = {self.q} exceeds the sample size n = {self.n}")
         est = frozenset(self.estimators)
         unknown = est - VALID_ESTIMATORS
         if unknown:

@@ -6,10 +6,10 @@ envelope ``chi`` is a quadratic smoothing of ``psi`` above the point where
 ``psi'' = -1/4``; it is what the bound calculators in :mod:`robustgram.bounds`
 are derived from.  Everything here is pure and array-friendly.
 
-``psi_and_prime`` is the inner loop of every scale solve: one pass gives
-psi and psi', each by one formula on c = min(|t|, 1) evaluated in place,
-with no saturation branch, sharing c and c/2.  ``psi_prime`` is its second
-output; ``psi`` alone serves the checks that need no slope.
+``psi_and_prime`` is the inner loop of every scale solve and the one kernel
+body: one pass gives psi and psi', each by one formula on c = min(|t|, 1)
+evaluated in place, with no saturation branch, sharing c and c/2.  ``psi``
+and ``psi_prime`` are its first and second outputs.
 Two identities in float64 make that exact: at the cap c = 1 the body
 c (c/2 - 1) is -1/2 and -log1p(-1/2) == log(2) to the last bit, and
 (1 - c) / ((1 - c) + (c/2) c) is 0 / (1/2) = 0.
@@ -55,42 +55,20 @@ class PsiConstants:
 CONSTANTS = PsiConstants()
 
 
-def _as_float_array(t):
-    return np.asarray(t, dtype=float)
-
-
 def _maybe_scalar(out, t):
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(out)
     return out
 
 
-def _capped_abs(arr):
-    """min(|t|, 1) in a fresh array.
-
-    The kernels below work in place on fresh arrays, 0-d ones for scalar
-    input, because a ufunc without ``out`` turns 0-d input into a scalar.
-    """
-    c = np.abs(arr, out=np.empty(arr.shape))
-    return np.minimum(c, 1.0, out=c)
-
-
 def psi(t):
     """Bounded odd influence function.
 
     Equals -log(1 - t + t^2/2) on [0, 1], saturates at log(2) beyond, and is
-    extended by psi(-t) = -psi(t).  Accepts scalars or arrays.
+    extended by psi(-t) = -psi(t).  Accepts scalars or arrays.  It is the
+    first output of ``psi_and_prime``.
     """
-    arr = _as_float_array(t)
-    c = _capped_abs(arr)
-    # c (c/2 - 1) = (1 - c + c^2/2) - 1 lies in [-1/2, 0]; it is -1/2 at the cap
-    body = np.multiply(c, 0.5, out=np.empty_like(c))
-    body -= 1.0
-    body *= c
-    out = np.log1p(body, out=body)
-    # log1p(body) <= 0, so its magnitude with the sign of t is sign(t) * (-log1p)
-    np.copysign(out, arr, out=out)
-    return _maybe_scalar(out, t)
+    return psi_and_prime(t)[0]
 
 
 def psi_prime(t):
@@ -106,17 +84,22 @@ def psi_prime(t):
 def psi_and_prime(t):
     """(``psi(t)``, ``psi_prime(t)``) from one pass over t.
 
-    Both formulas read c = min(|t|, 1) and c/2, computed once.  The value
-    runs every operation of ``psi`` in the same order, so it equals
-    ``psi(t)`` bit for bit; the slope is (1 - c) / ((1 - c) + (c/2) c).
+    Both formulas read c = min(|t|, 1) and c/2, computed once.  The value is
+    -log(1 - c + c^2/2) = -log1p(c (c/2 - 1)) with the sign of t; the slope
+    is (1 - c) / ((1 - c) + (c/2) c).
     """
-    arr = _as_float_array(t)
-    c = _capped_abs(arr)
+    arr = np.asarray(t, dtype=float)
+    # in place on fresh arrays, 0-d ones for scalar input: a ufunc without
+    # ``out`` turns 0-d input into a scalar
+    c = np.abs(arr, out=np.empty(arr.shape))
+    np.minimum(c, 1.0, out=c)
     half = np.multiply(c, 0.5, out=np.empty_like(c))
     den = np.multiply(half, c, out=np.empty_like(c))
+    # c (c/2 - 1) = (1 - c + c^2/2) - 1 lies in [-1/2, 0]; it is -1/2 at the cap
     half -= 1.0
     half *= c
     value = np.log1p(half, out=half)
+    # the log1p is <= 0, so its magnitude with the sign of t is sign(t) * (-log1p)
     np.copysign(value, arr, out=value)
     prime = np.subtract(1.0, c, out=c)
     den += prime
@@ -131,7 +114,7 @@ def chi(z):
     psi(z1) + p1 (z - z1) - (z - z1)^2 / 8 up to z1 + 4 p1, and is constant
     (equal to ``SUP_CHI``) beyond.  Satisfies psi <= chi <= log(1 + z + z^2/2).
     """
-    z_arr = _as_float_array(z)
+    z_arr = np.asarray(z, dtype=float)
     psi_z1 = SUP_CHI - 2.0 * P1 * P1
     dz = z_arr - Z1
     parabola = psi_z1 + P1 * dz - dz * dz / 8.0

@@ -162,6 +162,17 @@ def _terms(v, lam, s):
     return ratio, a, a - lam[:, None]
 
 
+def _rescale_rows(v):
+    """(v, mean, e): rows with a mean beyond 2^+-``RESCALE_EXPONENT``, and their
+    means, divided by 2^e, e that mean's binary exponent (0 for the others)."""
+    mean = np.mean(v, axis=1)
+    exponent = np.frexp(mean)[1]
+    exponent[np.abs(exponent) <= RESCALE_EXPONENT] = 0
+    if exponent.any():
+        v, mean = np.ldexp(v, -exponent[:, None]), np.ldexp(mean, -exponent)
+    return v, mean, exponent
+
+
 def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
     """Per row r: smallest S > 0 with f(S) = sum_j psi(lam_r (v_rj / S - 1)) <= 0.
 
@@ -204,13 +215,9 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
     n_pos = np.count_nonzero(v > 0.0, axis=1)
     if v.shape[1] == 0 or not n_pos.all():
         raise ValueError("scale solve needs at least one non-zero entry")
-    mean = np.mean(v, axis=1)
+    v, mean, exponent = _rescale_rows(v)
     if not np.all(np.isfinite(mean)):
         raise ValueError("scale solve needs finite values with a finite mean")
-    exponent = np.frexp(mean)[1]
-    exponent[np.abs(exponent) <= RESCALE_EXPONENT] = 0
-    if exponent.any():
-        v, mean = np.ldexp(v, -exponent[:, None]), np.ldexp(mean, -exponent)
 
     k = len(v)
     value = np.zeros(k)
@@ -333,12 +340,8 @@ def lambda_from_square_rows(v, epsilon: float) -> np.ndarray:
     u = 2.0 * math.log(1.0 / epsilon) / n
     if u >= 1.0:
         raise SampleSizeError(f"sample too small: 2 log(1/epsilon)/n = {u:.3f} >= 1")
-    m = np.mean(v, axis=1)
     # lambda is scale-free, so the rescale leaves its bits
-    exponent = np.frexp(m)[1]
-    exponent[np.abs(exponent) <= RESCALE_EXPONENT] = 0
-    if exponent.any():
-        v, m = np.ldexp(v, -exponent[:, None]), np.ldexp(m, -exponent)
+    v, m, _ = _rescale_rows(v)
     var = np.sum((v - m[:, None]) ** 2, axis=1) / (n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = m * np.sqrt(u * (1.0 - u) / var)

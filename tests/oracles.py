@@ -98,6 +98,17 @@ def central_difference(fn, t: float, h: float = 1e-6) -> float:
     return (fn(t + h) - fn(t - h)) / (2.0 * h)
 
 
+def mean_of_squares(p, norm_sq):
+    """Estimate hook of the polarization loop: the plain mean of each row's squares."""
+    return np.mean(p * p, axis=1)
+
+
+def random_orthogonal(d, rng):
+    """Random d x d orthogonal matrix from the QR factorization of a Gaussian one."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
 def assert_scales_by_powers_of_four(estimate, x, k):
     """Check estimate(2^k x) == 4^k estimate(x) bit for bit where 4^k estimate(x) is representable."""
     base = estimate(x)
@@ -107,6 +118,13 @@ def assert_scales_by_powers_of_four(estimate, x, k):
         exact = np.ldexp(expected, -2 * k) == base
     assert exact.any()
     np.testing.assert_array_equal(got[exact], expected[exact])
+
+
+def assert_rotation_equivariant(estimate, x, rng):
+    """Check estimate(x R^T) = R estimate(x) R^T, R random orthogonal, to 1e-9 relative Frobenius."""
+    r = random_orthogonal(x.shape[1], rng)
+    target = r @ estimate(x) @ r.T
+    assert np.linalg.norm(estimate(x @ r.T) - target) <= 1e-9 * np.linalg.norm(target)
 
 
 def pairwise_block_covariance(x: np.ndarray, q: int) -> np.ndarray:

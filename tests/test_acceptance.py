@@ -12,14 +12,12 @@ import numpy as np
 import pytest
 
 from robustgram.bounds import Grid, MomentBounds, confidence_interval
-from robustgram.gram import empirical_gram, frobenius_error, robust_gram
+from robustgram.gram import empirical_gram, frobenius_error, iterate_polarization, robust_gram
 from robustgram.harness import ExperimentConfig, kappa_plugin, run_benchmark
 from robustgram.influence import C_UNIVERSAL, P1, SUP_CHI, Z1, chi, psi, psi_prime
 from robustgram.mestimator import Sample, robust_scale, tilde_n
 
-from oracles import bisect_scale, central_difference
-
-from test_gram import mean_of_squares, random_orthogonal
+from oracles import bisect_scale, central_difference, mean_of_squares, random_orthogonal
 
 
 def report(num: int, ok: bool, detail: str):
@@ -64,7 +62,7 @@ def test_criterion_3_oracle_equivalence():
         n = int(rng.integers(2, 51))
         d = int(rng.integers(1, 9))
         s = Sample(rng.standard_normal((n, d)))
-        est = robust_gram(s, scale_fn=mean_of_squares)
+        est = iterate_polarization(s.data, estimate=mean_of_squares)
         dist = math.sqrt(frobenius_error(est.matrix, empirical_gram(s)))
         worst = max(worst, dist)
     report(3, worst <= 1e-10, f"100 instances; worst Frobenius distance {worst:.2e} <= 1e-10")

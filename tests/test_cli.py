@@ -123,6 +123,15 @@ class TestBenchmark:
         cfg_path.write_text(json.dumps({"n": 1}))
         assert main(["benchmark", str(cfg_path)]) == 1
 
+    def test_block_size_above_sample_size_is_config_error(self, tmp_path, caplog):
+        # a configuration error (exit 1) found before any trial runs, not a numerical failure
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 4, "d": 2, "trials": 3, "q": 5,
+                                        "estimators": ["covariance"]}))
+        assert main(["benchmark", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert "trial" not in caplog.text
+        assert not (tmp_path / "run").exists()
+
     def test_malformed_json_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")

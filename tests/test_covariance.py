@@ -17,6 +17,7 @@ from robustgram.influence import psi
 from robustgram.mestimator import Sample, r_lambda
 
 from oracles import (
+    assert_rotation_equivariant,
     assert_scales_by_powers_of_four,
     assert_symmetric_finite_zero_columns,
     degenerate_lattice_samples,
@@ -298,6 +299,16 @@ def test_robust_covariance_scales_exactly(seed, k):
     x = np.random.default_rng(seed).standard_t(3, (80, 3))
     assert_scales_by_powers_of_four(
         lambda y: robust_covariance(Sample(y), q=2, epsilon=0.1).matrix, x, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), n=st.integers(20, 80), d=st.integers(2, 6))
+def test_robust_covariance_is_rotation_equivariant(seed, n, d):
+    # continuous data, as for robust_gram: the eigenbasis must be unique
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(3, (n, d))
+    assert_rotation_equivariant(
+        lambda y: robust_covariance(Sample(y), q=2, epsilon=0.1).matrix, x, rng)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

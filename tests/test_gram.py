@@ -9,30 +9,28 @@ from robustgram.gram import (
     NumericalError,
     empirical_gram,
     frobenius_error,
+    iterate_polarization,
     polarization_update,
-    polarize,
     positive_part,
     robust_gram,
-    robust_scale_fn,
 )
 from robustgram.harness import ExperimentConfig, gen_mixture, trial_rng
 from robustgram import gram
 from robustgram.mestimator import Sample, scale_from_squares
 
 from oracles import (
+    assert_rotation_equivariant,
     assert_scales_by_powers_of_four,
     assert_symmetric_finite_zero_columns,
     degenerate_lattice_samples,
+    mean_of_squares,
+    random_orthogonal,
 )
 
 
-def mean_of_squares(p, eps):
-    return float(np.mean(np.asarray(p) ** 2))
-
-
-def random_orthogonal(d, rng):
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.sign(np.diag(r))
+def default_estimate(p, norm_sq):
+    """The default estimate of ``iterate_polarization`` at epsilon = 0.1."""
+    return gram._robust_scale_rows(p, 0.1, [])
 
 
 class TestEmpiricalGram:
@@ -106,21 +104,21 @@ class TestPolarizationUpdate:
     def test_mean_of_squares_gives_gram(self):
         rng = np.random.default_rng(5)
         w = rng.standard_normal((40, 6))
-        c = polarization_update(w, mean_of_squares, 0.1)
+        c = polarization_update(w, mean_of_squares)
         np.testing.assert_allclose(c, w.T @ w / 40, atol=1e-12)
 
     def test_zero_column_zero_row(self):
         rng = np.random.default_rng(6)
         w = rng.standard_normal((30, 4))
         w[:, 2] = 0.0
-        c = polarization_update(w, robust_scale_fn, 0.1)
+        c = polarization_update(w, default_estimate)
         np.testing.assert_allclose(c[2, :], 0.0, atol=1e-12)
         np.testing.assert_allclose(c[:, 2], 0.0, atol=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(7)
         w = rng.standard_normal((25, 5))
-        c = polarization_update(w, robust_scale_fn, 0.1)
+        c = polarization_update(w, default_estimate)
         np.testing.assert_array_equal(c, c.T)
 
 
@@ -143,9 +141,10 @@ class TestBlockedUpdate:
     def test_default_equals_one_direction_at_a_time(self, name):
         w = _projection_cases()[name]
         blocked_lams, single_lams = [], []
-        blocked = polarization_update(w, None, 0.1, lam_log=blocked_lams)
-        single = polarization_update(
-            w, lambda p, eps: robust_scale_fn(p, eps, lam_log=single_lams), 0.1)
+        blocked = polarization_update(
+            w, lambda p, norm_sq: gram._robust_scale_rows(p, 0.1, blocked_lams))
+        single = polarization_update(w, lambda p, norm_sq: [
+            gram._robust_scale_rows(row[None], 0.1, single_lams)[0] for row in p])
         np.testing.assert_array_equal(blocked, single)
         assert blocked_lams == single_lams
 
@@ -159,7 +158,7 @@ class TestBlockedUpdate:
             norms.extend(norm_sq.tolist())
             return np.mean(p * p, axis=1)
 
-        c = polarize(w, estimate)
+        c = polarization_update(w, estimate)
         assert shapes == [(4, 4000), (4, 4000), (1, 4000)]
         assert norms == [4.0, 2.0, 2.0, 2.0, 2.0, 4.0, 2.0, 2.0, 4.0]
         np.testing.assert_allclose(c, w.T @ w / 4000, rtol=1e-12)
@@ -173,7 +172,7 @@ class TestRobustGram:
             n = int(rng.integers(5, 51))
             d = int(rng.integers(2, 9))
             s = Sample(rng.standard_normal((n, d)))
-            est = robust_gram(s, scale_fn=mean_of_squares)
+            est = iterate_polarization(s.data, estimate=mean_of_squares)
             assert frobenius_error(est.matrix, empirical_gram(s)) <= 1e-20
 
     def test_oracle_identity_design_any_dimension(self):
@@ -181,7 +180,7 @@ class TestRobustGram:
         # the truth, so the estimate is the identity for any d
         for d in (2, 5, 9):
             s = Sample(math.sqrt(d) * np.eye(d))
-            est = robust_gram(s, scale_fn=mean_of_squares)
+            est = iterate_polarization(s.data, estimate=mean_of_squares)
             np.testing.assert_allclose(est.matrix, np.eye(d), atol=1e-10)
 
     def test_identity_design_d2_exact(self):
@@ -229,17 +228,17 @@ class TestRobustGram:
     def test_early_stop_on_tolerance(self):
         rng = np.random.default_rng(13)
         s = Sample(rng.standard_normal((30, 3)))
-        est = robust_gram(s, scale_fn=mean_of_squares, num_updates=4)
+        est = iterate_polarization(s.data, num_updates=4, estimate=mean_of_squares)
         assert est.iterations == 1  # first delta is already ~0
 
     def test_custom_scale_failure_propagates(self):
-        def broken(p, eps):
+        def broken(p, norm_sq):
             raise ValueError("boom at this pair")
 
         rng = np.random.default_rng(14)
         s = Sample(rng.standard_normal((10, 2)))
         with pytest.raises(NumericalError, match=r"\(0, 0\)"):
-            robust_gram(s, scale_fn=broken)
+            iterate_polarization(s.data, estimate=broken)
 
     def test_overflow_is_numerical_error(self):
         rng = np.random.default_rng(15)
@@ -370,3 +369,13 @@ def test_degenerate_samples_give_symmetric_finite_estimates(case):
     # duplicate rows, zero columns, n = 2 and d > n
     x, zero = case
     assert_symmetric_finite_zero_columns(robust_gram(Sample(x), epsilon=0.1).matrix, zero)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), n=st.integers(20, 80), d=st.integers(2, 6))
+def test_robust_gram_is_rotation_equivariant(seed, n, d):
+    # continuous data: tied eigenvalues of lattice data leave the eigenbasis,
+    # and with it the iteration, undetermined
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(3, (n, d))
+    assert_rotation_equivariant(lambda y: robust_gram(Sample(y), epsilon=0.1).matrix, x, rng)

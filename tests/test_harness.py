@@ -39,6 +39,9 @@ class TestConfig:
             ExperimentConfig(alpha_mix=1.5)
         with pytest.raises(ConfigError):
             ExperimentConfig(estimators={"nonsense"})
+        # a q-block needs q observations, so no covariance trial could run
+        with pytest.raises(ConfigError, match="q = 5"):
+            ExperimentConfig(n=4, d=2, q=5, estimators={"covariance"})
 
     def test_robust_empirical_always_present(self):
         cfg = ExperimentConfig(estimators={"covariance"})
