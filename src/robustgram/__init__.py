@@ -46,10 +46,8 @@ from .influence import CONSTANTS, PsiConstants, chi, psi, psi_prime
 from .mestimator import (
     Sample,
     ScaleResult,
-    adaptive_lambda,
     alpha_hat,
     r_lambda,
-    robust_scale,
     tilde_n,
 )
 

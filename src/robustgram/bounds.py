@@ -4,6 +4,8 @@ All bounds are dimension-free: they involve the sample size, the kurtosis
 ratio ``kappa``, fourth-moment scales and traces, never the ambient
 dimension.  Vacuous bounds are represented by ``math.inf`` so that argmin
 logic stays explicit (``math.isinf`` marks the gated-out regions).
+The grid estimators solve the K levels lambda_j of a direction as K rows
+of one ``mestimator.scale_from_squares`` call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .influence import C_UNIVERSAL
-from .mestimator import Sample, tilde_n, tilde_n_from_squares
+from .mestimator import Sample, scale_from_squares
 
 # Rounded-up constants as printed in the source analysis; the exact values
 # 2 cosh(1/8)^2, (2+3c)/(4(2+c)) and 2 (2+c) cosh(1/4)^2 are slightly smaller,
@@ -225,6 +227,15 @@ def b_bound(t: float, sigma: float, coeffs: BoundCoeffs) -> float:
     return (coeffs.gamma + tau) / (1.0 - coeffs.mu - coeffs.gamma - 2.0 * tau)
 
 
+def _tilde_n_grid(v, grid: Grid) -> list:
+    """tilde_n of the squared values v at each grid level; all 0 if v vanishes."""
+    v = np.asarray(v, dtype=float)
+    if not v.any():  # non-finite or negative values go on to the solver's check
+        return [0.0] * grid.K
+    lams = [lam for lam, _ in grid.points]
+    return scale_from_squares(np.tile(v, (grid.K, 1)), lams).value.tolist()
+
+
 class SelectedEstimate(NamedTuple):
     value: float
     lambda_hat: float
@@ -237,16 +248,13 @@ def select_from_squares(v, norm_sq: float, grid: Grid, coeffs: list,
                         sigma: float) -> SelectedEstimate:
     """Adaptive estimator on squared values v of a direction with squared norm norm_sq.
 
-    Computes tilde_n at every grid point and keeps the one minimizing its own
-    bound b_bound(tilde_n / norm_sq).  Ties break toward the smallest grid
-    index; if every bound is vacuous the smallest-lambda point is returned
-    with ``vacuous=True``.
+    Computes tilde_n at every grid point, all K in one row solve, and keeps
+    the one minimizing its own bound b_bound(tilde_n / norm_sq).  Ties break
+    toward the smallest grid index; if every bound is vacuous the
+    smallest-lambda point is returned with ``vacuous=True``.
     """
-    values, bounds_at = [], []
-    for (lam, _), co in zip(grid.points, coeffs):
-        val = tilde_n_from_squares(v, lam)
-        values.append(val)
-        bounds_at.append(b_bound(val / norm_sq, sigma, co))
+    values = _tilde_n_grid(v, grid)
+    bounds_at = [b_bound(val / norm_sq, sigma, co) for val, co in zip(values, coeffs)]
     best = int(np.argmin(bounds_at))
     vacuous = math.isinf(bounds_at[best])
     if vacuous:
@@ -307,17 +315,17 @@ def confidence_interval(sample: Sample, theta, grid: Grid, mb: MomentBounds,
                         epsilon: float = None) -> tuple:
     """(lower, upper) confidence bounds for E<theta, X>^2 over the grid.
 
-    lower = max_j phi_minus(tilde_n_j), upper = min_j phi_plus_inverse(tilde_n_j);
-    the interval degenerates to [0, inf) when every gate is inactive.
+    lower = max_j phi_minus(tilde_n_j), upper = min_j phi_plus_inverse(tilde_n_j),
+    with the K values tilde_n_j from one projection and one row solve; the
+    interval degenerates to [0, inf) when every gate is inactive.
     """
     theta = np.asarray(theta, dtype=float)
     norm_sq = float(theta @ theta)
     if norm_sq == 0.0:
         raise ValueError("theta must be non-zero")
-    coeffs = coeffs_for_grid(grid, mb, epsilon)
+    p = sample.projections(theta)
     lower, upper = 0.0, math.inf
-    for (lam, _), co in zip(grid.points, coeffs):
-        val = tilde_n(sample, theta, lam)
+    for val, co in zip(_tilde_n_grid(p * p, grid), coeffs_for_grid(grid, mb, epsilon)):
         lower = max(lower, phi_minus(val, co, norm_sq))
         upper = min(upper, phi_plus_inverse(val, co, norm_sq))
     return lower, upper

@@ -115,8 +115,7 @@ def block_moment_bounds(sigma: np.ndarray, kappa: float, q: int) -> tuple:
 
 def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
                       mode: str = "iterative-practical", num_updates: int = 4,
-                      stop_tol: float = 1e-8, mb: bnd.MomentBounds = None,
-                      psd: bool = False) -> GramEstimate:
+                      mb: bnd.MomentBounds = None, psd: bool = False) -> GramEstimate:
     """Robust estimate of the covariance matrix with unknown mean.
 
     Both modes run ``iterate_polarization`` on the blocks' generating vectors.
@@ -155,7 +154,7 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
             return [bnd.select_from_squares(np.sum(r * r, axis=1), ns, grid, coeffs, sigma).value
                     for r, ns in zip(p, norm_sq.tolist())]
 
-    est = iterate_polarization(vectors, epsilon, num_updates, stop_tol, estimate)
+    est = iterate_polarization(vectors, epsilon, num_updates, estimate)
     if psd:
         est.matrix = positive_part(est.matrix)
     return est

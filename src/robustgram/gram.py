@@ -36,6 +36,9 @@ BLOCK_ELEMS = 2**14
 # with a huge outlier is still resolved.
 NORM_EXPONENT = 100
 
+# The iteration stops once an update moves the estimate by at most this, relatively.
+STOP_TOL = 1e-8
+
 
 class NumericalError(RuntimeError):
     """Raised when an iterate degenerates (non-finite entries, failed solve)."""
@@ -48,10 +51,11 @@ class GramEstimate:
     frobenius_deltas[k] is the relative Frobenius distance
     ||Q_k - Q_{k-1}||_F / ||Q_{k-1}||_F between update k and its predecessor
     (the mean of the A_i for k = 0), the figure the stop test compares with
-    ``stop_tol``; it is scale-free, so it stays finite where the distance
+    ``STOP_TOL``; it is scale-free, so it stays finite where the distance
     itself would overflow (0 when both are 0).  lambda_used holds one
     per-update summary (mean over directions) of the adaptive truncation
-    levels; empty when a custom ``estimate`` is supplied.
+    levels; none for an update that solves no direction (the zero sample
+    gives []) or with a custom ``estimate``.
     """
 
     matrix: np.ndarray
@@ -182,7 +186,7 @@ def _descending_eigenbasis(q: np.ndarray) -> np.ndarray:
 
 
 def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates: int = 4,
-                         stop_tol: float = 1e-8, estimate=None) -> GramEstimate:
+                         estimate=None) -> GramEstimate:
     """Robust mean of the A_i from generating vectors of shape (m, d) or (m, g, d).
 
     Each update projects the vectors on the eigenbasis of the previous
@@ -192,7 +196,7 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     default solves each row's adaptive truncation level and robust scale
     (``_robust_scale_rows``) and records the mean level per update in
     ``lambda_used``.  Stops after ``num_updates`` or once
-    ||Q_k - Q_{k-1}||_F <= ``stop_tol`` ||Q_{k-1}||_F.  The default estimate
+    ||Q_k - Q_{k-1}||_F <= ``STOP_TOL`` ||Q_{k-1}||_F.  The default estimate
     is homogeneous of degree 2 and each of its steps scales exactly under a
     power of two, so it runs on the vectors divided by 2^e, e the binary
     exponent of the largest |entry| less ``NORM_EXPONENT``, and its result
@@ -206,10 +210,9 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
         raise ValueError("epsilon must lie in (0, 1)")
     if num_updates < 1:
         raise ValueError("num_updates must be at least 1")
-    track = estimate is None
     flat = vectors.reshape(-1, vectors.shape[-1])
     e, lam_log = 0, []
-    if track:
+    if estimate is None:
         def estimate(p, norm_sq):
             return _robust_scale_rows(p, epsilon, lam_log)
         e = int(np.frexp(np.max(np.abs(flat), initial=0.0))[1]) - NORM_EXPONENT
@@ -228,13 +231,13 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
         q = 0.5 * (q + q.T)
         if not np.all(np.isfinite(q)):
             raise NumericalError(f"non-finite iterate at update {k}")
-        if track:
-            lam_means.append(float(np.mean(lam_log)) if lam_log else math.nan)
+        if lam_log:
+            lam_means.append(float(np.mean(lam_log)))
         # hypot scales internally: a squared distance between tiny iterates
         # (the bulk under a huge outlier) would underflow to 0 and stop early
         dist = math.hypot(*(q - prev).ravel())
         deltas.append(dist / math.hypot(*prev.ravel()) if dist else 0.0)
-        if deltas[-1] <= stop_tol:
+        if deltas[-1] <= STOP_TOL:
             break
         prev = q
         basis = _descending_eigenbasis(q)
@@ -249,9 +252,8 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
                         frobenius_deltas=deltas, lambda_used=lam_means)
 
 
-def robust_gram(sample: Sample, epsilon: float = 0.1, num_updates: int = 4,
-                stop_tol: float = 1e-8) -> GramEstimate:
+def robust_gram(sample: Sample, epsilon: float = 0.1, num_updates: int = 4) -> GramEstimate:
     """Iterative robust estimate of E[X X^T]: ``iterate_polarization`` on the rows."""
     if sample.n < 2:
         raise ValueError("robust_gram needs at least two observations")
-    return iterate_polarization(sample.data, epsilon, num_updates, stop_tol)
+    return iterate_polarization(sample.data, epsilon, num_updates)

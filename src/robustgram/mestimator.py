@@ -7,23 +7,23 @@ sup{alpha : r_lambda(alpha theta) <= 0}``.  Under ``alpha^2 = lambda / S``
 the criterion becomes ``sum(psi(lambda (p_i^2 / S - 1)))``, non-increasing
 in S, so ``tilde_n`` is its smallest root.
 
-One solver, ``scale_from_squares``, finds that root for one direction or
-for many at once: each row of a (k, n) matrix holds the squared values of
-one direction and has its own lambda.  It is one safeguarded Newton loop in
-the paper's variable x = 1/S = alpha^2 / lambda, in which the criterion is
+Beneath the paper's notation lies the row machinery on squared values.  One
+solver, ``scale_from_squares``, finds that root for each row of a (k, n)
+matrix at the row's own lambda, and ``lambda_from_square_rows`` gives each
+row its adaptive lambda.  The solver is one safeguarded Newton loop in the
+paper's variable x = 1/S = alpha^2 / lambda, in which the criterion is
 nearly linear.  Its step stays inside a sign bracket that every evaluation
 tightens, with bisection, doubling or halving as the fallbacks, and f and
-f' come from one fused ``psi_and_prime`` pass.  A row stops once |f| <= tol
-and S is resolved to about 2^-40 relative: by the size of the next Newton
-step, by the width of the bracket, or because the criterion is flat.  A
-Newton step whose landing a Taylor bound with |psi''| <= 2 already
-certifies ends the row without the pass that would confirm it.  Every
-row runs exactly the elementwise operations of a one-row solve, and a
-reduction along a contiguous row sums in the same order as on a 1-d array,
-so a row's result does not depend on the batch it is solved in.
-``tilde_n``, ``alpha_hat`` and ``robust_scale`` express the one-direction
-case in the paper's notation.  ``lambda_from_square_rows`` gives the
-adaptive truncation level per row in the same way.
+f' come from one fused ``psi_and_prime`` pass.  A row stops once |f| <=
+``TOL`` and S is resolved to about 2^-40 relative: by the size of the next
+Newton step, by the width of the bracket, or because the criterion is flat.
+A Newton step whose landing a Taylor bound with |psi''| <= 2 already
+certifies ends the row without the pass that would confirm it.  Every row
+runs exactly the elementwise operations of a one-row solve, and a reduction
+along a contiguous row sums in the same order as on a 1-d array, so a row's
+result does not depend on the batch it is solved in.
+``r_lambda``, ``tilde_n`` and ``alpha_hat`` are the paper's notation for one
+direction and lambda; ``tilde_n`` solves its direction as a one-row matrix.
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ class Sample:
         return self.data @ theta
 
 
+# The solver's tolerance on |f|, and its Newton and bisection steps per row.
+TOL = 1e-10
+MAX_ITER = 100
+
 # Doubling or halving rounds allowed to bracket a root: 2^2100 spans the
 # float64 range from the smallest subnormal to the largest finite value.
 MAX_BRACKET_ROUNDS = 2100
@@ -81,22 +85,11 @@ class SampleSizeError(ValueError):
 
 @dataclass(frozen=True)
 class ScaleResult:
-    """Outcome of the scalar scale solve."""
-
-    value: float
-    iterations: int
-    converged: bool
-    method: str  # "newton" or "bisection-fallback"
-    plateau: bool = False  # moved to the left edge of a flat root interval
-
-
-@dataclass(frozen=True)
-class RowScaleResult:
     """Outcome of a scale solve on the rows of a matrix: one entry per row.
 
-    ``iterations``, ``converged`` and ``method`` summarize the whole call in
-    the terms of ``ScaleResult``: summed iterations, every row converged,
-    and "bisection-fallback" when some row fell back.
+    ``iterations``, ``converged`` and ``method`` summarize the whole call:
+    summed iterations, every row converged, and "bisection-fallback" when
+    some row fell back, else "newton".
     """
 
     value: np.ndarray
@@ -126,24 +119,14 @@ def r_lambda(sample: Sample, theta, lam: float) -> float:
     return float(np.mean(psi(p * p - lam)))
 
 
-def _check_squares(v: np.ndarray) -> None:
-    if not (np.all(v >= 0.0) and np.all(np.isfinite(v))):
-        raise ValueError("squared values must be finite and non-negative")
-
-
-def tilde_n_from_squares(v, lam: float) -> float:
-    """``tilde_n`` on squared projection values: the scale solve, 0 if v vanishes."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    v = np.asarray(v, dtype=float)
-    _check_squares(v)
-    return scale_from_squares(v, lam).value if (v > 0.0).any() else 0.0
-
-
 def tilde_n(sample: Sample, theta, lam: float) -> float:
-    """Robust estimate lambda / alpha_hat^2 of E<theta, X>^2 (0 if alpha_hat = inf)."""
+    """Robust estimate lambda / alpha_hat^2 of E<theta, X>^2 (0 if alpha_hat = inf),
+    the scale solve of the squared projections as a one-row matrix."""
     p = sample.projections(theta)
-    return tilde_n_from_squares(p * p, lam)
+    v = p * p
+    if lam > 0.0 and not v.any():  # a level <= 0 goes on to the solver's check
+        return 0.0
+    return float(scale_from_squares(v[None], [lam]).value[0])
 
 
 def alpha_hat(sample: Sample, theta, lam: float) -> float:
@@ -173,7 +156,7 @@ def _rescale_rows(v):
     return v, mean, exponent
 
 
-def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
+def scale_from_squares(v, lam) -> ScaleResult:
     """Per row r: smallest S > 0 with f(S) = sum_j psi(lam_r (v_rj / S - 1)) <= 0.
 
     ``v`` is (k, n) with finite v_rj >= 0 and a positive entry in each row;
@@ -184,9 +167,9 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
     S / (1 - f / d), with d = -S f'(S) = sum_j psi'(t_j) lam v_rj / S, and
     is taken when it lies in (lo, hi) and d >= 1e-14.  Otherwise the row
     bisects once both ends are known, and doubles lo or halves hi before.
-    Newton and bisection steps count against ``max_iter``, doubling and
+    Newton and bisection steps count against ``MAX_ITER``, doubling and
     halving against ``MAX_BRACKET_ROUNDS``; a row out of either budget
-    returns its last point, not converged.  A row stops when |f| <= ``tol``
+    returns its last point, not converged.  A row stops when |f| <= ``TOL``
     and either |f| <= 2^-40 d, which places the root to about 1e-12
     relative, or d < 1e-14 (a flat criterion), or, once both ends are known,
     hi - lo <= 2^-40 hi.  The last clause ends a tangential root, where
@@ -194,8 +177,8 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
     A Newton step stops the row unevaluated, one step counted, when
     |psi''| <= 2 proves its evaluation would: Taylor in x bounds |f| there
     by b = A2 (f/d)^2, A2 = sum_j (lam v_rj / S)^2, d there from below by
-    d_low = (1 - |f/d|)(d - 2 |f/d| A2), and b <= tol, 2^-41 d_low.  When the
-    criterion stays within ``tol`` of 0 from the converged point down to the
+    d_low = (1 - |f/d|)(d - 2 |f/d| A2), and b <= TOL, 2^-41 d_low.  When the
+    criterion stays within ``TOL`` of 0 from the converged point down to the
     left edge of a flat stretch, that edge is returned (``plateau``), which
     is the sup in the alpha form.  A row whose criterion is non-positive
     near S = 0 has no positive root: value 0, not converged.  A row with a
@@ -209,9 +192,8 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
         raise ValueError(f"need a (k, n) matrix and k levels, got {v.shape} and {lam.shape}")
     if not np.all(lam > 0.0):
         raise ValueError("lambda must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _check_squares(v)
+    if not (np.all(v >= 0.0) and np.all(np.isfinite(v))):
+        raise ValueError("squared values must be finite and non-negative")
     n_pos = np.count_nonzero(v > 0.0, axis=1)
     if v.shape[1] == 0 or not n_pos.all():
         raise ValueError("scale solve needs at least one non-zero entry")
@@ -257,14 +239,14 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
         flat = d < 1e-14
         bracketed = (lo > 0.0) & (hi < np.inf)
         # the width test needs both ends: with hi = inf it would read inf <= inf
-        done = (np.abs(f) <= tol) & ((np.abs(f) <= 2.0**-40 * d) | flat
+        done = (np.abs(f) <= TOL) & ((np.abs(f) <= 2.0**-40 * d) | flat
                                      | (bracketed & (hi - lo <= 2.0**-40 * hi)))
         newton = ~flat & (lo < step) & (step < hi)
         counted = newton | bracketed
-        spent = np.where(counted, steps >= max_iter, rounds >= MAX_BRACKET_ROUNDS)
+        spent = np.where(counted, steps >= MAX_ITER, rounds >= MAX_BRACKET_ROUNDS)
         stop = done | spent
         # a certified Newton step lands where the next evaluation would stop
-        certified = newton & ~stop & (b <= np.minimum(tol, 2.0**-41 * d_low))
+        certified = newton & ~stop & (b <= np.minimum(TOL, 2.0**-41 * d_low))
         stop |= certified
         if stop.any():
             r = rows[stop]
@@ -294,42 +276,20 @@ def _scale_rows(v, lam, tol, max_iter) -> RowScaleResult:
         some = edge > 0.0
         rows, vp, lp, edge = rows[some], vp[some], lp[some], edge[some]
         with np.errstate(over="ignore"):
-            flat = np.abs(np.sum(psi(_terms(vp, lp, edge)[2]), axis=1)) <= tol
+            flat = np.abs(np.sum(psi(_terms(vp, lp, edge)[2]), axis=1)) <= TOL
         value[rows[flat]] = edge[flat]
         plateau[rows[flat]] = True
-    return RowScaleResult(np.ldexp(value, exponent), iterations, converged, bisection, plateau)
-
-
-def scale_from_squares(v, lam, tol: float = 1e-10, max_iter: int = 100):
-    """Smallest S > 0 with sum(psi(lambda (v_i / S - 1))) <= 0, v_i >= 0 given.
-
-    ``v`` of shape (n,) with a scalar ``lam`` gives a ``ScaleResult``; the
-    value is 0 (not converged) when the criterion is non-positive near
-    S = 0.  ``v`` of shape (k, n) with k levels solves each row as that
-    one-row case and gives a ``RowScaleResult``; see ``_scale_rows``.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        return _scale_rows(v, lam, tol, max_iter)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    r = _scale_rows(v.reshape(1, -1), np.array([lam], dtype=float), tol, max_iter)
-    return ScaleResult(float(r.value[0]), int(r.row_iterations[0]), bool(r.row_converged[0]),
-                       r.method, plateau=bool(r.plateau[0]))
-
-
-def robust_scale(p, lam: float, tol: float = 1e-10, max_iter: int = 100) -> ScaleResult:
-    """Robust scale of the squared entries of ``p``; see ``scale_from_squares``."""
-    p = np.asarray(p, dtype=float)
-    return scale_from_squares(p * p, lam, tol=tol, max_iter=max_iter)
+    return ScaleResult(np.ldexp(value, exponent), iterations, converged, bisection, plateau)
 
 
 def lambda_from_square_rows(v, epsilon: float) -> np.ndarray:
-    """``lambda_from_squares`` for each row of the (k, n) matrix ``v``.
+    """Data-driven truncation level of each row of the (k, n) matrix ``v`` of squares.
 
-    A row with zero sample variance gets nan.  Raises ``SampleSizeError``
-    when the sample is too small (n < 2 or u >= 1), which holds for every
-    row alike, and ``ValueError`` for epsilon outside (0, 1).
+    m sqrt(u (1 - u) / var) with u = (2/n) log(1/epsilon), m the row's mean
+    and var its sample variance; nan for a row with var = 0, where callers
+    use a configured floor.  Raises ``SampleSizeError`` when the sample is
+    too small (n < 2 or u >= 1), which holds for every row alike, and
+    ``ValueError`` for epsilon outside (0, 1).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -347,23 +307,3 @@ def lambda_from_square_rows(v, epsilon: float) -> np.ndarray:
         lam = m * np.sqrt(u * (1.0 - u) / var)
     lam[var <= 0.0] = np.nan
     return lam
-
-
-def lambda_from_squares(v, epsilon: float) -> float:
-    """Data-driven truncation level for ``v_i`` playing the role of p_i^2.
-
-    Returns m * sqrt(u (1 - u) / var) with u = (2/n) log(1/epsilon),
-    m the mean of v and var its sample variance.  Raises when the sample
-    is too small (u >= 1) or degenerate (var = 0); callers substitute a
-    configured floor in that case.
-    """
-    lam = float(lambda_from_square_rows(np.asarray(v, dtype=float).reshape(1, -1), epsilon)[0])
-    if math.isnan(lam):
-        raise ValueError("degenerate sample: zero variance of squared values")
-    return lam
-
-
-def adaptive_lambda(p, epsilon: float) -> float:
-    """``lambda_from_squares`` applied to the squares of ``p``."""
-    p = np.asarray(p, dtype=float)
-    return lambda_from_squares(p * p, epsilon)

@@ -14,6 +14,7 @@ from robustgram.bounds import (
     b_bound,
     b_star,
     bound_coeffs,
+    coeffs_for_grid,
     confidence_interval,
     empirical_bounds,
     grid_size,
@@ -30,8 +31,9 @@ from robustgram.bounds import (
     zeta_q,
     zeta_star,
 )
+from robustgram import bounds, mestimator
 from robustgram.influence import C_UNIVERSAL
-from robustgram.mestimator import Sample
+from robustgram.mestimator import Sample, tilde_n
 
 from oracles import phi_plus_inverse_ref
 
@@ -327,6 +329,54 @@ class TestConfidenceInterval:
         lo, hi = confidence_interval(s, np.array([1.0, 0.0]), grid, MB3)
         assert lo == 0.0
         assert hi == math.inf
+
+
+class TestGridAsRows:
+    """The K grid levels of a direction are one row solve: the same bits as
+    a tilde_n solve per level."""
+
+    GRID = Grid(points=((0.01, 6000.0), (0.02, 3000.0), (0.05, 1500.0), (0.1, 800.0)),
+                K=4, a=0.5, epsilon=0.05, n=3000)
+
+    @staticmethod
+    def sample():
+        return Sample(np.random.default_rng(30).standard_t(3, (3000, 3)))
+
+    @staticmethod
+    def directions():
+        return [np.eye(3)[0], np.array([0.4, -1.3, 0.2])]
+
+    def test_equals_per_level_tilde_n(self):
+        s, grid = self.sample(), self.GRID
+        coeffs = coeffs_for_grid(grid, MB3)
+        for theta in self.directions():
+            norm_sq = float(theta @ theta)
+            values = [tilde_n(s, theta, lam) for lam, _ in grid.points]
+            lo, hi = confidence_interval(s, theta, grid, MB3)
+            assert lo == max(phi_minus(v, co, norm_sq) for v, co in zip(values, coeffs))
+            assert hi == min(phi_plus_inverse(v, co, norm_sq) for v, co in zip(values, coeffs))
+            assert 0.0 < lo < hi < math.inf
+            sel = select_hat_n(s, theta, grid, 0.05, MB3)
+            j = [lam for lam, _ in grid.points].index(sel.lambda_hat)
+            assert sel.value == values[j]
+            assert sel.bound == b_bound(values[j] / norm_sq, 0.05, coeffs[j])
+            assert sel.bound == min(b_bound(v / norm_sq, 0.05, co)
+                                    for v, co in zip(values, coeffs))
+
+    def test_one_solve_per_direction(self, monkeypatch):
+        shapes = []
+
+        def counting(v, lam):
+            shapes.append(np.shape(v))
+            return solve(v, lam)
+
+        solve = mestimator.scale_from_squares
+        monkeypatch.setattr(mestimator, "scale_from_squares", counting)
+        monkeypatch.setattr(bounds, "scale_from_squares", counting, raising=False)
+        s = self.sample()
+        for theta in self.directions():
+            confidence_interval(s, theta, self.GRID, MB3)
+        assert shapes == [(self.GRID.K, s.n)] * 2
 
 
 class TestEmpiricalBounds:

@@ -271,6 +271,13 @@ class TestRobustGram:
                           epsilon=0.01)
         assert est.lambda_used[0] == 1.0 / math.sqrt(5)
 
+    def test_zero_sample_reports_no_lambda(self):
+        # every direction vanishes, so no level is used: no entry, not nan
+        est = robust_gram(Sample(np.zeros((5, 3))))
+        np.testing.assert_array_equal(est.matrix, np.zeros((3, 3)))
+        assert est.lambda_used == []
+        assert est.frobenius_deltas == [0.0]
+
     # upper triangle, row by row, of the estimate on trial 1 of the reference
     # experiment (its solves move when the Newton slope changes by one ulp);
     # computed with the one-loop solver on x86-64 with numpy 2.4.6 and

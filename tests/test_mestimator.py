@@ -7,19 +7,16 @@ from hypothesis import strategies as st
 
 import robustgram.mestimator as mestimator
 from robustgram import gram
+from robustgram.bounds import Grid, MomentBounds, coeffs_for_grid, select_from_squares
 from robustgram.harness import ExperimentConfig, gen_mixture, trial_rng
 from robustgram.influence import psi, psi_prime
 from robustgram.mestimator import (
     Sample,
-    adaptive_lambda,
     alpha_hat,
     lambda_from_square_rows,
-    lambda_from_squares,
     r_lambda,
-    robust_scale,
     scale_from_squares,
     tilde_n,
-    tilde_n_from_squares,
 )
 
 from oracles import bisect_alpha, bisect_scale, gridscan_scale, scale_criterion
@@ -28,6 +25,11 @@ from oracles import bisect_alpha, bisect_scale, gridscan_scale, scale_criterion
 def one_direction_sample(values):
     """n x 1 sample whose projections on theta = (1,) are the given values."""
     return Sample(np.asarray(values, dtype=float).reshape(-1, 1))
+
+
+def solve_row(v, lam):
+    """The row solver on the squared values v of one direction, as a one-row matrix."""
+    return scale_from_squares(np.asarray(v, dtype=float)[None], np.array([lam]))
 
 
 class TestSample:
@@ -167,55 +169,59 @@ class TestTildeN:
 
 class TestRobustScale:
     def test_constant_values(self):
-        res = robust_scale(np.array([1.3, -1.3, 1.3]), 0.5)
+        p = np.array([1.3, -1.3, 1.3])
+        res = solve_row(p * p, 0.5)
         assert res.converged
-        assert res.value == pytest.approx(1.3**2, rel=1e-12)
+        assert res.value[0] == pytest.approx(1.3**2, rel=1e-12)
 
     def test_two_point_vs_bisection_oracle(self):
         for a in (0.5, 1.0, 3.0):
             for lam in (0.1, 0.3, 0.6):
-                ours = robust_scale(np.array([0.0, a]), lam)
+                p = np.array([0.0, a])
+                ours = solve_row(p * p, lam)
                 ref = bisect_scale(np.array([0.0, a**2]), lam)
                 assert ours.converged
-                assert ours.value == pytest.approx(ref, rel=1e-10)
+                assert ours.value[0] == pytest.approx(ref, rel=1e-10)
                 # psi(lam (a^2/S - 1)) = psi(lam) has the closed form S = a^2/2
-                assert ours.value == pytest.approx(a * a / 2.0, rel=1e-9)
+                assert ours.value[0] == pytest.approx(a * a / 2.0, rel=1e-9)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(7)
         p = rng.standard_normal(30)
-        base = robust_scale(p, 0.25).value
+        base = solve_row(p * p, 0.25).value[0]
         for c in (0.1, 3.0, 40.0):
-            assert robust_scale(c * p, 0.25).value == pytest.approx(c * c * base, rel=1e-9)
+            q = c * p
+            assert solve_row(q * q, 0.25).value[0] == pytest.approx(c * c * base, rel=1e-9)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             p = rng.standard_normal(rng.integers(2, 40))
             lam = float(rng.uniform(0.05, 0.9))
-            res = robust_scale(p, lam, tol=1e-10)
+            res = solve_row(p * p, lam)
             assert res.converged
-            resid = float(np.sum(psi(lam * (p * p / res.value - 1.0))))
+            resid = float(np.sum(psi(lam * (p * p / res.value[0] - 1.0))))
             assert abs(resid) <= 1e-10
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            robust_scale(np.zeros(5), 0.3)
+            solve_row(np.zeros(5), 0.3)
 
     def test_no_positive_root_corner(self):
         # one non-zero among many zeros with lambda >= 1: criterion stays negative
-        res = scale_from_squares(np.array([4.0] + [0.0] * 9), 2.0)
+        res = solve_row([4.0] + [0.0] * 9, 2.0)
         assert not res.converged
-        assert res.value == 0.0
+        assert res.value[0] == 0.0
 
     def test_non_finite_input_rejected(self):
+        p = np.array([1e200, 1.0, 2.0])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            robust_scale(np.array([1e200, 1.0, 2.0]), 0.5)  # squares overflow
-        with pytest.raises(ValueError, match="finite"):
-            tilde_n_from_squares(np.array([np.inf, 1.0, 2.0]), 0.5)
+            solve_row(p * p, 0.5)  # squares overflow
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            tilde_n(one_direction_sample(p), np.array([1.0]), 0.5)
 
     def test_method_reported(self):
-        res = robust_scale(np.array([1.0, 2.0, 0.5]), 0.3)
+        res = solve_row([1.0, 4.0, 0.25], 0.3)
         assert res.method in ("newton", "bisection-fallback")
 
     def test_newton_agrees_with_gridscan(self):
@@ -223,8 +229,8 @@ class TestRobustScale:
         for _ in range(30):
             p = rng.standard_normal(rng.integers(2, 25))
             lam = float(rng.uniform(0.05, 0.9))
-            res = robust_scale(p, lam)
-            assert res.value == pytest.approx(gridscan_scale(p * p, lam), rel=1e-8)
+            res = solve_row(p * p, lam)
+            assert res.value[0] == pytest.approx(gridscan_scale(p * p, lam), rel=1e-8)
 
 
 class TestEquivalence:
@@ -241,7 +247,7 @@ class TestEquivalence:
             if not np.any(p != 0):
                 continue
             via_alpha = tilde_n(s, theta, lam)
-            via_scale = robust_scale(p, lam).value
+            via_scale = solve_row(p * p, lam).value[0]
             via_oracle = gridscan_scale(p * p, lam)
             assert via_alpha == pytest.approx(via_scale, rel=1e-8)
             assert via_alpha == pytest.approx(via_oracle, rel=1e-8)
@@ -261,9 +267,9 @@ PLATEAUS = [
 class TestPlateau:
     @pytest.mark.parametrize("v, lam, edge", PLATEAUS)
     def test_left_edge(self, v, lam, edge):
-        res = scale_from_squares(np.array(v), lam)
-        assert res.converged and res.plateau
-        assert res.value == pytest.approx(edge, rel=1e-10)
+        res = solve_row(v, lam)
+        assert res.converged and res.plateau[0]
+        assert res.value[0] == pytest.approx(edge, rel=1e-10)
 
     @pytest.mark.parametrize("v, lam, edge", PLATEAUS)
     def test_paper_notation_agrees(self, v, lam, edge):
@@ -271,7 +277,7 @@ class TestPlateau:
         s, theta = one_direction_sample(p), np.array([1.0])
         assert tilde_n(s, theta, lam) == pytest.approx(edge, rel=1e-10)
         assert alpha_hat(s, theta, lam) == pytest.approx(math.sqrt(lam / edge), rel=1e-10)
-        assert robust_scale(p, lam).value == pytest.approx(edge, rel=1e-10)
+        assert solve_row(p * p, lam).value[0] == pytest.approx(edge, rel=1e-10)
 
 
 SQUARES = st.one_of(st.sampled_from([0.0, 1.0, 100.0]), st.floats(1e-6, 1e6))
@@ -283,10 +289,10 @@ SQUARES = st.one_of(st.sampled_from([0.0, 1.0, 100.0]), st.floats(1e-6, 1e6))
 @example(v=[0.0, 0.0, 593.0], lam=0.25, k=39)  # absolute derivative cutoff fired here
 def test_scale_solver_properties(v, lam, k):
     v = np.array(v)
-    res = scale_from_squares(v, lam)
-    if res.value == 0.0:
+    res = solve_row(v, lam)
+    if res.value[0] == 0.0:
         return  # no positive root
-    s = res.value
+    s = res.value[0]
     assert res.converged
     assert abs(scale_criterion(v, lam, s)) <= 1e-10
     # s is not inside a flat root interval: just left of it f rises or moves
@@ -294,7 +300,7 @@ def test_scale_solver_properties(v, lam, k):
     slopes = psi_prime(lam * (v[v > 0.0] / below - 1.0))
     assert scale_criterion(v, lam, below) > 1e-10 or np.any(slopes != 0.0)
     # degree-2 homogeneity holds exactly under power-of-two scaling
-    assert scale_from_squares(v * 2.0**k, lam).value == s * 2.0**k
+    assert solve_row(v * 2.0**k, lam).value[0] == s * 2.0**k
 
 
 BAD_SQUARES = [[np.nan, 0.0], [-np.inf, 0.0], [-1.0, 0.0]]
@@ -305,12 +311,12 @@ class TestRowSolver:
     def assert_rows_match_one_row_solves(v, lam):
         rows = scale_from_squares(v, lam)
         for k, (row, level) in enumerate(zip(v, lam)):
-            one = scale_from_squares(row, level)
-            assert rows.value[k] == one.value
+            one = solve_row(row, level)
+            assert rows.value[k] == one.value[0]
             assert rows.row_iterations[k] == one.iterations
             assert rows.row_converged[k] == one.converged
             assert ("bisection-fallback" if rows.bisection[k] else "newton") == one.method
-            assert rows.plateau[k] == one.plateau
+            assert rows.plateau[k] == one.plateau[0]
         return rows
 
     def test_mixed_batch_matches_one_row_solves(self):
@@ -331,7 +337,7 @@ class TestRowSolver:
         assert rows.value[1] == 0.0 and not rows.row_converged[1]
         assert rows.row_iterations[3] == 0
         assert rows.row_converged[[0, 2, 3, 4, 5, 6, 7]].all()
-        # the call-level summary reads like a ScaleResult
+        # the call-level summary of the rows
         assert rows.iterations == int(rows.row_iterations.sum())
         assert not rows.converged and rows.method == "bisection-fallback"
         assert scale_from_squares(v[2:4], lam[2:4]).converged
@@ -380,8 +386,12 @@ class TestRowSolver:
 
     @pytest.mark.parametrize("bad", BAD_SQUARES)
     def test_rejects_non_finite_or_negative(self, bad):
+        # the grid estimator gives 0 for vanishing squares without a solve;
+        # these have no positive entry either, and must still be rejected
+        mb = MomentBounds(kappa=3.0, s4=1.0, trace_g=1.0)
+        grid = Grid(points=((0.5, 10.0),), K=1, a=0.5, epsilon=0.1, n=2)
         with pytest.raises(ValueError, match="finite"):
-            tilde_n_from_squares(np.array(bad), 0.5)
+            select_from_squares(np.array(bad), 1.0, grid, coeffs_for_grid(grid, mb), 0.1)
         with pytest.raises(ValueError, match="finite"):
             scale_from_squares(np.array([[1.0, 2.0], bad]), np.array([0.5, 0.5]))
 
@@ -391,10 +401,9 @@ class TestRowSolver:
         v[2] = 4.0  # zero variance
         lam = lambda_from_square_rows(v, 0.1)
         for k in (0, 1, 3, 4):
-            assert lam[k] == lambda_from_squares(v[k], 0.1)
+            assert lam[k] == lambda_from_square_rows(v[k:k + 1], 0.1)[0]
         assert math.isnan(lam[2])
-        with pytest.raises(ValueError):
-            lambda_from_squares(v[2], 0.1)
+        assert math.isnan(lambda_from_square_rows(v[2:3], 0.1)[0])
 
     def test_lambda_rows_are_exactly_scale_free(self):
         # the variance of 2^-1000 v underflows and that of 2^1000 v overflows
@@ -428,7 +437,7 @@ class TestCertifiedStop:
         assert sum(k * n for k, n in passes) == 40000 * rows.iterations
         for row, level, steps in zip(v, lam, rows.row_iterations):
             passes.clear()
-            scale_from_squares(row, level)
+            solve_row(row, level)
             assert len(passes) == steps
 
     def test_reference_roots_are_resolved(self, monkeypatch):
@@ -460,26 +469,28 @@ class TestAdaptiveLambda:
         # m = 1, v = 1, n = 100, eps = 0.1:
         # sqrt(u (1-u)) with u = 2 log(10) / 100, frozen
         p2 = _squares_with_moments(n=100, mean=1.0, var=1.0)
-        lam = lambda_from_squares(p2, 0.1)
+        lam = lambda_from_square_rows(p2[None], 0.1)[0]
         assert lam == pytest.approx(0.20959709591425535, rel=1e-9)
 
     def test_constant_values_rejected(self):
-        with pytest.raises(ValueError):
-            adaptive_lambda(np.ones(50), 0.1)
+        # zero variance: the row gets nan, and the caller's floor takes over
+        assert math.isnan(lambda_from_square_rows(np.ones((1, 50)), 0.1)[0])
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
-            adaptive_lambda(np.array([1.0, 2.0, 3.0]), 0.1)  # 2 log(10) / 3 > 1
+            lambda_from_square_rows(np.array([[1.0, 4.0, 9.0]]), 0.1)  # 2 log(10) / 3 > 1
 
     def test_scale_free(self):
         rng = np.random.default_rng(11)
-        p = rng.standard_normal(200)
-        base = adaptive_lambda(p, 0.1)
-        assert adaptive_lambda(2.0 * p, 0.1) == pytest.approx(base, rel=1e-12)
+        p = rng.standard_normal((1, 200))
+        base = lambda_from_square_rows(p * p, 0.1)[0]
+        q = 2.0 * p
+        assert lambda_from_square_rows(q * q, 0.1)[0] == pytest.approx(base, rel=1e-12)
 
     def test_epsilon_validation(self):
+        p = np.arange(10.0)[None]
         with pytest.raises(ValueError):
-            adaptive_lambda(np.arange(10.0), 1.5)
+            lambda_from_square_rows(p * p, 1.5)
 
 
 def _squares_with_moments(n: int, mean: float, var: float) -> np.ndarray:
@@ -500,11 +511,11 @@ class TestLightTailSanity:
         n = 500
         p = 1.0 + 0.05 * rng.standard_normal(n)
         lam = 0.5
-        res = robust_scale(p, lam)
+        res = solve_row(p * p, lam)
         m = float(np.mean(p * p))
         delta = 0.02
         band = lam * lam / 3.0 + delta
-        assert m * (1.0 - band) <= res.value <= m * (1.0 + band)
+        assert m * (1.0 - band) <= res.value[0] <= m * (1.0 + band)
         # and the independent oracle lands in the same band
         ref = bisect_scale(p * p, lam)
         assert m * (1.0 - band) <= ref <= m * (1.0 + band)
