@@ -9,7 +9,8 @@ through the polarization identity, and iterates with the eigenbasis of the
 new estimate.  The d^2 directions of one update are estimated in blocks of
 rows, one row of projections per direction, and ``estimate(P, norm_sq)`` is
 the one hook that turns a block into its quadratic forms: the default
-solves a whole block with one call to the row solver.
+solves a whole block with one call to the row solver, each direction
+started at its root in the previous update.
 """
 
 from __future__ import annotations
@@ -55,7 +56,10 @@ class GramEstimate:
     itself would overflow (0 when both are 0).  lambda_used holds one
     per-update summary (mean over directions) of the adaptive truncation
     levels; none for an update that solves no direction (the zero sample
-    gives []) or with a custom ``estimate``.
+    gives []) or with a custom ``estimate``.  With the default estimate,
+    update k >= 2 starts each direction's solve at its root in update k - 1,
+    so the matrix agrees with cold-started solves only to the solver's
+    tolerance (about 1e-11 relative), not bit for bit.
     """
 
     matrix: np.ndarray
@@ -98,7 +102,7 @@ def positive_part(q: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list) -> np.ndarray:
+def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list, start=None) -> np.ndarray:
     """Default scale of each row of ``p``: adaptive truncation level, then the row solver.
 
     ``p`` holds one direction's projections per row, shape (k, n) or
@@ -107,6 +111,7 @@ def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list) -> np.ndarr
     too small for epsilon, or zero variance of the squared values); other
     errors, such as epsilon outside (0, 1), propagate.  Rows without a
     positive square give 0.  The levels used are appended to ``lam_log``.
+    ``start``, if given, holds one starting scale per row for the solver.
     """
     v = p * p
     if v.ndim == 3:
@@ -117,13 +122,15 @@ def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list) -> np.ndarr
         return out
     if not live.all():
         v = v[live]
+        if start is not None:
+            start = start[live]
     try:
         lam = lambda_from_square_rows(v, epsilon)
     except SampleSizeError:
         lam = np.full(len(v), np.nan)
     lam[np.isnan(lam)] = 1.0 / math.sqrt(v.shape[1])
     lam_log.extend(lam.tolist())
-    result = scale_from_squares(v, lam)
+    result = scale_from_squares(v, lam, start)
     failed = np.count_nonzero(~result.row_converged)
     if failed:
         logger.warning("%d of %d scale solves did not converge", failed, len(v))
@@ -131,7 +138,7 @@ def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list) -> np.ndarr
     return out
 
 
-def polarization_update(w: np.ndarray, estimate) -> np.ndarray:
+def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     """Matrix C with C_ij = (N(e_i + e_j) - N(e_i - e_j)) / 4.
 
     ``w`` holds the projections on the current basis, shape (n, d) or
@@ -143,7 +150,10 @@ def polarization_update(w: np.ndarray, estimate) -> np.ndarray:
     values, norm_sq holding each direction's squared norm (4 for the doubled
     column on the diagonal, 2 otherwise).  A ValueError from ``estimate``
     becomes a NumericalError naming the block.  With the mean of each row's
-    squares as the estimate, C is (1/n) w^T w.
+    squares as the estimate, C is (1/n) w^T w.  ``n_values``, if given,
+    holds one N per direction in this order, as left by a previous update:
+    the hook is then called as estimate(P, norm_sq, starts), starts holding
+    the entries of P's rows, and every entry is replaced by the new N.
     """
     w = np.asarray(w, dtype=float)
     d = w.shape[-1]
@@ -162,13 +172,18 @@ def polarization_update(w: np.ndarray, estimate) -> np.ndarray:
         live = p.reshape(len(p), -1).any(axis=1)
         if not live.any():
             continue
+        args = (p[live] if not live.all() else p, norm_sq[blk][live])
+        if n_values is not None:
+            args += (n_values[blk][live],)
         try:
-            values[blk][live] = estimate(p[live] if not live.all() else p, norm_sq[blk][live])
+            values[blk][live] = estimate(*args)
         except ValueError as exc:
             stop = min(start + rows, len(dirs)) - 1
             raise NumericalError(
                 f"scale solve failed at entries ({first[start]}, {second[start]}) to "
                 f"({first[stop]}, {second[stop]}): {exc}") from exc
+    if n_values is not None:
+        n_values[:] = values
     iu, ju = np.triu_indices(d)
     minus = np.zeros(len(iu))
     minus[iu < ju] = values[sign < 0.0]
@@ -195,7 +210,10 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     norm_sq)`` gives the quadratic form of each block of directions; the
     default solves each row's adaptive truncation level and robust scale
     (``_robust_scale_rows``) and records the mean level per update in
-    ``lambda_used``.  Stops after ``num_updates`` or once
+    ``lambda_used``.  It keeps each direction's N, in
+    ``polarization_update``'s order, and starts that direction's solve in
+    the next update there: update 1 starts every solve at the mean of its
+    squares, and once the iterate settles most solves take one pass.  Stops after ``num_updates`` or once
     ||Q_k - Q_{k-1}||_F <= ``STOP_TOL`` ||Q_{k-1}||_F.  The default estimate
     is homogeneous of degree 2 and each of its steps scales exactly under a
     power of two, so it runs on the vectors divided by 2^e, e the binary
@@ -211,10 +229,12 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     if num_updates < 1:
         raise ValueError("num_updates must be at least 1")
     flat = vectors.reshape(-1, vectors.shape[-1])
-    e, lam_log = 0, []
+    e, lam_log, n_values = 0, [], None
     if estimate is None:
-        def estimate(p, norm_sq):
-            return _robust_scale_rows(p, epsilon, lam_log)
+        def estimate(p, norm_sq, start):
+            return _robust_scale_rows(p, epsilon, lam_log, start)
+        # each direction's N of the previous update; nan starts update 1 at the mean
+        n_values = np.full(vectors.shape[-1] ** 2, np.nan)
         e = int(np.frexp(np.max(np.abs(flat), initial=0.0))[1]) - NORM_EXPONENT
         flat = np.ldexp(flat, -e)
         vectors = flat.reshape(vectors.shape)
@@ -226,7 +246,7 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     deltas, lam_means = [], []
     for k in range(num_updates):
         lam_log.clear()
-        c = polarization_update((flat @ basis).reshape(vectors.shape), estimate)
+        c = polarization_update((flat @ basis).reshape(vectors.shape), estimate, n_values)
         q = basis @ c @ basis.T
         q = 0.5 * (q + q.T)
         if not np.all(np.isfinite(q)):

@@ -12,9 +12,11 @@ solver, ``scale_from_squares``, finds that root for each row of a (k, n)
 matrix at the row's own lambda, and ``lambda_from_square_rows`` gives each
 row its adaptive lambda.  The solver is one safeguarded Newton loop in the
 paper's variable x = 1/S = alpha^2 / lambda, in which the criterion is
-nearly linear.  Its step stays inside a sign bracket that every evaluation
-tightens, with bisection, doubling or halving as the fallbacks, and f and
-f' come from one fused ``psi_and_prime`` pass.  A row stops once |f| <=
+nearly linear.  A row starts at a given scale, such as its root in the
+previous polarization update, or else at the mean of its squares.  Its step
+stays inside a sign bracket that every evaluation tightens, with bisection,
+doubling or halving as the fallbacks, and f and f' come from one fused
+``psi_and_prime`` pass.  A row stops once |f| <=
 ``TOL`` and S is resolved to about 2^-40 relative: by the size of the next
 Newton step, by the width of the bracket, or because the criterion is flat.
 A Newton step whose landing a Taylor bound with |psi''| <= 2 already
@@ -156,13 +158,15 @@ def _rescale_rows(v):
     return v, mean, exponent
 
 
-def scale_from_squares(v, lam) -> ScaleResult:
+def scale_from_squares(v, lam, start=None) -> ScaleResult:
     """Per row r: smallest S > 0 with f(S) = sum_j psi(lam_r (v_rj / S - 1)) <= 0.
 
     ``v`` is (k, n) with finite v_rj >= 0 and a positive entry in each row;
-    ``lam`` holds one positive level per row.  Each row runs one safeguarded
-    Newton loop on x = 1/S = alpha^2 / lam, in which the criterion is nearly
-    linear.  It starts at S0 = mean(v_r) with the bracket lo = 0, hi = inf,
+    ``lam`` holds one positive level per row, and ``start``, if given, one
+    starting scale per row.  Each row runs one safeguarded Newton loop on
+    x = 1/S = alpha^2 / lam, in which the criterion is nearly linear.  It
+    starts at S0 = start_r, or at S0 = mean(v_r) where no start is given or
+    the start is not finite and positive, with the bracket lo = 0, hi = inf,
     and every evaluation moves lo or hi to S by the sign of f.  The step is
     S / (1 - f / d), with d = -S f'(S) = sum_j psi'(t_j) lam v_rj / S, and
     is taken when it lies in (lo, hi) and d >= 1e-14.  Otherwise the row
@@ -183,7 +187,7 @@ def scale_from_squares(v, lam) -> ScaleResult:
     is the sup in the alpha form.  A row whose criterion is non-positive
     near S = 0 has no positive root: value 0, not converged.  A row with a
     mean beyond 2^+-``RESCALE_EXPONENT`` is solved rescaled by a power of
-    two, so its root scales exactly with the data.  Rows still iterating are
+    two, its start with it, so its root scales exactly with the data.  Rows still iterating are
     kept in compacted arrays, copied only when some of them stop.
     """
     v = np.asarray(v, dtype=float)
@@ -200,6 +204,14 @@ def scale_from_squares(v, lam) -> ScaleResult:
     v, mean, exponent = _rescale_rows(v)
     if not np.all(np.isfinite(mean)):
         raise ValueError("scale solve needs finite values with a finite mean")
+    s0 = mean
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != mean.shape:
+            raise ValueError(f"need one start per row, got {start.shape} for {len(v)} rows")
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = np.ldexp(start, -exponent)
+            s0 = np.where(np.isfinite(start) & (start > 0.0), start, mean)
 
     k = len(v)
     value = np.zeros(k)
@@ -211,7 +223,7 @@ def scale_from_squares(v, lam) -> ScaleResult:
     # criterion value as S -> 0+; where it is non-positive there is no positive root
     no_root = n_pos * LOG2 + (v.shape[1] - n_pos) * psi(-lam) <= 0.0
     bisection[no_root] = True
-    rows, va, la, s, sq = np.arange(k), v, lam, mean, np.sum(v * v, axis=1)
+    rows, va, la, s, sq = np.arange(k), v, lam, s0, np.sum(v * v, axis=1)
     if no_root.any():
         rows, va, la, s, sq = (x[~no_root] for x in (rows, va, la, s, sq))
     lo, hi = np.zeros(len(rows)), np.full(len(rows), np.inf)

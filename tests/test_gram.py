@@ -15,7 +15,7 @@ from robustgram.gram import (
     robust_gram,
 )
 from robustgram.harness import ExperimentConfig, gen_mixture, trial_rng
-from robustgram import gram
+from robustgram import gram, mestimator
 from robustgram.mestimator import Sample, scale_from_squares
 
 from oracles import (
@@ -164,6 +164,54 @@ class TestBlockedUpdate:
         np.testing.assert_allclose(c, w.T @ w / 4000, rtol=1e-12)
 
 
+class TestWarmStart:
+    """From update 2 on, each direction's solve starts at its root in the
+    previous update."""
+
+    def test_settled_updates_take_one_pass_per_row(self, monkeypatch):
+        # the estimate-tall shape (n = 40000, d = 10): one direction per block
+        passes, calls = [], []
+
+        def counting(t):
+            passes.append(len(t))
+            return kernel(t)
+
+        def solve(v, lam, start=None):
+            passes.clear()
+            r = scale_from_squares(v, lam, start)
+            calls.append((start, r.value, sum(passes)))
+            return r
+
+        kernel = mestimator.psi_and_prime
+        monkeypatch.setattr(mestimator, "psi_and_prime", counting)
+        monkeypatch.setattr(gram, "scale_from_squares", solve)
+        cfg = ExperimentConfig(n=40000, d=10, trials=1, seed=0)
+        est = robust_gram(gen_mixture(cfg, trial_rng(cfg.seed)), epsilon=0.1)
+        assert est.iterations == 4 and len(calls) == 400
+        updates = [calls[k:k + 100] for k in range(0, 400, 100)]
+        assert all(np.isnan(start).all() for start, _, _ in updates[0])
+        for before, after in zip(updates, updates[1:]):
+            for (_, root, _), (start, _, _) in zip(before, after):
+                np.testing.assert_array_equal(start, root)
+        # a solve from the mean takes two kernel passes per row; update 2 moved
+        # the iterate by 7.5e-6, which leaves some roots of update 3 too far
+        # from their starts for the certificate, and update 3 by 3.7e-7
+        passes_per_update = [sum(p for _, _, p in u) for u in updates]
+        assert passes_per_update[0] == 200
+        assert passes_per_update[2] < 150 and passes_per_update[3] == 100
+
+    def test_custom_hook_is_called_with_two_arguments(self):
+        seen = []
+
+        def hook(p, norm_sq):
+            seen.append(len(p))
+            return mean_of_squares(p, norm_sq)
+
+        s = Sample(np.random.default_rng(19).standard_normal((30, 3)))
+        iterate_polarization(s.data, num_updates=2, estimate=hook)
+        assert sum(seen) == 9
+
+
 class TestRobustGram:
     def test_oracle_fixed_point(self):
         # with the mean-of-squares scale every iterate is the empirical matrix
@@ -280,28 +328,29 @@ class TestRobustGram:
 
     # upper triangle, row by row, of the estimate on trial 1 of the reference
     # experiment (its solves move when the Newton slope changes by one ulp);
-    # computed with the one-loop solver on x86-64 with numpy 2.4.6 and
-    # OpenBLAS (another BLAS may round the rotations differently)
+    # computed with the one-loop solver, each update's solves started at the
+    # previous update's roots, on x86-64 with numpy 2.4.6 and OpenBLAS
+    # (another BLAS may round the rotations differently)
     REFERENCE_UPPER = [
-        "0x1.cb0f94c0f2256p+1", "0x1.596088af73c90p+0", "0x1.a948a92db6914p-9",
-        "0x1.7d4cd6f04dbe5p-1", "0x1.a90563f5c70fbp-3", "-0x1.0b757f59849dep-2",
-        "-0x1.b40fb19f4a321p-3", "0x1.84ca8682b98c0p-3", "0x1.5f2504b60bebcp-3",
-        "0x1.abdf638d43d3ep-3", "0x1.6b8831526715ap+1", "-0x1.92b38ff5a9ce2p-4",
-        "0x1.96435de6402f4p-6", "-0x1.0bde43d38eea0p-1", "-0x1.491c79c358636p-2",
-        "0x1.d6ba079619d3ep-3", "0x1.0cac7e803a7b8p-2", "0x1.e67d859411e55p-3",
-        "-0x1.ee0a91b40ec38p-8", "0x1.ffda527b8381dp-3", "0x1.ee4ccf4b4f152p-4",
-        "0x1.27a39639a891ep-2", "0x1.f9f3e2d0ab245p-4", "0x1.ea9c1a4307adep-6",
-        "-0x1.bd45aa9824398p-3", "-0x1.134f250548a6ap-4", "0x1.3575ef20470c6p-10",
-        "0x1.0dbc5c18e57f0p-1", "0x1.c7a9779dd6a79p-4", "-0x1.8ffb42ad3cef9p-2",
-        "-0x1.7e078a64f4e41p-5", "-0x1.56c5d1ce50530p-4", "0x1.4d067c0d8416bp-4",
-        "-0x1.26743436b9e08p-4", "0x1.18d79c46b2b78p-1", "0x1.6a64efbf6f73ap-2",
-        "-0x1.a43f30649df82p-6", "-0x1.1b4483c91a83ep-4", "-0x1.0566f5b7b6925p-3",
-        "-0x1.39455849b6098p-4", "0x1.821552f6337e2p-1", "-0x1.f76598ac6f1ecp-7",
-        "0x1.620902fb8e046p-3", "-0x1.762114dd2da6fp-3", "0x1.8c65ceaeb3a80p-5",
-        "0x1.0d8427eba2544p-3", "-0x1.5c22ea6e0a98dp-3", "0x1.aaed486e22312p-5",
-        "0x1.7dea040fd0e12p-5", "0x1.e8ab6107cb469p-2", "-0x1.ab655ea4d730ap-5",
-        "-0x1.b4de46ae51bd0p-3", "0x1.2e4db0fc3d40fp-3", "0x1.4e4b6379079d9p-5",
-        "0x1.49e439661ef91p-2",
+        "0x1.cb0f94c0f20aep+1", "0x1.596088af74440p+0", "0x1.a948a93035974p-9",
+        "0x1.7d4cd6f04de84p-1", "0x1.a90563f5c6821p-3", "-0x1.0b757f5980ebap-2",
+        "-0x1.b40fb19f536f0p-3", "0x1.84ca8682b5f8dp-3", "0x1.5f2504b60c570p-3",
+        "0x1.abdf638d41c42p-3", "0x1.6b88315267419p+1", "-0x1.92b38ff5abb8cp-4",
+        "0x1.96435de613286p-6", "-0x1.0bde43d38dfa3p-1", "-0x1.491c79c357480p-2",
+        "0x1.d6ba07962350cp-3", "0x1.0cac7e8037b4ep-2", "0x1.e67d85940feaap-3",
+        "-0x1.ee0a91b4567d1p-8", "0x1.ffda527b89176p-3", "0x1.ee4ccf4b541b0p-4",
+        "0x1.27a39639a7e8cp-2", "0x1.f9f3e2d0ab992p-4", "0x1.ea9c1a4326d3ap-6",
+        "-0x1.bd45aa982fc29p-3", "-0x1.134f25053cfeap-4", "0x1.3575ef1d833e0p-10",
+        "0x1.0dbc5c18e5375p-1", "0x1.c7a9779dcfb3cp-4", "-0x1.8ffb42ad40b11p-2",
+        "-0x1.7e078a64f1b8ep-5", "-0x1.56c5d1ce56af0p-4", "0x1.4d067c0d79776p-4",
+        "-0x1.26743436a77b7p-4", "0x1.18d79c46b09a3p-1", "0x1.6a64efbf74ad2p-2",
+        "-0x1.a43f3064c0b9ep-6", "-0x1.1b4483c934557p-4", "-0x1.0566f5b7b6d78p-3",
+        "-0x1.39455849b5fd6p-4", "0x1.821552f63822ep-1", "-0x1.f76598ac39404p-7",
+        "0x1.620902fb832cep-3", "-0x1.762114dd32c26p-3", "0x1.8c65ceaec6b6ep-5",
+        "0x1.0d8427eba63c1p-3", "-0x1.5c22ea6e0e19fp-3", "0x1.aaed486e349e4p-5",
+        "0x1.7dea040fccf3ap-5", "0x1.e8ab6107cda0cp-2", "-0x1.ab655ea4f22f2p-5",
+        "-0x1.b4de46ae53baep-3", "0x1.2e4db0fc40abdp-3", "0x1.4e4b63792f634p-5",
+        "0x1.49e439661c9adp-2",
     ]
 
     def test_bitwise_reference_matrix(self):
@@ -316,8 +365,8 @@ class TestRobustGram:
         # reference experiment; the former Newton in S bisected most rows
         results = []
 
-        def solve(v, lam):
-            results.append(scale_from_squares(v, lam))
+        def solve(v, lam, start=None):
+            results.append(scale_from_squares(v, lam, start))
             return results[-1]
 
         monkeypatch.setattr(gram, "scale_from_squares", solve)

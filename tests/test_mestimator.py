@@ -445,8 +445,8 @@ class TestCertifiedStop:
         # re-evaluated with the kernel at the returned scale
         solved = []
 
-        def solve(v, lam):
-            solved.append((v, lam, scale_from_squares(v, lam)))
+        def solve(v, lam, start=None):
+            solved.append((v, lam, scale_from_squares(v, lam, start)))
             return solved[-1][2]
 
         monkeypatch.setattr(gram, "scale_from_squares", solve)
@@ -462,6 +462,67 @@ class TestCertifiedStop:
             d = np.sum(psi_prime(a - lam[:, None]) * a, axis=1)
             assert (np.abs(f) <= 1e-10).all()
             assert (np.abs(f) <= 2.0**-40 * d).all()
+
+
+class TestWarmStart:
+    """A row may start at a given scale; a start that is not finite and
+    positive falls back to the row mean, and a start moves with its row
+    under the power-of-two rescale."""
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        for field in ("value", "row_iterations", "row_converged", "bisection", "plateau"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+    def test_unusable_start_gives_the_cold_bits(self, bad):
+        v, lam = TestBitwisePin.batch()
+        self.assert_same_bits(scale_from_squares(v, lam, np.full(len(v), bad)),
+                              scale_from_squares(v, lam))
+
+    def test_start_at_the_root_takes_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        v = rng.standard_t(3, (6, 400)) ** 2
+        lam = lambda_from_square_rows(v, 0.1)
+        cold = scale_from_squares(v, lam)
+        passes = []
+
+        def counting(t):
+            passes.append(len(t))
+            return kernel(t)
+
+        kernel = mestimator.psi_and_prime
+        monkeypatch.setattr(mestimator, "psi_and_prime", counting)
+        warm = scale_from_squares(v, lam, cold.value)
+        assert passes == [len(v)]
+        assert warm.row_converged.all() and (warm.row_iterations <= 1).all()
+        np.testing.assert_allclose(warm.value, cold.value, rtol=1e-12)
+
+    def test_start_off_the_root_converges_to_it(self):
+        # the plateau row may land on its left edge directly, unflagged
+        v, lam = TestBitwisePin.batch()
+        cold = scale_from_squares(v, lam)
+        for factor in (1e-6, 0.5, 3.0, 1e6):
+            warm = scale_from_squares(v, lam, cold.value * factor)
+            np.testing.assert_array_equal(warm.row_converged, cold.row_converged)
+            np.testing.assert_allclose(warm.value, cold.value, rtol=1e-11)
+
+    def test_rescaled_row_scales_exactly_with_its_start(self):
+        # means beyond 2^256 are solved on v * 2^-e, and the start with them
+        rng = np.random.default_rng(27)
+        v = rng.standard_t(3, (2, 60)) ** 2
+        lam = np.array([0.3, 0.8])
+        start = 1.7 * np.mean(v, axis=1)
+        base = scale_from_squares(v * 2.0**300, lam, start * 2.0**300)
+        assert base.row_converged.all()
+        for k in (-1000, -600, 600, 700):
+            r = scale_from_squares(v * 2.0**(300 + k), lam, start * 2.0**(300 + k))
+            np.testing.assert_array_equal(r.value, base.value * 2.0**k)
+            np.testing.assert_array_equal(r.row_iterations, base.row_iterations)
+
+    def test_start_shape_is_checked(self):
+        with pytest.raises(ValueError, match="start"):
+            scale_from_squares(np.ones((2, 3)), np.array([0.5, 0.5]), np.ones(3))
 
 
 class TestAdaptiveLambda:
@@ -536,7 +597,8 @@ class TestBitwisePin:
         "0x1.cef968c724d74p-1", "0x1.8000000000000p+0",
     ]
 
-    def test_row_batch(self):
+    @staticmethod
+    def batch():
         rng = np.random.default_rng(20240)
         v = rng.standard_t(3, (8, 60)) ** 2
         lam = rng.uniform(0.05, 4.0, 8)
@@ -544,7 +606,10 @@ class TestBitwisePin:
         v[5, :30] = 0.0  # no positive root at lambda = 4
         v[7] = np.repeat([1.0, 100.0], 30)  # flat root stretch with left edge 1.5
         lam[5], lam[7] = 4.0, 3.0
-        r = scale_from_squares(v, lam)
+        return v, lam
+
+    def test_row_batch(self):
+        r = scale_from_squares(*self.batch())
         assert [float(x).hex() for x in r.value] == self.VALUES
         assert r.row_iterations.tolist() == [5, 5, 6, 6, 7, 0, 5, 0]
         assert r.bisection.tolist() == [False] * 5 + [True, False, False]
