@@ -4,8 +4,9 @@ All bounds are dimension-free: they involve the sample size, the kurtosis
 ratio ``kappa``, fourth-moment scales and traces, never the ambient
 dimension.  Vacuous bounds are represented by ``math.inf`` so that argmin
 logic stays explicit (``math.isinf`` marks the gated-out regions).
-The grid estimators solve the K levels lambda_j of a direction as K rows
-of one ``mestimator.scale_from_squares`` call.
+The grid estimators solve the K levels lambda_j of a direction, or of a
+block of directions, as the rows of one ``mestimator.scale_from_squares``
+call.
 """
 
 from __future__ import annotations
@@ -227,13 +228,18 @@ def b_bound(t: float, sigma: float, coeffs: BoundCoeffs) -> float:
     return (coeffs.gamma + tau) / (1.0 - coeffs.mu - coeffs.gamma - 2.0 * tau)
 
 
-def _tilde_n_grid(v, grid: Grid) -> list:
-    """tilde_n of the squared values v at each grid level; all 0 if v vanishes."""
+def _tilde_n_grid(v, grid: Grid) -> np.ndarray:
+    """(k, K) tilde_n of each row of the (k, n) squared values v at each grid
+    level, from one row solve; a row that vanishes gives 0 at every level."""
     v = np.asarray(v, dtype=float)
-    if not v.any():  # non-finite or negative values go on to the solver's check
-        return [0.0] * grid.K
-    lams = [lam for lam, _ in grid.points]
-    return scale_from_squares(np.tile(v, (grid.K, 1)), lams).value.tolist()
+    values = np.zeros((len(v), grid.K))
+    live = v.any(axis=1)  # non-finite or negative values go on to the solver's check
+    if live.any():
+        lams = np.array([lam for lam, _ in grid.points])
+        rows = v[live]
+        values[live] = scale_from_squares(np.repeat(rows, grid.K, axis=0),
+                                          np.tile(lams, len(rows))).value.reshape(-1, grid.K)
+    return values
 
 
 class SelectedEstimate(NamedTuple):
@@ -244,34 +250,54 @@ class SelectedEstimate(NamedTuple):
     vacuous: bool
 
 
+def select_from_square_rows(v, norm_sq, grid: Grid, coeffs: list, sigma: float) -> list:
+    """Adaptive estimator on each row of the (k, n) squared values v, one
+    direction per row with squared norms norm_sq.
+
+    Computes tilde_n at every grid point, all k x K in one row solve, and
+    keeps per row the one minimizing its own bound b_bound(tilde_n /
+    norm_sq).  Ties break toward the smallest grid index; if every bound of
+    a row is vacuous its smallest-lambda point is returned with
+    ``vacuous=True``.
+    """
+    out = []
+    for values, ns in zip(_tilde_n_grid(v, grid).tolist(), norm_sq):
+        bounds_at = [b_bound(val / ns, sigma, co) for val, co in zip(values, coeffs)]
+        best = int(np.argmin(bounds_at))
+        vacuous = math.isinf(bounds_at[best])
+        if vacuous:
+            best = 0  # smallest lambda
+        lam, beta = grid.points[best]
+        out.append(SelectedEstimate(values[best], lam, beta, bounds_at[best], vacuous))
+    return out
+
+
 def select_from_squares(v, norm_sq: float, grid: Grid, coeffs: list,
                         sigma: float) -> SelectedEstimate:
-    """Adaptive estimator on squared values v of a direction with squared norm norm_sq.
-
-    Computes tilde_n at every grid point, all K in one row solve, and keeps
-    the one minimizing its own bound b_bound(tilde_n / norm_sq).  Ties break
-    toward the smallest grid index; if every bound is vacuous the
-    smallest-lambda point is returned with ``vacuous=True``.
-    """
-    values = _tilde_n_grid(v, grid)
-    bounds_at = [b_bound(val / norm_sq, sigma, co) for val, co in zip(values, coeffs)]
-    best = int(np.argmin(bounds_at))
-    vacuous = math.isinf(bounds_at[best])
-    if vacuous:
-        best = 0  # smallest lambda
-    lam, beta = grid.points[best]
-    return SelectedEstimate(values[best], lam, beta, bounds_at[best], vacuous)
+    """``select_from_square_rows`` on the squared values v of one direction."""
+    return select_from_square_rows(np.asarray(v, dtype=float)[None], [norm_sq], grid,
+                                   coeffs, sigma)[0]
 
 
-def select_hat_n(sample: Sample, theta, grid: Grid, sigma: float,
-                 mb: MomentBounds) -> SelectedEstimate:
-    """``select_from_squares`` on the squared projections of the sample on theta."""
+def _direction_squares(sample: Sample, theta, grid: Grid) -> tuple:
+    """(squared projections, squared norm) of a non-zero theta on a sample of
+    the size the grid was built for."""
+    if grid.n != sample.n:
+        raise ValueError(f"the grid is built for n = {grid.n}, the sample has n = {sample.n}")
     theta = np.asarray(theta, dtype=float)
     norm_sq = float(theta @ theta)
     if norm_sq == 0.0:
         raise ValueError("theta must be non-zero")
     p = sample.projections(theta)
-    return select_from_squares(p * p, norm_sq, grid, coeffs_for_grid(grid, mb), sigma)
+    return p * p, norm_sq
+
+
+def select_hat_n(sample: Sample, theta, grid: Grid, sigma: float,
+                 mb: MomentBounds) -> SelectedEstimate:
+    """``select_from_squares`` on the squared projections of the sample on theta;
+    ValueError unless the grid is built for the sample's n."""
+    v, norm_sq = _direction_squares(sample, theta, grid)
+    return select_from_squares(v, norm_sq, grid, coeffs_for_grid(grid, mb), sigma)
 
 
 def zeta_star(t: float, mb: MomentBounds, K: int, epsilon: float) -> float:
@@ -317,15 +343,13 @@ def confidence_interval(sample: Sample, theta, grid: Grid, mb: MomentBounds,
 
     lower = max_j phi_minus(tilde_n_j), upper = min_j phi_plus_inverse(tilde_n_j),
     with the K values tilde_n_j from one projection and one row solve; the
-    interval degenerates to [0, inf) when every gate is inactive.
+    interval degenerates to [0, inf) when every gate is inactive.  The
+    coefficients use grid.n, so a grid built for another n raises ValueError.
     """
-    theta = np.asarray(theta, dtype=float)
-    norm_sq = float(theta @ theta)
-    if norm_sq == 0.0:
-        raise ValueError("theta must be non-zero")
-    p = sample.projections(theta)
+    v, norm_sq = _direction_squares(sample, theta, grid)
     lower, upper = 0.0, math.inf
-    for val, co in zip(_tilde_n_grid(p * p, grid), coeffs_for_grid(grid, mb, epsilon)):
+    for val, co in zip(_tilde_n_grid(v[None], grid)[0].tolist(),
+                       coeffs_for_grid(grid, mb, epsilon)):
         lower = max(lower, phi_minus(val, co, norm_sq))
         upper = min(upper, phi_plus_inverse(val, co, norm_sq))
     return lower, upper

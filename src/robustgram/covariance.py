@@ -121,9 +121,9 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
     Both modes run ``iterate_polarization`` on the blocks' generating vectors.
     Mode "iterative-practical" uses its default adaptive scale solver.  Mode
     "grid-certified" passes as its ``estimate`` the grid-selected estimator
-    ``bounds.select_from_squares`` on each row (kappa mapped through the
-    q-block transfer, n replaced by the block count); it requires enough
-    blocks for the theoretical grid.
+    ``bounds.select_from_square_rows`` on the rows of a block, one solver
+    call per block (kappa mapped through the q-block transfer, n replaced by
+    the block count); it requires enough blocks for the theoretical grid.
     Set ``psd=True`` to clamp negative eigenvalues of the final estimate.
     """
     if mode not in ("iterative-practical", "grid-certified"):
@@ -151,8 +151,8 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
             sigma = s4_a**2
 
         def estimate(p, norm_sq):
-            return [bnd.select_from_squares(np.sum(r * r, axis=1), ns, grid, coeffs, sigma).value
-                    for r, ns in zip(p, norm_sq.tolist())]
+            return [sel.value for sel in bnd.select_from_square_rows(
+                np.sum(p * p, axis=2), norm_sq.tolist(), grid, coeffs, sigma)]
 
     est = iterate_polarization(vectors, epsilon, num_updates, estimate)
     if psd:

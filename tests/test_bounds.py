@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from robustgram.bounds import (
     phi_plus,
     phi_plus_inverse,
     radius_envelope,
+    select_from_square_rows,
+    select_from_squares,
     select_hat_n,
     sigma_default,
     sym_zeta_star,
@@ -377,6 +380,27 @@ class TestGridAsRows:
         for theta in self.directions():
             confidence_interval(s, theta, self.GRID, MB3)
         assert shapes == [(self.GRID.K, s.n)] * 2
+
+    def test_grid_for_another_n_is_rejected(self):
+        # the coefficients use grid.n: at n = 10^6 on these 3000 rows the
+        # interval came out empty (lower 2.59 > upper 2.37)
+        s, grid = self.sample(), dataclasses.replace(self.GRID, n=10**6)
+        theta = self.directions()[1]
+        with pytest.raises(ValueError, match="n = 1000000"):
+            confidence_interval(s, theta, grid, MB3)
+        with pytest.raises(ValueError, match="n = 1000000"):
+            select_hat_n(s, theta, grid, 0.05, MB3)
+
+    def test_rows_select_as_one_row_each(self):
+        s, grid = self.sample(), self.GRID
+        coeffs = coeffs_for_grid(grid, MB3)
+        thetas = self.directions() + [np.zeros(3)]
+        v = np.array([(s.data @ t) ** 2 for t in thetas])
+        norm_sq = [2.0, 1.0, 3.0]
+        rows = select_from_square_rows(v, norm_sq, grid, coeffs, 0.05)
+        assert rows == [select_from_squares(r, ns, grid, coeffs, 0.05)
+                        for r, ns in zip(v, norm_sq)]
+        assert rows[2].value == 0.0 and rows[0].value > 0.0
 
 
 class TestEmpiricalBounds:

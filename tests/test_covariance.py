@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from robustgram import bounds
 from robustgram.covariance import (
     BlockSet,
     block_moment_bounds,
@@ -248,6 +249,34 @@ class TestRobustCovariance:
         est = robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified",
                                 num_updates=2)
         assert frobenius_error(est.matrix, np.eye(d)) <= 0.5
+
+    def test_grid_certified_solves_a_block_in_one_call(self, monkeypatch):
+        # the rows x K levels of a block are one solve, with the bits of a
+        # solve per row
+        calls = []
+
+        def counting(v, lam):
+            calls.append(len(v))
+            return solve(v, lam)
+
+        def per_row(v, norm_sq, grid, coeffs, sigma):
+            return [select_rows(r[None], [ns], grid, coeffs, sigma)[0]
+                    for r, ns in zip(v, norm_sq)]
+
+        solve, select_rows = bounds.scale_from_squares, bounds.select_from_square_rows
+        x = np.random.default_rng(11).standard_normal((14000, 3)) + 1.0
+        monkeypatch.setattr(bounds, "scale_from_squares", counting)
+        blocked = robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified",
+                                    num_updates=2)
+        # 7000 blocks of one vector: 2 of the 9 directions per block of rows
+        assert blocked.iterations == 2
+        grid_k = calls[0] // 2
+        assert calls == [2 * grid_k] * 4 + [grid_k] + [2 * grid_k] * 4 + [grid_k]
+        monkeypatch.setattr(bounds, "select_from_square_rows", per_row)
+        single = robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified",
+                                   num_updates=2)
+        np.testing.assert_array_equal(blocked.matrix, single.matrix)
+        assert len(calls) == 10 + 18
 
     def test_q2_equals_gram_on_scaled_differences(self):
         # one code path: q = 2 is the Gram estimator on (x_{2i} - x_{2i+1}) / sqrt(2)
