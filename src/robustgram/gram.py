@@ -213,8 +213,9 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     ``lambda_used``.  It keeps each direction's N, in
     ``polarization_update``'s order, and starts that direction's solve in
     the next update there: update 1 starts every solve at the mean of its
-    squares, and once the iterate settles most solves take one pass.  Stops after ``num_updates`` or once
-    ||Q_k - Q_{k-1}||_F <= ``STOP_TOL`` ||Q_{k-1}||_F.  The default estimate
+    squares, and once the iterate settles most solves take one pass.
+    Stops after ``num_updates`` or once ||Q_k - Q_{k-1}||_F <= ``STOP_TOL``
+    ||Q_{k-1}||_F.  The default estimate
     is homogeneous of degree 2 and each of its steps scales exactly under a
     power of two, so it runs on the vectors divided by 2^e, e the binary
     exponent of the largest |entry| less ``NORM_EXPONENT``, and its result
