@@ -16,9 +16,9 @@ nearly linear.  A row starts at a given scale, such as its root in the
 previous polarization update, or else at the mean of its squares.  Its step
 stays inside a sign bracket that every evaluation tightens, with bisection,
 doubling or halving as the fallbacks, and f and f' come from one fused
-``psi_and_prime`` pass.  A row stops once |f| <=
-``TOL`` and S is resolved to about 2^-40 relative: by the size of the next
-Newton step, by the width of the bracket, or because the criterion is flat.
+``psi_and_prime`` pass.  A row stops once |f| <= ``TOL`` and S is resolved
+to about 2^-40 relative: by the size of the next Newton step, by the width
+of the bracket, or because the criterion is flat.
 A Newton step whose landing a Taylor bound with |psi''| <= 2 already
 certifies ends the row without the pass that would confirm it.  Every row
 runs exactly the elementwise operations of a one-row solve, and a reduction
@@ -187,8 +187,9 @@ def scale_from_squares(v, lam, start=None) -> ScaleResult:
     is the sup in the alpha form.  A row whose criterion is non-positive
     near S = 0 has no positive root: value 0, not converged.  A row with a
     mean beyond 2^+-``RESCALE_EXPONENT`` is solved rescaled by a power of
-    two, its start with it, so its root scales exactly with the data.  Rows still iterating are
-    kept in compacted arrays, copied only when some of them stop.
+    two, its start with it, so its root scales exactly with the data.  Rows
+    still iterating are kept in compacted arrays, copied only when some of
+    them stop.
     """
     v = np.asarray(v, dtype=float)
     lam = np.asarray(lam, dtype=float)
