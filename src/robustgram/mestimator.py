@@ -210,9 +210,9 @@ def scale_from_squares(v, lam, start=None) -> ScaleResult:
         start = np.asarray(start, dtype=float)
         if start.shape != mean.shape:
             raise ValueError(f"need one start per row, got {start.shape} for {len(v)} rows")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             start = np.ldexp(start, -exponent)
-            s0 = np.where(np.isfinite(start) & (start > 0.0), start, mean)
+        s0 = np.where(np.isfinite(start) & (start > 0.0), start, mean)
 
     k = len(v)
     value = np.zeros(k)

@@ -520,6 +520,13 @@ class TestWarmStart:
             np.testing.assert_array_equal(r.value, base.value * 2.0**k)
             np.testing.assert_array_equal(r.row_iterations, base.row_iterations)
 
+    def test_start_that_overflows_with_its_row_is_unusable(self):
+        # the row is solved on v * 2^600, and 1e300 * 2^600 overflows
+        v = np.random.default_rng(28).standard_t(3, (1, 60)) ** 2 * 2.0**-600
+        lam = np.array([0.4])
+        self.assert_same_bits(scale_from_squares(v, lam, np.array([1e300])),
+                              scale_from_squares(v, lam))
+
     def test_start_shape_is_checked(self):
         with pytest.raises(ValueError, match="start"):
             scale_from_squares(np.ones((2, 3)), np.array([0.5, 0.5]), np.ones(3))
