@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .gram import NumericalError
 from .influence import C_UNIVERSAL
 from .mestimator import Sample, scale_from_squares
 
@@ -113,6 +114,9 @@ def make_grid(n: int, mb: MomentBounds, a: float = 0.5, epsilon: float = 0.05) -
     lambda_j = sqrt((2 / (n (kappa-1))) ((2+3c) / (4 (2+c) sqrt(kappa) e^{-ja})
                                           + log(K / epsilon)))
     beta_j   = sqrt(2 (2+c) sqrt(kappa) s4^4 n e^{-(j - 1/2) a})
+
+    A lambda_j or beta_j beyond the floating-point range, as from an s4 whose
+    fourth power overflows, raises ``gram.NumericalError``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -140,6 +144,10 @@ def make_grid(n: int, mb: MomentBounds, a: float = 0.5, epsilon: float = 0.05) -
         beta_j = math.sqrt(
             2.0 * (2.0 + c) * math.sqrt(kap) * mb.s4**4 * n * math.exp(-(j - 0.5) * a)
         )
+        if not (math.isfinite(lam_j) and math.isfinite(beta_j)):
+            raise NumericalError(
+                f"grid point {j} is out of floating-point range: lambda_j = {lam_j}, "
+                f"beta_j = {beta_j} (kappa = {kap:.6g}, s4 = {mb.s4:.6g})")
         points.append((lam_j, beta_j))
     return Grid(points=tuple(points), K=K, a=a, epsilon=epsilon, n=n)
 

@@ -8,7 +8,9 @@ Subcommands:
   benchmark  run the mixture experiment from a JSON config, write CSVs
   cov        q-block covariance estimate from a sample CSV
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure (a typed
+failure, or an ``ArithmeticError`` such as a division by zero or an overflow
+on data out of floating-point range).
 """
 
 from __future__ import annotations
@@ -226,7 +228,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BenchmarkError, NumericalError) as exc:
+    except (BenchmarkError, NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ started at its root in the previous update.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -26,8 +27,12 @@ from .mestimator import Sample, SampleSizeError, lambda_from_square_rows, scale_
 logger = logging.getLogger(__name__)
 
 # Projections per block of directions (rows x m x g): a block and the
-# solver's temporaries stay within a 2 MB L2 cache; 2^13 ran slower and
-# 2^15 no faster.
+# solver's temporaries stay within a 2 MB L2 cache; 2^13 ran slower.  The
+# solver's work slabs hold 7 floats per projection, and with them perfbench
+# cov-tall (n = 4000, d = 20, 2-vCPU host) ran 11-16% faster at 2^15 and
+# 2^16, with peak RSS 44.2 and 46.6 MB against 43.0.  The cap stays until
+# it is re-measured with the calls of a batched multi-sample loop, whose
+# row lengths and call sizes differ from today's.
 BLOCK_ELEMS = 2**14
 
 # The default estimate runs on the vectors scaled by the power of two that puts
@@ -138,6 +143,19 @@ def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list, start=None)
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _directions(d: int) -> tuple:
+    """Read-only direction tables of ``polarization_update`` in dimension d:
+    first, second, sign and norm_sq of each direction, and the triu indices."""
+    dirs = [(i, j, sign) for i in range(d) for j in range(i, d)
+            for sign in ((1.0, -1.0) if i < j else (1.0,))]
+    first, second, sign = (np.array(x) for x in zip(*dirs))
+    tables = (first, second, sign, np.where(first == second, 4.0, 2.0), *np.triu_indices(d))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     """Matrix C with C_ij = (N(e_i + e_j) - N(e_i - e_j)) / 4.
 
@@ -158,14 +176,11 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     d = w.shape[-1]
     cols = np.ascontiguousarray(np.moveaxis(w, -1, 0))  # (d, n) or (d, m, g)
-    dirs = [(i, j, sign) for i in range(d) for j in range(i, d)
-            for sign in ((1.0, -1.0) if i < j else (1.0,))]
-    first, second, sign = (np.array(x) for x in zip(*dirs))
-    norm_sq = np.where(first == second, 4.0, 2.0)
+    first, second, sign, norm_sq, iu, ju = _directions(d)
     row_sign = sign.reshape(-1, *[1] * (cols.ndim - 1))
-    values = np.zeros(len(dirs))
+    values = np.zeros(len(sign))
     rows = max(1, BLOCK_ELEMS // cols[0].size)
-    for start in range(0, len(dirs), rows):
+    for start in range(0, len(sign), rows):
         blk = slice(start, start + rows)
         # sign * x is exact, so each row equals w_i + w_j or w_i - w_j
         p = cols[first[blk]] + row_sign[blk] * cols[second[blk]]
@@ -178,13 +193,12 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
         try:
             values[blk][live] = estimate(*args)
         except ValueError as exc:
-            stop = min(start + rows, len(dirs)) - 1
+            stop = min(start + rows, len(sign)) - 1
             raise NumericalError(
                 f"scale solve failed at entries ({first[start]}, {second[start]}) to "
                 f"({first[stop]}, {second[stop]}): {exc}") from exc
     if n_values is not None:
         n_values[:] = values
-    iu, ju = np.triu_indices(d)
     minus = np.zeros(len(iu))
     minus[iu < ju] = values[sign < 0.0]
     c = np.zeros((d, d))

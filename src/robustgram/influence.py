@@ -6,10 +6,11 @@ envelope ``chi`` is a quadratic smoothing of ``psi`` above the point where
 ``psi'' = -1/4``; it is what the bound calculators in :mod:`robustgram.bounds`
 are derived from.  Everything here is pure and array-friendly.
 
-``psi_and_prime`` is the inner loop of every scale solve and the one kernel
-body: one pass gives psi and psi', each by one formula on c = min(|t|, 1)
-evaluated in place, with no saturation branch, sharing c and c/2.  ``psi``
-and ``psi_prime`` are its first and second outputs.
+``psi_and_prime_into`` is the inner loop of every scale solve and the one
+kernel body: one pass fills buffers it is given with psi and psi', each by
+one formula on c = min(|t|, 1) evaluated in place, with no saturation
+branch, sharing c and c/2.  ``psi_and_prime`` runs it on fresh arrays, and
+``psi`` and ``psi_prime`` are its first and second outputs.
 Two identities in float64 make that exact: at the cap c = 1 the body
 c (c/2 - 1) is -1/2 and -log1p(-1/2) == log(2) to the last bit, and
 (1 - c) / ((1 - c) + (c/2) c) is 0 / (1/2) = 0.
@@ -82,29 +83,37 @@ def psi_prime(t):
 
 
 def psi_and_prime(t):
-    """(``psi(t)``, ``psi_prime(t)``) from one pass over t.
+    """(``psi(t)``, ``psi_prime(t)``) from one pass over t, in fresh arrays
+    (``psi_and_prime_into``)."""
+    arr = np.asarray(t, dtype=float)
+    # 0-d arrays for scalar input: a ufunc without ``out`` turns 0-d input into a scalar
+    value, prime = psi_and_prime_into(arr, *(np.empty(arr.shape) for _ in range(3)))
+    return _maybe_scalar(value, t), _maybe_scalar(prime, t)
 
-    Both formulas read c = min(|t|, 1) and c/2, computed once.  The value is
+
+def psi_and_prime_into(t, value, prime, scratch):
+    """Fill ``value`` with psi(t) and ``prime`` with psi_prime(t); return them.
+
+    ``value``, ``prime`` and ``scratch`` are float arrays of t's shape, none
+    of them t, and ``scratch`` is overwritten.  Both formulas read
+    c = min(|t|, 1) and c/2, computed once.  The value is
     -log(1 - c + c^2/2) = -log1p(c (c/2 - 1)) with the sign of t; the slope
     is (1 - c) / ((1 - c) + (c/2) c).
     """
-    arr = np.asarray(t, dtype=float)
-    # in place on fresh arrays, 0-d ones for scalar input: a ufunc without
-    # ``out`` turns 0-d input into a scalar
-    c = np.abs(arr, out=np.empty(arr.shape))
+    c = np.abs(t, out=prime)
     np.minimum(c, 1.0, out=c)
-    half = np.multiply(c, 0.5, out=np.empty_like(c))
-    den = np.multiply(half, c, out=np.empty_like(c))
+    half = np.multiply(c, 0.5, out=value)
+    den = np.multiply(half, c, out=scratch)
     # c (c/2 - 1) = (1 - c + c^2/2) - 1 lies in [-1/2, 0]; it is -1/2 at the cap
     half -= 1.0
     half *= c
-    value = np.log1p(half, out=half)
+    np.log1p(half, out=half)
     # the log1p is <= 0, so its magnitude with the sign of t is sign(t) * (-log1p)
-    np.copysign(value, arr, out=value)
-    prime = np.subtract(1.0, c, out=c)
-    den += prime
-    np.divide(prime, den, out=prime)
-    return _maybe_scalar(value, t), _maybe_scalar(prime, t)
+    np.copysign(half, t, out=half)
+    np.subtract(1.0, c, out=c)
+    den += c
+    np.divide(c, den, out=c)
+    return value, prime
 
 
 def chi(z):

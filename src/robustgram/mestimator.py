@@ -16,9 +16,10 @@ nearly linear.  A row starts at a given scale, such as its root in the
 previous polarization update, or else at the mean of its squares.  Its step
 stays inside a sign bracket that every evaluation tightens, with bisection,
 doubling or halving as the fallbacks, and f and f' come from one fused
-``psi_and_prime`` pass.  A row stops once |f| <= ``TOL`` and S is resolved
-to about 2^-40 relative: by the size of the next Newton step, by the width
-of the bracket, or because the criterion is flat.
+``psi_and_prime_into`` pass that writes into a slab the call allocates
+once, so no pass allocates a (k, n) array.  A row stops once |f| <= ``TOL``
+and S is resolved to about 2^-40 relative: by the size of the next Newton
+step, by the width of the bracket, or because the criterion is flat.
 A Newton step whose landing a Taylor bound with |psi''| <= 2 already
 certifies ends the row without the pass that would confirm it.  Every row
 runs exactly the elementwise operations of a one-row solve, and a reduction
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .influence import LOG2, psi, psi_and_prime
+from .influence import LOG2, psi, psi_and_prime_into
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class ScaleResult:
     row_iterations: np.ndarray
     row_converged: np.ndarray
     bisection: np.ndarray  # a step fell back to bisection, or no root or bracket found
-    plateau: np.ndarray  # moved to the left edge of a flat root interval
+    plateau: np.ndarray  # returned the left edge of a flat root interval
 
     @property
     def iterations(self) -> int:
@@ -140,13 +141,6 @@ def alpha_hat(sample: Sample, theta, lam: float) -> float:
     return math.sqrt(lam / t) if t > 0.0 else math.inf
 
 
-def _terms(v, lam, s):
-    """lam / S, lam v / S and the psi arguments lam v / S - lam; one level and S per row of v."""
-    ratio = lam / s
-    a = v * ratio[:, None]
-    return ratio, a, a - lam[:, None]
-
-
 def _rescale_rows(v):
     """(v, mean, e): rows with a mean beyond 2^+-``RESCALE_EXPONENT``, and their
     means, divided by 2^e, e that mean's binary exponent (0 for the others)."""
@@ -183,13 +177,15 @@ def scale_from_squares(v, lam, start=None) -> ScaleResult:
     by b = A2 (f/d)^2, A2 = sum_j (lam v_rj / S)^2, d there from below by
     d_low = (1 - |f/d|)(d - 2 |f/d| A2), and b <= TOL, 2^-41 d_low.  When the
     criterion stays within ``TOL`` of 0 from the converged point down to the
-    left edge of a flat stretch, that edge is returned (``plateau``), which
-    is the sup in the alpha form.  A row whose criterion is non-positive
-    near S = 0 has no positive root: value 0, not converged.  A row with a
-    mean beyond 2^+-``RESCALE_EXPONENT`` is solved rescaled by a power of
-    two, its start with it, so its root scales exactly with the data.  Rows
-    still iterating are kept in compacted arrays, copied only when some of
-    them stop.
+    left edge of a flat stretch, that edge is returned, which is the sup in
+    the alpha form; ``plateau`` flags a row whose returned point is such an
+    edge, whether it moved there or stopped on it.  A row whose criterion
+    is non-positive near S = 0 has no positive root: value 0, not
+    converged.  A row with a mean beyond 2^+-``RESCALE_EXPONENT`` is solved
+    rescaled by a power of two, its start with it, so its root scales
+    exactly with the data.  The passes write into one work slab allocated
+    per call; when some rows stop, the squares of the others are compacted
+    into a second one.
     """
     v = np.asarray(v, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -228,68 +224,100 @@ def scale_from_squares(v, lam, start=None) -> ScaleResult:
     if no_root.any():
         rows, va, la, s, sq = (x[~no_root] for x in (rows, va, la, s, sq))
     lo, hi = np.zeros(len(rows)), np.full(len(rows), np.inf)
-    steps, rounds = np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=int)
-    bis = np.zeros(len(rows), dtype=bool)
-    while rows.size:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio, a, t = _terms(va, la, s)
-            terms, slopes = psi_and_prime(t)
-            f = np.sum(terms, axis=1)
+    steps, bis = np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=bool)
+    # Every pass writes lam v / S, the psi arguments, psi, psi' and the
+    # kernel's scratch into the leading rows of one slab.  The squares of the
+    # rows still iterating move to the halves of a second slab in turn: a
+    # take into the array it reads from would copy through a temporary.
+    work = np.empty((5, *va.shape))
+    held, half = None, 0
+    a, t, terms, slopes, scratch = work
+    lam_col = la[:, None]
+    # a row has taken at most ``passes`` steps and doubling or halving
+    # rounds, which it splits between the two budgets
+    budgets_from, passes = min(MAX_ITER, MAX_BRACKET_ROUNDS), 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while rows.size:
+            ratio = la / s
+            np.multiply(va, ratio[:, None], out=a)
+            np.subtract(a, lam_col, out=t)
+            psi_and_prime_into(t, terms, slopes, scratch)
+            f = np.add.reduce(terms, axis=1)
             slopes *= a
-            d = np.sum(slopes, axis=1)
+            d = np.add.reduce(slopes, axis=1)
             # lam v / S = inf gives psi' 0 times inf: that term adds nothing to d
             nan = np.isnan(d)
             if nan.any():
                 d[nan] = np.nansum(slopes[nan], axis=1)
             rel = f / d
             step = s / (1.0 - rel)
+            abs_f, abs_rel = np.abs(f), np.abs(rel)
             a2 = sq * (ratio * ratio)
             b = a2 * (rel * rel)
-            d_low = (1.0 - np.abs(rel)) * (d - 2.0 * np.abs(rel) * a2)
-        right = f > 0.0  # the root lies right of S
-        lo = np.where(right, s, lo)
-        hi = np.where(right, hi, s)
-        flat = d < 1e-14
-        bracketed = (lo > 0.0) & (hi < np.inf)
-        # the width test needs both ends: with hi = inf it would read inf <= inf
-        done = (np.abs(f) <= TOL) & ((np.abs(f) <= 2.0**-40 * d) | flat
-                                     | (bracketed & (hi - lo <= 2.0**-40 * hi)))
-        newton = ~flat & (lo < step) & (step < hi)
-        counted = newton | bracketed
-        spent = np.where(counted, steps >= MAX_ITER, rounds >= MAX_BRACKET_ROUNDS)
-        stop = done | spent
-        # a certified Newton step lands where the next evaluation would stop
-        certified = newton & ~stop & (b <= np.minimum(TOL, 2.0**-41 * d_low))
-        stop |= certified
-        if stop.any():
-            r = rows[stop]
-            value[r] = np.where(certified, step, s)[stop]
-            iterations[r] = (steps + certified)[stop]
-            converged[r] = (done | certified)[stop]
-            bisection[r] = (bis | ~(done | counted))[stop]
-        s = np.where(newton, step, np.where(
-            bracketed, 0.5 * (lo + hi), np.where(right, 2.0 * lo, 0.5 * hi)))
-        steps += counted
-        rounds += ~counted
-        bis |= ~newton & bracketed
-        if stop.any():
-            keep = ~stop
-            rows, va, la, s, sq, lo, hi, steps, rounds, bis = (
-                x[keep] for x in (rows, va, la, s, sq, lo, hi, steps, rounds, bis))
+            d_low = (1.0 - abs_rel) * (d - 2.0 * abs_rel * a2)
+            right = f > 0.0  # the root lies right of S
+            lo = np.where(right, s, lo)
+            hi = np.where(right, hi, s)
+            flat = d < 1e-14
+            bracketed = (lo > 0.0) & (hi < np.inf)
+            # the width test needs both ends: with hi = inf it would read inf <= inf
+            done = (abs_f <= TOL) & ((abs_f <= 2.0**-40 * d) | flat
+                                    | (bracketed & (hi - lo <= 2.0**-40 * hi)))
+            newton = ~flat & (lo < step) & (step < hi)
+            counted = newton | bracketed
+            stop = done
+            if passes >= budgets_from:
+                stop = stop | np.where(counted, steps >= MAX_ITER,
+                                       passes - steps >= MAX_BRACKET_ROUNDS)
+            # a certified Newton step lands where the next evaluation would stop
+            certified = newton & ~stop & (b <= np.minimum(TOL, 2.0**-41 * d_low))
+            stop = stop | certified
+            any_stop = stop.any()
+            if any_stop:
+                r = rows[stop]
+                value[r] = np.where(certified, step, s)[stop]
+                iterations[r] = (steps + certified)[stop]
+                converged[r] = (done | certified)[stop]
+                bisection[r] = (bis | ~(done | counted))[stop]
+            if newton.all():
+                s = step
+            else:
+                s = np.where(newton, step, np.where(
+                    bracketed, 0.5 * (lo + hi), np.where(right, 2.0 * lo, 0.5 * hi)))
+                bis |= ~newton & bracketed
+            steps += counted
+            passes += 1
+            if any_stop:
+                keep = np.flatnonzero(~stop)
+                if not keep.size:
+                    break
+                rows, la, s, sq, lo, hi, steps, bis = (
+                    x[keep] for x in (rows, la, s, sq, lo, hi, steps, bis))
+                if held is None:
+                    held = np.empty((2, *va.shape))
+                # the indices are in range, and "clip" leaves out the
+                # temporary that the default mode copies the output through
+                va = np.take(va, keep, axis=0, out=held[half, :keep.size], mode="clip")
+                half = 1 - half
+                a, t, terms, slopes, scratch = work[:, :keep.size]
+                lam_col = la[:, None]
 
     # A flat root stretch needs negatively saturated non-zero terms
     # (psi = -log 2), so lambda > 1.  Its left edge is the largest
-    # v_i lambda / (lambda - 1) below S: left of it term i leaves
-    # saturation and f rises.  Edges are positive, so 0 marks "none".
+    # v_i lambda / (lambda - 1) at or below S: left of it term i leaves
+    # saturation and f rises.  A row that stopped on an edge, as one
+    # started there does, is checked at that edge, so the flag depends on
+    # the returned point alone.  Edges are positive, so 0 marks "none".
     rows = np.flatnonzero(converged & (lam > 1.0))
     if rows.size:
         vp, lp = v[rows], lam[rows]
         edges = vp * (lp / (lp - 1.0))[:, None]
-        edge = np.where((vp > 0.0) & (edges < value[rows, None]), edges, 0.0).max(axis=1)
+        edge = np.where((vp > 0.0) & (edges <= value[rows, None]), edges, 0.0).max(axis=1)
         some = edge > 0.0
         rows, vp, lp, edge = rows[some], vp[some], lp[some], edge[some]
         with np.errstate(over="ignore"):
-            flat = np.abs(np.sum(psi(_terms(vp, lp, edge)[2]), axis=1)) <= TOL
+            t = vp * (lp / edge)[:, None] - lp[:, None]
+        flat = np.abs(np.sum(psi(t), axis=1)) <= TOL
         value[rows[flat]] = edge[flat]
         plateau[rows[flat]] = True
     return ScaleResult(np.ldexp(value, exponent), iterations, converged, bisection, plateau)

@@ -175,3 +175,29 @@ class TestCov:
     def test_overflow_is_numerical_failure(self, overflow_csv, tmp_path, capsys):
         assert main(["cov", overflow_csv, "--out", str(tmp_path / "cov.csv")]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestRangeFailures:
+    """Data whose moments or grid leave the floating-point range fail with
+    exit 2 and a message, never with a traceback or a configuration error."""
+
+    @pytest.fixture(scope="class")
+    def scaled_csv(self, tmp_path_factory):
+        x = np.random.default_rng(2).standard_normal((20000, 4))
+        root = tmp_path_factory.mktemp("scaled")
+        paths = {}
+        for k in (-300, 256, 300):
+            paths[k] = str(root / f"x{k}.csv")
+            save_matrix_csv(paths[k], np.ldexp(x, k))
+        return paths
+
+    @pytest.mark.parametrize("k, command", [
+        (-300, ["estimate"]),
+        (-300, ["cov", "--mode", "grid-certified"]),
+        (256, ["cov", "--mode", "grid-certified"]),
+        (300, ["cov", "--mode", "grid-certified"]),
+    ])
+    def test_scaled_sample_exits_2(self, scaled_csv, tmp_path, capsys, k, command):
+        out = str(tmp_path / ("est" if command[0] == "estimate" else "cov.csv"))
+        assert main([command[0], scaled_csv[k], "--out", out, *command[1:]]) == 2
+        assert "numerical failure" in capsys.readouterr().err

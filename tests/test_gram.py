@@ -172,9 +172,9 @@ class TestWarmStart:
         # the estimate-tall shape (n = 40000, d = 10): one direction per block
         passes, calls = [], []
 
-        def counting(t):
+        def counting(t, *out):
             passes.append(len(t))
-            return kernel(t)
+            return kernel(t, *out)
 
         def solve(v, lam, start=None):
             passes.clear()
@@ -182,8 +182,8 @@ class TestWarmStart:
             calls.append((start, r.value, sum(passes)))
             return r
 
-        kernel = mestimator.psi_and_prime
-        monkeypatch.setattr(mestimator, "psi_and_prime", counting)
+        kernel = mestimator.psi_and_prime_into
+        monkeypatch.setattr(mestimator, "psi_and_prime_into", counting)
         monkeypatch.setattr(gram, "scale_from_squares", solve)
         cfg = ExperimentConfig(n=40000, d=10, trials=1, seed=0)
         est = robust_gram(gen_mixture(cfg, trial_rng(cfg.seed)), epsilon=0.1)

@@ -308,10 +308,11 @@ BAD_SQUARES = [[np.nan, 0.0], [-np.inf, 0.0], [-1.0, 0.0]]
 
 class TestRowSolver:
     @staticmethod
-    def assert_rows_match_one_row_solves(v, lam):
-        rows = scale_from_squares(v, lam)
+    def assert_rows_match_one_row_solves(v, lam, start=None):
+        rows = scale_from_squares(v, lam, start)
         for k, (row, level) in enumerate(zip(v, lam)):
-            one = solve_row(row, level)
+            one = scale_from_squares(row[None], np.array([level]),
+                                     None if start is None else start[k:k + 1])
             assert rows.value[k] == one.value[0]
             assert rows.row_iterations[k] == one.iterations
             assert rows.row_converged[k] == one.converged
@@ -422,12 +423,12 @@ class TestCertifiedStop:
     def test_each_row_takes_one_pass_per_step(self, monkeypatch):
         passes = []
 
-        def counting(t):
+        def counting(t, *out):
             passes.append(t.shape)
-            return kernel(t)
+            return kernel(t, *out)
 
-        kernel = mestimator.psi_and_prime
-        monkeypatch.setattr(mestimator, "psi_and_prime", counting)
+        kernel = mestimator.psi_and_prime_into
+        monkeypatch.setattr(mestimator, "psi_and_prime_into", counting)
         rng = np.random.default_rng(25)
         v = rng.standard_t(3, (4, 40000)) ** 2
         lam = lambda_from_square_rows(v, 0.1)
@@ -487,19 +488,18 @@ class TestWarmStart:
         cold = scale_from_squares(v, lam)
         passes = []
 
-        def counting(t):
+        def counting(t, *out):
             passes.append(len(t))
-            return kernel(t)
+            return kernel(t, *out)
 
-        kernel = mestimator.psi_and_prime
-        monkeypatch.setattr(mestimator, "psi_and_prime", counting)
+        kernel = mestimator.psi_and_prime_into
+        monkeypatch.setattr(mestimator, "psi_and_prime_into", counting)
         warm = scale_from_squares(v, lam, cold.value)
         assert passes == [len(v)]
         assert warm.row_converged.all() and (warm.row_iterations <= 1).all()
         np.testing.assert_allclose(warm.value, cold.value, rtol=1e-12)
 
     def test_start_off_the_root_converges_to_it(self):
-        # the plateau row may land on its left edge directly, unflagged
         v, lam = TestBitwisePin.batch()
         cold = scale_from_squares(v, lam)
         for factor in (1e-6, 0.5, 3.0, 1e6):
@@ -527,9 +527,66 @@ class TestWarmStart:
         self.assert_same_bits(scale_from_squares(v, lam, np.array([1e300])),
                               scale_from_squares(v, lam))
 
+    def test_cold_and_warm_solves_agree_on_the_flag(self):
+        # a start at or left of the plateau row's left edge stops on the edge
+        # itself, which the cold solve reaches by moving there from the right
+        v, lam = TestBitwisePin.batch()
+        cold = scale_from_squares(v[7:8], lam[7:8])
+        assert cold.plateau[0] and cold.value[0] == 1.5
+        for start in (0.75, 1.5):
+            self.assert_same_bits(scale_from_squares(v[7:8], lam[7:8], np.array([start])), cold)
+
     def test_start_shape_is_checked(self):
         with pytest.raises(ValueError, match="start"):
             scale_from_squares(np.ones((2, 3)), np.array([0.5, 0.5]), np.ones(3))
+
+
+class TestWorkspace:
+    """The pass loop writes into one slab per call, and the rows of a batch
+    still stop where their one-row solves do."""
+
+    @staticmethod
+    def batch():
+        """Cold, warm, no-root, plateau and 2^+-600 rescaled rows with their starts."""
+        rng = np.random.default_rng(29)
+        v = rng.standard_t(3, (10, 50)) ** 2
+        lam = rng.uniform(0.1, 2.0, 10)
+        v[1, :25] = 0.0  # no positive root at lambda = 4
+        v[2] = v[3] = np.repeat([1.0, 100.0], 25)  # flat root stretch, left edge 1.5
+        lam[[1, 2, 3]] = 4.0, 3.0, 3.0
+        v[4] *= 2.0**600
+        v[5] *= 2.0**-600
+        start = np.full(10, np.nan)
+        root = scale_from_squares(v, lam).value
+        start[3] = 0.75
+        start[[5, 6, 7, 8]] = root[[5, 6, 7, 8]] * np.array([1.0, 1.0 + 1e-6, 0.5, 40.0])
+        return v, lam, start
+
+    def test_every_pass_reuses_the_workspace(self, monkeypatch):
+        outputs = []
+
+        def recording(t, value, prime, scratch):
+            outputs.append((value, prime))
+            return kernel(t, value, prime, scratch)
+
+        batch = self.batch()
+        kernel = mestimator.psi_and_prime_into
+        monkeypatch.setattr(mestimator, "psi_and_prime_into", recording)
+        scale_from_squares(*batch)
+        # rows leave the loop on at least three different passes
+        assert len({len(value) for value, _ in outputs}) >= 3
+        first_value, first_prime = outputs[0]
+        for value, prime in outputs[1:]:
+            assert np.shares_memory(value, first_value)
+            assert np.shares_memory(prime, first_prime)
+
+    def test_mixed_batch_matches_one_row_solves(self):
+        v, lam, start = self.batch()
+        rows = TestRowSolver.assert_rows_match_one_row_solves(v, lam, start)
+        assert rows.value[1] == 0.0 and rows.bisection[1]
+        assert rows.plateau[[2, 3]].all() and (rows.value[[2, 3]] == 1.5).all()
+        assert rows.row_converged[[0, 2, 3, 4, 5, 6, 7, 8, 9]].all()
+        assert len(set(rows.row_iterations.tolist())) >= 3
 
 
 class TestAdaptiveLambda:
