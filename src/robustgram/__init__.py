@@ -6,6 +6,7 @@ from .bounds import (
     MomentBounds,
     b_bound,
     b_star,
+    block_moment_bounds,
     bound_coeffs,
     confidence_interval,
     empirical_bounds,
@@ -20,7 +21,7 @@ from .bounds import (
     zeta_q,
     zeta_star,
 )
-from .covariance import BlockSet, block_moment_bounds, make_blocks, r_lambda_sym, robust_covariance
+from .covariance import robust_covariance
 from .gram import (
     GramEstimate,
     NumericalError,
@@ -42,7 +43,7 @@ from .harness import (
     run_benchmark,
     true_gram,
 )
-from .influence import CONSTANTS, PsiConstants, chi, psi, psi_prime
+from .influence import chi, psi, psi_prime
 from .mestimator import (
     Sample,
     ScaleResult,

@@ -429,13 +429,38 @@ def tau_q(kappa: float, q: int) -> float:
     return kappa - 1.0 + 2.0 / (q - 1.0)
 
 
+def _block_moments(op: float, tr: float, tr2: float, kappa: float, q: int) -> tuple:
+    """The pair of ``block_moment_bounds`` from op = ||Sigma||_inf, tr = Tr(Sigma)
+    and tr2 = Tr(Sigma^2)."""
+    w = 1.0 - (q - 2.0) / (q * (q - 1.0))
+    coef = kappa + 1.0 / (q - 1.0)
+    return (w * op + coef * tr / q, w * tr2 + coef * tr * tr / q)
+
+
+def block_moment_bounds(sigma: np.ndarray, kappa: float, q: int) -> tuple:
+    """Bounds on E||A theta||^2 / N(theta) and on E[Tr(A^2)] for the q-blocks.
+
+    Returns (w ||Sigma||_inf + (kappa + 1/(q-1)) Tr(Sigma) / q,
+             w Tr(Sigma^2)   + (kappa + 1/(q-1)) Tr(Sigma)^2 / q)
+    with w = 1 - (q-2)/(q(q-1)).
+    """
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise ValueError("Sigma must be square")
+    op = float(np.linalg.eigvalsh(0.5 * (sigma + sigma.T)).max())
+    return _block_moments(op, float(np.trace(sigma)), float(np.trace(sigma @ sigma)),
+                          kappa, q)
+
+
 def zeta_q(t: float, q: int, kappa: float, trace_sigma: float,
            trace_sigma2: float, op_norm_sigma: float, K: int,
            epsilon: float) -> float:
     """Complexity term for the q-block covariance estimator.
 
     Uses the simplified form when q ||Sigma||_inf <= Tr(Sigma), otherwise the
-    full form built from the block moment bounds.
+    full form built from the block moment bounds (``block_moment_bounds``).
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -448,9 +473,7 @@ def zeta_q(t: float, q: int, kappa: float, trace_sigma: float,
         second = math.sqrt(ZETA_C3 * (kappa + 1.0 + 2.0 / (q * (q - 1.0)))
                            * trace_sigma / t)
         return first + second
-    w = 1.0 - (q - 2.0) / (q * (q - 1.0))
-    b1 = w * op_norm_sigma + (kappa + 1.0 / (q - 1.0)) * trace_sigma / q
-    b2 = w * trace_sigma2 + (kappa + 1.0 / (q - 1.0)) * trace_sigma**2 / q
+    b1, b2 = _block_moments(op_norm_sigma, trace_sigma, trace_sigma2, kappa, q)
     first = math.sqrt(ZETA_C1 * tq * (ZETA_C2 * b2 / (b1 * t) + log_term))
     second = math.sqrt(ZETA_C3 * q * b1 / t)
     return first + second

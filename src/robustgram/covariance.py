@@ -16,39 +16,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds as bnd
 from .gram import GramEstimate, iterate_polarization, positive_part
-from .influence import psi
 from .mestimator import Sample
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class BlockSet:
-    """The per-block covariance matrices A_1..A_m for block size q."""
-
-    blocks: np.ndarray  # (m, d, d)
-    q: int
-    m: int = field(init=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.blocks, dtype=float)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise ValueError("blocks must be a (m, d, d) array")
-        object.__setattr__(self, "blocks", arr)
-        object.__setattr__(self, "m", arr.shape[0])
-
-    def quadratic_values(self, theta) -> np.ndarray:
-        """Vector of theta^T A_i theta over the blocks."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.blocks.shape[1],):
-            raise ValueError("direction dimension mismatch")
-        return np.einsum("mij,i,j->m", self.blocks, theta, theta)
 
 
 def _pair_differences(sample: Sample, q: int) -> np.ndarray:
@@ -73,46 +48,6 @@ def _pair_differences(sample: Sample, q: int) -> np.ndarray:
     return (x[:, jj, :] - x[:, kk, :]) / math.sqrt(q * (q - 1.0))
 
 
-def make_blocks(sample: Sample, q: int) -> BlockSet:
-    """Split contiguously into floor(n/q) blocks and form their covariances.
-
-    A_i = (1/(q(q-1))) sum_{j<k in block i} (x_j - x_k)(x_j - x_k)^T is the
-    sum of the outer products of the block's ``_pair_differences``, so
-    shifting every observation by the same vector leaves it bitwise unchanged.
-    """
-    vectors = _pair_differences(sample, q)
-    blocks = np.einsum("mpi,mpj->mij", vectors, vectors)
-    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-    return BlockSet(blocks=blocks, q=q)
-
-
-def r_lambda_sym(blocks: BlockSet, theta, lam: float) -> float:
-    """Criterion (1/m) sum psi(theta^T A_i theta - lambda)."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    return float(np.mean(psi(blocks.quadratic_values(theta) - lam)))
-
-
-def block_moment_bounds(sigma: np.ndarray, kappa: float, q: int) -> tuple:
-    """Bounds on E||A theta||^2 / N(theta) and on E[Tr(A^2)] for the blocks.
-
-    Returns (w ||Sigma||_inf + (kappa + 1/(q-1)) Tr(Sigma) / q,
-             w Tr(Sigma^2)   + (kappa + 1/(q-1)) Tr(Sigma)^2 / q)
-    with w = 1 - (q-2)/(q(q-1)).
-    """
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ValueError("Sigma must be square")
-    tr = float(np.trace(sigma))
-    tr2 = float(np.trace(sigma @ sigma))
-    op = float(np.linalg.eigvalsh(0.5 * (sigma + sigma.T)).max())
-    w = 1.0 - (q - 2.0) / (q * (q - 1.0))
-    coef = kappa + 1.0 / (q - 1.0)
-    return (w * op + coef * tr / q, w * tr2 + coef * tr * tr / q)
-
-
 def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
                       mode: str = "iterative-practical", num_updates: int = 4,
                       mb: bnd.MomentBounds = None, psd: bool = False) -> GramEstimate:
@@ -124,6 +59,9 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
     ``bounds.select_from_square_rows`` on the rows of a block, one solver
     call per block (kappa mapped through the q-block transfer, n replaced by
     the block count); it requires enough blocks for the theoretical grid.
+    ``mb`` holds moment bounds of the observations.  Only the grid-certified
+    mode reads it, for kappa and the certified flag; without it, that mode
+    uses the plug-in kurtosis of the generating vectors.
     Set ``psd=True`` to clamp negative eigenvalues of the final estimate.
     """
     if mode not in ("iterative-practical", "grid-certified"):

@@ -25,7 +25,6 @@ the step would stop the row, and the solver skips that kernel pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,19 +40,6 @@ C_UNIVERSAL = 44.28777720541279
 Z1 = 0.18953454762563715
 P1 = 0.9783183434785161
 SUP_CHI = 2.1024399688326927
-
-
-@dataclass(frozen=True)
-class PsiConstants:
-    """The scalar constants attached to the influence function."""
-
-    c: float = C_UNIVERSAL
-    z1: float = Z1
-    p1: float = P1
-    sup_chi: float = SUP_CHI
-
-
-CONSTANTS = PsiConstants()
 
 
 def _maybe_scalar(out, t):

@@ -138,6 +138,11 @@ def pairwise_block_covariance(x: np.ndarray, q: int) -> np.ndarray:
     return acc / (q * (q - 1.0))
 
 
+def block_matrices(vectors: np.ndarray) -> np.ndarray:
+    """(m, d, d) matrices A_i = G_i^T G_i of the (m, p, d) generating vectors G_i."""
+    return np.einsum("mpi,mpj->mij", vectors, vectors)
+
+
 def phi_plus_inverse_ref(phi_plus_fn, u: float, t_max: float = 1e12,
                          iters: int = 400) -> float:
     """Reference sup{t : phi_plus(t) <= u} by fine bisection on the predicate."""

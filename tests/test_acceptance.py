@@ -17,7 +17,13 @@ from robustgram.harness import ExperimentConfig, kappa_plugin, run_benchmark
 from robustgram.influence import C_UNIVERSAL, P1, SUP_CHI, Z1, chi, psi, psi_prime
 from robustgram.mestimator import Sample, scale_from_squares, tilde_n
 
-from oracles import bisect_scale, central_difference, mean_of_squares, random_orthogonal
+from oracles import (
+    bisect_scale,
+    block_matrices,
+    central_difference,
+    mean_of_squares,
+    random_orthogonal,
+)
 
 
 def report(num: int, ok: bool, detail: str):
@@ -193,8 +199,8 @@ def test_criterion_8_coverage():
 
 
 def test_criterion_9_covariance_block_suite():
-    from robustgram.bounds import tau_q
-    from robustgram.covariance import block_moment_bounds, make_blocks, robust_covariance
+    from robustgram.bounds import block_moment_bounds, tau_q
+    from robustgram.covariance import _pair_differences, robust_covariance
     from robustgram.mestimator import r_lambda
 
     # translation invariance, exact: lattice data so the shift adds exactly
@@ -205,15 +211,16 @@ def test_criterion_9_covariance_block_suite():
     q_b = robust_covariance(Sample(base + shift), q=2, epsilon=0.1).matrix
     trans_ok = np.array_equal(q_a, q_b)
 
-    # q = 2 reduction, exact
+    # q = 2 reduction, exact: the block criterion on the generating vectors,
+    # theta^T A_i theta being the group sum of squared projections
     s = Sample(rng.standard_normal((16, 3)))
-    bs = make_blocks(s, 2)
+    vectors = _pair_differences(s, 2)
     diffs = (s.data[0::2] - s.data[1::2]) / math.sqrt(2.0)
     theta = rng.standard_normal(3)
-    from robustgram.covariance import r_lambda_sym
-
+    block_values = np.sum((vectors @ theta) ** 2, axis=1)
     red_ok = all(
-        abs(r_lambda_sym(bs, theta, lam) - r_lambda(Sample(diffs), theta, lam)) <= 1e-14
+        abs(float(np.mean(psi(block_values - lam))) - r_lambda(Sample(diffs), theta, lam))
+        <= 1e-14
         for lam in (0.1, 0.4, 0.8)
     )
 
@@ -223,22 +230,24 @@ def test_criterion_9_covariance_block_suite():
     for q in (2, 3, 5):
         r2 = np.random.default_rng(9000 + q)
         x = r2.standard_normal((3000 * q, 3)) * np.sqrt(np.diag(sigma))
-        blocks = make_blocks(Sample(x), q)
+        vectors = _pair_differences(Sample(x), q)
+        blocks = block_matrices(vectors)
+        m = len(blocks)
         th = np.array([0.6, -0.8, 0.4])
         n_th = th @ sigma @ th
-        v = blocks.quadratic_values(th)
+        v = np.sum((vectors @ th) ** 2, axis=1)
         a, b = float(np.mean(v * v)), float(np.mean(v))
         infl = (v * v - a) / (b * b) - 2.0 * a * (v - b) / b**3
-        se_k = infl.std(ddof=1) / math.sqrt(blocks.m)
+        se_k = infl.std(ddof=1) / math.sqrt(m)
         mc_ok &= a / (b * b) <= 1.0 + tau_q(3.0, q) / q + 3.0 * se_k
 
         bound1, bound2 = block_moment_bounds(sigma, 3.0, q)
-        a_th = np.einsum("mij,j->mi", blocks.blocks, th)
+        a_th = np.einsum("mij,j->mi", blocks, th)
         a_th_sq = np.sum(a_th * a_th, axis=1)
         mc_ok &= (a_th_sq.mean()
-                  <= bound1 * n_th + 3.0 * a_th_sq.std(ddof=1) / math.sqrt(blocks.m))
-        tr2 = np.einsum("mij,mij->m", blocks.blocks, blocks.blocks)
-        mc_ok &= tr2.mean() <= bound2 + 3.0 * tr2.std(ddof=1) / math.sqrt(blocks.m)
+                  <= bound1 * n_th + 3.0 * a_th_sq.std(ddof=1) / math.sqrt(m))
+        tr2 = np.einsum("mij,mij->m", blocks, blocks)
+        mc_ok &= tr2.mean() <= bound2 + 3.0 * tr2.std(ddof=1) / math.sqrt(m)
 
     ok = trans_ok and red_ok and bool(mc_ok)
     report(9, ok, f"translation exact {trans_ok}, q=2 reduction exact {red_ok}, "

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,13 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustgram import bounds
-from robustgram.covariance import (
-    BlockSet,
-    block_moment_bounds,
-    make_blocks,
-    r_lambda_sym,
-    robust_covariance,
-)
+from robustgram.bounds import block_moment_bounds, tau_q
+from robustgram.covariance import _pair_differences, robust_covariance
 from robustgram.gram import NumericalError, frobenius_error, robust_gram
 from robustgram.influence import psi
 from robustgram.mestimator import Sample, r_lambda
@@ -21,6 +17,7 @@ from oracles import (
     assert_rotation_equivariant,
     assert_scales_by_powers_of_four,
     assert_symmetric_finite_zero_columns,
+    block_matrices,
     degenerate_lattice_samples,
     pairwise_block_covariance,
 )
@@ -31,42 +28,51 @@ def lattice_sample(rng, n, d, scale=4.0):
     return np.round(scale * rng.standard_normal((n, d)) * 1024.0) / 1024.0
 
 
+def quadratic_values(vectors, theta):
+    """theta^T A_i theta of each block: the group sum of squared projections."""
+    return np.sum((vectors @ theta) ** 2, axis=1)
+
+
+def block_criterion(vectors, theta, lam):
+    """Block criterion (1/m) sum psi(theta^T A_i theta - lambda)."""
+    return float(np.mean(psi(quadratic_values(vectors, theta) - lam)))
+
+
 class TestMakeBlocks:
+    # the q-blocks as the estimator sees them: generating vectors G_i, A_i = G_i^T G_i
     def test_q2_rank_one(self):
         rng = np.random.default_rng(0)
         s = Sample(rng.standard_normal((10, 3)))
-        bs = make_blocks(s, 2)
-        assert bs.m == 5
+        blocks = block_matrices(_pair_differences(s, 2))
+        assert len(blocks) == 5
         for i in range(5):
             diff = s.data[2 * i] - s.data[2 * i + 1]
-            np.testing.assert_allclose(bs.blocks[i], 0.5 * np.outer(diff, diff), atol=1e-14)
-            assert np.linalg.matrix_rank(bs.blocks[i]) <= 1
+            np.testing.assert_allclose(blocks[i], 0.5 * np.outer(diff, diff), atol=1e-14)
+            assert np.linalg.matrix_rank(blocks[i]) <= 1
 
     def test_matches_pairwise_bruteforce(self):
         rng = np.random.default_rng(1)
         s = Sample(rng.standard_normal((21, 4)))
         for q in (2, 3, 5, 7):
-            bs = make_blocks(s, q)
-            for i in range(bs.m):
+            blocks = block_matrices(_pair_differences(s, q))
+            for i in range(len(blocks)):
                 ref = pairwise_block_covariance(s.data[i * q:(i + 1) * q], q)
-                np.testing.assert_allclose(bs.blocks[i], ref, atol=1e-12)
+                np.testing.assert_allclose(blocks[i], ref, atol=1e-12)
 
     def test_identical_observations_give_zero(self):
         s = Sample(np.tile(np.array([1.0, -2.0]), (4, 1)))
-        bs = make_blocks(s, 2)
-        np.testing.assert_allclose(bs.blocks, 0.0, atol=0.0)
+        np.testing.assert_allclose(_pair_differences(s, 2), 0.0, atol=0.0)
 
     def test_blocks_psd(self):
         rng = np.random.default_rng(2)
         s = Sample(rng.standard_normal((30, 5)))
-        bs = make_blocks(s, 3)
-        for a in bs.blocks:
+        for a in block_matrices(_pair_differences(s, 3)):
             assert np.linalg.eigvalsh(a).min() >= -1e-10
 
     def test_remainder_discarded(self):
         rng = np.random.default_rng(3)
         s = Sample(rng.standard_normal((11, 2)))
-        assert make_blocks(s, 3).m == 3
+        assert len(_pair_differences(s, 3)) == 3
 
     def test_unbiasedness_monte_carlo(self):
         # mean of theta^T A theta approaches theta^T Sigma theta
@@ -74,49 +80,74 @@ class TestMakeBlocks:
         sigma = np.diag([2.0, 0.5, 1.0])
         n = 6000
         x = rng.standard_normal((n, 3)) * np.sqrt(np.diag(sigma)) + np.array([5.0, -1.0, 0.3])
-        bs = make_blocks(Sample(x), 2)
         theta = np.array([0.6, -0.8, 0.2])
-        v = bs.quadratic_values(theta)
+        v = quadratic_values(_pair_differences(Sample(x), 2), theta)
         target = theta @ sigma @ theta
-        se = v.std(ddof=1) / math.sqrt(bs.m)
+        se = v.std(ddof=1) / math.sqrt(len(v))
         assert abs(v.mean() - target) <= 3.0 * se
 
     def test_validation(self):
         s = Sample(np.ones((4, 2)))
         with pytest.raises(ValueError):
-            make_blocks(s, 1)
+            _pair_differences(s, 1)
         with pytest.raises(ValueError):
-            make_blocks(Sample(np.ones((1, 2))), 2)
+            _pair_differences(Sample(np.ones((1, 2))), 2)
+
+
+class TestPairDifferences:
+    def test_integer_shift_is_bitwise_invisible(self):
+        rng = np.random.default_rng(16)
+        base = lattice_sample(rng, 35, 4)
+        shift = np.array([17.0, -5.0, 9.0, -1024.0])
+        for q in (2, 3, 5):
+            np.testing.assert_array_equal(_pair_differences(Sample(base + shift), q),
+                                          _pair_differences(Sample(base), q))
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_group_sums_match_pairwise_bruteforce(self, q):
+        rng = np.random.default_rng(17)
+        s = Sample(rng.standard_normal((4 * q, 3)) + 2.0)
+        theta = rng.standard_normal(3)
+        got = quadratic_values(_pair_differences(s, q), theta)
+        ref = [theta @ pairwise_block_covariance(s.data[i * q:(i + 1) * q], q) @ theta
+               for i in range(4)]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_remainder_is_logged(self, caplog):
+        s = Sample(np.random.default_rng(18).standard_normal((11, 2)))
+        with caplog.at_level(logging.WARNING, logger="robustgram.covariance"):
+            _pair_differences(s, 3)
+        assert "discarding 2 trailing observations" in caplog.text
 
 
 class TestRLambdaSym:
+    # the paper's block criterion, evaluated on the generating vectors
     def test_all_zero_blocks(self):
-        bs = BlockSet(blocks=np.zeros((4, 2, 2)), q=2)
+        vectors = _pair_differences(Sample(np.ones((8, 2))), 2)
         lam = 0.6
-        assert r_lambda_sym(bs, np.array([1.0, 0.0]), lam) == pytest.approx(-psi(lam))
+        assert block_criterion(vectors, np.array([1.0, 0.0]), lam) == pytest.approx(-psi(lam))
 
     def test_rank_one_reduces_to_gram_criterion(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 3))
-        bs = BlockSet(blocks=np.einsum("ni,nj->nij", x, x), q=2)
         theta = rng.standard_normal(3)
-        assert r_lambda_sym(bs, theta, 0.4) == pytest.approx(
+        assert block_criterion(x[:, None, :], theta, 0.4) == pytest.approx(
             r_lambda(Sample(x), theta, 0.4), abs=1e-14)
 
     def test_single_block_at_root(self):
-        a = np.diag([0.7, 0.1])
-        bs = BlockSet(blocks=a[None, :, :], q=2)
-        assert r_lambda_sym(bs, np.array([1.0, 0.0]), 0.7) == 0.0
+        # A = diag(0.5625, 0.0625) from exactly representable generating vectors
+        vectors = np.array([[[0.75, 0.0], [0.0, 0.25]]])
+        assert block_criterion(vectors, np.array([1.0, 0.0]), 0.5625) == 0.0
 
     def test_q2_reduction_to_difference_vectors(self):
         # block criterion == Gram criterion on (x_{2i-1} - x_{2i}) / sqrt(2)
         rng = np.random.default_rng(6)
         s = Sample(rng.standard_normal((12, 3)))
-        bs = make_blocks(s, 2)
+        vectors = _pair_differences(s, 2)
         diffs = (s.data[0::2] - s.data[1::2]) / math.sqrt(2.0)
         theta = rng.standard_normal(3)
         for lam in (0.1, 0.5):
-            assert r_lambda_sym(bs, theta, lam) == pytest.approx(
+            assert block_criterion(vectors, theta, lam) == pytest.approx(
                 r_lambda(Sample(diffs), theta, lam), abs=1e-14)
 
 
@@ -148,39 +179,37 @@ class TestBlockMomentBounds:
         sigma = np.diag([1.5, 1.0, 0.5])
         n = 3000 * q
         x = rng.standard_normal((n, d)) @ np.sqrt(np.diag(np.diag(sigma)))
-        bs = make_blocks(Sample(x), q)
+        blocks = block_matrices(_pair_differences(Sample(x), q))
         theta = np.array([0.5, -0.5, 1.0])
         n_theta = theta @ sigma @ theta
         bound1, bound2 = block_moment_bounds(sigma, 3.0, q)
 
-        a_theta_sq = np.einsum("mij,j->mi", bs.blocks, theta)
+        a_theta_sq = np.einsum("mij,j->mi", blocks, theta)
         a_theta_sq = np.sum(a_theta_sq * a_theta_sq, axis=1)
-        se1 = a_theta_sq.std(ddof=1) / math.sqrt(bs.m)
+        se1 = a_theta_sq.std(ddof=1) / math.sqrt(len(blocks))
         assert a_theta_sq.mean() <= bound1 * n_theta + 3.0 * se1
 
-        tr_a2 = np.einsum("mij,mij->m", bs.blocks, bs.blocks)
-        se2 = tr_a2.std(ddof=1) / math.sqrt(bs.m)
+        tr_a2 = np.einsum("mij,mij->m", blocks, blocks)
+        se2 = tr_a2.std(ddof=1) / math.sqrt(len(blocks))
         assert tr_a2.mean() <= bound2 + 3.0 * se2
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_block_kurtosis_transfer(self, q):
         # empirical kurtosis of theta^T A theta <= 1 + tau_q(kappa)/q + 3 SE
-        from robustgram.bounds import tau_q
-
         rng = np.random.default_rng(200 + q)
         d = 3
         n = 4000 * q
         x = rng.standard_normal((n, d))
-        bs = make_blocks(Sample(x), q)
+        vectors = _pair_differences(Sample(x), q)
         cap = 1.0 + tau_q(3.0, q) / q
         for seed in range(5):
             theta = np.random.default_rng(seed).standard_normal(d)
-            v = bs.quadratic_values(theta)
+            v = quadratic_values(vectors, theta)
             a, b = float(np.mean(v * v)), float(np.mean(v))
             ratio = a / (b * b)
             # delta-method standard error of the ratio
             infl = (v * v - a) / (b * b) - 2.0 * a * (v - b) / (b**3)
-            se = infl.std(ddof=1) / math.sqrt(bs.m)
+            se = infl.std(ddof=1) / math.sqrt(len(v))
             assert ratio <= cap + 3.0 * se
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from robustgram.influence import (
     C_UNIVERSAL,
-    CONSTANTS,
     P1,
     SUP_CHI,
     Z1,
@@ -240,9 +239,3 @@ class TestConstants:
         sup = -math.log(2.0 * (math.sqrt(2.0) - 1.0)) + (1.0 + 2.0 * math.sqrt(2.0)) / 2.0
         assert abs(sup - SUP_CHI) <= 1e-12
         assert SUP_CHI > LOG2
-
-    def test_dataclass_mirror(self):
-        assert CONSTANTS.c == C_UNIVERSAL
-        assert CONSTANTS.z1 == Z1
-        assert CONSTANTS.p1 == P1
-        assert CONSTANTS.sup_chi == SUP_CHI
