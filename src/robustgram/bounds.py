@@ -280,13 +280,6 @@ def select_from_square_rows(v, norm_sq, grid: Grid, coeffs: list, sigma: float) 
     return out
 
 
-def select_from_squares(v, norm_sq: float, grid: Grid, coeffs: list,
-                        sigma: float) -> SelectedEstimate:
-    """``select_from_square_rows`` on the squared values v of one direction."""
-    return select_from_square_rows(np.asarray(v, dtype=float)[None], [norm_sq], grid,
-                                   coeffs, sigma)[0]
-
-
 def _direction_squares(sample: Sample, theta, grid: Grid) -> tuple:
     """(squared projections, squared norm) of a non-zero theta on a sample of
     the size the grid was built for."""
@@ -302,10 +295,11 @@ def _direction_squares(sample: Sample, theta, grid: Grid) -> tuple:
 
 def select_hat_n(sample: Sample, theta, grid: Grid, sigma: float,
                  mb: MomentBounds) -> SelectedEstimate:
-    """``select_from_squares`` on the squared projections of the sample on theta;
-    ValueError unless the grid is built for the sample's n."""
+    """``select_from_square_rows`` on the squared projections of the sample on
+    theta; ValueError unless the grid is built for the sample's n."""
     v, norm_sq = _direction_squares(sample, theta, grid)
-    return select_from_squares(v, norm_sq, grid, coeffs_for_grid(grid, mb), sigma)
+    return select_from_square_rows(v[None], [norm_sq], grid, coeffs_for_grid(grid, mb),
+                                   sigma)[0]
 
 
 def zeta_star(t: float, mb: MomentBounds, K: int, epsilon: float) -> float:

@@ -40,12 +40,20 @@ from .harness import (
 )
 
 
-def _interval_report(sample, mb, epsilon) -> dict:
+def _moment_bounds(sample, seed) -> tuple:
+    """(plug-in moment bounds, None), or (None, the reason there are none)."""
+    if sample.n < MIN_KAPPA_OBSERVATIONS:
+        return None, (f"moment bounds need at least {MIN_KAPPA_OBSERVATIONS} "
+                      f"observations, got {sample.n}")
+    if not sample.data.any():
+        return None, "moment bounds need a non-zero observation; the sample is all zeros"
+    return estimate_moment_bounds(sample, seed=seed), None
+
+
+def _interval_report(sample, mb, note, epsilon) -> dict:
     """Per-axis confidence intervals and their grid, or null intervals and the reason."""
     if mb is None:
-        return {"confidence_intervals": None,
-                "grid_note": f"moment bounds need at least {MIN_KAPPA_OBSERVATIONS} "
-                             f"observations, got {sample.n}"}
+        return {"confidence_intervals": None, "grid_note": note}
     try:
         grid = bnd.make_grid(sample.n, mb, epsilon=epsilon)
         cis = []
@@ -67,12 +75,12 @@ def _cmd_estimate(args) -> int:
 
     # the plain moments overflow long before the robust estimate does;
     # report that rather than write inf to the CSVs and the JSON report.
-    # The plug-in kurtosis needs a few observations; below that the
-    # estimate is still written, without moment bounds or intervals.
+    # The plug-in moments need a few observations and a non-zero one;
+    # without them the estimate is still written, without moment bounds or
+    # intervals.
     with np.errstate(over="ignore", invalid="ignore"):
         gbar = empirical_gram(sample)
-        mb = (estimate_moment_bounds(sample, seed=args.seed)
-              if sample.n >= MIN_KAPPA_OBSERVATIONS else None)
+        mb, note = _moment_bounds(sample, args.seed)
     moments = () if mb is None else (mb.kappa, mb.s4, mb.trace_g, mb.trace_g2)
     if not (np.all(np.isfinite(gbar)) and all(map(math.isfinite, moments))):
         raise NumericalError("the empirical Gram matrix or the moment bounds overflow "
@@ -92,7 +100,7 @@ def _cmd_estimate(args) -> int:
             "kappa": mb.kappa, "s4": mb.s4, "trace_g": mb.trace_g,
             "trace_g2": mb.trace_g2, "certified": mb.certified},
     }
-    report.update(_interval_report(sample, mb, args.epsilon))
+    report.update(_interval_report(sample, mb, note, args.epsilon))
     with open(os.path.join(out_dir, "estimate.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -8,8 +8,9 @@ generating vectors (X_j - X_k) / sqrt(q(q-1)), so theta^T A_i theta is a
 group sum of squared projections, and runs the same polarization loop as the
 Gram estimator (:func:`robustgram.gram.iterate_polarization`) on them.  For
 q = 2 that is exactly the Gram estimator on the scaled differences.  The
-grid-certified mode only swaps the loop's one ``estimate`` hook for the
-grid-selected estimator of :mod:`robustgram.bounds`.
+grid-certified mode only swaps the loop's one hook, ``estimate(v, norm_sq,
+start)`` on the quadratic values theta^T A_i theta of a block of
+directions, for the grid-selected estimator of :mod:`robustgram.bounds`.
 """
 
 from __future__ import annotations
@@ -50,18 +51,18 @@ def _pair_differences(sample: Sample, q: int) -> np.ndarray:
 
 def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
                       mode: str = "iterative-practical", num_updates: int = 4,
-                      mb: bnd.MomentBounds = None, psd: bool = False) -> GramEstimate:
+                      psd: bool = False) -> GramEstimate:
     """Robust estimate of the covariance matrix with unknown mean.
 
     Both modes run ``iterate_polarization`` on the blocks' generating vectors.
     Mode "iterative-practical" uses its default adaptive scale solver.  Mode
     "grid-certified" passes as its ``estimate`` the grid-selected estimator
-    ``bounds.select_from_square_rows`` on the rows of a block, one solver
-    call per block (kappa mapped through the q-block transfer, n replaced by
-    the block count); it requires enough blocks for the theoretical grid.
-    ``mb`` holds moment bounds of the observations.  Only the grid-certified
-    mode reads it, for kappa and the certified flag; without it, that mode
-    uses the plug-in kurtosis of the generating vectors.
+    ``bounds.select_from_square_rows`` on the quadratic values of a block
+    of directions, one solver call per block (n replaced by the block
+    count); it requires enough blocks for the theoretical grid.  Its moment
+    bounds are plug-in values, flagged non-certified: the kurtosis of the
+    generating vectors (``harness.kappa_plugin``) mapped through the
+    q-block transfer, and the empirical moments of the blocks.
     Set ``psd=True`` to clamp negative eigenvalues of the final estimate.
     """
     if mode not in ("iterative-practical", "grid-certified"):
@@ -72,15 +73,13 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
         from .harness import kappa_plugin  # harness imports this module
 
         m = len(vectors)
-        kappa_x = (mb.kappa if mb is not None
-                   else kappa_plugin(Sample(vectors.reshape(-1, sample.d))))
-        kappa_prime = 1.0 + bnd.tau_q(kappa_x, q) / q
+        kappa_prime = 1.0 + bnd.tau_q(kappa_plugin(Sample(vectors.reshape(-1, sample.d))), q) / q
         # ||A_i||_op is the squared spectral norm of the block's vectors
         s4_a = float(np.mean(np.linalg.norm(vectors, ord=2, axis=(1, 2)) ** 4)) ** 0.25
         tr_a = float(np.sum(vectors * vectors)) / m
         mb_blocks = bnd.MomentBounds(kappa=kappa_prime, s4=s4_a,
                                      trace_g=max(tr_a, s4_a**2 / math.sqrt(kappa_prime)),
-                                     certified=mb is not None and mb.certified)
+                                     certified=False)
         grid = bnd.make_grid(m, mb_blocks, a=0.5, epsilon=epsilon)
         coeffs = bnd.coeffs_for_grid(grid, mb_blocks)
         try:
@@ -88,9 +87,9 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
         except ValueError:
             sigma = s4_a**2
 
-        def estimate(p, norm_sq):
+        def estimate(v, norm_sq, start):
             return [sel.value for sel in bnd.select_from_square_rows(
-                np.sum(p * p, axis=2), norm_sq.tolist(), grid, coeffs, sigma)]
+                v, norm_sq.tolist(), grid, coeffs, sigma)]
 
     est = iterate_polarization(vectors, epsilon, num_updates, estimate)
     if psd:

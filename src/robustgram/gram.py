@@ -7,10 +7,11 @@ mean of the A_i, re-estimates every quadratic form N(u_i +/- u_j) in the
 current eigenbasis with the robust scale solver, reassembles the matrix
 through the polarization identity, and iterates with the eigenbasis of the
 new estimate.  The d^2 directions of one update are estimated in blocks of
-rows, one row of projections per direction, and ``estimate(P, norm_sq)`` is
-the one hook that turns a block into its quadratic forms: the default
-solves a whole block with one call to the row solver, each direction
-started at its root in the previous update.
+rows, one row of quadratic values theta^T A_i theta per direction, and
+``estimate(v, norm_sq, start)`` is the one hook that turns a block into its
+quadratic forms, given each direction's form in the previous update as its
+start: the default solves a whole block with one call to the row solver,
+each direction started there.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mestimator import Sample, SampleSizeError, lambda_from_square_rows, scale_from_squares
+from .mestimator import Sample, lambda_from_square_rows, scale_from_squares
 
 logger = logging.getLogger(__name__)
 
@@ -107,40 +108,17 @@ def positive_part(q: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _robust_scale_rows(p: np.ndarray, epsilon: float, lam_log: list, start=None) -> np.ndarray:
-    """Default scale of each row of ``p``: adaptive truncation level, then the row solver.
-
-    ``p`` holds one direction's projections per row, shape (k, n) or
-    (k, m, g); a group contributes the sum of its squares.  A row falls back
-    to lambda = 1/sqrt(n) where the adaptive formula is undefined (a sample
-    too small for epsilon, or zero variance of the squared values); other
-    errors, such as epsilon outside (0, 1), propagate.  Rows without a
-    positive square give 0.  The levels used are appended to ``lam_log``.
-    ``start``, if given, holds one starting scale per row for the solver.
-    """
-    v = p * p
-    if v.ndim == 3:
-        v = v.sum(axis=2)
-    out = np.zeros(len(v))
-    live = (v > 0.0).any(axis=1)
-    if not live.any():
-        return out
-    if not live.all():
-        v = v[live]
-        if start is not None:
-            start = start[live]
-    try:
-        lam = lambda_from_square_rows(v, epsilon)
-    except SampleSizeError:
-        lam = np.full(len(v), np.nan)
-    lam[np.isnan(lam)] = 1.0 / math.sqrt(v.shape[1])
+def _robust_scale_rows(v: np.ndarray, epsilon: float, lam_log: list, start) -> np.ndarray:
+    """Default estimate of each row of the (k, n) quadratic values ``v``: its
+    adaptive truncation level, appended to ``lam_log``, then the row solver
+    started at ``start`` (one scale per row, nan for none)."""
+    lam = lambda_from_square_rows(v, epsilon)
     lam_log.extend(lam.tolist())
     result = scale_from_squares(v, lam, start)
     failed = np.count_nonzero(~result.row_converged)
     if failed:
         logger.warning("%d of %d scale solves did not converge", failed, len(v))
-    out[live] = result.value
-    return out
+    return result.value
 
 
 @functools.lru_cache(maxsize=8)
@@ -161,48 +139,51 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
 
     ``w`` holds the projections on the current basis, shape (n, d) or
     (m, g, d).  The d^2 directions e_i + e_j (i <= j) and e_i - e_j (i < j)
-    are taken in blocks: a block stacks the projections w @ theta of
-    consecutive directions as the rows of a (k, n) or (k, m, g) array P,
-    with k * n * g at most ``BLOCK_ELEMS`` (and k >= 1).  Rows that vanish
-    get N = 0; the others go to estimate(P, norm_sq), which returns their N
-    values, norm_sq holding each direction's squared norm (4 for the doubled
-    column on the diagonal, 2 otherwise).  A ValueError from ``estimate``
-    becomes a NumericalError naming the block.  With the mean of each row's
-    squares as the estimate, C is (1/n) w^T w.  ``n_values``, if given,
-    holds one N per direction in this order, as left by a previous update:
-    the hook is then called as estimate(P, norm_sq, starts), starts holding
-    the entries of P's rows, and every entry is replaced by the new N.
+    are taken in blocks of consecutive directions, k * n * g projections
+    w @ theta at most ``BLOCK_ELEMS`` (and k >= 1).  Each direction's
+    quadratic values are its squared projections, summed over the group,
+    one row of a (k, n) or (k, m) array v.  Rows without a positive value
+    get N = 0; the others go to estimate(v, norm_sq, start), which returns
+    their N values.  norm_sq holds each direction's squared norm (4 for the
+    doubled column on the diagonal, 2 otherwise), and start its N from the
+    previous update, nan where there is none.  A ValueError from
+    ``estimate`` becomes a NumericalError naming the block.  With the mean
+    of each row as the estimate, C is (1/n) w^T w.  ``n_values`` holds one
+    N per direction in this order: it is read for the starts and then
+    holds the new N values.  Without it, every start is nan.
     """
     w = np.asarray(w, dtype=float)
     d = w.shape[-1]
     cols = np.ascontiguousarray(np.moveaxis(w, -1, 0))  # (d, n) or (d, m, g)
     first, second, sign, norm_sq, iu, ju = _directions(d)
+    if n_values is None:
+        n_values = np.full(len(sign), np.nan)
     row_sign = sign.reshape(-1, *[1] * (cols.ndim - 1))
-    values = np.zeros(len(sign))
     rows = max(1, BLOCK_ELEMS // cols[0].size)
     for start in range(0, len(sign), rows):
         blk = slice(start, start + rows)
         # sign * x is exact, so each row equals w_i + w_j or w_i - w_j
         p = cols[first[blk]] + row_sign[blk] * cols[second[blk]]
-        live = p.reshape(len(p), -1).any(axis=1)
-        if not live.any():
+        v = p * p
+        if v.ndim == 3:
+            v = v.sum(axis=2)
+        live = v.any(axis=1)
+        values = n_values[blk]
+        starts = values[live]
+        values[:] = 0.0
+        if not starts.size:
             continue
-        args = (p[live] if not live.all() else p, norm_sq[blk][live])
-        if n_values is not None:
-            args += (n_values[blk][live],)
         try:
-            values[blk][live] = estimate(*args)
+            values[live] = estimate(v if live.all() else v[live], norm_sq[blk][live], starts)
         except ValueError as exc:
             stop = min(start + rows, len(sign)) - 1
             raise NumericalError(
                 f"scale solve failed at entries ({first[start]}, {second[start]}) to "
                 f"({first[stop]}, {second[stop]}): {exc}") from exc
-    if n_values is not None:
-        n_values[:] = values
     minus = np.zeros(len(iu))
-    minus[iu < ju] = values[sign < 0.0]
+    minus[iu < ju] = n_values[sign < 0.0]
     c = np.zeros((d, d))
-    c[iu, ju] = c[ju, iu] = 0.25 * (values[sign > 0.0] - minus)
+    c[iu, ju] = c[ju, iu] = 0.25 * (n_values[sign > 0.0] - minus)
     return c
 
 
@@ -220,36 +201,37 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
 
     Each update projects the vectors on the eigenbasis of the previous
     estimate (the mean of the A_i initially), builds the matrix C in that
-    basis with ``polarization_update``, and rotates back.  ``estimate(P,
-    norm_sq)`` gives the quadratic form of each block of directions; the
-    default solves each row's adaptive truncation level and robust scale
-    (``_robust_scale_rows``) and records the mean level per update in
-    ``lambda_used``.  It keeps each direction's N, in
-    ``polarization_update``'s order, and starts that direction's solve in
-    the next update there: update 1 starts every solve at the mean of its
-    squares, and once the iterate settles most solves take one pass.
-    Stops after ``num_updates`` or once ||Q_k - Q_{k-1}||_F <= ``STOP_TOL``
-    ||Q_{k-1}||_F.  The default estimate
-    is homogeneous of degree 2 and each of its steps scales exactly under a
-    power of two, so it runs on the vectors divided by 2^e, e the binary
-    exponent of the largest |entry| less ``NORM_EXPONENT``, and its result
-    is multiplied by 2^(2e): scaling the data by 2^k scales the estimate by
-    4^k bit for bit wherever both are representable.  A custom ``estimate``
-    sees the vectors as given.  Non-finite matrices, an estimate beyond the
-    floating-point range and eigh failures raise NumericalError; epsilon
-    outside (0, 1) raises ValueError.
+    basis with ``polarization_update``, and rotates back.  ``estimate(v,
+    norm_sq, start)`` turns the quadratic values of each block of
+    directions into their quadratic forms.  The loop keeps each direction's
+    N, in ``polarization_update``'s order, and hands it to the hook as that
+    direction's start in the next update (nan in update 1).  The default
+    solves each row's adaptive truncation level and robust scale
+    (``_robust_scale_rows``), starting each solve there, and records the
+    mean level per update in ``lambda_used``: update 1 starts every solve
+    at the mean of its values, and once the iterate settles most solves
+    take one pass.  Stops after ``num_updates`` or once ||Q_k - Q_{k-1}||_F
+    <= ``STOP_TOL`` ||Q_{k-1}||_F.  The default estimate is homogeneous of
+    degree 2 and each of its steps scales exactly under a power of two, so
+    it runs on the vectors divided by 2^e, e the binary exponent of the
+    largest |entry| less ``NORM_EXPONENT``, and its result is multiplied by
+    2^(2e): scaling the data by 2^k scales the estimate by 4^k bit for bit
+    wherever both are representable.  A custom ``estimate`` sees the
+    quadratic values of the vectors as given.  Non-finite matrices, an
+    estimate beyond the floating-point range and eigh failures raise
+    NumericalError; epsilon outside (0, 1) raises ValueError.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if num_updates < 1:
         raise ValueError("num_updates must be at least 1")
     flat = vectors.reshape(-1, vectors.shape[-1])
-    e, lam_log, n_values = 0, [], None
+    e, lam_log = 0, []
+    # each direction's N of the previous update; nan in update 1
+    n_values = np.full(vectors.shape[-1] ** 2, np.nan)
     if estimate is None:
-        def estimate(p, norm_sq, start):
-            return _robust_scale_rows(p, epsilon, lam_log, start)
-        # each direction's N of the previous update; nan starts update 1 at the mean
-        n_values = np.full(vectors.shape[-1] ** 2, np.nan)
+        def estimate(v, norm_sq, start):
+            return _robust_scale_rows(v, epsilon, lam_log, start)
         e = int(np.frexp(np.max(np.abs(flat), initial=0.0))[1]) - NORM_EXPONENT
         flat = np.ldexp(flat, -e)
         vectors = flat.reshape(vectors.shape)

@@ -82,10 +82,6 @@ MAX_BRACKET_ROUNDS = 2100
 RESCALE_EXPONENT = 256
 
 
-class SampleSizeError(ValueError):
-    """The sample is too small for the adaptive truncation level."""
-
-
 @dataclass(frozen=True)
 class ScaleResult:
     """Outcome of a scale solve on the rows of a matrix: one entry per row.
@@ -327,24 +323,23 @@ def lambda_from_square_rows(v, epsilon: float) -> np.ndarray:
     """Data-driven truncation level of each row of the (k, n) matrix ``v`` of squares.
 
     m sqrt(u (1 - u) / var) with u = (2/n) log(1/epsilon), m the row's mean
-    and var its sample variance; nan for a row with var = 0, where callers
-    use a configured floor.  Raises ``SampleSizeError`` when the sample is
-    too small (n < 2 or u >= 1), which holds for every row alike, and
-    ``ValueError`` for epsilon outside (0, 1).
+    and var its sample variance.  Where that formula is undefined, for a
+    sample too small for epsilon (n < 2 or u >= 1, every row alike) or a
+    row with var = 0, the level is 1/sqrt(n).  Raises ``ValueError`` for
+    epsilon outside (0, 1).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     v = np.asarray(v, dtype=float)
     n = v.shape[1]
-    if n < 2:
-        raise SampleSizeError("need at least two observations")
-    u = 2.0 * math.log(1.0 / epsilon) / n
+    floor = 1.0 / math.sqrt(n)
+    u = 2.0 * math.log(1.0 / epsilon) / n if n >= 2 else 1.0
     if u >= 1.0:
-        raise SampleSizeError(f"sample too small: 2 log(1/epsilon)/n = {u:.3f} >= 1")
+        return np.full(len(v), floor)
     # lambda is scale-free, so the rescale leaves its bits
     v, m, _ = _rescale_rows(v)
     var = np.sum((v - m[:, None]) ** 2, axis=1) / (n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = m * np.sqrt(u * (1.0 - u) / var)
-    lam[var <= 0.0] = np.nan
+    lam[var <= 0.0] = floor
     return lam

@@ -98,9 +98,10 @@ def central_difference(fn, t: float, h: float = 1e-6) -> float:
     return (fn(t + h) - fn(t - h)) / (2.0 * h)
 
 
-def mean_of_squares(p, norm_sq):
-    """Estimate hook of the polarization loop: the plain mean of each row's squares."""
-    return np.mean(p * p, axis=1)
+def mean_of_squares(v, norm_sq, start):
+    """Estimate hook of the polarization loop: the plain mean of each row of
+    quadratic values (sums of squared projections)."""
+    return np.mean(v, axis=1)
 
 
 def random_orthogonal(d, rng):

@@ -26,7 +26,6 @@ from robustgram.bounds import (
     phi_plus_inverse,
     radius_envelope,
     select_from_square_rows,
-    select_from_squares,
     select_hat_n,
     sigma_default,
     sym_zeta_star,
@@ -398,7 +397,7 @@ class TestGridAsRows:
         v = np.array([(s.data @ t) ** 2 for t in thetas])
         norm_sq = [2.0, 1.0, 3.0]
         rows = select_from_square_rows(v, norm_sq, grid, coeffs, 0.05)
-        assert rows == [select_from_squares(r, ns, grid, coeffs, 0.05)
+        assert rows == [select_from_square_rows(r[None], [ns], grid, coeffs, 0.05)[0]
                         for r, ns in zip(v, norm_sq)]
         assert rows[2].value == 0.0 and rows[0].value > 0.0
 

@@ -56,6 +56,20 @@ class TestEstimate:
         assert report["moment_bounds"] is None and report["confidence_intervals"] is None
         assert "4 observations" in report["grid_note"]
 
+    def test_zero_sample_writes_the_estimate_without_bounds(self, tmp_path):
+        # the plug-in moments of a zero sample are 0, which no moment bound
+        # admits; the estimate is the zero matrix, as robust_gram returns
+        path = tmp_path / "zero.csv"
+        save_matrix_csv(str(path), np.zeros((10, 3)))
+        out = tmp_path / "est"
+        assert main(["estimate", str(path), "--out", str(out)]) == 0
+        for name in ("g_bar.csv", "q.csv", "q_plus.csv"):
+            np.testing.assert_array_equal(np.loadtxt(str(out / name), delimiter=","),
+                                          np.zeros((3, 3)))
+        report = json.loads((out / "estimate.json").read_text())
+        assert report["moment_bounds"] is None and report["confidence_intervals"] is None
+        assert "all zeros" in report["grid_note"]
+
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv")]) == 1
 

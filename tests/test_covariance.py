@@ -279,6 +279,34 @@ class TestRobustCovariance:
                                 num_updates=2)
         assert frobenius_error(est.matrix, np.eye(d)) <= 0.5
 
+    # upper triangles, row by row, of grid-certified mode on the input of
+    # test_grid_certified_mode_runs and of the default mode at q = 3; computed
+    # on x86-64 with numpy 2.4.6 and OpenBLAS (another BLAS may round the
+    # rotations differently)
+    GRID_CERTIFIED_UPPER = [
+        "0x1.fb9230c15b3a4p-1", "0x1.ef8bc4dee0f62p-6", "-0x1.9909105bcfdcbp-7",
+        "0x1.0200ee899a7e7p+0", "-0x1.876a1c3665c1ap-7", "0x1.fff9ea412bf44p-1",
+    ]
+    DEFAULT_Q3_UPPER = [
+        "0x1.4e673b6f5d003p+1", "0x1.f44fac76927acp-4", "-0x1.a8e5699a75ca4p-5",
+        "0x1.52aaf4fc6e0d8p-8", "0x1.6a9837b7b54a3p+1", "-0x1.edaf53660760bp-3",
+        "-0x1.88320a81c8b60p-4", "0x1.4f9a5126e64c6p+1", "-0x1.d0f1928d1bc1cp-3",
+        "0x1.015d314bc82e4p+1",
+    ]
+
+    def test_bitwise_reference_grid_certified(self):
+        x = np.random.default_rng(11).standard_normal((14000, 3)) + 1.0
+        q = robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified",
+                              num_updates=2).matrix
+        np.testing.assert_array_equal(q, q.T)
+        assert [float(v).hex() for v in q[np.triu_indices(3)]] == self.GRID_CERTIFIED_UPPER
+
+    def test_bitwise_reference_default_q3(self):
+        x = np.random.default_rng(21).standard_t(3, size=(300, 4)) + 2.0
+        q = robust_covariance(Sample(x), q=3, epsilon=0.1).matrix
+        np.testing.assert_array_equal(q, q.T)
+        assert [float(v).hex() for v in q[np.triu_indices(4)]] == self.DEFAULT_Q3_UPPER
+
     def test_grid_certified_solves_a_block_in_one_call(self, monkeypatch):
         # the rows x K levels of a block are one solve, with the bits of a
         # solve per row

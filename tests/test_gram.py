@@ -28,9 +28,9 @@ from oracles import (
 )
 
 
-def default_estimate(p, norm_sq):
+def default_estimate(v, norm_sq, start):
     """The default estimate of ``iterate_polarization`` at epsilon = 0.1."""
-    return gram._robust_scale_rows(p, 0.1, [])
+    return gram._robust_scale_rows(v, 0.1, [], start)
 
 
 class TestEmpiricalGram:
@@ -121,6 +121,27 @@ class TestPolarizationUpdate:
         c = polarization_update(w, default_estimate)
         np.testing.assert_array_equal(c, c.T)
 
+    @pytest.mark.parametrize("hook", ["default", "recording"])
+    def test_underflowing_squares_never_reach_the_hook(self, hook):
+        # the projections 2 w_1 on the doubled column 1 are non-zero, but
+        # their squares, about 2^-1196, underflow to 0: that direction gets
+        # N = 0 without a call, and the default hook would reject the row
+        rng = np.random.default_rng(21)
+        w = rng.standard_normal((50, 3))
+        w[:, 1] = np.ldexp(w[:, 1], -600)
+        seen = []
+
+        def recording(v, norm_sq, start):
+            seen.extend(v.any(axis=1).tolist())
+            return mean_of_squares(v, norm_sq, start)
+
+        n_values = np.full(9, np.nan)
+        c = polarization_update(w, default_estimate if hook == "default" else recording,
+                                n_values)
+        assert n_values[5] == 0.0 and c[1, 1] == 0.0
+        assert np.all(np.delete(n_values, 5) > 0.0)
+        assert seen == ([] if hook == "default" else [True] * 8)
+
 
 def _projection_cases():
     rng = np.random.default_rng(17)
@@ -142,9 +163,10 @@ class TestBlockedUpdate:
         w = _projection_cases()[name]
         blocked_lams, single_lams = [], []
         blocked = polarization_update(
-            w, lambda p, norm_sq: gram._robust_scale_rows(p, 0.1, blocked_lams))
-        single = polarization_update(w, lambda p, norm_sq: [
-            gram._robust_scale_rows(row[None], 0.1, single_lams)[0] for row in p])
+            w, lambda v, norm_sq, start: gram._robust_scale_rows(v, 0.1, blocked_lams, start))
+        single = polarization_update(w, lambda v, norm_sq, start: [
+            gram._robust_scale_rows(row[None], 0.1, single_lams, s[None])[0]
+            for row, s in zip(v, start)])
         np.testing.assert_array_equal(blocked, single)
         assert blocked_lams == single_lams
 
@@ -153,10 +175,10 @@ class TestBlockedUpdate:
         w = rng.standard_normal((4000, 3))
         shapes, norms = [], []
 
-        def estimate(p, norm_sq):
-            shapes.append(p.shape)
+        def estimate(v, norm_sq, start):
+            shapes.append(v.shape)
             norms.extend(norm_sq.tolist())
-            return np.mean(p * p, axis=1)
+            return np.mean(v, axis=1)
 
         c = polarization_update(w, estimate)
         assert shapes == [(4, 4000), (4, 4000), (1, 4000)]
@@ -200,16 +222,23 @@ class TestWarmStart:
         assert passes_per_update[0] == 200
         assert passes_per_update[2] < 150 and passes_per_update[3] == 100
 
-    def test_custom_hook_is_called_with_two_arguments(self):
-        seen = []
+    def test_any_hook_starts_at_its_own_previous_values(self):
+        # n = 4000, d = 3: the 9 directions come in blocks of 4, 4 and 1, and
+        # the row medians move the iterate, so every update runs
+        calls = []
 
-        def hook(p, norm_sq):
-            seen.append(len(p))
-            return mean_of_squares(p, norm_sq)
+        def hook(v, norm_sq, start):
+            calls.append((start, np.median(v, axis=1)))
+            return calls[-1][1]
 
-        s = Sample(np.random.default_rng(19).standard_normal((30, 3)))
-        iterate_polarization(s.data, num_updates=2, estimate=hook)
-        assert sum(seen) == 9
+        x = np.random.default_rng(19).standard_t(3, (4000, 3))
+        assert iterate_polarization(x, num_updates=3, estimate=hook).iterations == 3
+        assert [len(start) for start, _ in calls] == [4, 4, 1] * 3
+        starts, values = ([np.concatenate([c[k] for c in calls[u:u + 3]]) for u in (0, 3, 6)]
+                          for k in (0, 1))
+        assert np.isnan(starts[0]).all()
+        for before, after in zip(values, starts[1:]):
+            np.testing.assert_array_equal(after, before)
 
 
 class TestRobustGram:
@@ -280,7 +309,7 @@ class TestRobustGram:
         assert est.iterations == 1  # first delta is already ~0
 
     def test_custom_scale_failure_propagates(self):
-        def broken(p, norm_sq):
+        def broken(v, norm_sq, start):
             raise ValueError("boom at this pair")
 
         rng = np.random.default_rng(14)

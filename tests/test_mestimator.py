@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import robustgram.mestimator as mestimator
 from robustgram import gram
-from robustgram.bounds import Grid, MomentBounds, coeffs_for_grid, select_from_squares
+from robustgram.bounds import Grid, MomentBounds, coeffs_for_grid, select_from_square_rows
 from robustgram.harness import ExperimentConfig, gen_mixture, trial_rng
 from robustgram.influence import psi, psi_prime
 from robustgram.mestimator import (
@@ -392,7 +392,8 @@ class TestRowSolver:
         mb = MomentBounds(kappa=3.0, s4=1.0, trace_g=1.0)
         grid = Grid(points=((0.5, 10.0),), K=1, a=0.5, epsilon=0.1, n=2)
         with pytest.raises(ValueError, match="finite"):
-            select_from_squares(np.array(bad), 1.0, grid, coeffs_for_grid(grid, mb), 0.1)
+            select_from_square_rows(np.array(bad)[None], [1.0], grid, coeffs_for_grid(grid, mb),
+                                    0.1)[0]
         with pytest.raises(ValueError, match="finite"):
             scale_from_squares(np.array([[1.0, 2.0], bad]), np.array([0.5, 0.5]))
 
@@ -403,8 +404,7 @@ class TestRowSolver:
         lam = lambda_from_square_rows(v, 0.1)
         for k in (0, 1, 3, 4):
             assert lam[k] == lambda_from_square_rows(v[k:k + 1], 0.1)[0]
-        assert math.isnan(lam[2])
-        assert math.isnan(lambda_from_square_rows(v[2:3], 0.1)[0])
+        assert lam[2] == lambda_from_square_rows(v[2:3], 0.1)[0] == 1.0 / math.sqrt(80)
 
     def test_lambda_rows_are_exactly_scale_free(self):
         # the variance of 2^-1000 v underflows and that of 2^1000 v overflows
@@ -597,13 +597,15 @@ class TestAdaptiveLambda:
         lam = lambda_from_square_rows(p2[None], 0.1)[0]
         assert lam == pytest.approx(0.20959709591425535, rel=1e-9)
 
-    def test_constant_values_rejected(self):
-        # zero variance: the row gets nan, and the caller's floor takes over
-        assert math.isnan(lambda_from_square_rows(np.ones((1, 50)), 0.1)[0])
+    def test_constant_values_fall_back_to_inverse_root_n(self):
+        # zero variance leaves the formula undefined
+        assert lambda_from_square_rows(np.ones((1, 50)), 0.1)[0] == 1.0 / math.sqrt(50)
 
-    def test_small_sample_rejected(self):
-        with pytest.raises(ValueError):
-            lambda_from_square_rows(np.array([[1.0, 4.0, 9.0]]), 0.1)  # 2 log(10) / 3 > 1
+    def test_small_sample_falls_back_to_inverse_root_n(self):
+        # 2 log(10) / 3 > 1 at n = 3, and n = 1 has no variance
+        lam = lambda_from_square_rows(np.array([[1.0, 4.0, 9.0], [0.0, 1.0, 2.0]]), 0.1)
+        np.testing.assert_array_equal(lam, [1.0 / math.sqrt(3)] * 2)
+        assert lambda_from_square_rows(np.array([[4.0]]), 0.9)[0] == 1.0
 
     def test_scale_free(self):
         rng = np.random.default_rng(11)
