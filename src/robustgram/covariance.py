@@ -73,7 +73,8 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
         from .harness import kappa_plugin  # harness imports this module
 
         m = len(vectors)
-        kappa_prime = 1.0 + bnd.tau_q(kappa_plugin(Sample(vectors.reshape(-1, sample.d))), q) / q
+        kappa_x = kappa_plugin(Sample(vectors.reshape(-1, sample.d)))
+        kappa_prime = 1.0 + bnd.tau_q(kappa_x, q) / q
         # ||A_i||_op is the squared spectral norm of the block's vectors
         s4_a = float(np.mean(np.linalg.norm(vectors, ord=2, axis=(1, 2)) ** 4)) ** 0.25
         tr_a = float(np.sum(vectors * vectors)) / m
