@@ -27,14 +27,15 @@ from .mestimator import Sample, lambda_from_square_rows, scale_from_squares
 
 logger = logging.getLogger(__name__)
 
-# Projections per block of directions (rows x m x g): a block and the
-# solver's temporaries stay within a 2 MB L2 cache; 2^13 ran slower.  The
-# solver's work slabs hold 7 floats per projection, and with them perfbench
-# cov-tall (n = 4000, d = 20, 2-vCPU host) ran 11-16% faster at 2^15 and
-# 2^16, with peak RSS 44.2 and 46.6 MB against 43.0.  The cap stays until
-# it is re-measured with the calls of a batched multi-sample loop, whose
-# row lengths and call sizes differ from today's.
-BLOCK_ELEMS = 2**14
+# Projections per block of directions (rows x m x g).  Each block is one
+# solver call, whose work slabs hold 7 floats per projection: 1.75 MB at
+# 2^15, within a 2 MB per-core L2 cache, and twice that at 2^16.  On a
+# 2-vCPU Xeon host (perfbench, 15 s runs) cov-tall (n = 4000, d = 20) ran
+# 5.0-5.4 ops/s at 2^14, 5.9-6.3 at 2^15, 5.71 at 2^16 (47.5 MB peak RSS)
+# and 5.37 at 2^17 (51.6 MB); 2^13 ran slower than 2^14.  A batched
+# multi-sample loop, with other row lengths and call sizes, should measure
+# the cap again.
+BLOCK_ELEMS = 2**15
 
 # The default estimate runs on the vectors scaled by the power of two that puts
 # the largest |entry| in [2^99, 2^100).  Squares then stay below 2^200, far
@@ -142,15 +143,20 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     are taken in blocks of consecutive directions, k * n * g projections
     w @ theta at most ``BLOCK_ELEMS`` (and k >= 1).  Each direction's
     quadratic values are its squared projections, summed over the group,
-    one row of a (k, n) or (k, m) array v.  Rows without a positive value
-    get N = 0; the others go to estimate(v, norm_sq, start), which returns
-    their N values.  norm_sq holds each direction's squared norm (4 for the
-    doubled column on the diagonal, 2 otherwise), and start its N from the
-    previous update, nan where there is none.  A ValueError from
-    ``estimate`` becomes a NumericalError naming the block.  With the mean
-    of each row as the estimate, C is (1/n) w^T w.  ``n_values`` holds one
-    N per direction in this order: it is read for the starts and then
-    holds the new N values.  Without it, every start is nan.
+    one row of a (k, n) or (k, m) array v.  A block gathers the columns w_j
+    of its directions, multiplies them by the signs, adds the gathered
+    columns w_i and squares, all in place: it allocates the array it builds
+    in and one gathered temporary, and for g > 1 the group sum, which is v;
+    for g = 1, v is that array itself, so each block's v is a fresh array.
+    Rows without a positive value get N = 0; the others go to estimate(v,
+    norm_sq, start), which returns their N values.  norm_sq holds each
+    direction's squared norm (4 for the doubled column on the diagonal, 2
+    otherwise), and start its N from the previous update, nan where there
+    is none.  A ValueError from ``estimate`` becomes a NumericalError naming
+    the block.  With the mean of each row as the estimate, C is (1/n) w^T w.
+    ``n_values`` holds one N per direction in this order: it is read for
+    the starts and then holds the new N values.  Without it, every start is
+    nan.
     """
     w = np.asarray(w, dtype=float)
     d = w.shape[-1]
@@ -162,11 +168,14 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     rows = max(1, BLOCK_ELEMS // cols[0].size)
     for start in range(0, len(sign), rows):
         blk = slice(start, start + rows)
-        # sign * x is exact, so each row equals w_i + w_j or w_i - w_j
-        p = cols[first[blk]] + row_sign[blk] * cols[second[blk]]
-        v = p * p
+        # sign * x is exact and addition commutes, so each row equals
+        # w_i + w_j or w_i - w_j bit for bit
+        p = cols[second[blk]]
+        p *= row_sign[blk]
+        p += cols[first[blk]]
+        v = np.multiply(p, p, out=p)
         if v.ndim == 3:
-            v = v.sum(axis=2)
+            v = v.reshape(v.shape[:2]) if v.shape[2] == 1 else v.sum(axis=2)
         live = v.any(axis=1)
         values = n_values[blk]
         starts = values[live]

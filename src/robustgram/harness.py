@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import MomentBounds
 from .covariance import robust_covariance
-from .gram import empirical_gram, frobenius_error, robust_gram
+from .gram import NumericalError, empirical_gram, frobenius_error, robust_gram
 from .mestimator import Sample
 
 logger = logging.getLogger(__name__)
@@ -332,11 +332,15 @@ def estimate_moment_bounds(sample: Sample, n_directions: int = 100, seed: int = 
 
     The kurtosis plug-in is inflated by ``safety``; s4 and the traces are the
     empirical moments.  These are point estimates, not the true upper bounds
-    the theory assumes.
+    the theory assumes.  Raises NumericalError when s4 or the trace of a
+    non-zero sample underflows to 0.
     """
     norms_sq = np.sum(sample.data**2, axis=1)
     s4 = float(np.mean(norms_sq**2)) ** 0.25
     trace_g = float(np.mean(norms_sq))
+    if not (s4 > 0.0 and trace_g > 0.0) and sample.data.any():
+        raise NumericalError("the plug-in moments underflow to 0 "
+                             "(data out of floating-point range)")
     gbar = empirical_gram(sample)
     trace_g2 = float(np.trace(gbar @ gbar))
     kappa = max(safety * kappa_plugin(sample, n_directions, seed), 1.0 + 1e-6)

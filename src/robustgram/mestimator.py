@@ -182,6 +182,14 @@ def scale_from_squares(v, lam, start=None) -> ScaleResult:
     exactly with the data.  The passes write into one work slab allocated
     per call; when some rows stop, the squares of the others are compacted
     into a second one.
+
+    The input checks raise ``ValueError``: a row minimum below 0 or nan
+    rejects a nan, -inf or negative entry ("finite and non-negative"); a
+    +inf entry passes it and makes the row's mean infinite, which the mean
+    check rejects ("finite mean", as for finite squares whose mean
+    overflows); a row without a positive entry, or n = 0, is rejected as
+    such.  -0.0 counts as 0.  Positive entries are counted only in rows
+    whose minimum is 0, and sum(v^2) is formed in the work slab.
     """
     v = np.asarray(v, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -189,10 +197,18 @@ def scale_from_squares(v, lam, start=None) -> ScaleResult:
         raise ValueError(f"need a (k, n) matrix and k levels, got {v.shape} and {lam.shape}")
     if not np.all(lam > 0.0):
         raise ValueError("lambda must be positive")
-    if not (np.all(v >= 0.0) and np.all(np.isfinite(v))):
+    k, n = v.shape
+    if n == 0:
+        raise ValueError("scale solve needs at least one non-zero entry")
+    # a nan or a negative entry fails low >= 0; a +inf one passes it and
+    # makes the row's mean infinite
+    low = v.min(axis=1)
+    if not np.all(low >= 0.0):
         raise ValueError("squared values must be finite and non-negative")
-    n_pos = np.count_nonzero(v > 0.0, axis=1)
-    if v.shape[1] == 0 or not n_pos.all():
+    # only a row whose minimum is 0 has fewer than n positive entries
+    zeros = np.flatnonzero(low == 0.0)
+    n_pos = np.count_nonzero(v[zeros] > 0.0, axis=1)
+    if not n_pos.all():
         raise ValueError("scale solve needs at least one non-zero entry")
     v, mean, exponent = _rescale_rows(v)
     if not np.all(np.isfinite(mean)):
@@ -206,19 +222,20 @@ def scale_from_squares(v, lam, start=None) -> ScaleResult:
             start = np.ldexp(start, -exponent)
         s0 = np.where(np.isfinite(start) & (start > 0.0), start, mean)
 
-    k = len(v)
     value = np.zeros(k)
     iterations = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
     bisection = np.zeros(k, dtype=bool)
     plateau = np.zeros(k, dtype=bool)
 
-    # criterion value as S -> 0+; where it is non-positive there is no positive root
-    no_root = n_pos * LOG2 + (v.shape[1] - n_pos) * psi(-lam) <= 0.0
+    # criterion value as S -> 0+; where it is non-positive there is no
+    # positive root, which needs a zero entry
+    no_root = np.zeros(k, dtype=bool)
+    no_root[zeros] = n_pos * LOG2 + (n - n_pos) * psi(-lam[zeros]) <= 0.0
     bisection[no_root] = True
-    rows, va, la, s, sq = np.arange(k), v, lam, s0, np.sum(v * v, axis=1)
+    rows, va, la, s = np.arange(k), v, lam, s0
     if no_root.any():
-        rows, va, la, s, sq = (x[~no_root] for x in (rows, va, la, s, sq))
+        rows, va, la, s = (x[~no_root] for x in (rows, va, la, s))
     lo, hi = np.zeros(len(rows)), np.full(len(rows), np.inf)
     steps, bis = np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=bool)
     # Every pass writes lam v / S, the psi arguments, psi, psi' and the
@@ -228,6 +245,7 @@ def scale_from_squares(v, lam, start=None) -> ScaleResult:
     work = np.empty((5, *va.shape))
     held, half = None, 0
     a, t, terms, slopes, scratch = work
+    sq = np.add.reduce(np.multiply(va, va, out=a), axis=1)
     lam_col = la[:, None]
     # a row has taken at most ``passes`` steps and doubling or halving
     # rounds, which it splits between the two budgets
@@ -338,7 +356,8 @@ def lambda_from_square_rows(v, epsilon: float) -> np.ndarray:
         return np.full(len(v), floor)
     # lambda is scale-free, so the rescale leaves its bits
     v, m, _ = _rescale_rows(v)
-    var = np.sum((v - m[:, None]) ** 2, axis=1) / (n - 1)
+    dev = np.subtract(v, m[:, None])
+    var = np.add.reduce(np.square(dev, out=dev), axis=1) / (n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = m * np.sqrt(u * (1.0 - u) / var)
     lam[var <= 0.0] = floor

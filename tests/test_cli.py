@@ -215,3 +215,10 @@ class TestRangeFailures:
         out = str(tmp_path / ("est" if command[0] == "estimate" else "cov.csv"))
         assert main([command[0], scaled_csv[k], "--out", out, *command[1:]]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_underflowing_plug_in_moments_exit_2(self, tmp_path, capsys):
+        # the fourth powers of 2^-600 data underflow to 0 though the sample is not 0
+        path = str(tmp_path / "tiny.csv")
+        save_matrix_csv(path, np.ldexp(np.random.default_rng(3).standard_normal((10, 3)), -600))
+        assert main(["estimate", path, "--out", str(tmp_path / "est")]) == 2
+        assert "underflow" in capsys.readouterr().err

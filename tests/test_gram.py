@@ -14,6 +14,7 @@ from robustgram.gram import (
     positive_part,
     robust_gram,
 )
+from robustgram.covariance import robust_covariance
 from robustgram.harness import ExperimentConfig, gen_mixture, trial_rng
 from robustgram import gram, mestimator
 from robustgram.mestimator import Sample, scale_from_squares
@@ -149,7 +150,7 @@ def _projection_cases():
     zero[:, 3] = 0.0
     return {
         "paper size": rng.standard_t(3, size=(100, 10)),
-        # 36 directions of 3000 projections: 5 to a block at BLOCK_ELEMS = 2^14
+        # 36 directions of 3000 projections: 10 to a block at BLOCK_ELEMS = 2^15
         "several blocks": rng.standard_t(3, size=(3000, 6)),
         "grouped": rng.standard_t(3, size=(90, 3, 4)),
         "zero column": zero,
@@ -170,7 +171,10 @@ class TestBlockedUpdate:
         np.testing.assert_array_equal(blocked, single)
         assert blocked_lams == single_lams
 
-    def test_estimator_sees_blocks_and_norms(self):
+    def test_estimator_sees_blocks_and_norms(self, monkeypatch):
+        # at BLOCK_ELEMS = 2^14 the 9 directions of 4000 projections take
+        # three blocks
+        monkeypatch.setattr(gram, "BLOCK_ELEMS", 2**14)
         rng = np.random.default_rng(18)
         w = rng.standard_normal((4000, 3))
         shapes, norms = [], []
@@ -184,6 +188,32 @@ class TestBlockedUpdate:
         assert shapes == [(4, 4000), (4, 4000), (1, 4000)]
         assert norms == [4.0, 2.0, 2.0, 2.0, 2.0, 4.0, 2.0, 2.0, 4.0]
         np.testing.assert_allclose(c, w.T @ w / 4000, rtol=1e-12)
+
+
+class TestBlockSize:
+    """``BLOCK_ELEMS`` only groups directions into solver calls: the row
+    solver is batch-invariant, so the block size moves no bit."""
+
+    @staticmethod
+    def estimates():
+        x = _projection_cases()["several blocks"]
+        y = np.random.default_rng(11).standard_normal((14000, 3)) + 1.0
+        yield robust_gram(Sample(x))
+        yield robust_covariance(Sample(x), q=2)
+        yield robust_covariance(Sample(x), q=3)
+        yield robust_covariance(Sample(y), q=2, epsilon=0.05, mode="grid-certified",
+                                num_updates=2)
+
+    def test_block_size_moves_no_bit(self, monkeypatch):
+        results = []
+        for elems in (2**12, 2**14, 2**15):
+            monkeypatch.setattr(gram, "BLOCK_ELEMS", elems)
+            results.append(list(self.estimates()))
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                np.testing.assert_array_equal(a.matrix, b.matrix)
+                assert a.frobenius_deltas == b.frobenius_deltas
+                assert a.lambda_used == b.lambda_used
 
 
 class TestWarmStart:
@@ -222,9 +252,11 @@ class TestWarmStart:
         assert passes_per_update[0] == 200
         assert passes_per_update[2] < 150 and passes_per_update[3] == 100
 
-    def test_any_hook_starts_at_its_own_previous_values(self):
-        # n = 4000, d = 3: the 9 directions come in blocks of 4, 4 and 1, and
-        # the row medians move the iterate, so every update runs
+    def test_any_hook_starts_at_its_own_previous_values(self, monkeypatch):
+        # n = 4000, d = 3 at BLOCK_ELEMS = 2^14: the 9 directions come in
+        # blocks of 4, 4 and 1, and the row medians move the iterate, so
+        # every update runs
+        monkeypatch.setattr(gram, "BLOCK_ELEMS", 2**14)
         calls = []
 
         def hook(v, norm_sq, start):

@@ -416,6 +416,42 @@ class TestRowSolver:
             np.testing.assert_array_equal(lambda_from_square_rows(np.ldexp(v, k), 0.1), lam)
 
 
+class TestInputContract:
+    """What the solver's preamble accepts and rejects, and the bits of rows
+    with zero entries, which are the only ones whose positive entries it
+    counts."""
+
+    @pytest.mark.parametrize("bad", [
+        [np.nan, 1.0, 2.0], [1.0, np.inf, 2.0], [np.inf, 0.0, 2.0], [np.inf] * 3,
+        [1.0, -np.inf, 2.0], [-1.0, 1.0, 2.0], [-1e-300, 0.0, 2.0],
+    ])
+    def test_rejects_nan_infinite_or_negative_entries(self, bad):
+        for v in (np.array([bad]), np.array([[1.0, 2.0, 3.0], bad, [0.0, 1.0, 0.0]])):
+            with pytest.raises(ValueError, match="finite"):
+                scale_from_squares(v, np.full(len(v), 0.5))
+
+    @pytest.mark.parametrize("row, lam", [([1.0, 0.0, 2.0, 3.0], 0.4), ([4.0, 0.0, 0.0], 2.0)])
+    def test_negative_zero_is_zero(self, row, lam):
+        plus = scale_from_squares(np.array([row]), np.array([lam]))
+        minus = scale_from_squares(np.array([[-x if x == 0.0 else x for x in row]]),
+                                   np.array([lam]))
+        for field in ("value", "row_iterations", "row_converged", "bisection", "plateau"):
+            np.testing.assert_array_equal(getattr(minus, field), getattr(plus, field))
+
+    def test_rows_with_zeros_keep_their_bits(self):
+        # a no-root row and a row with zeros and a root, beside one without zeros
+        v = np.array([[4.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                      [1.0, 0.0, 2.0, 3.0, 0.0, 5.0],
+                      [0.5, 1.0, 2.0, 3.0, 4.0, 5.0]])
+        r = scale_from_squares(v, np.array([2.0, 0.4, 0.7]))
+        assert [float(x).hex() for x in r.value] == [
+            "0x0.0p+0", "0x1.c610c459b8ab2p+0", "0x1.4877764936a10p+1"]
+        assert r.row_iterations.tolist() == [0, 3, 3]
+        assert r.row_converged.tolist() == [False, True, True]
+        assert r.bisection.tolist() == [True, False, False]
+        assert r.plateau.tolist() == [False] * 3
+
+
 class TestCertifiedStop:
     """A Newton step that the |psi''| <= 2 Taylor bound certifies ends its row
     without the kernel pass that would only confirm it."""
