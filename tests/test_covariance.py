@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robustgram import bounds, gram
+from robustgram import bounds
 from robustgram.bounds import block_moment_bounds, tau_q
 from robustgram.covariance import _pair_differences, robust_covariance
 from robustgram.gram import NumericalError, frobenius_error, robust_gram
@@ -323,7 +323,7 @@ class TestRobustCovariance:
         solve, select_rows = bounds.scale_from_squares, bounds.select_from_square_rows
         x = np.random.default_rng(11).standard_normal((14000, 3)) + 1.0
         monkeypatch.setattr(bounds, "scale_from_squares", counting)
-        monkeypatch.setattr(gram, "BLOCK_ELEMS", 2**14)
+        monkeypatch.setattr("robustgram.gram.BLOCK_ELEMS", 2**14)
         blocked = robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified",
                                     num_updates=2)
         # 7000 blocks of one vector: 2 of the 9 directions per block of rows
