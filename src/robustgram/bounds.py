@@ -6,7 +6,8 @@ dimension.  Vacuous bounds are represented by ``math.inf`` so that argmin
 logic stays explicit (``math.isinf`` marks the gated-out regions).
 The grid estimators solve the K levels lambda_j of a direction, or of a
 block of directions, as the rows of one ``mestimator.scale_from_squares``
-call.
+call, a block larger than ``gram.BLOCK_ELEMS`` squares once repeated in
+slices of rows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gram import NumericalError
+from .gram import BLOCK_ELEMS, NumericalError
 from .influence import C_UNIVERSAL
 from .mestimator import Sample, scale_from_squares
 
@@ -238,15 +239,21 @@ def b_bound(t: float, sigma: float, coeffs: BoundCoeffs) -> float:
 
 def _tilde_n_grid(v, grid: Grid) -> np.ndarray:
     """(k, K) tilde_n of each row of the (k, n) squared values v at each grid
-    level, from one row solve; a row that vanishes gives 0 at every level."""
+    level, from one row solve per slice of at most ``BLOCK_ELEMS`` repeated
+    squares (and one row); a row that vanishes gives 0 at every level."""
     v = np.asarray(v, dtype=float)
     values = np.zeros((len(v), grid.K))
     live = v.any(axis=1)  # non-finite or negative values go on to the solver's check
     if live.any():
         lams = np.array([lam for lam, _ in grid.points])
         rows = v[live]
-        values[live] = scale_from_squares(np.repeat(rows, grid.K, axis=0),
-                                          np.tile(lams, len(rows))).value.reshape(-1, grid.K)
+        # the levels repeat each row K times: slices of at most BLOCK_ELEMS
+        # repeated squares keep that copy within one block's size
+        per = max(1, BLOCK_ELEMS // (grid.K * v.shape[1]))
+        parts = [rows[i:i + per] for i in range(0, len(rows), per)]
+        values[live] = np.concatenate([
+            scale_from_squares(np.repeat(part, grid.K, axis=0), np.tile(lams, len(part))).value
+            for part in parts]).reshape(-1, grid.K)
     return values
 
 
@@ -262,11 +269,11 @@ def select_from_square_rows(v, norm_sq, grid: Grid, coeffs: list, sigma: float) 
     """Adaptive estimator on each row of the (k, n) squared values v, one
     direction per row with squared norms norm_sq.
 
-    Computes tilde_n at every grid point, all k x K in one row solve, and
-    keeps per row the one minimizing its own bound b_bound(tilde_n /
-    norm_sq).  Ties break toward the smallest grid index; if every bound of
-    a row is vacuous its smallest-lambda point is returned with
-    ``vacuous=True``.
+    Computes tilde_n at every grid point, the k x K in row solves of at
+    most ``BLOCK_ELEMS`` repeated squares each (and one row), and keeps per
+    row the one minimizing its own bound b_bound(tilde_n / norm_sq).  Ties
+    break toward the smallest grid index; if every bound of a row is
+    vacuous its smallest-lambda point is returned with ``vacuous=True``.
     """
     out = []
     for values, ns in zip(_tilde_n_grid(v, grid).tolist(), norm_sq):

@@ -23,19 +23,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mestimator import Sample, lambda_from_square_rows, scale_from_squares
+from .mestimator import Sample, _row_means, lambda_from_square_rows, scale_from_squares
 
 logger = logging.getLogger(__name__)
 
 # Projections per block of directions (rows x m x g).  Each block is one
-# solver call, whose work slabs hold 7 floats per projection: 1.75 MB at
-# 2^15, within a 2 MB per-core L2 cache, and twice that at 2^16.  On a
-# 2-vCPU Xeon host (perfbench, 15 s runs) cov-tall (n = 4000, d = 20) ran
-# 5.0-5.4 ops/s at 2^14, 5.9-6.3 at 2^15, 5.71 at 2^16 (47.5 MB peak RSS)
-# and 5.37 at 2^17 (51.6 MB); 2^13 ran slower than 2^14.  A batched
-# multi-sample loop, with other row lengths and call sizes, should measure
-# the cap again.
-BLOCK_ELEMS = 2**15
+# solver call, and this cap bounds its memory: the block's v, 2 MB at 2^18,
+# and the solver's per-row state.  The solver's cache footprint is set apart
+# by ``mestimator.TILE_ELEMS``, so a larger call only makes fewer calls, each
+# paying its fixed preamble and its per-pass bookkeeping once.  Op CPU time
+# and peak RSS against blocks of 2^15 (medians of 4 interleaved rounds,
+# one process per size, 2-vCPU Xeon host, one BLAS thread):
+#
+#   block   cov-tall         estimate-tall shape (robust_gram)
+#   2^17    x0.88, +1.1 MB   x0.90, +0.7 MB
+#   2^18    x0.75, +2.2 MB   x0.83, +1.6 MB
+#   2^19    x0.83, +4.1 MB   x0.84, +3.7 MB
+BLOCK_ELEMS = 2**18
 
 # The default estimate runs on the vectors scaled by the power of two that puts
 # the largest |entry| in [2^99, 2^100).  Squares then stay below 2^200, far
@@ -113,9 +117,11 @@ def _robust_scale_rows(v: np.ndarray, epsilon: float, lam_log: list, start) -> n
     """Default estimate of each row of the (k, n) quadratic values ``v``: its
     adaptive truncation level, appended to ``lam_log``, then the row solver
     started at ``start`` (one scale per row, nan for none)."""
-    lam = lambda_from_square_rows(v, epsilon)
+    # one pass over the rows gives the means that both calls rescale by
+    mean = _row_means(v)
+    lam = lambda_from_square_rows(v, epsilon, _mean=mean)
     lam_log.extend(lam.tolist())
-    result = scale_from_squares(v, lam, start)
+    result = scale_from_squares(v, lam, start, _mean=mean)
     failed = np.count_nonzero(~result.row_converged)
     if failed:
         logger.warning("%d of %d scale solves did not converge", failed, len(v))
@@ -125,14 +131,17 @@ def _robust_scale_rows(v: np.ndarray, epsilon: float, lam_log: list, start) -> n
 @functools.lru_cache(maxsize=8)
 def _directions(d: int) -> tuple:
     """Read-only direction tables of ``polarization_update`` in dimension d:
-    first, second, sign and norm_sq of each direction, and the triu indices."""
+    first, second, sign and norm_sq of each direction, the triu indices, and
+    where each run of directions with the same first index starts."""
     dirs = [(i, j, sign) for i in range(d) for j in range(i, d)
             for sign in ((1.0, -1.0) if i < j else (1.0,))]
     first, second, sign = (np.array(x) for x in zip(*dirs))
     tables = (first, second, sign, np.where(first == second, 4.0, 2.0), *np.triu_indices(d))
     for table in tables:
         table.setflags(write=False)
-    return tables
+    # the directions with first index i are offsets[i]:offsets[i + 1]
+    offsets = tuple(np.searchsorted(first, np.arange(d + 1)).tolist())
+    return (*tables, offsets)
 
 
 def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
@@ -144,10 +153,11 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     w @ theta at most ``BLOCK_ELEMS`` (and k >= 1).  Each direction's
     quadratic values are its squared projections, summed over the group,
     one row of a (k, n) or (k, m) array v.  A block gathers the columns w_j
-    of its directions, multiplies them by the signs, adds the gathered
-    columns w_i and squares, all in place: it allocates the array it builds
-    in and one gathered temporary, and for g > 1 the group sum, which is v;
-    for g = 1, v is that array itself, so each block's v is a fresh array.
+    of its directions into one buffer per update, multiplies them by the
+    signs, adds w_i to each run of rows with the same first index i as a
+    broadcast view, and squares, all in place.  For g > 1 v is the group
+    sum, a fresh array; for g = 1, v is the buffer itself, which the next
+    block overwrites, so a hook that keeps v after it returns must copy it.
     Rows without a positive value get N = 0; the others go to estimate(v,
     norm_sq, start), which returns their N values.  norm_sq holds each
     direction's squared norm (4 for the doubled column on the diagonal, 2
@@ -161,18 +171,24 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     d = w.shape[-1]
     cols = np.ascontiguousarray(np.moveaxis(w, -1, 0))  # (d, n) or (d, m, g)
-    first, second, sign, norm_sq, iu, ju = _directions(d)
+    first, second, sign, norm_sq, iu, ju, offsets = _directions(d)
     if n_values is None:
         n_values = np.full(len(sign), np.nan)
     row_sign = sign.reshape(-1, *[1] * (cols.ndim - 1))
     rows = max(1, BLOCK_ELEMS // cols[0].size)
+    # one buffer spares each block the first-touch page faults of a fresh
+    # array: a cov-tall update built its 2^18 blocks in 5.9 ms in fresh
+    # arrays and in 2.2 ms in one buffer (2-vCPU Xeon host)
+    buf = np.empty((min(rows, len(sign)), *cols.shape[1:]))
     for start in range(0, len(sign), rows):
-        blk = slice(start, start + rows)
+        stop = min(start + rows, len(sign))
+        blk = slice(start, stop)
         # sign * x is exact and addition commutes, so each row equals
         # w_i + w_j or w_i - w_j bit for bit
-        p = cols[second[blk]]
+        p = np.take(cols, second[blk], axis=0, out=buf[:stop - start], mode="clip")
         p *= row_sign[blk]
-        p += cols[first[blk]]
+        for i in range(first[start], first[stop - 1] + 1):
+            p[max(offsets[i], start) - start:min(offsets[i + 1], stop) - start] += cols[i]
         v = np.multiply(p, p, out=p)
         if v.ndim == 3:
             v = v.reshape(v.shape[:2]) if v.shape[2] == 1 else v.sum(axis=2)
@@ -185,10 +201,9 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
         try:
             values[live] = estimate(v if live.all() else v[live], norm_sq[blk][live], starts)
         except ValueError as exc:
-            stop = min(start + rows, len(sign)) - 1
             raise NumericalError(
                 f"scale solve failed at entries ({first[start]}, {second[start]}) to "
-                f"({first[stop]}, {second[stop]}): {exc}") from exc
+                f"({first[stop - 1]}, {second[stop - 1]}): {exc}") from exc
     minus = np.zeros(len(iu))
     minus[iu < ju] = n_values[sign < 0.0]
     c = np.zeros((d, d))

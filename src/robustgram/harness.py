@@ -301,28 +301,38 @@ def load_sample_csv(path: str, header: bool = False) -> Sample:
 # Fewest observations ``kappa_plugin`` takes.
 MIN_KAPPA_OBSERVATIONS = 4
 
+# Directions per ``kappa_plugin`` matmul.  On the estimate-tall sample
+# (n = 40000, d = 10, 110 directions; 2-vCPU Xeon host, one BLAS thread)
+# one direction at a time took 51 ms, chunks of 2 26 ms, of 4 20 ms with a
+# 1.28 MB temporary, of 8 20 ms with twice that, and of 16 23 ms.
+KAPPA_CHUNK = 4
+
 
 def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> float:
     """Plug-in directional kurtosis: max of the empirical fourth/second-moment
     ratio over the canonical basis plus random unit directions.
 
     Zero-variance directions are skipped.  For Gaussian data the value sits
-    near 3; heavy-tail mixtures push it higher.
+    near 3; heavy-tail mixtures push it higher.  The projections come from
+    one matmul per ``KAPPA_CHUNK`` directions, each direction's squares in
+    one contiguous row, so its moments sum in the order of a 1-d mean.
     """
     if sample.n < MIN_KAPPA_OBSERVATIONS:
         raise ValueError(f"need at least {MIN_KAPPA_OBSERVATIONS} observations")
     rng = np.random.default_rng(seed)
-    dirs = list(np.eye(sample.d))
     raw = rng.standard_normal((n_directions, sample.d))
     norms = np.linalg.norm(raw, axis=1)
-    dirs += [r / c for r, c in zip(raw, norms) if c > 0]
+    some = norms > 0
+    dirs = np.vstack([np.eye(sample.d), raw[some] / norms[some, None]])
     best = 1.0
-    for theta in dirs:
-        p2 = sample.projections(theta) ** 2
-        m2 = float(p2.mean())
-        if m2 <= 0.0:
-            continue
-        best = max(best, float(np.mean(p2 * p2)) / (m2 * m2))
+    for j in range(0, len(dirs), KAPPA_CHUNK):
+        p2 = dirs[j:j + KAPPA_CHUNK] @ sample.data.T
+        np.square(p2, out=p2)
+        m2 = np.mean(p2, axis=1)
+        m4 = np.mean(np.square(p2, out=p2), axis=1)
+        for second, fourth in zip(m2.tolist(), m4.tolist()):
+            if second > 0.0:
+                best = max(best, fourth / (second * second))
     return best
 
 

@@ -16,8 +16,9 @@ nearly linear.  A row starts at a given scale, such as its root in the
 previous polarization update, or else at the mean of its squares.  Its step
 stays inside a sign bracket that every evaluation tightens, with bisection,
 doubling or halving as the fallbacks, and f and f' come from one fused
-``psi_and_prime_into`` pass that writes into a slab the call allocates
-once, so no pass allocates a (k, n) array.  A row stops once |f| <= ``TOL``
+``psi_and_prime_into`` pass, run over tiles of at most ``TILE_ELEMS``
+squares in a slab the call allocates once, so no pass allocates a (k, n)
+array and a call of any size stays in cache.  A row stops once |f| <= ``TOL``
 and S is resolved to about 2^-40 relative: by the size of the next Newton
 step, by the width of the bracket, or because the criterion is flat.
 A Newton step whose landing a Taylor bound with |psi''| <= 2 already
@@ -81,6 +82,13 @@ MAX_BRACKET_ROUNDS = 2100
 # two is exact, and it keeps lam / S and the variance of the row in range.
 RESCALE_EXPONENT = 256
 
+# Squares per tile: each solver pass, and the variance of
+# ``lambda_from_square_rows``, runs its elementwise work over tiles of at
+# most this many squares (whole rows, at least one), so a call of any size
+# keeps the solver's 6-plane slab within 1.5 MB, inside a 2 MB per-core L2
+# cache, while its O(k) bookkeeping runs once per pass over all rows.
+TILE_ELEMS = 2**15
+
 
 @dataclass(frozen=True)
 class ScaleResult:
@@ -137,10 +145,17 @@ def alpha_hat(sample: Sample, theta, lam: float) -> float:
     return math.sqrt(lam / t) if t > 0.0 else math.inf
 
 
-def _rescale_rows(v):
+def _row_means(v) -> np.ndarray:
+    """Mean of each row of the (k, n) matrix v, with the bits of np.mean."""
+    return np.add.reduce(v, axis=1) / v.shape[1]
+
+
+def _rescale_rows(v, mean=None):
     """(v, mean, e): rows with a mean beyond 2^+-``RESCALE_EXPONENT``, and their
-    means, divided by 2^e, e that mean's binary exponent (0 for the others)."""
-    mean = np.mean(v, axis=1)
+    means, divided by 2^e, e that mean's binary exponent (0 for the others).
+    ``mean``, if given, is ``_row_means(v)``."""
+    if mean is None:
+        mean = _row_means(v)
     exponent = np.frexp(mean)[1]
     exponent[np.abs(exponent) <= RESCALE_EXPONENT] = 0
     if exponent.any():
@@ -148,7 +163,7 @@ def _rescale_rows(v):
     return v, mean, exponent
 
 
-def scale_from_squares(v, lam, start=None) -> ScaleResult:
+def scale_from_squares(v, lam, start=None, *, _mean=None) -> ScaleResult:
     """Per row r: smallest S > 0 with f(S) = sum_j psi(lam_r (v_rj / S - 1)) <= 0.
 
     ``v`` is (k, n) with finite v_rj >= 0 and a positive entry in each row;
@@ -179,9 +194,15 @@ def scale_from_squares(v, lam, start=None) -> ScaleResult:
     is non-positive near S = 0 has no positive root: value 0, not
     converged.  A row with a mean beyond 2^+-``RESCALE_EXPONENT`` is solved
     rescaled by a power of two, its start with it, so its root scales
-    exactly with the data.  The passes write into one work slab allocated
-    per call; when some rows stop, the squares of the others are compacted
-    into a second one.
+    exactly with the data.
+
+    Each pass runs its elementwise work, from lam v / S to f and d, over
+    tiles of the rows still iterating, at most ``TILE_ELEMS`` squares (and
+    one row) each, in one tile-sized slab allocated per call; the bracket,
+    the stop tests and the steps then run once over all of them.  ``v`` is
+    never moved: a tile of consecutive rows is a view of it, and other
+    tiles are gathered into the slab's last plane.  ``_mean``, if given, is
+    ``_row_means(v)``, which a caller that already has it hands over.
 
     The input checks raise ``ValueError``: a row minimum below 0 or nan
     rejects a nan, -inf or negative entry ("finite and non-negative"); a
@@ -210,7 +231,7 @@ def scale_from_squares(v, lam, start=None) -> ScaleResult:
     n_pos = np.count_nonzero(v[zeros] > 0.0, axis=1)
     if not n_pos.all():
         raise ValueError("scale solve needs at least one non-zero entry")
-    v, mean, exponent = _rescale_rows(v)
+    v, mean, exponent = _rescale_rows(v, _mean)
     if not np.all(np.isfinite(mean)):
         raise ValueError("scale solve needs finite values with a finite mean")
     s0 = mean
@@ -231,38 +252,48 @@ def scale_from_squares(v, lam, start=None) -> ScaleResult:
     # criterion value as S -> 0+; where it is non-positive there is no
     # positive root, which needs a zero entry
     no_root = np.zeros(k, dtype=bool)
-    no_root[zeros] = n_pos * LOG2 + (n - n_pos) * psi(-lam[zeros]) <= 0.0
+    if zeros.size:
+        no_root[zeros] = n_pos * LOG2 + (n - n_pos) * psi(-lam[zeros]) <= 0.0
     bisection[no_root] = True
-    rows, va, la, s = np.arange(k), v, lam, s0
+    rows, la, s = np.arange(k), lam, s0
     if no_root.any():
-        rows, va, la, s = (x[~no_root] for x in (rows, va, la, s))
+        rows, la, s = (x[~no_root] for x in (rows, la, s))
     lo, hi = np.zeros(len(rows)), np.full(len(rows), np.inf)
     steps, bis = np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=bool)
-    # Every pass writes lam v / S, the psi arguments, psi, psi' and the
-    # kernel's scratch into the leading rows of one slab.  The squares of the
-    # rows still iterating move to the halves of a second slab in turn: a
-    # take into the array it reads from would copy through a temporary.
-    work = np.empty((5, *va.shape))
-    held, half = None, 0
-    a, t, terms, slopes, scratch = work
-    sq = np.add.reduce(np.multiply(va, va, out=a), axis=1)
-    lam_col = la[:, None]
+    sq = np.empty(len(rows))
+    # A tile's pass writes lam v / S, the psi arguments, psi, psi' and the
+    # kernel's scratch into the leading rows of one slab, whose last plane
+    # holds the tile's squares when its rows are not consecutive in v.
+    tile = max(1, TILE_ELEMS // n)
+    work = np.empty((6, min(tile, len(rows)), n))
     # a row has taken at most ``passes`` steps and doubling or halving
     # rounds, which it splits between the two budgets
     budgets_from, passes = min(MAX_ITER, MAX_BRACKET_ROUNDS), 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while rows.size:
             ratio = la / s
-            np.multiply(va, ratio[:, None], out=a)
-            np.subtract(a, lam_col, out=t)
-            psi_and_prime_into(t, terms, slopes, scratch)
-            f = np.add.reduce(terms, axis=1)
-            slopes *= a
-            d = np.add.reduce(slopes, axis=1)
-            # lam v / S = inf gives psi' 0 times inf: that term adds nothing to d
-            nan = np.isnan(d)
-            if nan.any():
-                d[nan] = np.nansum(slopes[nan], axis=1)
+            f, d = np.empty(len(rows)), np.empty(len(rows))
+            for i in range(0, len(rows), tile):
+                r = rows[i:i + tile]
+                a, t, terms, slopes, scratch, held = work[:, :len(r)]
+                if r[-1] - r[0] == len(r) - 1:
+                    vt = v[r[0]:r[0] + len(r)]
+                else:
+                    # the indices are in range, and "clip" leaves out the
+                    # temporary that the default mode copies the output through
+                    vt = np.take(v, r, axis=0, out=held, mode="clip")
+                if not passes:
+                    np.add.reduce(np.multiply(vt, vt, out=a), axis=1, out=sq[i:i + tile])
+                np.multiply(vt, ratio[i:i + tile, None], out=a)
+                np.subtract(a, la[i:i + tile, None], out=t)
+                psi_and_prime_into(t, terms, slopes, scratch)
+                np.add.reduce(terms, axis=1, out=f[i:i + tile])
+                slopes *= a
+                dt = np.add.reduce(slopes, axis=1, out=d[i:i + tile])
+                # lam v / S = inf gives psi' 0 times inf: that term adds nothing to d
+                nan = np.isnan(dt)
+                if nan.any():
+                    dt[nan] = np.nansum(slopes[nan], axis=1)
             rel = f / d
             step = s / (1.0 - rel)
             abs_f, abs_rel = np.abs(f), np.abs(rel)
@@ -303,18 +334,8 @@ def scale_from_squares(v, lam, start=None) -> ScaleResult:
             passes += 1
             if any_stop:
                 keep = np.flatnonzero(~stop)
-                if not keep.size:
-                    break
                 rows, la, s, sq, lo, hi, steps, bis = (
                     x[keep] for x in (rows, la, s, sq, lo, hi, steps, bis))
-                if held is None:
-                    held = np.empty((2, *va.shape))
-                # the indices are in range, and "clip" leaves out the
-                # temporary that the default mode copies the output through
-                va = np.take(va, keep, axis=0, out=held[half, :keep.size], mode="clip")
-                half = 1 - half
-                a, t, terms, slopes, scratch = work[:, :keep.size]
-                lam_col = la[:, None]
 
     # A flat root stretch needs negatively saturated non-zero terms
     # (psi = -log 2), so lambda > 1.  Its left edge is the largest
@@ -337,14 +358,16 @@ def scale_from_squares(v, lam, start=None) -> ScaleResult:
     return ScaleResult(np.ldexp(value, exponent), iterations, converged, bisection, plateau)
 
 
-def lambda_from_square_rows(v, epsilon: float) -> np.ndarray:
+def lambda_from_square_rows(v, epsilon: float, *, _mean=None) -> np.ndarray:
     """Data-driven truncation level of each row of the (k, n) matrix ``v`` of squares.
 
     m sqrt(u (1 - u) / var) with u = (2/n) log(1/epsilon), m the row's mean
     and var its sample variance.  Where that formula is undefined, for a
     sample too small for epsilon (n < 2 or u >= 1, every row alike) or a
     row with var = 0, the level is 1/sqrt(n).  Raises ``ValueError`` for
-    epsilon outside (0, 1).
+    epsilon outside (0, 1).  The deviations are squared in a buffer of at
+    most ``TILE_ELEMS`` squares (and one row), never in a (k, n) array.
+    ``_mean``, if given, is ``_row_means(v)``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -355,9 +378,15 @@ def lambda_from_square_rows(v, epsilon: float) -> np.ndarray:
     if u >= 1.0:
         return np.full(len(v), floor)
     # lambda is scale-free, so the rescale leaves its bits
-    v, m, _ = _rescale_rows(v)
-    dev = np.subtract(v, m[:, None])
-    var = np.add.reduce(np.square(dev, out=dev), axis=1) / (n - 1)
+    v, m, _ = _rescale_rows(v, _mean)
+    tile = max(1, TILE_ELEMS // n)
+    buffer = np.empty((min(tile, len(v)), n))
+    var = np.empty(len(v))
+    for i in range(0, len(v), tile):
+        rows = v[i:i + tile]
+        dev = np.subtract(rows, m[i:i + tile, None], out=buffer[:len(rows)])
+        np.add.reduce(np.square(dev, out=dev), axis=1, out=var[i:i + tile])
+    var /= n - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = m * np.sqrt(u * (1.0 - u) / var)
     lam[var <= 0.0] = floor

@@ -104,6 +104,22 @@ def mean_of_squares(v, norm_sq, start):
     return np.mean(v, axis=1)
 
 
+def kappa_per_direction(x: np.ndarray, n_directions: int = 100, seed: int = 0) -> float:
+    """Plug-in directional kurtosis one direction at a time: the canonical
+    basis, then the same seeded unit directions as ``harness.kappa_plugin``,
+    each projected with its own matrix-vector product."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n_directions, x.shape[1]))
+    dirs = list(np.eye(x.shape[1])) + [r / np.linalg.norm(r) for r in raw if r.any()]
+    best = 1.0
+    for theta in dirs:
+        p2 = (x @ theta) ** 2
+        m2 = float(np.mean(p2))
+        if m2 > 0.0:
+            best = max(best, float(np.mean(p2 * p2)) / (m2 * m2))
+    return best
+
+
 def random_orthogonal(d, rng):
     """Random d x d orthogonal matrix from the QR factorization of a Gaussian one."""
     q, r = np.linalg.qr(rng.standard_normal((d, d)))

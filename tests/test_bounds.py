@@ -380,6 +380,26 @@ class TestGridAsRows:
             confidence_interval(s, theta, self.GRID, MB3)
         assert shapes == [(self.GRID.K, s.n)] * 2
 
+    def test_slices_of_repeated_rows_move_no_bit(self, monkeypatch):
+        # the rows x K levels are solved in slices of at most BLOCK_ELEMS
+        s, grid = self.sample(), self.GRID
+        coeffs = coeffs_for_grid(grid, MB3)
+        thetas = self.directions() + [np.array([0.3, 0.2, -0.9]), np.ones(3)]
+        v = np.array([(s.data @ t) ** 2 for t in thetas])
+        norm_sq = [float(t @ t) for t in thetas]
+        whole = select_from_square_rows(v, norm_sq, grid, coeffs, 0.05)
+        shapes = []
+
+        def counting(v, lam):
+            shapes.append(np.shape(v))
+            return solve(v, lam)
+
+        solve = bounds.scale_from_squares
+        monkeypatch.setattr(bounds, "scale_from_squares", counting)
+        monkeypatch.setattr(bounds, "BLOCK_ELEMS", 3 * grid.K * s.n + 1)
+        assert select_from_square_rows(v, norm_sq, grid, coeffs, 0.05) == whole
+        assert shapes == [(3 * grid.K, s.n), (grid.K, s.n)]
+
     def test_grid_for_another_n_is_rejected(self):
         # the coefficients use grid.n: at n = 10^6 on these 3000 rows the
         # interval came out empty (lower 2.59 > upper 2.37)

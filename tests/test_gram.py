@@ -150,7 +150,8 @@ def _projection_cases():
     zero[:, 3] = 0.0
     return {
         "paper size": rng.standard_t(3, size=(100, 10)),
-        # 36 directions of 3000 projections: 10 to a block at BLOCK_ELEMS = 2^15
+        # 36 directions of 3000 projections: 10 to a block at BLOCK_ELEMS = 2^15,
+        # one block of 10-row tiles at 2^18
         "several blocks": rng.standard_t(3, size=(3000, 6)),
         "grouped": rng.standard_t(3, size=(90, 3, 4)),
         "zero column": zero,
@@ -206,7 +207,7 @@ class TestBlockSize:
 
     def test_block_size_moves_no_bit(self, monkeypatch):
         results = []
-        for elems in (2**12, 2**14, 2**15):
+        for elems in (2**12, 2**14, 2**15, 2**18):
             monkeypatch.setattr(gram, "BLOCK_ELEMS", elems)
             results.append(list(self.estimates()))
         for other in results[1:]:
@@ -221,16 +222,18 @@ class TestWarmStart:
     previous update."""
 
     def test_settled_updates_take_one_pass_per_row(self, monkeypatch):
-        # the estimate-tall shape (n = 40000, d = 10): one direction per block
+        # the estimate-tall shape (n = 40000, d = 10) at BLOCK_ELEMS = 2^15:
+        # one direction per block
+        monkeypatch.setattr(gram, "BLOCK_ELEMS", 2**15)
         passes, calls = [], []
 
         def counting(t, *out):
             passes.append(len(t))
             return kernel(t, *out)
 
-        def solve(v, lam, start=None):
+        def solve(v, lam, start=None, **private):
             passes.clear()
-            r = scale_from_squares(v, lam, start)
+            r = scale_from_squares(v, lam, start, **private)
             calls.append((start, r.value, sum(passes)))
             return r
 
@@ -426,8 +429,8 @@ class TestRobustGram:
         # reference experiment; the former Newton in S bisected most rows
         results = []
 
-        def solve(v, lam, start=None):
-            results.append(scale_from_squares(v, lam, start))
+        def solve(v, lam, start=None, **private):
+            results.append(scale_from_squares(v, lam, start, **private))
             return results[-1]
 
         monkeypatch.setattr(gram, "scale_from_squares", solve)

@@ -24,6 +24,8 @@ from robustgram.harness import (
 )
 from robustgram.mestimator import Sample
 
+from oracles import kappa_per_direction
+
 
 def small_config(**kw):
     base = dict(n=60, d=4, trials=4, alpha_mix=0.05, seed=11, epsilon=0.1)
@@ -230,6 +232,16 @@ class TestMomentPlugins:
         assert mb.kappa >= 1.5 * kappa_plugin(s, seed=0) - 1e-9
         assert mb.s4 == pytest.approx(float(np.mean(np.sum(s.data**2, axis=1) ** 2)) ** 0.25)
         assert mb.trace_g >= mb.s4**2 / math.sqrt(mb.kappa) - 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kappa_matches_one_direction_at_a_time(self, seed):
+        # the chunked matmul rounds projections as gemm does, not gemv
+        rng = np.random.default_rng(40 + seed)
+        x = rng.standard_t(5, (int(rng.integers(4, 3000)), 1 + seed))
+        if seed == 3:
+            x[:, 0] = 0.0  # a zero-variance canonical direction is skipped
+        k = kappa_plugin(Sample(x), n_directions=30 + seed, seed=seed)
+        assert k == pytest.approx(kappa_per_direction(x, 30 + seed, seed), rel=1e-13, abs=0.0)
 
     def test_needs_four_observations(self):
         with pytest.raises(ValueError):

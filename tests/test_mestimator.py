@@ -482,8 +482,8 @@ class TestCertifiedStop:
         # re-evaluated with the kernel at the returned scale
         solved = []
 
-        def solve(v, lam, start=None):
-            solved.append((v, lam, scale_from_squares(v, lam, start)))
+        def solve(v, lam, start=None, **private):
+            solved.append((v, lam, scale_from_squares(v, lam, start, **private)))
             return solved[-1][2]
 
         monkeypatch.setattr(gram, "scale_from_squares", solve)
@@ -623,6 +623,52 @@ class TestWorkspace:
         assert rows.plateau[[2, 3]].all() and (rows.value[[2, 3]] == 1.5).all()
         assert rows.row_converged[[0, 2, 3, 4, 5, 6, 7, 8, 9]].all()
         assert len(set(rows.row_iterations.tolist())) >= 3
+
+
+class TestTiles:
+    """Each pass runs its elementwise work over tiles of at most
+    ``TILE_ELEMS`` squares; the tile size moves no bit."""
+
+    @staticmethod
+    def batch():
+        """40 rows of 300, half started off their roots, stopping on several passes."""
+        rng = np.random.default_rng(31)
+        v = rng.standard_t(3, (40, 300)) ** 2
+        lam = lambda_from_square_rows(v, 0.1)
+        start = np.mean(v, axis=1) * rng.uniform(0.2, 5.0, 40)
+        start[rng.random(40) < 0.5] = np.nan
+        return v, lam, start
+
+    @pytest.mark.parametrize("name", ["mixed", "stopping"])
+    def test_tile_size_moves_no_bit(self, monkeypatch, name):
+        v, lam, start = TestWorkspace.batch() if name == "mixed" else self.batch()
+        results, levels = [], []
+        for tile in (1, 64, 2**15):
+            monkeypatch.setattr(mestimator, "TILE_ELEMS", tile)
+            results.append(scale_from_squares(v, lam, start))
+            levels.append(lambda_from_square_rows(v, 0.1))
+        assert len(set(results[0].row_iterations.tolist())) >= 3
+        for other, level in zip(results[1:], levels[1:]):
+            TestWarmStart.assert_same_bits(other, results[0])
+            np.testing.assert_array_equal(level, levels[0])
+
+    def test_every_kernel_call_fits_one_tile_of_one_slab(self, monkeypatch):
+        calls = []
+
+        def recording(t, *out):
+            calls.append((len(t), *out))
+            return kernel(t, *out)
+
+        kernel = mestimator.psi_and_prime_into
+        monkeypatch.setattr(mestimator, "psi_and_prime_into", recording)
+        monkeypatch.setattr(mestimator, "TILE_ELEMS", 7 * 300 + 299)
+        scale_from_squares(*self.batch())
+        # the first pass covers the 40 rows in tiles of 7
+        assert [k for k, *_ in calls[:6]] == [7, 7, 7, 7, 7, 5]
+        assert max(k for k, *_ in calls) == 7 and len(calls) > 6
+        for _, *out in calls[1:]:
+            for plane, first in zip(out, calls[0][1:]):
+                assert np.shares_memory(plane, first)
 
 
 class TestAdaptiveLambda:
