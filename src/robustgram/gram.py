@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mestimator import Sample, _row_means, lambda_from_square_rows, scale_from_squares
+from .mestimator import (TILE_ELEMS, Sample, _row_means, lambda_from_square_rows,
+                         scale_from_squares)
 
 logger = logging.getLogger(__name__)
 
@@ -131,17 +132,14 @@ def _robust_scale_rows(v: np.ndarray, epsilon: float, lam_log: list, start) -> n
 @functools.lru_cache(maxsize=8)
 def _directions(d: int) -> tuple:
     """Read-only direction tables of ``polarization_update`` in dimension d:
-    first, second, sign and norm_sq of each direction, the triu indices, and
-    where each run of directions with the same first index starts."""
+    first, second, sign and norm_sq of each direction, and the triu indices."""
     dirs = [(i, j, sign) for i in range(d) for j in range(i, d)
             for sign in ((1.0, -1.0) if i < j else (1.0,))]
     first, second, sign = (np.array(x) for x in zip(*dirs))
     tables = (first, second, sign, np.where(first == second, 4.0, 2.0), *np.triu_indices(d))
     for table in tables:
         table.setflags(write=False)
-    # the directions with first index i are offsets[i]:offsets[i + 1]
-    offsets = tuple(np.searchsorted(first, np.arange(d + 1)).tolist())
-    return (*tables, offsets)
+    return tables
 
 
 def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
@@ -152,12 +150,13 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     are taken in blocks of consecutive directions, k * n * g projections
     w @ theta at most ``BLOCK_ELEMS`` (and k >= 1).  Each direction's
     quadratic values are its squared projections, summed over the group,
-    one row of a (k, n) or (k, m) array v.  A block gathers the columns w_j
-    of its directions into one buffer per update, multiplies them by the
-    signs, adds w_i to each run of rows with the same first index i as a
-    broadcast view, and squares, all in place.  For g > 1 v is the group
-    sum, a fresh array; for g = 1, v is the buffer itself, which the next
-    block overwrites, so a hook that keeps v after it returns must copy it.
+    one row of a (k, n) or (k, m) array v.  A block is built in one buffer
+    per update, a tile of ``mestimator.TILE_ELEMS`` projections at a time:
+    it gathers the columns w_j of the tile's directions, multiplies them by
+    the signs, adds their columns w_i, gathered into one tile-sized buffer,
+    and squares, all in place.  For g > 1 v is the group sum, a fresh
+    array; for g = 1, v is the block's buffer itself, which the next block
+    overwrites, so a hook that keeps v after it returns must copy it.
     Rows without a positive value get N = 0; the others go to estimate(v,
     norm_sq, start), which returns their N values.  norm_sq holds each
     direction's squared norm (4 for the doubled column on the diagonal, 2
@@ -171,25 +170,31 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     d = w.shape[-1]
     cols = np.ascontiguousarray(np.moveaxis(w, -1, 0))  # (d, n) or (d, m, g)
-    first, second, sign, norm_sq, iu, ju, offsets = _directions(d)
+    first, second, sign, norm_sq, iu, ju = _directions(d)
     if n_values is None:
         n_values = np.full(len(sign), np.nan)
     row_sign = sign.reshape(-1, *[1] * (cols.ndim - 1))
     rows = max(1, BLOCK_ELEMS // cols[0].size)
-    # one buffer spares each block the first-touch page faults of a fresh
-    # array: a cov-tall update built its 2^18 blocks in 5.9 ms in fresh
-    # arrays and in 2.2 ms in one buffer (2-vCPU Xeon host)
+    tile = max(1, TILE_ELEMS // cols[0].size)
+    # One buffer spares each block the first-touch page faults of a fresh
+    # array: on 2000 x 20 projections (cov-tall) an update built its 2^18
+    # blocks in 6.2 ms in fresh arrays and in 3.2 ms in one buffer (medians
+    # of 40 interleaved updates, 2-vCPU Xeon host).  The w_i columns are
+    # gathered a tile at a time into a second, tile-sized buffer.
     buf = np.empty((min(rows, len(sign)), *cols.shape[1:]))
+    col_i = np.empty((min(tile, len(sign)), *cols.shape[1:]))
     for start in range(0, len(sign), rows):
         stop = min(start + rows, len(sign))
         blk = slice(start, stop)
-        # sign * x is exact and addition commutes, so each row equals
-        # w_i + w_j or w_i - w_j bit for bit
-        p = np.take(cols, second[blk], axis=0, out=buf[:stop - start], mode="clip")
-        p *= row_sign[blk]
-        for i in range(first[start], first[stop - 1] + 1):
-            p[max(offsets[i], start) - start:min(offsets[i + 1], stop) - start] += cols[i]
-        v = np.multiply(p, p, out=p)
+        v = buf[:stop - start]
+        # a tile at a time, in cache; sign * x is exact and addition
+        # commutes, so each row equals w_i + w_j or w_i - w_j bit for bit
+        for lo in range(start, stop, tile):
+            hi = min(lo + tile, stop)
+            p = np.take(cols, second[lo:hi], axis=0, out=v[lo - start:hi - start], mode="clip")
+            p *= row_sign[lo:hi]
+            p += np.take(cols, first[lo:hi], axis=0, out=col_i[:hi - lo], mode="clip")
+            np.multiply(p, p, out=p)
         if v.ndim == 3:
             v = v.reshape(v.shape[:2]) if v.shape[2] == 1 else v.sum(axis=2)
         live = v.any(axis=1)

@@ -199,10 +199,12 @@ def scale_from_squares(v, lam, start=None, *, _mean=None) -> ScaleResult:
     Each pass runs its elementwise work, from lam v / S to f and d, over
     tiles of the rows still iterating, at most ``TILE_ELEMS`` squares (and
     one row) each, in one tile-sized slab allocated per call; the bracket,
-    the stop tests and the steps then run once over all of them.  ``v`` is
-    never moved: a tile of consecutive rows is a view of it, and other
-    tiles are gathered into the slab's last plane.  ``_mean``, if given, is
-    ``_row_means(v)``, which a caller that already has it hands over.
+    the stop tests and the steps then run once over all of them.  The
+    flat-root check after the loop runs a tile of rows at a time too.
+    ``v`` is never moved: a tile of consecutive rows is a view of it, and
+    other tiles are gathered into the slab's last plane.  ``_mean``, if
+    given, is ``_row_means(v)``, which a caller that already has it hands
+    over.
 
     The input checks raise ``ValueError``: a row minimum below 0 or nan
     rejects a nan, -inf or negative entry ("finite and non-negative"); a
@@ -343,8 +345,10 @@ def scale_from_squares(v, lam, start=None, *, _mean=None) -> ScaleResult:
     # saturation and f rises.  A row that stopped on an edge, as one
     # started there does, is checked at that edge, so the flag depends on
     # the returned point alone.  Edges are positive, so 0 marks "none".
-    rows = np.flatnonzero(converged & (lam > 1.0))
-    if rows.size:
+    # The check runs a tile of rows at a time, like the passes.
+    candidates = np.flatnonzero(converged & (lam > 1.0))
+    for i in range(0, candidates.size, tile):
+        rows = candidates[i:i + tile]
         vp, lp = v[rows], lam[rows]
         edges = vp * (lp / (lp - 1.0))[:, None]
         edge = np.where((vp > 0.0) & (edges <= value[rows, None]), edges, 0.0).max(axis=1)
