@@ -82,11 +82,14 @@ MAX_BRACKET_ROUNDS = 2100
 # two is exact, and it keeps lam / S and the variance of the row in range.
 RESCALE_EXPONENT = 256
 
-# Squares per tile: each solver pass, and the variance of
-# ``lambda_from_square_rows``, runs its elementwise work over tiles of at
-# most this many squares (whole rows, at least one), so a call of any size
-# keeps the solver's 6-plane slab within 1.5 MB, inside a 2 MB per-core L2
-# cache, while its O(k) bookkeeping runs once per pass over all rows.
+# Squares per tile: each solver pass, its flat-root check, the variance of
+# ``lambda_from_square_rows`` and the block building of
+# ``gram.polarization_update`` run their elementwise work over tiles of at
+# most this many squares (whole rows, at least one).  So a call of any size
+# keeps the solver's 6-plane slab within 1.5 MB for rows of up to 2^15
+# squares, inside a 2 MB per-core L2 cache, while its O(k) bookkeeping runs
+# once per pass over all rows.  2^14 ran cov-tall as fast, 2^13 and 2^16
+# slower (in-process sweep, 2-vCPU Xeon host).
 TILE_ELEMS = 2**15
 
 
