@@ -4,10 +4,9 @@ All bounds are dimension-free: they involve the sample size, the kurtosis
 ratio ``kappa``, fourth-moment scales and traces, never the ambient
 dimension.  Vacuous bounds are represented by ``math.inf`` so that argmin
 logic stays explicit (``math.isinf`` marks the gated-out regions).
-The grid estimators solve the K levels lambda_j of a direction, or of a
-block of directions, as the rows of one ``mestimator.scale_from_squares``
-call, a block larger than ``gram.BLOCK_ELEMS`` squares once repeated in
-slices of rows.
+The grid estimators solve a direction, or a block of directions, at the K
+levels lambda_j with one ``mestimator.scale_from_squares`` call per level on
+its non-vanishing rows: the block itself, uncopied, when none vanishes.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gram import BLOCK_ELEMS, NumericalError
+from .gram import NumericalError
 from .influence import C_UNIVERSAL
-from .mestimator import Sample, scale_from_squares
+from .mestimator import Sample, _row_means, scale_from_squares
 
 # Rounded-up constants as printed in the source analysis; the exact values
 # 2 cosh(1/8)^2, (2+3c)/(4(2+c)) and 2 (2+c) cosh(1/4)^2 are slightly smaller,
@@ -239,21 +238,17 @@ def b_bound(t: float, sigma: float, coeffs: BoundCoeffs) -> float:
 
 def _tilde_n_grid(v, grid: Grid) -> np.ndarray:
     """(k, K) tilde_n of each row of the (k, n) squared values v at each grid
-    level, from one row solve per slice of at most ``BLOCK_ELEMS`` repeated
-    squares (and one row); a row that vanishes gives 0 at every level."""
+    level, one row solve per level on the live rows in place, their means
+    taken once; a row that vanishes gives 0 at every level."""
     v = np.asarray(v, dtype=float)
     values = np.zeros((len(v), grid.K))
     live = v.any(axis=1)  # non-finite or negative values go on to the solver's check
     if live.any():
-        lams = np.array([lam for lam, _ in grid.points])
-        rows = v[live]
-        # the levels repeat each row K times: slices of at most BLOCK_ELEMS
-        # repeated squares keep that copy within one block's size
-        per = max(1, BLOCK_ELEMS // (grid.K * v.shape[1]))
-        parts = [rows[i:i + per] for i in range(0, len(rows), per)]
-        values[live] = np.concatenate([
-            scale_from_squares(np.repeat(part, grid.K, axis=0), np.tile(lams, len(part))).value
-            for part in parts]).reshape(-1, grid.K)
+        rows = v if live.all() else v[live]
+        mean = _row_means(rows)
+        values[live] = np.column_stack([
+            scale_from_squares(rows, np.full(len(rows), lam), _mean=mean).value
+            for lam, _ in grid.points])
     return values
 
 
@@ -269,11 +264,11 @@ def select_from_square_rows(v, norm_sq, grid: Grid, coeffs: list, sigma: float) 
     """Adaptive estimator on each row of the (k, n) squared values v, one
     direction per row with squared norms norm_sq.
 
-    Computes tilde_n at every grid point, the k x K in row solves of at
-    most ``BLOCK_ELEMS`` repeated squares each (and one row), and keeps per
-    row the one minimizing its own bound b_bound(tilde_n / norm_sq).  Ties
-    break toward the smallest grid index; if every bound of a row is
-    vacuous its smallest-lambda point is returned with ``vacuous=True``.
+    Computes tilde_n at every grid point, one row solve of the k rows per
+    level, and keeps per row the one minimizing its own bound
+    b_bound(tilde_n / norm_sq).  Ties break toward the smallest grid index;
+    if every bound of a row is vacuous its smallest-lambda point is
+    returned with ``vacuous=True``.
     """
     out = []
     for values, ns in zip(_tilde_n_grid(v, grid).tolist(), norm_sq):
@@ -351,9 +346,10 @@ def confidence_interval(sample: Sample, theta, grid: Grid, mb: MomentBounds,
     """(lower, upper) confidence bounds for E<theta, X>^2 over the grid.
 
     lower = max_j phi_minus(tilde_n_j), upper = min_j phi_plus_inverse(tilde_n_j),
-    with the K values tilde_n_j from one projection and one row solve; the
-    interval degenerates to [0, inf) when every gate is inactive.  The
-    coefficients use grid.n, so a grid built for another n raises ValueError.
+    with the K values tilde_n_j from one projection and one row solve per
+    level; the interval degenerates to [0, inf) when every gate is
+    inactive.  The coefficients use grid.n, so a grid built for another n
+    raises ValueError.
     """
     v, norm_sq = _direction_squares(sample, theta, grid)
     lower, upper = 0.0, math.inf

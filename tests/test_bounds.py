@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,12 +366,12 @@ class TestGridAsRows:
             assert sel.bound == min(b_bound(v / norm_sq, 0.05, co)
                                     for v, co in zip(values, coeffs))
 
-    def test_one_solve_per_direction(self, monkeypatch):
-        shapes = []
+    def test_one_solve_per_level(self, monkeypatch):
+        calls = []
 
-        def counting(v, lam):
-            shapes.append(np.shape(v))
-            return solve(v, lam)
+        def counting(v, lam, **kw):
+            calls.append((np.shape(v), tuple(np.unique(lam))))
+            return solve(v, lam, **kw)
 
         solve = mestimator.scale_from_squares
         monkeypatch.setattr(mestimator, "scale_from_squares", counting)
@@ -378,27 +379,45 @@ class TestGridAsRows:
         s = self.sample()
         for theta in self.directions():
             confidence_interval(s, theta, self.GRID, MB3)
-        assert shapes == [(self.GRID.K, s.n)] * 2
+        assert calls == [((1, s.n), (lam,)) for lam, _ in self.GRID.points] * 2
 
-    def test_slices_of_repeated_rows_move_no_bit(self, monkeypatch):
-        # the rows x K levels are solved in slices of at most BLOCK_ELEMS
+    def test_levels_solve_the_rows_in_place(self, monkeypatch):
+        # each level is one solve of the block itself, the row means taken
+        # once, with the bits of the same call unobserved
         s, grid = self.sample(), self.GRID
         coeffs = coeffs_for_grid(grid, MB3)
         thetas = self.directions() + [np.array([0.3, 0.2, -0.9]), np.ones(3)]
         v = np.array([(s.data @ t) ** 2 for t in thetas])
         norm_sq = [float(t @ t) for t in thetas]
         whole = select_from_square_rows(v, norm_sq, grid, coeffs, 0.05)
-        shapes = []
+        calls = []
 
-        def counting(v, lam):
-            shapes.append(np.shape(v))
-            return solve(v, lam)
+        def counting(rows, lam, **kw):
+            calls.append((rows, lam, kw["_mean"]))
+            return solve(rows, lam, **kw)
 
         solve = bounds.scale_from_squares
         monkeypatch.setattr(bounds, "scale_from_squares", counting)
-        monkeypatch.setattr(bounds, "BLOCK_ELEMS", 3 * grid.K * s.n + 1)
         assert select_from_square_rows(v, norm_sq, grid, coeffs, 0.05) == whole
-        assert shapes == [(3 * grid.K, s.n), (grid.K, s.n)]
+        assert len(calls) == grid.K
+        for (rows, lam, mean), (level, _) in zip(calls, grid.points):
+            assert rows is v and mean is calls[0][2]
+            np.testing.assert_array_equal(lam, np.full(len(v), level))
+        np.testing.assert_array_equal(calls[0][2], v.mean(axis=1))
+
+    def test_levels_copy_no_row(self):
+        # a 40 x 20000 block of squares is 6.1 MiB; solved in place at
+        # K = 4 the peak is the solver's work slab, where K copies of the
+        # block peaked at 8.9 MiB
+        grid = dataclasses.replace(self.GRID, n=20000)
+        v = np.random.default_rng(31).standard_t(3, (40, 20000)) ** 2
+        tracemalloc.start()
+        try:
+            bounds._tilde_n_grid(v, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < v.nbytes / 4
 
     def test_grid_for_another_n_is_rejected(self):
         # the coefficients use grid.n: at n = 10^6 on these 3000 rows the

@@ -307,14 +307,14 @@ class TestRobustCovariance:
         np.testing.assert_array_equal(q, q.T)
         assert [float(v).hex() for v in q[np.triu_indices(4)]] == self.DEFAULT_Q3_UPPER
 
-    def test_grid_certified_solves_a_block_in_one_call(self, monkeypatch):
-        # the rows x K levels of a block are one solve, with the bits of a
-        # solve per row
+    def test_grid_certified_solves_a_block_once_per_level(self, monkeypatch):
+        # each grid level of a block is one solve of its rows, with the bits
+        # of a solve per row
         calls = []
 
-        def counting(v, lam):
-            calls.append(len(v))
-            return solve(v, lam)
+        def counting(v, lam, **kw):
+            calls.append((len(v), *np.unique(lam).tolist()))
+            return solve(v, lam, **kw)
 
         def per_row(v, norm_sq, grid, coeffs, sigma):
             return [select_rows(r[None], [ns], grid, coeffs, sigma)[0]
@@ -329,13 +329,13 @@ class TestRobustCovariance:
         # 7000 blocks of one vector: 2 of the 9 directions per block of rows
         # at BLOCK_ELEMS = 2^14
         assert blocked.iterations == 2
-        grid_k = calls[0] // 2
-        assert calls == [2 * grid_k] * 4 + [grid_k] + [2 * grid_k] * 4 + [grid_k]
+        levels = sorted({lam for _, lam in calls})
+        assert calls == [(rows, lam) for rows in (2, 2, 2, 2, 1) for lam in levels] * 2
         monkeypatch.setattr(bounds, "select_from_square_rows", per_row)
         single = robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified",
                                    num_updates=2)
         np.testing.assert_array_equal(blocked.matrix, single.matrix)
-        assert len(calls) == 10 + 18
+        assert len(calls) == (10 + 18) * len(levels)
 
     def test_q2_equals_gram_on_scaled_differences(self):
         # one code path: q = 2 is the Gram estimator on (x_{2i} - x_{2i+1}) / sqrt(2)
