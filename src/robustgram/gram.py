@@ -283,8 +283,8 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
         # (the bulk under a huge outlier) would underflow to 0 and stop early
         dist = math.hypot(*(q - prev).ravel())
         deltas.append(dist / math.hypot(*prev.ravel()) if dist else 0.0)
-        if deltas[-1] <= STOP_TOL:
-            break
+        if deltas[-1] <= STOP_TOL or k + 1 == num_updates:
+            break  # no basis is needed after the last update
         prev = q
         basis = _descending_eigenbasis(q)
     if e:

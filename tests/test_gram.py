@@ -337,6 +337,19 @@ class TestRobustGram:
         q = robust_gram(s, epsilon=0.1).matrix
         assert np.max(np.abs(q - q.T)) <= 1e-12
 
+    def test_no_eigendecomposition_after_the_last_update(self, monkeypatch):
+        calls = []
+
+        def counting(q):
+            calls.append(q)
+            return eigenbasis(q)
+
+        eigenbasis = gram._descending_eigenbasis
+        monkeypatch.setattr(gram, "_descending_eigenbasis", counting)
+        s = Sample(np.random.default_rng(17).standard_t(3, (500, 4)))
+        assert robust_gram(s, epsilon=0.1, num_updates=4).iterations == 4
+        assert len(calls) == 4  # the start matrix and the first three updates
+
     def test_early_stop_on_tolerance(self):
         rng = np.random.default_rng(13)
         s = Sample(rng.standard_normal((30, 3)))
