@@ -48,6 +48,8 @@ class MomentBounds:
     certified: bool = True
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.kappa, self.s4, self.trace_g, self.trace_g2))):
+            raise ValueError("moment bounds must be finite")
         if self.kappa < 1.0:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
         if self.s4 <= 0.0 or self.trace_g <= 0.0:
@@ -77,6 +79,8 @@ class Grid:
             raise ValueError("grid must hold exactly K >= 1 points")
         lams = [p[0] for p in self.points]
         betas = [p[1] for p in self.points]
+        if not all(map(math.isfinite, (*lams, *betas, self.a, self.epsilon, self.n))):
+            raise ValueError("grid fields must be finite")
         if any(l <= 0 for l in lams) or any(b <= 0 for b in betas):
             raise ValueError("grid points must be positive")
         if any(lams[j] >= lams[j + 1] for j in range(self.K - 1)):
@@ -201,14 +205,19 @@ def phi_plus_inverse(u: float, coeffs: BoundCoeffs, norm_theta_sq: float) -> flo
     """sup{t >= 0 : phi_plus(t) <= u}; math.inf when phi_plus never exceeds u.
 
     phi_plus is non-decreasing, so the predicate is monotone and the sup is
-    found by doubling an upper bracket then bisecting to relative 1e-12.
+    found by doubling an upper bracket from max(u, 2 delta lam ||theta||^2 /
+    margin), past which the gate is open, then bisecting to relative 1e-12.
+    The bracket has no scale of its own, so scaling u and delta by a power
+    of two scales the result by it bit for bit.
     """
     if u < 0.0:
         return 0.0
     gate_margin = 1.0 - coeffs.xi - coeffs.mu - coeffs.gamma
     if gate_margin <= 0.0:
         return math.inf  # gate never activates, phi_plus is identically 0
-    hi = max(u, 2.0 * coeffs.delta * coeffs.lam * norm_theta_sq / gate_margin, 1.0)
+    hi = max(u, 2.0 * coeffs.delta * coeffs.lam * norm_theta_sq / gate_margin)
+    if hi == 0.0:
+        return 0.0  # the gate is open at every t > 0, where phi_plus > 0 = u
     for _ in range(200):
         if phi_plus(hi, coeffs, norm_theta_sq) > u:
             break

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import bounds as bnd
-from .gram import GramEstimate, iterate_polarization, positive_part
+from .gram import GramEstimate, NumericalError, iterate_polarization, positive_part
 from .mestimator import Sample
 
 logger = logging.getLogger(__name__)
@@ -58,11 +58,12 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
     Mode "iterative-practical" uses its default adaptive scale solver.  Mode
     "grid-certified" passes as its ``estimate`` the grid-selected estimator
     ``bounds.select_from_square_rows`` on the quadratic values of a block
-    of directions, one solver call per block (n replaced by the block
-    count); it requires enough blocks for the theoretical grid.  Its moment
-    bounds are plug-in values, flagged non-certified: the kurtosis of the
-    generating vectors (``harness.kappa_plugin``) mapped through the
-    q-block transfer, and the empirical moments of the blocks.
+    of directions, one solver call per block and grid level (n replaced by
+    the block count); it requires enough blocks for the theoretical grid.
+    Its moment bounds are plug-in values, flagged non-certified: the
+    kurtosis of the generating vectors (``harness.kappa_plugin``) mapped
+    through the q-block transfer, and the empirical moments of the blocks;
+    one that overflows raises ``gram.NumericalError``.
     Set ``psd=True`` to clamp negative eigenvalues of the final estimate.
     """
     if mode not in ("iterative-practical", "grid-certified"):
@@ -78,6 +79,9 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
         # ||A_i||_op is the squared spectral norm of the block's vectors
         s4_a = float(np.mean(np.linalg.norm(vectors, ord=2, axis=(1, 2)) ** 4)) ** 0.25
         tr_a = float(np.sum(vectors * vectors)) / m
+        if not all(map(math.isfinite, (kappa_prime, s4_a, tr_a))):
+            raise NumericalError("the plug-in block moments overflow "
+                                 "(data out of floating-point range)")
         mb_blocks = bnd.MomentBounds(kappa=kappa_prime, s4=s4_a,
                                      trace_g=max(tr_a, s4_a**2 / math.sqrt(kappa_prime)),
                                      certified=False)

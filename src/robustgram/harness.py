@@ -343,7 +343,7 @@ def estimate_moment_bounds(sample: Sample, n_directions: int = 100, seed: int = 
     The kurtosis plug-in is inflated by ``safety``; s4 and the traces are the
     empirical moments.  These are point estimates, not the true upper bounds
     the theory assumes.  Raises NumericalError when s4 or the trace of a
-    non-zero sample underflows to 0.
+    non-zero sample underflows to 0, or when a moment overflows.
     """
     norms_sq = np.sum(sample.data**2, axis=1)
     s4 = float(np.mean(norms_sq**2)) ** 0.25
@@ -356,5 +356,8 @@ def estimate_moment_bounds(sample: Sample, n_directions: int = 100, seed: int = 
     kappa = max(safety * kappa_plugin(sample, n_directions, seed), 1.0 + 1e-6)
     # keep the Cauchy-Schwarz relation that true moments satisfy
     trace_g = max(trace_g, s4**2 / math.sqrt(kappa))
+    if not all(map(math.isfinite, (kappa, s4, trace_g, trace_g2))):
+        raise NumericalError("the plug-in moments overflow "
+                             "(data out of floating-point range)")
     return MomentBounds(kappa=kappa, s4=s4, trace_g=trace_g,
                         trace_g2=trace_g2, certified=False)

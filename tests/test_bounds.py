@@ -62,6 +62,13 @@ class TestMomentBounds:
         mb = MomentBounds(kappa=3.0, s4=2.0, trace_g=4.0)
         assert mb.certified
 
+    @pytest.mark.parametrize("field", ["kappa", "s4", "trace_g", "trace_g2"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_field_rejected(self, field, value):
+        # kappa = inf used to pass, and make_grid then overflowed in math.ceil
+        with pytest.raises(ValueError, match="finite"):
+            MomentBounds(**{"kappa": 3.0, "s4": 1.0, "trace_g": 1.0, field: value})
+
 
 class TestGrid:
     def test_k_for_paper_scale(self):
@@ -96,6 +103,20 @@ class TestGrid:
     def test_manual_grid_validation(self):
         with pytest.raises(ValueError):
             Grid(points=((0.2, 10.0), (0.1, 20.0)), K=2, a=0.5, epsilon=0.1, n=100)
+
+    @pytest.mark.parametrize("fields", [
+        {"points": ((0.1, 20.0), (math.inf, 10.0))},
+        {"points": ((0.1, math.inf), (0.2, 10.0))},
+        {"points": ((0.1, 20.0), (0.2, math.nan))},
+        {"a": math.inf},
+        {"epsilon": math.nan},
+        {"n": math.inf},
+    ])
+    def test_non_finite_field_rejected(self, fields):
+        grid = {"points": ((0.1, 20.0), (0.2, 10.0)), "K": 2, "a": 0.5,
+                "epsilon": 0.1, "n": 100}
+        with pytest.raises(ValueError, match="finite"):
+            Grid(**{**grid, **fields})
 
     def test_beta_formula_spot(self):
         grid = make_grid(10**5, MB3, a=0.5, epsilon=0.05)
@@ -176,6 +197,12 @@ class TestPhiMaps:
         for u in (0.05, 0.7, 3.0):
             ref = phi_plus_inverse_ref(lambda t: phi_plus(t, co, 1.0), u)
             assert phi_plus_inverse(u, co, 1.0) == pytest.approx(ref, rel=1e-8)
+
+    def test_inverse_of_zero_at_an_open_gate_is_zero(self):
+        # with theta = 0 the gate is open at every t > 0, where phi_plus > 0
+        co = active_coeffs()
+        assert phi_plus(1e-300, co, 0.0) > 0.0
+        assert phi_plus_inverse(0.0, co, 0.0) == 0.0
 
     def test_inverse_unbounded_when_gate_never_active(self):
         co = BoundCoeffs(xi=0.5, mu=0.4, gamma=0.3, delta=0.1, lam=0.1, beta=10.0)
@@ -332,6 +359,33 @@ class TestConfidenceInterval:
         lo, hi = confidence_interval(s, np.array([1.0, 0.0]), grid, MB3)
         assert lo == 0.0
         assert hi == math.inf
+
+
+class TestIntervalHomogeneity:
+    """Scaling the data by 2^k, with the moment bounds and the betas of the
+    grid alongside, scales the confidence interval by 4^k bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        s = Sample(np.random.default_rng(40).standard_normal((20000, 4)))
+        mb = MomentBounds(kappa=3.0, s4=2.5, trace_g=4.0, trace_g2=4.0)
+        return s, mb, make_grid(s.n, mb, epsilon=0.05)
+
+    @pytest.mark.parametrize("k", [-200, -100, -20, 20, 100, 200])
+    @pytest.mark.parametrize("theta", [[1.0, 0.0, 0.0, 0.0], [0.4, -1.3, 0.2, 0.0],
+                                       [0.01, 0.0, 0.0, 0.02]])
+    def test_scales_by_powers_of_four(self, setup, k, theta):
+        s, mb, grid = setup
+        theta = np.array(theta)
+        mb_k = MomentBounds(kappa=mb.kappa, s4=math.ldexp(mb.s4, k),
+                            trace_g=math.ldexp(mb.trace_g, 2 * k),
+                            trace_g2=math.ldexp(mb.trace_g2, 4 * k))
+        grid_k = dataclasses.replace(grid, points=tuple(
+            (lam, math.ldexp(beta, 2 * k)) for lam, beta in grid.points))
+        lo, hi = confidence_interval(s, theta, grid, mb)
+        assert 0.0 < lo < hi < math.inf
+        scaled = confidence_interval(Sample(np.ldexp(s.data, k)), theta, grid_k, mb_k)
+        assert scaled == (math.ldexp(lo, 2 * k), math.ldexp(hi, 2 * k))
 
 
 class TestGridAsRows:

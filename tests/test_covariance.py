@@ -361,6 +361,13 @@ class TestRobustCovariance:
         with pytest.raises(NumericalError, match="start matrix"):
             robust_covariance(Sample(1e160 * rng.standard_normal((20, 3))), q=2)
 
+    @pytest.mark.parametrize("k", [256, 300])
+    def test_grid_certified_overflowing_moments_are_numerical_error(self, k):
+        # the fourth moment of the blocks overflows before MomentBounds is built
+        x = np.ldexp(np.random.default_rng(16).standard_normal((20000, 3)), k)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="moments overflow"):
+            robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified")
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             robust_covariance(Sample(np.ones((4, 2))), mode="bogus")

@@ -22,6 +22,7 @@ from robustgram.harness import (
     trial_rng,
     true_gram,
 )
+from robustgram.gram import NumericalError
 from robustgram.mestimator import Sample
 
 from oracles import kappa_per_direction
@@ -232,6 +233,14 @@ class TestMomentPlugins:
         assert mb.kappa >= 1.5 * kappa_plugin(s, seed=0) - 1e-9
         assert mb.s4 == pytest.approx(float(np.mean(np.sum(s.data**2, axis=1) ** 2)) ** 0.25)
         assert mb.trace_g >= mb.s4**2 / math.sqrt(mb.kappa) - 1e-12
+
+    def test_overflowing_moments_are_numerical_error(self):
+        # raised before MomentBounds, which rejects a non-finite field
+        x = np.random.default_rng(4).standard_normal((200, 3))
+        x[0] *= 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="moments overflow"):
+                estimate_moment_bounds(Sample(x), seed=0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_kappa_matches_one_direction_at_a_time(self, seed):
