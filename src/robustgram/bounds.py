@@ -247,8 +247,8 @@ def b_bound(t: float, sigma: float, coeffs: BoundCoeffs) -> float:
 
 def _tilde_n_grid(v, grid: Grid) -> np.ndarray:
     """(k, K) tilde_n of each row of the (k, n) squared values v at each grid
-    level, one row solve per level on the live rows in place, their means
-    taken once; a row that vanishes gives 0 at every level."""
+    level, one row solve per level on the live rows, v itself when all are
+    live, their means taken once; a row that vanishes gives 0 at every level."""
     v = np.asarray(v, dtype=float)
     values = np.zeros((len(v), grid.K))
     live = v.any(axis=1)  # non-finite or negative values go on to the solver's check
