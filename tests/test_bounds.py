@@ -389,8 +389,8 @@ class TestIntervalHomogeneity:
 
 
 class TestGridAsRows:
-    """The K grid levels of a direction are one row solve: the same bits as
-    a tilde_n solve per level."""
+    """The K grid levels of a block of directions are one row solve each, on
+    the rows in place: the same bits as a tilde_n solve per level."""
 
     GRID = Grid(points=((0.01, 6000.0), (0.02, 3000.0), (0.05, 1500.0), (0.1, 800.0)),
                 K=4, a=0.5, epsilon=0.05, n=3000)
@@ -436,8 +436,8 @@ class TestGridAsRows:
         assert calls == [((1, s.n), (lam,)) for lam, _ in self.GRID.points] * 2
 
     def test_levels_solve_the_rows_in_place(self, monkeypatch):
-        # each level is one solve of the block itself, the row means taken
-        # once, with the bits of the same call unobserved
+        # each level is one solve of the block itself, with the row means
+        # taken once
         s, grid = self.sample(), self.GRID
         coeffs = coeffs_for_grid(grid, MB3)
         thetas = self.directions() + [np.array([0.3, 0.2, -0.9]), np.ones(3)]
