@@ -1,0 +1,123 @@
+"""Print one sha256 per output family of the estimators on fixed seeded samples.
+
+Usage, with the ``src`` directory of the checkout under test on the path::
+
+    PYTHONPATH=<checkout>/src python3 scripts/output_digest.py
+
+Each line is ``<family> <sha256>``.  A family's digest covers its outputs on
+every input sample, bit for bit: matrices and floats as their exact bytes,
+iteration counts, and the type and message of any exception raised.  Run it
+on two checkouts and diff the lines: a change that keeps the numbers keeps
+every line.  The samples are a unit-scale one, the same with a zero column,
+the same with a column so small that its squares underflow to 0, the zero
+sample and one with d > n.  Uses numpy and the standard library only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from robustgram import bounds, tilde_n
+from robustgram.covariance import robust_covariance
+from robustgram.gram import robust_gram
+from robustgram.harness import estimate_moment_bounds
+from robustgram.mestimator import Sample
+
+# Grid epsilon and the truncation levels of the tilde_n family.
+EPSILON = 0.05
+LEVELS = (0.05, 0.5, 2.0)
+
+
+def samples() -> dict:
+    """The input samples.  The grid families need n of about 12000 at d = 3,
+    and 3 divides n, so q = 3 discards no observation."""
+    unit = np.random.default_rng(0).standard_normal((14004, 3)) + 1.0
+    zero_column, tiny_column = unit.copy(), unit.copy()
+    zero_column[:, 1] = 0.0
+    tiny_column[:, 1] = np.ldexp(tiny_column[:, 1], -700)
+    return {
+        "unit": unit,
+        "zero column": zero_column,
+        "underflowing column": tiny_column,
+        "zero": np.zeros((14004, 3)),
+        "d > n": np.random.default_rng(1).standard_t(3, (6, 9)),
+    }
+
+
+def directions(d: int) -> list:
+    """The canonical basis and three seeded random directions."""
+    return [*np.eye(d), *np.random.default_rng(2).standard_normal((3, d))]
+
+
+def feed(h, obj) -> None:
+    """Add obj to the hash h: arrays by shape and bytes, floats by their hex
+    form, sequences item by item, anything else by its repr."""
+    if isinstance(obj, np.ndarray):
+        h.update(repr(obj.shape).encode())
+        h.update(np.ascontiguousarray(obj, dtype=float).tobytes())
+    elif isinstance(obj, float):
+        h.update(obj.hex().encode())
+    elif isinstance(obj, (list, tuple)):
+        h.update(b"[")
+        for item in obj:
+            feed(h, item)
+            h.update(b",")
+        h.update(b"]")
+    else:
+        h.update(repr(obj).encode())
+
+
+def estimate_fields(est) -> tuple:
+    return est.matrix, est.iterations, est.frobenius_deltas, est.lambda_used
+
+
+def grid_setup(sample: Sample) -> tuple:
+    mb = estimate_moment_bounds(sample, seed=0)
+    grid = bounds.make_grid(sample.n, mb, epsilon=EPSILON)
+    sigma = min(bounds.sigma_default(sample.n, mb, EPSILON), mb.s4**2)
+    return mb, grid, sigma
+
+
+def confidence_intervals(sample: Sample) -> list:
+    mb, grid, _ = grid_setup(sample)
+    return [bounds.confidence_interval(sample, theta, grid, mb)
+            for theta in directions(sample.d)]
+
+
+def selections(sample: Sample) -> list:
+    mb, grid, sigma = grid_setup(sample)
+    return [tuple(bounds.select_hat_n(sample, theta, grid, sigma, mb))
+            for theta in directions(sample.d)]
+
+
+FAMILIES = {
+    "robust_gram": lambda s: estimate_fields(robust_gram(s)),
+    "robust_covariance_q2": lambda s: estimate_fields(robust_covariance(s, q=2)),
+    "robust_covariance_q3": lambda s: estimate_fields(robust_covariance(s, q=3)),
+    "grid_certified": lambda s: estimate_fields(robust_covariance(
+        s, q=2, epsilon=EPSILON, mode="grid-certified", num_updates=2)),
+    "confidence_interval": confidence_intervals,
+    "select_hat_n": selections,
+    "tilde_n": lambda s: [tilde_n(s, theta, lam) for theta in directions(s.d)
+                          for lam in LEVELS],
+}
+
+
+def main() -> None:
+    inputs = {name: Sample(x) for name, x in samples().items()}
+    for family, compute in FAMILIES.items():
+        h = hashlib.sha256()
+        for name, sample in inputs.items():
+            feed(h, name)
+            try:
+                with np.errstate(all="ignore"):
+                    feed(h, compute(sample))
+            except Exception as exc:  # noqa: BLE001 - a raised error is an output too
+                feed(h, f"{type(exc).__name__}: {exc}")
+        print(family, h.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

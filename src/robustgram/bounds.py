@@ -6,7 +6,7 @@ dimension.  Vacuous bounds are represented by ``math.inf`` so that argmin
 logic stays explicit (``math.isinf`` marks the gated-out regions).
 The grid estimators solve a direction, or a block of directions, at the K
 levels lambda_j with one ``mestimator.scale_from_squares`` call per level on
-its non-vanishing rows: the block itself, uncopied, when none vanishes.
+the block itself, uncopied.
 """
 
 from __future__ import annotations
@@ -247,18 +247,11 @@ def b_bound(t: float, sigma: float, coeffs: BoundCoeffs) -> float:
 
 def _tilde_n_grid(v, grid: Grid) -> np.ndarray:
     """(k, K) tilde_n of each row of the (k, n) squared values v at each grid
-    level, one row solve per level on the live rows, v itself when all are
-    live, their means taken once; a row that vanishes gives 0 at every level."""
+    level, one row solve per level on v itself, its means taken once."""
     v = np.asarray(v, dtype=float)
-    values = np.zeros((len(v), grid.K))
-    live = v.any(axis=1)  # non-finite or negative values go on to the solver's check
-    if live.any():
-        rows = v if live.all() else v[live]
-        mean = _row_means(rows)
-        values[live] = np.column_stack([
-            scale_from_squares(rows, np.full(len(rows), lam), _mean=mean).value
-            for lam, _ in grid.points])
-    return values
+    mean = _row_means(v)
+    return np.column_stack([scale_from_squares(v, np.full(len(v), lam), _mean=mean).value
+                            for lam, _ in grid.points])
 
 
 class SelectedEstimate(NamedTuple):

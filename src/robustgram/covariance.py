@@ -63,7 +63,8 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
     Its moment bounds are plug-in values, flagged non-certified: the
     kurtosis of the generating vectors (``harness.kappa_plugin``) mapped
     through the q-block transfer, and the empirical moments of the blocks;
-    one that overflows raises ``gram.NumericalError``.
+    one that overflows, or underflows to 0 on non-zero data, raises
+    ``gram.NumericalError``.
     Set ``psd=True`` to clamp negative eigenvalues of the final estimate.
     """
     if mode not in ("iterative-practical", "grid-certified"):
@@ -81,6 +82,9 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
         tr_a = float(np.sum(vectors * vectors)) / m
         if not all(map(math.isfinite, (kappa_prime, s4_a, tr_a))):
             raise NumericalError("the plug-in block moments overflow "
+                                 "(data out of floating-point range)")
+        if not (s4_a > 0.0 and tr_a > 0.0) and vectors.any():
+            raise NumericalError("the plug-in block moments underflow to 0 "
                                  "(data out of floating-point range)")
         mb_blocks = bnd.MomentBounds(kappa=kappa_prime, s4=s4_a,
                                      trace_g=max(tr_a, s4_a**2 / math.sqrt(kappa_prime)),

@@ -10,8 +10,8 @@ new estimate.  The d^2 directions of one update are estimated in blocks of
 rows, one row of quadratic values theta^T A_i theta per direction, and
 ``estimate(v, norm_sq, start)`` is the one hook that turns a block into its
 quadratic forms, given each direction's form in the previous update as its
-start: the default solves a whole block with one call to the row solver,
-each direction started there.
+start: the default solves every row of a block, vanishing ones too, with one
+call to the row solver, each direction started there.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ logger = logging.getLogger(__name__)
 #   2^19    x0.83, +4.1 MB   x0.84, +3.7 MB
 BLOCK_ELEMS = 2**18
 
-# The default estimate runs on the vectors scaled by the power of two that puts
-# the largest |entry| in [2^99, 2^100).  Squares then stay below 2^200, far
-# from overflow and below the solver's rescale threshold, and every entry
-# within 2^610 of the largest keeps a normal square, so the bulk of a sample
-# with a huge outlier is still resolved.
+# The default estimate, and ``harness.kappa_plugin``, run on the vectors scaled
+# by the power of two (``_norm_exponent``) that puts the largest |entry| in
+# [2^99, 2^100).  Squares then stay below 2^200, far from overflow and below
+# the solver's rescale threshold, and every entry within 2^610 of the largest
+# keeps a normal square, so the bulk of a sample with a huge outlier is still
+# resolved.
 NORM_EXPONENT = 100
 
 # The iteration stops once an update moves the estimate by at most this, relatively.
@@ -66,8 +67,8 @@ class GramEstimate:
     (the mean of the A_i for k = 0), the figure the stop test compares with
     ``STOP_TOL``; it is scale-free, so it stays finite where the distance
     itself would overflow (0 when both are 0).  lambda_used holds one
-    per-update summary (mean over directions) of the adaptive truncation
-    levels; none for an update that solves no direction (the zero sample
+    per-update mean of the adaptive truncation levels of the directions that
+    do not vanish; none for an update in which all vanish (the zero sample
     gives []) or with a custom ``estimate``.  With the default estimate,
     update k >= 2 starts each direction's solve at its root in update k - 1,
     so the matrix agrees with cold-started solves only to the solver's
@@ -116,13 +117,14 @@ def positive_part(q: np.ndarray) -> np.ndarray:
 
 def _robust_scale_rows(v: np.ndarray, epsilon: float, lam_log: list, start) -> np.ndarray:
     """Default estimate of each row of the (k, n) quadratic values ``v``: its
-    adaptive truncation level, appended to ``lam_log``, then the row solver
-    started at ``start`` (one scale per row, nan for none)."""
+    adaptive truncation level, then the row solver started at ``start`` (one
+    scale per row, nan for none).  ``lam_log`` gets the levels of the rows
+    that do not vanish, the rows not solved as 0, converged."""
     # one pass over the rows gives the means that both calls rescale by
     mean = _row_means(v)
     lam = lambda_from_square_rows(v, epsilon, _mean=mean)
-    lam_log.extend(lam.tolist())
     result = scale_from_squares(v, lam, start, _mean=mean)
+    lam_log.extend(lam[(result.value > 0.0) | ~result.row_converged].tolist())
     failed = np.count_nonzero(~result.row_converged)
     if failed:
         logger.warning("%d of %d scale solves did not converge", failed, len(v))
@@ -157,8 +159,8 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     and squares, all in place.  For g > 1 v is the group sum, a fresh
     array; for g = 1, v is the block's buffer itself, which the next block
     overwrites, so a hook that keeps v after it returns must copy it.
-    Rows without a positive value get N = 0; the others go to estimate(v,
-    norm_sq, start), which returns their N values.  norm_sq holds each
+    Every block goes to estimate(v, norm_sq, start), which returns its N
+    values (0 for a row without a positive value).  norm_sq holds each
     direction's squared norm (4 for the doubled column on the diagonal, 2
     otherwise), and start its N from the previous update, nan where there
     is none.  A ValueError from ``estimate`` becomes a NumericalError naming
@@ -197,14 +199,9 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
             np.multiply(p, p, out=p)
         if v.ndim == 3:
             v = v.reshape(v.shape[:2]) if v.shape[2] == 1 else v.sum(axis=2)
-        live = v.any(axis=1)
-        values = n_values[blk]
-        starts = values[live]
-        values[:] = 0.0
-        if not starts.size:
-            continue
         try:
-            values[live] = estimate(v if live.all() else v[live], norm_sq[blk][live], starts)
+            # a copy: the hook may keep its starts, and this assignment overwrites them
+            n_values[blk] = estimate(v, norm_sq[blk], n_values[blk].copy())
         except ValueError as exc:
             raise NumericalError(
                 f"scale solve failed at entries ({first[start]}, {second[start]}) to "
@@ -214,6 +211,11 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     c = np.zeros((d, d))
     c[iu, ju] = c[ju, iu] = 0.25 * (n_values[sign > 0.0] - minus)
     return c
+
+
+def _norm_exponent(x: np.ndarray) -> int:
+    """Binary exponent of max |x| less ``NORM_EXPONENT`` (-NORM_EXPONENT for x = 0)."""
+    return int(np.frexp(np.max(np.abs(x), initial=0.0))[1]) - NORM_EXPONENT
 
 
 def _descending_eigenbasis(q: np.ndarray) -> np.ndarray:
@@ -261,7 +263,7 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     if estimate is None:
         def estimate(v, norm_sq, start):
             return _robust_scale_rows(v, epsilon, lam_log, start)
-        e = int(np.frexp(np.max(np.abs(flat), initial=0.0))[1]) - NORM_EXPONENT
+        e = _norm_exponent(flat)
         flat = np.ldexp(flat, -e)
         vectors = flat.reshape(vectors.shape)
     prev = _mean_matrix(vectors)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import MomentBounds
 from .covariance import robust_covariance
-from .gram import NumericalError, empirical_gram, frobenius_error, robust_gram
+from .gram import NumericalError, _norm_exponent, empirical_gram, frobenius_error, robust_gram
 from .mestimator import Sample
 
 logger = logging.getLogger(__name__)
@@ -313,12 +313,15 @@ def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> floa
     ratio over the canonical basis plus random unit directions.
 
     Zero-variance directions are skipped.  For Gaussian data the value sits
-    near 3; heavy-tail mixtures push it higher.  The projections come from
-    one matmul per ``KAPPA_CHUNK`` directions, each direction's squares in
-    one contiguous row, so its moments sum in the order of a 1-d mean.
+    near 3; heavy-tail mixtures push it higher.  It runs on the data divided
+    by a power of two (``gram._norm_exponent``), so it is exactly scale-free.
+    The projections come from one matmul per ``KAPPA_CHUNK`` directions,
+    each direction's squares in one contiguous row, so its moments sum in
+    the order of a 1-d mean.
     """
     if sample.n < MIN_KAPPA_OBSERVATIONS:
         raise ValueError(f"need at least {MIN_KAPPA_OBSERVATIONS} observations")
+    data = np.ldexp(sample.data, -_norm_exponent(sample.data))
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n_directions, sample.d))
     norms = np.linalg.norm(raw, axis=1)
@@ -326,7 +329,7 @@ def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> floa
     dirs = np.vstack([np.eye(sample.d), raw[some] / norms[some, None]])
     best = 1.0
     for j in range(0, len(dirs), KAPPA_CHUNK):
-        p2 = dirs[j:j + KAPPA_CHUNK] @ sample.data.T
+        p2 = dirs[j:j + KAPPA_CHUNK] @ data.T
         np.square(p2, out=p2)
         m2 = np.mean(p2, axis=1)
         m4 = np.mean(np.square(p2, out=p2), axis=1)

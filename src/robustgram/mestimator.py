@@ -133,10 +133,7 @@ def tilde_n(sample: Sample, theta, lam: float) -> float:
     """Robust estimate lambda / alpha_hat^2 of E<theta, X>^2 (0 if alpha_hat = inf),
     the scale solve of the squared projections as a one-row matrix."""
     p = sample.projections(theta)
-    v = p * p
-    if lam > 0.0 and not v.any():  # a level <= 0 goes on to the solver's check
-        return 0.0
-    return float(scale_from_squares(v[None], [lam]).value[0])
+    return float(scale_from_squares((p * p)[None], [lam]).value[0])
 
 
 def alpha_hat(sample: Sample, theta, lam: float) -> float:
@@ -169,7 +166,7 @@ def _rescale_rows(v, mean=None):
 def scale_from_squares(v, lam, start=None, *, _mean=None) -> ScaleResult:
     """Per row r: smallest S > 0 with f(S) = sum_j psi(lam_r (v_rj / S - 1)) <= 0.
 
-    ``v`` is (k, n) with finite v_rj >= 0 and a positive entry in each row;
+    ``v`` is (k, n) with n >= 1 and finite v_rj >= 0, zero rows included;
     ``lam`` holds one positive level per row, and ``start``, if given, one
     starting scale per row.  Each row runs one safeguarded Newton loop on
     x = 1/S = alpha^2 / lam, in which the criterion is nearly linear.  It
@@ -195,9 +192,10 @@ def scale_from_squares(v, lam, start=None, *, _mean=None) -> ScaleResult:
     the alpha form; ``plateau`` flags a row whose returned point is such an
     edge, whether it moved there or stopped on it.  A row whose criterion
     is non-positive near S = 0 has no positive root: value 0, not
-    converged.  A row with a mean beyond 2^+-``RESCALE_EXPONENT`` is solved
-    rescaled by a power of two, its start with it, so its root scales
-    exactly with the data.
+    converged.  A row without a positive entry vanishes: alpha_hat = inf,
+    so 0 is its answer, converged after 0 iterations.  A row with a mean
+    beyond 2^+-``RESCALE_EXPONENT`` is solved rescaled by a power of two,
+    its start with it, so its root scales exactly with the data.
 
     Each pass runs its elementwise work, from lam v / S to f and d, over
     tiles of the rows still iterating, at most ``TILE_ELEMS`` squares (and
@@ -213,9 +211,9 @@ def scale_from_squares(v, lam, start=None, *, _mean=None) -> ScaleResult:
     rejects a nan, -inf or negative entry ("finite and non-negative"); a
     +inf entry passes it and makes the row's mean infinite, which the mean
     check rejects ("finite mean", as for finite squares whose mean
-    overflows); a row without a positive entry, or n = 0, is rejected as
-    such.  -0.0 counts as 0.  Positive entries are counted only in rows
-    whose minimum is 0, and sum(v^2) is formed in the work slab.
+    overflows); n = 0 is rejected as such.  -0.0 counts as 0.  Positive
+    entries are counted only in rows whose minimum is 0, and sum(v^2) is
+    formed in the work slab.
     """
     v = np.asarray(v, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -225,7 +223,7 @@ def scale_from_squares(v, lam, start=None, *, _mean=None) -> ScaleResult:
         raise ValueError("lambda must be positive")
     k, n = v.shape
     if n == 0:
-        raise ValueError("scale solve needs at least one non-zero entry")
+        raise ValueError("scale solve needs at least one value per row")
     # a nan or a negative entry fails low >= 0; a +inf one passes it and
     # makes the row's mean infinite
     low = v.min(axis=1)
@@ -234,8 +232,6 @@ def scale_from_squares(v, lam, start=None, *, _mean=None) -> ScaleResult:
     # only a row whose minimum is 0 has fewer than n positive entries
     zeros = np.flatnonzero(low == 0.0)
     n_pos = np.count_nonzero(v[zeros] > 0.0, axis=1)
-    if not n_pos.all():
-        raise ValueError("scale solve needs at least one non-zero entry")
     v, mean, exponent = _rescale_rows(v, _mean)
     if not np.all(np.isfinite(mean)):
         raise ValueError("scale solve needs finite values with a finite mean")
@@ -251,15 +247,15 @@ def scale_from_squares(v, lam, start=None, *, _mean=None) -> ScaleResult:
     value = np.zeros(k)
     iterations = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
-    bisection = np.zeros(k, dtype=bool)
     plateau = np.zeros(k, dtype=bool)
 
     # criterion value as S -> 0+; where it is non-positive there is no
-    # positive root, which needs a zero entry
+    # positive root, which needs a zero entry; 0 answers a vanishing row
     no_root = np.zeros(k, dtype=bool)
     if zeros.size:
         no_root[zeros] = n_pos * LOG2 + (n - n_pos) * psi(-lam[zeros]) <= 0.0
-    bisection[no_root] = True
+        converged[zeros] = n_pos == 0
+    bisection = no_root & ~converged
     rows, la, s = np.arange(k), lam, s0
     if no_root.any():
         rows, la, s = (x[~no_root] for x in (rows, la, s))

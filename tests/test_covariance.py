@@ -368,6 +368,12 @@ class TestRobustCovariance:
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="moments overflow"):
             robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified")
 
+    def test_grid_certified_underflowing_moments_are_numerical_error(self):
+        # the fourth moment of the blocks underflows to 0, though the data are not 0
+        x = np.ldexp(np.random.default_rng(16).standard_normal((20000, 3)), -300)
+        with pytest.raises(NumericalError, match="moments underflow"):
+            robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified")
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             robust_covariance(Sample(np.ones((4, 2))), mode="bogus")

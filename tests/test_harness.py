@@ -255,3 +255,12 @@ class TestMomentPlugins:
     def test_needs_four_observations(self):
         with pytest.raises(ValueError):
             kappa_plugin(Sample(np.ones((3, 2))))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kappa_is_exactly_scale_free(self, seed):
+        # in original units the fourth moments of 2^256 data overflow and the
+        # squared second moments of 2^-300 data underflow
+        x = np.random.default_rng(50 + seed).standard_t(5, (2000, 2 + seed))
+        k = kappa_plugin(Sample(x), seed=seed)
+        for e in (-300, -100, 100, 256, 300):
+            assert kappa_plugin(Sample(np.ldexp(x, e)), seed=seed) == k

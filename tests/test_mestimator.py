@@ -203,9 +203,11 @@ class TestRobustScale:
             resid = float(np.sum(psi(lam * (p * p / res.value[0] - 1.0))))
             assert abs(resid) <= 1e-10
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            solve_row(np.zeros(5), 0.3)
+    def test_zero_vector_gives_zero_converged(self):
+        # no positive entry: alpha_hat = inf, so 0 is the answer, not a failure
+        res = solve_row(np.zeros(5), 0.3)
+        assert res.value[0] == 0.0 and res.converged
+        assert res.iterations == 0 and res.method == "newton" and not res.plateau[0]
 
     def test_no_positive_root_corner(self):
         # one non-zero among many zeros with lambda >= 1: criterion stays negative
@@ -387,8 +389,8 @@ class TestRowSolver:
 
     @pytest.mark.parametrize("bad", BAD_SQUARES)
     def test_rejects_non_finite_or_negative(self, bad):
-        # the grid estimator gives 0 for vanishing squares without a solve;
-        # these have no positive entry either, and must still be rejected
+        # no positive entry, as in a vanishing row, which the solver answers
+        # with 0; these rows must still be rejected, by the grid estimator too
         mb = MomentBounds(kappa=3.0, s4=1.0, trace_g=1.0)
         grid = Grid(points=((0.5, 10.0),), K=1, a=0.5, epsilon=0.1, n=2)
         with pytest.raises(ValueError, match="finite"):
@@ -396,6 +398,20 @@ class TestRowSolver:
                                     0.1)[0]
         with pytest.raises(ValueError, match="finite"):
             scale_from_squares(np.array([[1.0, 2.0], bad]), np.array([0.5, 0.5]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(
+        st.one_of(st.lists(SQUARES, min_size=8, max_size=8),
+                  st.sampled_from([0.0, -0.0]).map(lambda zero: [zero] * 8)),
+        st.floats(0.05, 5.0)), min_size=1, max_size=12))
+    def test_vanishing_rows_in_a_batch(self, rows):
+        v = np.array([row for row, _ in rows])
+        lam = np.array([level for _, level in rows])
+        res = self.assert_rows_match_one_row_solves(v, lam)
+        vanishing = ~(v > 0.0).any(axis=1)
+        assert (res.value[vanishing] == 0.0).all() and res.row_converged[vanishing].all()
+        assert not res.row_iterations[vanishing].any()
+        assert not (res.bisection[vanishing].any() or res.plateau[vanishing].any())
 
     def test_lambda_rows_match_one_row(self):
         rng = np.random.default_rng(23)
