@@ -2,7 +2,7 @@
 
 Usage, with the ``src`` directory of the checkout under test on the path::
 
-    PYTHONPATH=<checkout>/src python3 scripts/output_digest.py
+    PYTHONPATH=<checkout>/src python3 scripts/output_digest.py [--one-thread]
 
 Each line is ``<family> <sha256>``.  A family's digest covers its outputs on
 every input sample, bit for bit: matrices and floats as their exact bytes,
@@ -10,16 +10,21 @@ iteration counts, and the type and message of any exception raised.  Run it
 on two checkouts and diff the lines: a change that keeps the numbers keeps
 every line.  The samples are a unit-scale one, the same with a zero column,
 the same with a column so small that its squares underflow to 0, the zero
-sample and one with d > n.  Uses numpy and the standard library only.
+sample, one with d > n, and a shifted 4000 x 20 one, whose updates take
+several blocks that the default hook solves as two halves on a host with
+two usable CPUs.  ``--one-thread`` solves every block on the calling
+thread: on one checkout, the lines with and without it must agree.  Uses
+numpy and the standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 
 import numpy as np
 
-from robustgram import bounds, tilde_n
+from robustgram import bounds, gram, tilde_n
 from robustgram.covariance import robust_covariance
 from robustgram.gram import robust_gram
 from robustgram.harness import estimate_moment_bounds
@@ -32,7 +37,8 @@ LEVELS = (0.05, 0.5, 2.0)
 
 def samples() -> dict:
     """The input samples.  The grid families need n of about 12000 at d = 3,
-    and 3 divides n, so q = 3 discards no observation."""
+    and 3 divides n, so q = 3 discards no observation.  The shifted sample
+    has the shape of the cov-tall benchmark workload."""
     unit = np.random.default_rng(0).standard_normal((14004, 3)) + 1.0
     zero_column, tiny_column = unit.copy(), unit.copy()
     zero_column[:, 1] = 0.0
@@ -43,6 +49,8 @@ def samples() -> dict:
         "underflowing column": tiny_column,
         "zero": np.zeros((14004, 3)),
         "d > n": np.random.default_rng(1).standard_t(3, (6, 9)),
+        "shifted 4000 x 20": (np.random.default_rng(3).standard_t(3, (4000, 20))
+                              + np.linspace(-8.0, 8.0, 20)),
     }
 
 
@@ -106,6 +114,11 @@ FAMILIES = {
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--one-thread", action="store_true",
+                        help="solve every block on the calling thread")
+    if parser.parse_args().one_thread:
+        gram._THREADS = 1
     inputs = {name: Sample(x) for name, x in samples().items()}
     for family, compute in FAMILIES.items():
         h = hashlib.sha256()

@@ -9,6 +9,7 @@ from .bounds import (
     block_moment_bounds,
     bound_coeffs,
     confidence_interval,
+    confidence_intervals,
     empirical_bounds,
     make_grid,
     phi_minus,

@@ -343,23 +343,39 @@ def sigma_default(n: int, mb: MomentBounds, epsilon: float) -> float:
     return 100.0 * mb.kappa * mb.trace_g / denom
 
 
-def confidence_interval(sample: Sample, theta, grid: Grid, mb: MomentBounds,
-                        epsilon: float = None) -> tuple:
-    """(lower, upper) confidence bounds for E<theta, X>^2 over the grid.
+def confidence_intervals(sample: Sample, thetas, grid: Grid, mb: MomentBounds,
+                         epsilon: float = None) -> list:
+    """(lower, upper) confidence bounds for E<theta, X>^2 over the grid, one
+    pair per direction of ``thetas``.
 
     lower = max_j phi_minus(tilde_n_j), upper = min_j phi_plus_inverse(tilde_n_j),
-    with the K values tilde_n_j from one projection and one row solve per
-    level; the interval degenerates to [0, inf) when every gate is
-    inactive.  The coefficients use grid.n, so a grid built for another n
-    raises ValueError.
+    with the values tilde_n_j of all directions from one row solve per
+    level on their squared projections, one row each, which gives each
+    direction the bits of its own solve; an interval degenerates to
+    [0, inf) when every gate is inactive.  The coefficients use grid.n, so
+    a grid built for another n raises ValueError.
     """
-    v, norm_sq = _direction_squares(sample, theta, grid)
-    lower, upper = 0.0, math.inf
-    for val, co in zip(_tilde_n_grid(v[None], grid)[0].tolist(),
-                       coeffs_for_grid(grid, mb, epsilon)):
-        lower = max(lower, phi_minus(val, co, norm_sq))
-        upper = min(upper, phi_plus_inverse(val, co, norm_sq))
-    return lower, upper
+    norms_sq = []
+    v = np.empty((len(thetas), sample.n))
+    for row, theta in zip(v, thetas):
+        squares, norm_sq = _direction_squares(sample, theta, grid)
+        row[:] = squares
+        norms_sq.append(norm_sq)
+    coeffs = coeffs_for_grid(grid, mb, epsilon)
+    intervals = []
+    for values, norm_sq in zip(_tilde_n_grid(v, grid).tolist(), norms_sq):
+        lower, upper = 0.0, math.inf
+        for val, co in zip(values, coeffs):
+            lower = max(lower, phi_minus(val, co, norm_sq))
+            upper = min(upper, phi_plus_inverse(val, co, norm_sq))
+        intervals.append((lower, upper))
+    return intervals
+
+
+def confidence_interval(sample: Sample, theta, grid: Grid, mb: MomentBounds,
+                        epsilon: float = None) -> tuple:
+    """``confidence_intervals`` of the one direction theta."""
+    return confidence_intervals(sample, [theta], grid, mb, epsilon)[0]
 
 
 def lambda_star(t: float, sigma: float, n: int, mb: MomentBounds, K: int,

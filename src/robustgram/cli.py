@@ -56,13 +56,9 @@ def _interval_report(sample, mb, note, epsilon) -> dict:
         return {"confidence_intervals": None, "grid_note": note}
     try:
         grid = bnd.make_grid(sample.n, mb, epsilon=epsilon)
-        cis = []
-        for i in range(sample.d):
-            theta = np.zeros(sample.d)
-            theta[i] = 1.0
-            lo, hi = bnd.confidence_interval(sample, theta, grid, mb)
-            cis.append({"direction": i, "lower": lo,
-                        "upper": hi if math.isfinite(hi) else "inf"})
+        cis = [{"direction": i, "lower": lo, "upper": hi if math.isfinite(hi) else "inf"}
+               for i, (lo, hi) in enumerate(
+                   bnd.confidence_intervals(sample, np.eye(sample.d), grid, mb))]
     except ValueError as exc:
         return {"confidence_intervals": None, "grid_note": str(exc)}
     return {"confidence_intervals": cis, "grid": {"K": grid.K, "points": list(grid.points)}}

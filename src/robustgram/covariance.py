@@ -64,14 +64,17 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
     kurtosis of the generating vectors (``harness.kappa_plugin``) mapped
     through the q-block transfer, and the empirical moments of the blocks;
     one that overflows, or underflows to 0 on non-zero data, raises
-    ``gram.NumericalError``.
+    ``gram.NumericalError``.  A sample whose blocks all vanish, such as
+    the zero sample, gives the zero matrix in either mode.
     Set ``psd=True`` to clamp negative eigenvalues of the final estimate.
     """
     if mode not in ("iterative-practical", "grid-certified"):
         raise ValueError(f"unknown mode {mode!r}")
     vectors = _pair_differences(sample, q)
     estimate = None
-    if mode == "grid-certified":
+    # without a non-zero difference there are no moment bounds and no grid;
+    # every quadratic form is 0, which the default hook returns too
+    if mode == "grid-certified" and vectors.any():
         from .harness import kappa_plugin  # harness imports this module
 
         m = len(vectors)
@@ -83,7 +86,7 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
         if not all(map(math.isfinite, (kappa_prime, s4_a, tr_a))):
             raise NumericalError("the plug-in block moments overflow "
                                  "(data out of floating-point range)")
-        if not (s4_a > 0.0 and tr_a > 0.0) and vectors.any():
+        if not (s4_a > 0.0 and tr_a > 0.0):
             raise NumericalError("the plug-in block moments underflow to 0 "
                                  "(data out of floating-point range)")
         mb_blocks = bnd.MomentBounds(kappa=kappa_prime, s4=s4_a,

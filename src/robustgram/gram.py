@@ -12,6 +12,15 @@ rows, one row of quadratic values theta^T A_i theta per direction, and
 quadratic forms, given each direction's form in the previous update as its
 start: the default solves every row of a block, vanishing ones too, with one
 call to the row solver, each direction started there.
+
+On a host with two usable CPUs or more, the default hook solves a large
+block as two contiguous halves, one on the calling thread and one on a
+worker thread; numpy releases the GIL inside the elementwise passes, so the
+halves run side by side.  Each row's level and root depend on that row
+alone (the row solver runs every row with the operations of a one-row
+solve), so the split moves no bit.  The worker belongs to the process that
+made it: a forked child makes its own, since a fork copies only the calling
+thread.
 """
 
 from __future__ import annotations
@@ -19,6 +28,8 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +63,28 @@ NORM_EXPONENT = 100
 
 # The iteration stops once an update moves the estimate by at most this, relatively.
 STOP_TOL = 1e-8
+
+
+# Threads that solve one block of the default hook: 2 (the caller and one
+# worker) where two CPUs are usable, else 1.  Only a block of at least two
+# rows and 2 * TILE_ELEMS squares is split, so each half still runs its
+# passes over whole tiles and the paper-size blocks (10^4 squares) never
+# start the worker.
+_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+# The worker pool and the process it was made in: a pool made before a fork
+# has no thread in the child, where a task given to it would never run.
+_pool, _pool_pid = None, None
+
+
+def _worker() -> ThreadPoolExecutor:
+    """This process's one-thread pool, made on first use.  Threads that race
+    here may each make one; a spare pool's thread ends once it is collected."""
+    global _pool, _pool_pid
+    if _pool_pid != os.getpid():
+        _pool, _pool_pid = ThreadPoolExecutor(1, thread_name_prefix="robustgram"), os.getpid()
+    return _pool
 
 
 class NumericalError(RuntimeError):
@@ -115,20 +148,43 @@ def positive_part(q: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def _solve_rows(v: np.ndarray, epsilon: float, start) -> tuple:
+    """(levels, ScaleResult) of the rows of ``v``, started at ``start``."""
+    # one pass over the rows gives the means that both calls rescale by
+    mean = _row_means(v)
+    lam = lambda_from_square_rows(v, epsilon, _mean=mean)
+    return lam, scale_from_squares(v, lam, start, _mean=mean)
+
+
 def _robust_scale_rows(v: np.ndarray, epsilon: float, lam_log: list, start) -> np.ndarray:
     """Default estimate of each row of the (k, n) quadratic values ``v``: its
     adaptive truncation level, then the row solver started at ``start`` (one
     scale per row, nan for none).  ``lam_log`` gets the levels of the rows
-    that do not vanish, the rows not solved as 0, converged."""
-    # one pass over the rows gives the means that both calls rescale by
-    mean = _row_means(v)
-    lam = lambda_from_square_rows(v, epsilon, _mean=mean)
-    result = scale_from_squares(v, lam, start, _mean=mean)
-    lam_log.extend(lam[(result.value > 0.0) | ~result.row_converged].tolist())
-    failed = np.count_nonzero(~result.row_converged)
+    that do not vanish, the rows not solved as 0, converged.  With
+    ``_THREADS`` = 2, a block of at least two rows and 2 * ``TILE_ELEMS``
+    squares is solved as two contiguous halves, the second on the worker
+    thread, and the halves are joined in row order: every row gets the bits
+    of the unsplit solve, and one warning counts the block's unconverged
+    rows."""
+    if _THREADS < 2 or len(v) < 2 or v.size < 2 * TILE_ELEMS:
+        lam, result = _solve_rows(v, epsilon, start)
+        value, converged = result.value, result.row_converged
+    else:
+        half = len(v) // 2
+        second = _worker().submit(_solve_rows, v[half:], epsilon, start[half:])
+        try:
+            lam, result = _solve_rows(v[:half], epsilon, start[:half])
+        finally:
+            # the worker reads v, which the caller's next block overwrites
+            lam_2, result_2 = second.result()
+        lam = np.concatenate((lam, lam_2))
+        value = np.concatenate((result.value, result_2.value))
+        converged = np.concatenate((result.row_converged, result_2.row_converged))
+    lam_log.extend(lam[(value > 0.0) | ~converged].tolist())
+    failed = np.count_nonzero(~converged)
     if failed:
         logger.warning("%d of %d scale solves did not converge", failed, len(v))
-    return result.value
+    return value
 
 
 @functools.lru_cache(maxsize=8)

@@ -8,7 +8,8 @@ PUBLIC_API = [
     "BenchmarkError", "BoundCoeffs", "ConfigError", "ExperimentConfig", "GramEstimate",
     "Grid", "MomentBounds", "NumericalError", "Sample", "ScaleResult", "TrialResult",
     "alpha_hat", "b_bound", "b_star", "block_moment_bounds", "bound_coeffs", "chi",
-    "confidence_interval", "empirical_bounds", "empirical_gram", "estimate_moment_bounds",
+    "confidence_interval", "confidence_intervals", "empirical_bounds", "empirical_gram",
+    "estimate_moment_bounds",
     "frobenius_error", "gen_mixture", "kappa_plugin", "make_grid", "phi_minus", "phi_plus",
     "phi_plus_inverse", "polarization_update", "positive_part", "psi", "psi_prime",
     "quantile_curve", "r_lambda", "robust_covariance", "robust_gram", "run_benchmark",

@@ -18,6 +18,7 @@ from robustgram.bounds import (
     bound_coeffs,
     coeffs_for_grid,
     confidence_interval,
+    confidence_intervals,
     empirical_bounds,
     grid_size,
     lambda_star,
@@ -434,6 +435,25 @@ class TestGridAsRows:
         for theta in self.directions():
             confidence_interval(s, theta, self.GRID, MB3)
         assert calls == [((1, s.n), (lam,)) for lam, _ in self.GRID.points] * 2
+
+    def test_directions_share_one_solve_per_level(self, monkeypatch):
+        # all directions of confidence_intervals go to each level's solve
+        # together, and each keeps the bits of its own interval
+        s, grid = self.sample(), self.GRID
+        thetas = self.directions() + [np.eye(3)[2]]
+        alone = [confidence_interval(s, theta, grid, MB3) for theta in thetas]
+        calls = []
+
+        def counting(v, lam, **kw):
+            calls.append(np.shape(v))
+            return solve(v, lam, **kw)
+
+        solve = bounds.scale_from_squares
+        monkeypatch.setattr(bounds, "scale_from_squares", counting)
+        assert confidence_intervals(s, thetas, grid, MB3) == alone
+        assert calls == [(3, s.n)] * grid.K
+        with pytest.raises(ValueError, match="n = 1000000"):
+            confidence_intervals(s, thetas, dataclasses.replace(grid, n=10**6), MB3)
 
     def test_levels_solve_the_rows_in_place(self, monkeypatch):
         # each level is one solve of the block itself, with the row means

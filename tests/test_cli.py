@@ -186,6 +186,14 @@ class TestCov:
         assert "epsilon" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["iterative-practical", "grid-certified"])
+    def test_zero_sample_writes_the_zero_matrix(self, tmp_path, mode):
+        # grid-certified mode exited 1 here: the zero sample has no moment bounds
+        path, out = tmp_path / "zero.csv", tmp_path / "cov.csv"
+        save_matrix_csv(str(path), np.zeros((14004, 3)))
+        assert main(["cov", str(path), "--mode", mode, "--out", str(out)]) == 0
+        np.testing.assert_array_equal(np.loadtxt(str(out), delimiter=","), np.zeros((3, 3)))
+
     def test_overflow_is_numerical_failure(self, overflow_csv, tmp_path, capsys):
         assert main(["cov", overflow_csv, "--out", str(tmp_path / "cov.csv")]) == 2
         assert "numerical failure" in capsys.readouterr().err

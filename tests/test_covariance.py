@@ -374,6 +374,18 @@ class TestRobustCovariance:
         with pytest.raises(NumericalError, match="moments underflow"):
             robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified")
 
+    @pytest.mark.parametrize("shift", [0.0, 2.5])
+    def test_grid_certified_vanishing_blocks_give_zero(self, shift):
+        # no non-zero difference, so no moment bounds: the zero matrix, as in
+        # the practical mode, where MomentBounds raised "s4 and trace_g must
+        # be positive"
+        s = Sample(np.full((14004, 3), shift))
+        est = robust_covariance(s, q=2, epsilon=0.05, mode="grid-certified", num_updates=2)
+        practical = robust_covariance(s, q=2, epsilon=0.05, num_updates=2)
+        np.testing.assert_array_equal(est.matrix, np.zeros((3, 3)))
+        assert (est.iterations, est.frobenius_deltas, est.lambda_used) == (1, [0.0], [])
+        np.testing.assert_array_equal(practical.matrix, est.matrix)
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             robust_covariance(Sample(np.ones((4, 2))), mode="bogus")

@@ -1,5 +1,10 @@
 import logging
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ from robustgram.gram import (
     robust_gram,
 )
 from robustgram.covariance import robust_covariance
-from robustgram.harness import ExperimentConfig, gen_mixture, trial_rng
+from robustgram.harness import ExperimentConfig, gen_mixture, run_benchmark, trial_rng
 from robustgram import gram, mestimator
 from robustgram.mestimator import Sample, scale_from_squares
 
@@ -284,6 +289,182 @@ class TestWarmStart:
         assert np.isnan(starts[0]).all()
         for before, after in zip(values, starts[1:]):
             np.testing.assert_array_equal(after, before)
+
+
+def _split_cases():
+    """Samples whose blocks the default hook splits, with the estimator to run."""
+    rng = np.random.default_rng(23)
+    # 7 x 7 directions of 3000 values: one block of 49 rows, halves of 24 and
+    # 25, with a zero column and a tiny one, whose doubled direction's
+    # squares fall below 2^-256 after the normalization and are rescaled
+    odd = rng.standard_t(3, (3000, 7))
+    odd[:, 3] = 0.0
+    odd[:, 5] = np.ldexp(odd[:, 5], -250)
+    # the cov-tall shape: 400 directions of 2000 pair differences, three
+    # blocks of 131 rows (halves of 65 and 66) and a tail block of 7 rows
+    tall = rng.standard_t(3, (4000, 20)) + np.linspace(-8.0, 8.0, 20)
+    # 2000 triples: blocks of 43 rows, split, and of 6, not split
+    grouped = rng.standard_t(3, (6000, 7))
+    return {
+        "odd rows": lambda: robust_gram(Sample(odd)),
+        "cov-tall": lambda: robust_covariance(Sample(tall), q=2),
+        "grouped": lambda: robust_covariance(Sample(grouped), q=3),
+    }
+
+
+class TestSplitBlocks:
+    """With two threads, the default hook solves a large block as two halves,
+    the second on a worker thread, and returns the bits of one thread."""
+
+    @staticmethod
+    def run_both(monkeypatch, compute):
+        """compute() on one thread and split; the second run must use the worker."""
+        splits = []
+
+        def worker():
+            splits.append(1)
+            return pool()
+
+        pool = gram._worker
+        monkeypatch.setattr(gram, "_worker", worker)
+        out = []
+        for threads in (1, 2):
+            monkeypatch.setattr(gram, "_THREADS", threads)
+            splits.clear()
+            out.append(compute())
+            assert bool(splits) == (threads == 2)
+        return out
+
+    @staticmethod
+    def hook_rows():
+        """9 rows of 8000 squares (72000 >= 2 TILE_ELEMS): heavy-tailed rows,
+        a vanishing and a -0.0 row, rows beyond 2^+-256, some started."""
+        rng = np.random.default_rng(24)
+        v = rng.standard_t(3, (9, 8000)) ** 2
+        v[2] = 0.0
+        v[3] = -0.0
+        v[4] *= 2.0**600
+        v[6] *= 2.0**-600
+        v[7, :4000] = 0.0
+        start = np.full(9, np.nan)
+        start[[0, 4, 8]] = np.mean(v[[0, 4, 8]], axis=1) * 0.9
+        return v, start
+
+    def test_hook_rows_keep_their_bits(self, monkeypatch):
+        v, start = self.hook_rows()
+        assert len(v) >= 2 and v.size >= 2 * mestimator.TILE_ELEMS
+
+        def compute():
+            lams = []
+            return gram._robust_scale_rows(v, 0.1, lams, start.copy()), lams
+
+        (one, lams_one), (two, lams_two) = self.run_both(monkeypatch, compute)
+        assert [x.hex() for x in one.tolist()] == [x.hex() for x in two.tolist()]
+        assert lams_one == lams_two and len(lams_one) == 7
+        assert one[2] == one[3] == 0.0 and np.all(np.delete(one, [2, 3]) > 0.0)
+
+    @pytest.mark.parametrize("name", list(_split_cases()))
+    def test_estimates_keep_their_bits(self, monkeypatch, name):
+        one, two = self.run_both(monkeypatch, _split_cases()[name])
+        np.testing.assert_array_equal(one.matrix, two.matrix)
+        assert one.iterations == two.iterations
+        assert one.frobenius_deltas == two.frobenius_deltas
+        assert one.lambda_used == two.lambda_used
+
+    def test_one_warning_per_block(self, monkeypatch, caplog):
+        # one Newton step per row leaves most rows unconverged; a split block
+        # still logs one warning with its whole count
+        monkeypatch.setattr(mestimator, "MAX_ITER", 1)
+        blocks = []
+
+        def hook(v, epsilon, lam_log, start):
+            blocks.append(len(v))
+            return hook_rows(v, epsilon, lam_log, start)
+
+        hook_rows = gram._robust_scale_rows
+        monkeypatch.setattr(gram, "_robust_scale_rows", hook)
+        x = np.random.default_rng(25).standard_t(3, (3000, 7))
+
+        def compute():
+            blocks.clear()
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="robustgram.gram"):
+                est = robust_gram(Sample(x), num_updates=2)
+            return est, list(blocks), [r.getMessage() for r in caplog.records]
+
+        (one, blocks_one, logged_one), (two, blocks_two, logged_two) = self.run_both(
+            monkeypatch, compute)
+        np.testing.assert_array_equal(one.matrix, two.matrix)
+        assert blocks_one == blocks_two == [49, 49]
+        assert logged_one == logged_two
+        assert len(logged_one) == 2 and all(m.endswith("of 49 scale solves did not converge")
+                                            for m in logged_one)
+
+    def test_paper_size_calls_start_no_thread(self, monkeypatch):
+        # a block of the reference experiment holds 10^4 squares
+        def worker():
+            raise AssertionError("a paper-size block started the worker")
+
+        monkeypatch.setattr(gram, "_THREADS", 2)
+        monkeypatch.setattr(gram, "_worker", worker)
+        cfg = ExperimentConfig(seed=0, trials=2, estimators=frozenset({"covariance"}))
+        sample = gen_mixture(cfg, trial_rng(cfg.seed))
+        robust_gram(sample)
+        robust_covariance(sample, q=2)
+        assert len(run_benchmark(cfg)) == 2
+
+
+FORK_SCRIPT = """
+import os, signal, sys, time
+import numpy as np
+from robustgram import gram
+from robustgram.covariance import robust_covariance
+from robustgram.harness import ExperimentConfig, run_benchmark
+from robustgram.mestimator import Sample
+
+gram._THREADS = 2
+sample = Sample(np.random.default_rng(0).standard_t(3, (4000, 20)))
+parent = robust_covariance(sample, q=2).matrix
+assert gram._pool is not None, "the parent call did not split"
+if sys.argv[1] == "fork":
+    pid = os.fork()
+    if pid == 0:
+        same = np.array_equal(robust_covariance(sample, q=2).matrix, parent)
+        os._exit(0 if same else 3)
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            sys.exit(os.waitstatus_to_exitcode(status))
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    sys.exit("the forked child hung")
+else:
+    # 64 directions of 2000 values: each trial's blocks split
+    cfg = ExperimentConfig(n=2000, d=8, trials=2, seed=3, jobs=2)
+    results = run_benchmark(cfg)
+    assert len(results) == 2
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("how", ["fork", "run_benchmark"])
+def test_forked_child_solves_split_blocks(how):
+    # a worker thread made in the parent does not exist in a forked child;
+    # the child must make its own.  The script runs in its own session, so
+    # a hang is ended with everything it forked.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gram.__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", textwrap.dedent(FORK_SCRIPT), how],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the script hung")
+    assert proc.returncode == 0, err.decode()
 
 
 class TestRobustGram:
