@@ -29,7 +29,6 @@ import functools
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +66,9 @@ STOP_TOL = 1e-8
 
 # Threads that solve one block of the default hook: 2 (the caller and one
 # worker) where two CPUs are usable, else 1.  Only a block of at least two
-# rows and 2 * TILE_ELEMS squares is split, so each half still runs its
-# passes over whole tiles and the paper-size blocks (10^4 squares) never
-# start the worker.
+# rows and 2 * TILE_ELEMS squares is split, so each half fills at least one
+# of the solver's tiles, and the paper-size blocks (10^4 squares) never
+# start the worker.  The split ran cov-tall 24-25% faster (BENCH_pr18.json).
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -78,11 +77,14 @@ _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 _pool, _pool_pid = None, None
 
 
-def _worker() -> ThreadPoolExecutor:
+def _worker():
     """This process's one-thread pool, made on first use.  Threads that race
     here may each make one; a spare pool's thread ends once it is collected."""
     global _pool, _pool_pid
     if _pool_pid != os.getpid():
+        # imported here, so that importing the package imports no thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
         _pool, _pool_pid = ThreadPoolExecutor(1, thread_name_prefix="robustgram"), os.getpid()
     return _pool
 
