@@ -4,7 +4,6 @@ import os
 import signal
 import subprocess
 import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -379,9 +378,9 @@ class TestSplitBlocks:
 
         def hook(v, epsilon, lam_log, start):
             blocks.append(len(v))
-            return hook_rows(v, epsilon, lam_log, start)
+            return default_hook(v, epsilon, lam_log, start)
 
-        hook_rows = gram._robust_scale_rows
+        default_hook = gram._robust_scale_rows
         monkeypatch.setattr(gram, "_robust_scale_rows", hook)
         x = np.random.default_rng(25).standard_t(3, (3000, 7))
 
@@ -455,11 +454,11 @@ def test_forked_child_solves_split_blocks(how):
     # the child must make its own.  The script runs in its own session, so
     # a hang is ended with everything it forked.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gram.__file__)))
-    proc = subprocess.Popen([sys.executable, "-c", textwrap.dedent(FORK_SCRIPT), how],
+    proc = subprocess.Popen([sys.executable, "-c", FORK_SCRIPT, how],
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             start_new_session=True)
     try:
-        out, err = proc.communicate(timeout=120)
+        _, err = proc.communicate(timeout=120)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
