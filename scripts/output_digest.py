@@ -10,9 +10,9 @@ iteration counts, and the type and message of any exception raised.  Run it
 on two checkouts and diff the lines: a change that keeps the numbers keeps
 every line.  The samples are a unit-scale one, the same with a zero column,
 the same with a column so small that its squares underflow to 0, the zero
-sample, one with d > n, and a shifted 4000 x 20 one, whose updates take
-several blocks that the default hook solves as two halves on a host with
-two usable CPUs.  ``--one-thread`` solves every block on the calling
+sample, one with d > n, and a shifted 4000 x 20 one, whose updates the
+default hook runs as two streams of directions, one per thread, on a host
+with two usable CPUs.  ``--one-thread`` solves every update on the calling
 thread: on one checkout, the lines with and without it must agree.  Uses
 numpy and the standard library only.
 """
@@ -116,7 +116,7 @@ FAMILIES = {
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--one-thread", action="store_true",
-                        help="solve every block on the calling thread")
+                        help="solve every update on the calling thread")
     if parser.parse_args().one_thread:
         gram._THREADS = 1
     inputs = {name: Sample(x) for name, x in samples().items()}

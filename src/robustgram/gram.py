@@ -13,14 +13,15 @@ quadratic forms, given each direction's form in the previous update as its
 start: the default solves every row of a block, vanishing ones too, with one
 call to the row solver, each direction started there.
 
-On a host with two usable CPUs or more, the default hook solves a large
-block as two contiguous halves, one on the calling thread and one on a
-worker thread; numpy releases the GIL inside the elementwise passes, so the
-halves run side by side.  Each row's level and root depend on that row
-alone (the row solver runs every row with the operations of a one-row
-solve), so the split moves no bit.  The worker belongs to the process that
-made it: a forked child makes its own, since a fork copies only the calling
-thread.
+On a host with two usable CPUs or more, the default hook runs a large
+update as two streams: the first half of its directions on the calling
+thread and the second on a worker thread, each stream building and solving
+its own blocks, joined once per update; numpy releases the GIL inside the
+elementwise passes, so the streams run side by side.  Each row's level and
+root depend on that row alone (the row solver runs every row with the
+operations of a one-row solve), so the streams move no bit.  The worker
+belongs to the process that made it: a forked child makes its own, since a
+fork copies only the calling thread.
 """
 
 from __future__ import annotations
@@ -40,11 +41,14 @@ logger = logging.getLogger(__name__)
 
 # Projections per block of directions (rows x m x g).  Each block is one
 # solver call, and this cap bounds its memory: the block's v, 2 MB at 2^18,
-# and the solver's per-row state.  The solver's cache footprint is set apart
-# by ``mestimator.TILE_ELEMS``, so a larger call only makes fewer calls, each
-# paying its fixed preamble and its per-pass bookkeeping once.  Op CPU time
-# and peak RSS against blocks of 2^15 (medians of 4 interleaved rounds,
-# one process per size, 2-vCPU Xeon host, one BLAS thread):
+# and the solver's per-row state.  The default hook's streams cut their
+# directions into equal blocks of at most this many projections, a custom
+# hook gets as many directions per block as fit.  The solver's cache
+# footprint is set apart by ``mestimator.TILE_ELEMS``, so a larger call only
+# makes fewer calls, each paying its fixed preamble and its per-pass
+# bookkeeping once.  Op CPU time and peak RSS against blocks of 2^15
+# (medians of 4 interleaved rounds, one process per size, 2-vCPU Xeon host,
+# one BLAS thread, one thread per update):
 #
 #   block   cov-tall         estimate-tall shape (robust_gram)
 #   2^17    x0.88, +1.1 MB   x0.90, +0.7 MB
@@ -64,11 +68,12 @@ NORM_EXPONENT = 100
 STOP_TOL = 1e-8
 
 
-# Threads that solve one block of the default hook: 2 (the caller and one
-# worker) where two CPUs are usable, else 1.  Only a block of at least two
-# rows and 2 * TILE_ELEMS squares is split, so each half fills at least one
-# of the solver's tiles, and the paper-size blocks (10^4 squares) never
-# start the worker.  The split ran cov-tall 24-25% faster (BENCH_pr18.json).
+# Streams of one update of the default hook: 2 (the caller and one worker)
+# where two CPUs are usable, else 1.  Only an update of at least
+# 4 * TILE_ELEMS squares runs as two streams, so each stream fills at least
+# two of the solver's tiles, and the paper-size updates (10^4 squares)
+# never start the worker.  The two-stream run against the parent's split
+# of each block is recorded in BENCH_pr19.json.
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -150,43 +155,33 @@ def positive_part(q: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _solve_rows(v: np.ndarray, epsilon: float, start) -> tuple:
-    """(levels, ScaleResult) of the rows of ``v``, started at ``start``."""
+def _robust_scale_rows(v: np.ndarray, epsilon: float, lam_log: list, start) -> tuple:
+    """Default estimate of each row of the (k, n) quadratic values ``v``: its
+    adaptive truncation level, then the row solver started at ``start``.
+    Returns the scale of each row (nan for none) and the count of rows not
+    solved.  ``lam_log`` gets the levels of the rows that do not vanish and
+    of the rows not solved as 0, converged."""
     # one pass over the rows gives the means that both calls rescale by
     mean = _row_means(v)
     lam = lambda_from_square_rows(v, epsilon, _mean=mean)
-    return lam, scale_from_squares(v, lam, start, _mean=mean)
-
-
-def _robust_scale_rows(v: np.ndarray, epsilon: float, lam_log: list, start) -> np.ndarray:
-    """Default estimate of each row of the (k, n) quadratic values ``v``: its
-    adaptive truncation level, then the row solver started at ``start`` (one
-    scale per row, nan for none).  ``lam_log`` gets the levels of the rows
-    that do not vanish, the rows not solved as 0, converged.  With
-    ``_THREADS`` = 2, a block of at least two rows and 2 * ``TILE_ELEMS``
-    squares is solved as two contiguous halves, the second on the worker
-    thread, and the halves are joined in row order: every row gets the bits
-    of the unsplit solve, and one warning counts the block's unconverged
-    rows."""
-    if _THREADS < 2 or len(v) < 2 or v.size < 2 * TILE_ELEMS:
-        lam, result = _solve_rows(v, epsilon, start)
-        value, converged = result.value, result.row_converged
-    else:
-        half = len(v) // 2
-        second = _worker().submit(_solve_rows, v[half:], epsilon, start[half:])
-        try:
-            lam, result = _solve_rows(v[:half], epsilon, start[:half])
-        finally:
-            # the worker reads v, which the caller's next block overwrites
-            lam_2, result_2 = second.result()
-        lam = np.concatenate((lam, lam_2))
-        value = np.concatenate((result.value, result_2.value))
-        converged = np.concatenate((result.row_converged, result_2.row_converged))
+    result = scale_from_squares(v, lam, start, _mean=mean)
+    value, converged = result.value, result.row_converged
     lam_log.extend(lam[(value > 0.0) | ~converged].tolist())
-    failed = np.count_nonzero(~converged)
-    if failed:
-        logger.warning("%d of %d scale solves did not converge", failed, len(v))
-    return value
+    return value, int(np.count_nonzero(~converged))
+
+
+class _RobustScale:
+    """The default estimate hook at one epsilon: ``_robust_scale_rows`` on
+    each block, with the levels of its blocks in direction order and their
+    count of unconverged solves."""
+
+    def __init__(self, epsilon: float):
+        self.epsilon, self.levels, self.failed = epsilon, [], 0
+
+    def __call__(self, v, norm_sq, start):
+        value, failed = _robust_scale_rows(v, self.epsilon, self.levels, start)
+        self.failed += failed
+        return value
 
 
 @functools.lru_cache(maxsize=8)
@@ -210,50 +205,96 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     are taken in blocks of consecutive directions, k * n * g projections
     w @ theta at most ``BLOCK_ELEMS`` (and k >= 1).  Each direction's
     quadratic values are its squared projections, summed over the group,
-    one row of a (k, n) or (k, m) array v.  A block is built in one buffer
-    per update, a tile of ``mestimator.TILE_ELEMS`` projections at a time:
-    it gathers the columns w_j of the tile's directions, multiplies them by
-    the signs, adds their columns w_i, gathered into one tile-sized buffer,
-    and squares, all in place.  For g > 1 v is the group sum, a fresh
-    array; for g = 1, v is the block's buffer itself, which the next block
-    overwrites, so a hook that keeps v after it returns must copy it.
-    Every block goes to estimate(v, norm_sq, start), which returns its N
-    values (0 for a row without a positive value).  norm_sq holds each
-    direction's squared norm (4 for the doubled column on the diagonal, 2
-    otherwise), and start its N from the previous update, nan where there
-    is none.  A ValueError from ``estimate`` becomes a NumericalError naming
-    the block.  With the mean of each row as the estimate, C is (1/n) w^T w.
-    ``n_values`` holds one N per direction in this order: it is read for
-    the starts and then holds the new N values.  Without it, every start is
-    nan.
+    one row of a (k, n) or (k, m) array v.  Every block goes to
+    estimate(v, norm_sq, start), which returns its N values (0 for a row
+    without a positive value).  norm_sq holds each direction's squared
+    norm (4 for the doubled column on the diagonal, 2 otherwise), and start
+    its N from the previous update, nan where there is none.  A ValueError
+    from ``estimate`` becomes a NumericalError naming the block.  With the
+    mean of each row as the estimate, C is (1/n) w^T w.  ``n_values`` holds
+    one N per direction in this order: it is read for the starts and then
+    holds the new N values.  Without it, every start is nan.
+
+    A custom ``estimate`` sees the blocks on the calling thread in
+    direction order, as many as fit ``BLOCK_ELEMS`` each.  The default
+    hook of ``iterate_polarization`` runs as streams: the directions are
+    cut into equal blocks of at most ``BLOCK_ELEMS`` projections, and with
+    ``_THREADS`` = 2 an update of at least 4 * ``TILE_ELEMS`` squares runs
+    as two streams, the first half of its directions on the calling thread
+    and the second on the worker, each with its own buffers and its own
+    hook, joined once.  Each row's level and root depend on that row
+    alone, so neither the blocks nor the threads move a bit.
     """
-    w = np.asarray(w, dtype=float)
-    d = w.shape[-1]
-    cols = np.ascontiguousarray(np.moveaxis(w, -1, 0))  # (d, n) or (d, m, g)
-    first, second, sign, norm_sq, iu, ju = _directions(d)
+    cols = np.ascontiguousarray(np.moveaxis(np.asarray(w, dtype=float), -1, 0))
+    count = len(cols) ** 2
     if n_values is None:
-        n_values = np.full(len(sign), np.nan)
+        n_values = np.full(count, np.nan)
+    size = cols[0].size  # projections per direction, n or m * g
+    if not isinstance(estimate, _RobustScale):
+        _estimate_blocks(cols, estimate, n_values, 0, count, max(1, BLOCK_ELEMS // size))
+    elif _THREADS < 2 or count * size < 4 * TILE_ELEMS:
+        _stream(cols, estimate, n_values, 0, count)
+    else:
+        half = count // 2
+        other = _RobustScale(estimate.epsilon)
+        second = _worker().submit(_stream, cols, other, n_values, half, count)
+        try:
+            _stream(cols, estimate, n_values, 0, half)
+        finally:
+            # the worker writes n_values: wait for it, and let the caller's
+            # error, on earlier directions, win over the worker's
+            second.exception()
+        second.result()
+        estimate.levels += other.levels
+        estimate.failed += other.failed
+    _, _, sign, _, iu, ju = _directions(len(cols))
+    minus = np.zeros(len(iu))
+    minus[iu < ju] = n_values[sign < 0.0]
+    c = np.zeros((len(cols), len(cols)))
+    c[iu, ju] = c[ju, iu] = 0.25 * (n_values[sign > 0.0] - minus)
+    return c
+
+
+def _stream(cols, estimate, n_values, lo: int, hi: int) -> None:
+    """Directions lo..hi of an update in equal blocks of at most ``BLOCK_ELEMS``
+    projections."""
+    blocks = -(-(hi - lo) // max(1, BLOCK_ELEMS // cols[0].size))
+    _estimate_blocks(cols, estimate, n_values, lo, hi, -(-(hi - lo) // blocks))
+
+
+def _estimate_blocks(cols, estimate, n_values, lo: int, hi: int, rows: int) -> None:
+    """Hand directions lo..hi of an update to ``estimate`` in blocks of
+    ``rows`` consecutive directions, and write their N into n_values.
+
+    ``cols`` holds the columns of w, shape (d, n) or (d, m, g).  The blocks
+    are built in one buffer, a tile of ``mestimator.TILE_ELEMS`` projections
+    at a time: a tile gathers the columns w_j of its directions, multiplies
+    them by the signs, adds their columns w_i, gathered into one tile-sized
+    buffer, and squares, all in place.  For g > 1 v is the group sum, a
+    fresh array; for g = 1, v is the buffer itself, which the next block
+    overwrites, so a hook that keeps v after it returns must copy it.
+    """
+    first, second, sign, norm_sq, _, _ = _directions(len(cols))
     row_sign = sign.reshape(-1, *[1] * (cols.ndim - 1))
-    rows = max(1, BLOCK_ELEMS // cols[0].size)
     tile = max(1, TILE_ELEMS // cols[0].size)
     # One buffer spares each block the first-touch page faults of a fresh
     # array: on 2000 x 20 projections (cov-tall) an update built its 2^18
     # blocks in 6.2 ms in fresh arrays and in 3.2 ms in one buffer (medians
-    # of 40 interleaved updates, 2-vCPU Xeon host).  The w_i columns are
-    # gathered a tile at a time into a second, tile-sized buffer.
-    buf = np.empty((min(rows, len(sign)), *cols.shape[1:]))
-    col_i = np.empty((min(tile, len(sign)), *cols.shape[1:]))
-    for start in range(0, len(sign), rows):
-        stop = min(start + rows, len(sign))
+    # of 40 interleaved updates, 2-vCPU Xeon host).
+    buf = np.empty((min(rows, hi - lo), *cols.shape[1:]))
+    col_i = np.empty((min(tile, len(buf)), *cols.shape[1:]))
+    for start in range(lo, hi, rows):
+        stop = min(start + rows, hi)
         blk = slice(start, stop)
         v = buf[:stop - start]
         # a tile at a time, in cache; sign * x is exact and addition
         # commutes, so each row equals w_i + w_j or w_i - w_j bit for bit
-        for lo in range(start, stop, tile):
-            hi = min(lo + tile, stop)
-            p = np.take(cols, second[lo:hi], axis=0, out=v[lo - start:hi - start], mode="clip")
-            p *= row_sign[lo:hi]
-            p += np.take(cols, first[lo:hi], axis=0, out=col_i[:hi - lo], mode="clip")
+        for t_lo in range(start, stop, tile):
+            t_hi = min(t_lo + tile, stop)
+            p = np.take(cols, second[t_lo:t_hi], axis=0, out=v[t_lo - start:t_hi - start],
+                        mode="clip")
+            p *= row_sign[t_lo:t_hi]
+            p += np.take(cols, first[t_lo:t_hi], axis=0, out=col_i[:t_hi - t_lo], mode="clip")
             np.multiply(p, p, out=p)
         if v.ndim == 3:
             v = v.reshape(v.shape[:2]) if v.shape[2] == 1 else v.sum(axis=2)
@@ -264,11 +305,6 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
             raise NumericalError(
                 f"scale solve failed at entries ({first[start]}, {second[start]}) to "
                 f"({first[stop - 1]}, {second[stop - 1]}): {exc}") from exc
-    minus = np.zeros(len(iu))
-    minus[iu < ju] = n_values[sign < 0.0]
-    c = np.zeros((d, d))
-    c[iu, ju] = c[ju, iu] = 0.25 * (n_values[sign > 0.0] - minus)
-    return c
 
 
 def _norm_exponent(x: np.ndarray) -> int:
@@ -296,10 +332,11 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     N, in ``polarization_update``'s order, and hands it to the hook as that
     direction's start in the next update (nan in update 1).  The default
     solves each row's adaptive truncation level and robust scale
-    (``_robust_scale_rows``), starting each solve there, and records the
-    mean level per update in ``lambda_used``: update 1 starts every solve
-    at the mean of its values, and once the iterate settles most solves
-    take one pass.  Stops after ``num_updates`` or once ||Q_k - Q_{k-1}||_F
+    (``_robust_scale_rows``), starting each solve there, records the mean
+    level per update in ``lambda_used`` and logs one warning per update
+    with its count of unconverged solves: update 1 starts every solve at
+    the mean of its values, and once the iterate settles most solves take
+    one pass.  Stops after ``num_updates`` or once ||Q_k - Q_{k-1}||_F
     <= ``STOP_TOL`` ||Q_{k-1}||_F.  The default estimate is homogeneous of
     degree 2 and each of its steps scales exactly under a power of two, so
     it runs on the vectors divided by 2^e, e the binary exponent of the
@@ -315,12 +352,10 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     if num_updates < 1:
         raise ValueError("num_updates must be at least 1")
     flat = vectors.reshape(-1, vectors.shape[-1])
-    e, lam_log = 0, []
+    e, default = 0, estimate is None
     # each direction's N of the previous update; nan in update 1
     n_values = np.full(vectors.shape[-1] ** 2, np.nan)
-    if estimate is None:
-        def estimate(v, norm_sq, start):
-            return _robust_scale_rows(v, epsilon, lam_log, start)
+    if default:
         e = _norm_exponent(flat)
         flat = np.ldexp(flat, -e)
         vectors = flat.reshape(vectors.shape)
@@ -331,14 +366,18 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     basis = _descending_eigenbasis(prev)
     deltas, lam_means = [], []
     for k in range(num_updates):
-        lam_log.clear()
+        if default:
+            estimate = _RobustScale(epsilon)
         c = polarization_update((flat @ basis).reshape(vectors.shape), estimate, n_values)
+        if default and estimate.failed:
+            logger.warning("%d of %d scale solves did not converge", estimate.failed,
+                           len(n_values))
         q = basis @ c @ basis.T
         q = 0.5 * (q + q.T)
         if not np.all(np.isfinite(q)):
             raise NumericalError(f"non-finite iterate at update {k}")
-        if lam_log:
-            lam_means.append(float(np.mean(lam_log)))
+        if default and estimate.levels:
+            lam_means.append(float(np.mean(estimate.levels)))
         # hypot scales internally: a squared distance between tiny iterates
         # (the bulk under a huge outlier) would underflow to 0 and stop early
         dist = math.hypot(*(q - prev).ravel())

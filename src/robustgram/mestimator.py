@@ -86,7 +86,7 @@ RESCALE_EXPONENT = 256
 # ``lambda_from_square_rows`` and the block building of
 # ``gram.polarization_update`` run their elementwise work over tiles of at
 # most this many squares (whole rows, at least one).  So a call of any size
-# keeps the solver's 6-plane slab within 1.5 MB for rows of up to 2^15
+# keeps the solver's 5-plane slab within 1.25 MB for rows of up to 2^15
 # squares, inside a 2 MB per-core L2 cache, while its O(k) bookkeeping runs
 # once per pass over all rows.  2^14 ran cov-tall as fast, 2^13 and 2^16
 # slower (in-process sweep, 2-vCPU Xeon host).
@@ -203,7 +203,8 @@ def scale_from_squares(v, lam, start=None, *, _mean=None) -> ScaleResult:
     the stop tests and the steps then run once over all of them.  The
     flat-root check after the loop runs a tile of rows at a time too.
     ``v`` is never moved: a tile of consecutive rows is a view of it, and
-    other tiles are gathered into the slab's last plane.  ``_mean``, if
+    other tiles are gathered into the slab's plane of lam v / S, which
+    scales them in place.  ``_mean``, if
     given, is ``_row_means(v)``, which a caller that already has it hands
     over.
 
@@ -263,10 +264,12 @@ def scale_from_squares(v, lam, start=None, *, _mean=None) -> ScaleResult:
     steps, bis = np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=bool)
     sq = np.empty(len(rows))
     # A tile's pass writes lam v / S, the psi arguments, psi, psi' and the
-    # kernel's scratch into the leading rows of one slab, whose last plane
-    # holds the tile's squares when its rows are not consecutive in v.
+    # kernel's scratch into the leading rows of one slab.  A tile whose rows
+    # are not consecutive in v is gathered into the lam v / S plane and
+    # scaled there in place; the first pass squares it in the psi-argument
+    # plane for sum(v^2).
     tile = max(1, TILE_ELEMS // n)
-    work = np.empty((6, min(tile, len(rows)), n))
+    work = np.empty((5, min(tile, len(rows)), n))
     # a row has taken at most ``passes`` steps and doubling or halving
     # rounds, which it splits between the two budgets
     budgets_from, passes = min(MAX_ITER, MAX_BRACKET_ROUNDS), 0
@@ -276,15 +279,15 @@ def scale_from_squares(v, lam, start=None, *, _mean=None) -> ScaleResult:
             f, d = np.empty(len(rows)), np.empty(len(rows))
             for i in range(0, len(rows), tile):
                 r = rows[i:i + tile]
-                a, t, terms, slopes, scratch, held = work[:, :len(r)]
+                a, t, terms, slopes, scratch = work[:, :len(r)]
                 if r[-1] - r[0] == len(r) - 1:
                     vt = v[r[0]:r[0] + len(r)]
                 else:
                     # the indices are in range, and "clip" leaves out the
                     # temporary that the default mode copies the output through
-                    vt = np.take(v, r, axis=0, out=held, mode="clip")
+                    vt = np.take(v, r, axis=0, out=a, mode="clip")
                 if not passes:
-                    np.add.reduce(np.multiply(vt, vt, out=a), axis=1, out=sq[i:i + tile])
+                    np.add.reduce(np.multiply(vt, vt, out=t), axis=1, out=sq[i:i + tile])
                 np.multiply(vt, ratio[i:i + tile, None], out=a)
                 np.subtract(a, la[i:i + tile, None], out=t)
                 psi_and_prime_into(t, terms, slopes, scratch)

@@ -4,6 +4,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from oracles import (
 
 def default_estimate(v, norm_sq, start):
     """The default estimate of ``iterate_polarization`` at epsilon = 0.1."""
-    return gram._robust_scale_rows(v, 0.1, [], start)
+    return gram._robust_scale_rows(v, 0.1, [], start)[0]
 
 
 class TestEmpiricalGram:
@@ -179,9 +181,9 @@ class TestBlockedUpdate:
         w = _projection_cases()[name]
         blocked_lams, single_lams = [], []
         blocked = polarization_update(
-            w, lambda v, norm_sq, start: gram._robust_scale_rows(v, 0.1, blocked_lams, start))
+            w, lambda v, norm_sq, start: gram._robust_scale_rows(v, 0.1, blocked_lams, start)[0])
         single = polarization_update(w, lambda v, norm_sq, start: [
-            gram._robust_scale_rows(row[None], 0.1, single_lams, s[None])[0]
+            gram._robust_scale_rows(row[None], 0.1, single_lams, s[None])[0][0]
             for row, s in zip(v, start)])
         np.testing.assert_array_equal(blocked, single)
         assert blocked_lams == single_lams
@@ -237,8 +239,10 @@ class TestWarmStart:
 
     def test_settled_updates_take_one_pass_per_row(self, monkeypatch):
         # the estimate-tall shape (n = 40000, d = 10) at BLOCK_ELEMS = 2^15:
-        # one direction per block
+        # one direction per block; on one thread, so that the calls are
+        # recorded in direction order
         monkeypatch.setattr(gram, "BLOCK_ELEMS", 2**15)
+        monkeypatch.setattr(gram, "_THREADS", 1)
         passes, calls = [], []
 
         def counting(t, *out):
@@ -291,18 +295,20 @@ class TestWarmStart:
 
 
 def _split_cases():
-    """Samples whose blocks the default hook splits, with the estimator to run."""
+    """Samples whose updates the default hook runs as two streams, with the
+    estimator to run."""
     rng = np.random.default_rng(23)
-    # 7 x 7 directions of 3000 values: one block of 49 rows, halves of 24 and
-    # 25, with a zero column and a tiny one, whose doubled direction's
-    # squares fall below 2^-256 after the normalization and are rescaled
+    # 7 x 7 directions of 3000 values: streams of 24 and 25 directions, one
+    # block each, with a zero column and a tiny one, whose doubled
+    # direction's squares fall below 2^-256 after the normalization and are
+    # rescaled
     odd = rng.standard_t(3, (3000, 7))
     odd[:, 3] = 0.0
     odd[:, 5] = np.ldexp(odd[:, 5], -250)
-    # the cov-tall shape: 400 directions of 2000 pair differences, three
-    # blocks of 131 rows (halves of 65 and 66) and a tail block of 7 rows
+    # the cov-tall shape: 400 directions of 2000 pair differences, streams
+    # of 200 directions in two blocks of 100
     tall = rng.standard_t(3, (4000, 20)) + np.linspace(-8.0, 8.0, 20)
-    # 2000 triples: blocks of 43 rows, split, and of 6, not split
+    # 2000 triples: streams of 24 and 25 directions, blocks of 22 to 25 rows
     grouped = rng.standard_t(3, (6000, 7))
     return {
         "odd rows": lambda: robust_gram(Sample(odd)),
@@ -312,12 +318,13 @@ def _split_cases():
 
 
 class TestSplitBlocks:
-    """With two threads, the default hook solves a large block as two halves,
-    the second on a worker thread, and returns the bits of one thread."""
+    """With two threads, the default hook runs a large update as two streams
+    of directions, the second on a worker thread, and returns the bits of
+    one thread."""
 
     @staticmethod
     def run_both(monkeypatch, compute):
-        """compute() on one thread and split; the second run must use the worker."""
+        """compute() on one thread and on two; the second run must use the worker."""
         splits = []
 
         def worker():
@@ -335,32 +342,38 @@ class TestSplitBlocks:
         return out
 
     @staticmethod
-    def hook_rows():
-        """9 rows of 8000 squares (72000 >= 2 TILE_ELEMS): heavy-tailed rows,
-        a vanishing and a -0.0 row, rows beyond 2^+-256, some started."""
+    def stream_update():
+        """Projections whose 81 directions of 2000 values (162000 >= 4
+        TILE_ELEMS squares) make heavy-tailed rows, vanishing rows from a 0.0
+        and a -0.0 column, rows beyond 2^+-256 from columns scaled by
+        2^+-300, rows half zero, and their starts, some of them nan."""
         rng = np.random.default_rng(24)
-        v = rng.standard_t(3, (9, 8000)) ** 2
-        v[2] = 0.0
-        v[3] = -0.0
-        v[4] *= 2.0**600
-        v[6] *= 2.0**-600
-        v[7, :4000] = 0.0
-        start = np.full(9, np.nan)
-        start[[0, 4, 8]] = np.mean(v[[0, 4, 8]], axis=1) * 0.9
-        return v, start
+        w = rng.standard_t(3, (2000, 9))
+        w[:, 2] = 0.0
+        w[:, 3] = -0.0
+        w[:, 4] *= 2.0**300
+        w[:, 6] *= 2.0**-300
+        w[:1000, 7] = 0.0
+        start = np.full(81, np.nan)
+        polarization_update(w, gram._RobustScale(0.1), start)
+        start[rng.random(81) < 0.5] = np.nan
+        return w, start * 0.9
 
-    def test_hook_rows_keep_their_bits(self, monkeypatch):
-        v, start = self.hook_rows()
-        assert len(v) >= 2 and v.size >= 2 * mestimator.TILE_ELEMS
+    def test_stream_rows_keep_their_bits(self, monkeypatch):
+        w, start = self.stream_update()
+        assert w.shape[1] ** 2 * len(w) >= 4 * mestimator.TILE_ELEMS
 
         def compute():
-            lams = []
-            return gram._robust_scale_rows(v, 0.1, lams, start.copy()), lams
+            hook, n_values = gram._RobustScale(0.1), start.copy()
+            return polarization_update(w, hook, n_values), n_values, hook.levels, hook.failed
 
-        (one, lams_one), (two, lams_two) = self.run_both(monkeypatch, compute)
-        assert [x.hex() for x in one.tolist()] == [x.hex() for x in two.tolist()]
-        assert lams_one == lams_two and len(lams_one) == 7
-        assert one[2] == one[3] == 0.0 and np.all(np.delete(one, [2, 3]) > 0.0)
+        one, two = self.run_both(monkeypatch, compute)
+        np.testing.assert_array_equal(one[0], two[0])
+        assert [x.hex() for x in one[1].tolist()] == [x.hex() for x in two[1].tolist()]
+        assert one[2] == two[2] and one[3] == two[3] == 0
+        # the four directions within columns 2 and 3 vanish and report no level
+        assert np.count_nonzero(one[1] == 0.0) == 4 and len(one[2]) == 77
+        assert 20 <= np.isnan(start).sum() <= 61
 
     @pytest.mark.parametrize("name", list(_split_cases()))
     def test_estimates_keep_their_bits(self, monkeypatch, name):
@@ -371,8 +384,8 @@ class TestSplitBlocks:
         assert one.lambda_used == two.lambda_used
 
     def test_one_warning_per_block(self, monkeypatch, caplog):
-        # one Newton step per row leaves most rows unconverged; a split block
-        # still logs one warning with its whole count
+        # one Newton step per row leaves most rows unconverged; an update run
+        # as two streams still logs one warning with its whole count
         monkeypatch.setattr(mestimator, "MAX_ITER", 1)
         blocks = []
 
@@ -394,10 +407,61 @@ class TestSplitBlocks:
         (one, blocks_one, logged_one), (two, blocks_two, logged_two) = self.run_both(
             monkeypatch, compute)
         np.testing.assert_array_equal(one.matrix, two.matrix)
-        assert blocks_one == blocks_two == [49, 49]
+        # one block per update on one thread, one per stream on two
+        assert blocks_one == [49, 49]
+        assert sorted(blocks_two[:2]) == sorted(blocks_two[2:]) == [24, 25]
         assert logged_one == logged_two
         assert len(logged_one) == 2 and all(m.endswith("of 49 scale solves did not converge")
                                             for m in logged_one)
+
+    def test_custom_hooks_run_on_the_caller_in_direction_order(self, monkeypatch):
+        # 49 directions of 3000 values, enough for two streams, in blocks of
+        # 5 at BLOCK_ELEMS = 2^14; each direction's start is its index
+        def worker():
+            raise AssertionError("a custom hook started the worker")
+
+        monkeypatch.setattr(gram, "_THREADS", 2)
+        monkeypatch.setattr(gram, "_worker", worker)
+        monkeypatch.setattr(gram, "BLOCK_ELEMS", 2**14)
+        seen = []
+
+        def hook(v, norm_sq, start):
+            seen.append((threading.get_ident(), start))
+            return np.mean(v, axis=1)
+
+        w = np.random.default_rng(26).standard_normal((3000, 7))
+        c = polarization_update(w, hook, np.arange(49.0))
+        assert {ident for ident, _ in seen} == {threading.get_ident()}
+        assert [len(start) for _, start in seen] == [5] * 9 + [4]
+        np.testing.assert_array_equal(np.concatenate([s for _, s in seen]), np.arange(49.0))
+        np.testing.assert_allclose(c, w.T @ w / 3000, rtol=1e-12)
+
+    def test_the_callers_error_wins(self, monkeypatch):
+        # every block fails, the worker's after a delay: the caller raises
+        # its first block's error, as one thread does, once the worker is
+        # done.  Blocks of 4 directions on one thread and on two.
+        monkeypatch.setattr(gram, "BLOCK_ELEMS", 4 * 3000)
+        caller, calls = threading.get_ident(), []
+
+        def failing(v, epsilon, lam_log, start):
+            on_worker = threading.get_ident() != caller
+            if on_worker:
+                time.sleep(0.2)
+            calls.append(on_worker)
+            raise ValueError("on the worker" if on_worker else "on the caller")
+
+        monkeypatch.setattr(gram, "_robust_scale_rows", failing)
+        w = np.random.default_rng(27).standard_normal((3000, 7))
+
+        def compute():
+            calls.clear()
+            with pytest.raises(NumericalError) as info:
+                polarization_update(w, gram._RobustScale(0.1))
+            return str(info.value), list(calls)
+
+        (one, calls_one), (two, calls_two) = self.run_both(monkeypatch, compute)
+        assert one == two == "scale solve failed at entries (0, 0) to (0, 2): on the caller"
+        assert calls_one == [False] and calls_two == [False, True]
 
     def test_paper_size_calls_start_no_thread(self, monkeypatch):
         # a block of the reference experiment holds 10^4 squares
