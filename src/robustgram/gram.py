@@ -69,11 +69,11 @@ STOP_TOL = 1e-8
 
 
 # Streams of one update of the default hook: 2 (the caller and one worker)
-# where two CPUs are usable, else 1.  Only an update of at least
-# 4 * TILE_ELEMS squares runs as two streams, so each stream fills at least
-# two of the solver's tiles, and the paper-size updates (10^4 squares)
-# never start the worker.  The two-stream run against the parent's split
-# of each block is recorded in BENCH_pr19.json.
+# where two CPUs are usable, else 1.  Only an update of two directions or
+# more and 4 * TILE_ELEMS squares runs as two streams, so each stream fills
+# at least two of the solver's tiles, and the paper-size updates (10^4
+# squares) never start the worker.  Against solving each block's rows as
+# two halves, the streams ran cov-tall 12-15% faster (BENCH_pr19.json).
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -219,11 +219,12 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     direction order, as many as fit ``BLOCK_ELEMS`` each.  The default
     hook of ``iterate_polarization`` runs as streams: the directions are
     cut into equal blocks of at most ``BLOCK_ELEMS`` projections, and with
-    ``_THREADS`` = 2 an update of at least 4 * ``TILE_ELEMS`` squares runs
-    as two streams, the first half of its directions on the calling thread
-    and the second on the worker, each with its own buffers and its own
-    hook, joined once.  Each row's level and root depend on that row
-    alone, so neither the blocks nor the threads move a bit.
+    ``_THREADS`` = 2 an update of two directions or more and at least
+    4 * ``TILE_ELEMS`` squares runs as two streams, the first half of its
+    directions on the calling thread and the second on the worker, each
+    with its own buffers and its own hook, joined once.  Each row's level
+    and root depend on that row alone, so neither the blocks nor the
+    threads move a bit.
     """
     cols = np.ascontiguousarray(np.moveaxis(np.asarray(w, dtype=float), -1, 0))
     count = len(cols) ** 2
@@ -232,7 +233,7 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     size = cols[0].size  # projections per direction, n or m * g
     if not isinstance(estimate, _RobustScale):
         _estimate_blocks(cols, estimate, n_values, 0, count, max(1, BLOCK_ELEMS // size))
-    elif _THREADS < 2 or count * size < 4 * TILE_ELEMS:
+    elif _THREADS < 2 or count < 2 or count * size < 4 * TILE_ELEMS:
         _stream(cols, estimate, n_values, 0, count)
     else:
         half = count // 2

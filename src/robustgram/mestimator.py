@@ -204,9 +204,8 @@ def scale_from_squares(v, lam, start=None, *, _mean=None) -> ScaleResult:
     flat-root check after the loop runs a tile of rows at a time too.
     ``v`` is never moved: a tile of consecutive rows is a view of it, and
     other tiles are gathered into the slab's plane of lam v / S, which
-    scales them in place.  ``_mean``, if
-    given, is ``_row_means(v)``, which a caller that already has it hands
-    over.
+    scales them in place.  ``_mean``, if given, is ``_row_means(v)``, which
+    a caller that already has it hands over.
 
     The input checks raise ``ValueError``: a row minimum below 0 or nan
     rejects a nan, -inf or negative entry ("finite and non-negative"); a

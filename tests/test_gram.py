@@ -308,7 +308,7 @@ def _split_cases():
     # the cov-tall shape: 400 directions of 2000 pair differences, streams
     # of 200 directions in two blocks of 100
     tall = rng.standard_t(3, (4000, 20)) + np.linspace(-8.0, 8.0, 20)
-    # 2000 triples: streams of 24 and 25 directions, blocks of 22 to 25 rows
+    # 2000 triples: streams of 24 and 25 directions, one block each
     grouped = rng.standard_t(3, (6000, 7))
     return {
         "odd rows": lambda: robust_gram(Sample(odd)),
@@ -367,7 +367,13 @@ class TestSplitBlocks:
             hook, n_values = gram._RobustScale(0.1), start.copy()
             return polarization_update(w, hook, n_values), n_values, hook.levels, hook.failed
 
-        one, two = self.run_both(monkeypatch, compute)
+        # a short switch interval makes the two streams interleave finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            one, two = self.run_both(monkeypatch, compute)
+        finally:
+            sys.setswitchinterval(interval)
         np.testing.assert_array_equal(one[0], two[0])
         assert [x.hex() for x in one[1].tolist()] == [x.hex() for x in two[1].tolist()]
         assert one[2] == two[2] and one[3] == two[3] == 0
@@ -462,6 +468,17 @@ class TestSplitBlocks:
         (one, calls_one), (two, calls_two) = self.run_both(monkeypatch, compute)
         assert one == two == "scale solve failed at entries (0, 0) to (0, 2): on the caller"
         assert calls_one == [False] and calls_two == [False, True]
+
+    def test_one_direction_starts_no_thread(self, monkeypatch):
+        # at d = 1 the update's one direction makes one stream, however long
+        def worker():
+            raise AssertionError("a one-direction update started the worker")
+
+        monkeypatch.setattr(gram, "_THREADS", 2)
+        monkeypatch.setattr(gram, "_worker", worker)
+        x = np.random.default_rng(28).standard_t(3, (4 * mestimator.TILE_ELEMS, 1))
+        est = robust_gram(Sample(x))
+        assert est.matrix.shape == (1, 1) and est.matrix[0, 0] > 0.0
 
     def test_paper_size_calls_start_no_thread(self, monkeypatch):
         # a block of the reference experiment holds 10^4 squares
