@@ -11,23 +11,29 @@ on two checkouts and diff the lines: a change that keeps the numbers keeps
 every line.  The samples are a unit-scale one, the same with a zero column,
 the same with a column so small that its squares underflow to 0, the zero
 sample, one with d > n, and a shifted 4000 x 20 one, whose updates the
-default hook runs as two streams of directions, one per thread, on a host
-with two usable CPUs.  ``--one-thread`` solves every update on the calling
-thread: on one checkout, the lines with and without it must agree.  Uses
-numpy and the standard library only.
+default hook solves on two threads on a host with two usable CPUs.  The
+``estimate`` line covers the four files ``robustgram estimate`` writes for
+a 14004 x 4 sample, which admits the bounds grid and whose updates run on
+two threads, beside the bounds.  ``--one-thread`` solves every update and
+the bounds on the calling thread: on one checkout, the lines with and
+without it must agree.  Uses numpy and the standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 
 import numpy as np
 
-from robustgram import bounds, gram, tilde_n
+from robustgram import bounds, cli, gram, tilde_n
 from robustgram.covariance import robust_covariance
 from robustgram.gram import robust_gram
-from robustgram.harness import estimate_moment_bounds
+from robustgram.harness import estimate_moment_bounds, save_matrix_csv
 from robustgram.mestimator import Sample
 
 # Grid epsilon and the truncation levels of the tilde_n family.
@@ -113,6 +119,26 @@ FAMILIES = {
 }
 
 
+# The files ``robustgram estimate`` writes.
+ESTIMATE_FILES = ("estimate.json", "q.csv", "q_plus.csv", "g_bar.csv")
+
+
+def estimate_digest() -> str:
+    """sha256 of the exit code and the output files of ``robustgram
+    estimate`` on a seeded 14004 x 4 sample."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sample.csv")
+        save_matrix_csv(path, np.random.default_rng(4).standard_normal((14004, 4)) + 1.0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            feed(h, cli.main(["estimate", path, "--out", tmp]))
+        for name in ESTIMATE_FILES:
+            feed(h, name)
+            with open(os.path.join(tmp, name), "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--one-thread", action="store_true",
@@ -130,6 +156,7 @@ def main() -> None:
             except Exception as exc:  # noqa: BLE001 - a raised error is an output too
                 feed(h, f"{type(exc).__name__}: {exc}")
         print(family, h.hexdigest())
+    print("estimate", estimate_digest())
 
 
 if __name__ == "__main__":

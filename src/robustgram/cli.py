@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .covariance import robust_covariance
-from .gram import NumericalError, empirical_gram, positive_part, robust_gram
+from .gram import NumericalError, _beside, empirical_gram, positive_part, robust_gram
 from .harness import (
     MIN_KAPPA_OBSERVATIONS,
     BenchmarkError,
@@ -64,24 +64,41 @@ def _interval_report(sample, mb, note, epsilon) -> dict:
     return {"confidence_intervals": cis, "grid": {"K": grid.K, "points": list(grid.points)}}
 
 
+def _bounds_report(sample, seed, epsilon) -> dict:
+    """The report's moment bounds and intervals, or the reason there are none."""
+    # the plain moments overflow long before the robust estimate does; the
+    # empirical Gram check reports that.  numpy's error state is per thread,
+    # so this one is set where the bounds run
+    with np.errstate(over="ignore", invalid="ignore"):
+        mb, note = _moment_bounds(sample, seed)
+    report = {"moment_bounds": None if mb is None else {
+        "kappa": mb.kappa, "s4": mb.s4, "trace_g": mb.trace_g,
+        "trace_g2": mb.trace_g2, "certified": mb.certified}}
+    report.update(_interval_report(sample, mb, note, epsilon))
+    return report
+
+
 def _cmd_estimate(args) -> int:
     sample = load_sample_csv(args.sample, header=args.header)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
 
-    # the plain moments overflow long before the robust estimate does;
-    # report that rather than write inf to the CSVs and the JSON report.
-    # The plug-in moments need a few observations and a non-zero one;
-    # without them the estimate is still written, without moment bounds or
-    # intervals.
+    # Report that the empirical Gram matrix overflows rather than write inf
+    # to the CSVs.  The plug-in bounds do not depend on the robust estimate,
+    # so they run beside it, on the worker, and their error wins as if they
+    # ran first.  They need a few observations and a non-zero one; without
+    # them the estimate is still written, without moment bounds or intervals.
     with np.errstate(over="ignore", invalid="ignore"):
         gbar = empirical_gram(sample)
-        mb, note = _moment_bounds(sample, args.seed)
-    if not np.all(np.isfinite(gbar)):
-        raise NumericalError("the empirical Gram matrix overflows "
-                             "(data out of floating-point range)")
-    est = robust_gram(sample, epsilon=args.epsilon, num_updates=args.updates)
-    q_plus = positive_part(est.matrix)
+    bounds = _beside(_bounds_report, sample, args.seed, args.epsilon)
+    try:
+        if not np.all(np.isfinite(gbar)):
+            raise NumericalError("the empirical Gram matrix overflows "
+                                 "(data out of floating-point range)")
+        est = robust_gram(sample, epsilon=args.epsilon, num_updates=args.updates)
+        q_plus = positive_part(est.matrix)
+    finally:
+        bounds_report = bounds.result()
     save_matrix_csv(os.path.join(out_dir, "g_bar.csv"), gbar)
     save_matrix_csv(os.path.join(out_dir, "q.csv"), est.matrix)
     save_matrix_csv(os.path.join(out_dir, "q_plus.csv"), q_plus)
@@ -91,11 +108,8 @@ def _cmd_estimate(args) -> int:
         "d": sample.d,
         "iterations": est.iterations,
         "frobenius_deltas": est.frobenius_deltas,
-        "moment_bounds": None if mb is None else {
-            "kappa": mb.kappa, "s4": mb.s4, "trace_g": mb.trace_g,
-            "trace_g2": mb.trace_g2, "certified": mb.certified},
+        **bounds_report,
     }
-    report.update(_interval_report(sample, mb, note, args.epsilon))
     with open(os.path.join(out_dir, "estimate.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -13,20 +13,23 @@ quadratic forms, given each direction's form in the previous update as its
 start: the default solves every row of a block, vanishing ones too, with one
 call to the row solver, each direction started there.
 
-On a host with two usable CPUs or more, the default hook runs a large
-update as two streams: the first half of its directions on the calling
-thread and the second on a worker thread, each stream building and solving
-its own blocks, joined once per update; numpy releases the GIL inside the
-elementwise passes, so the streams run side by side.  Each row's level and
-root depend on that row alone (the row solver runs every row with the
-operations of a one-row solve), so the streams move no bit.  The worker
-belongs to the process that made it: a forked child makes its own, since a
-fork copies only the calling thread.
+On a host with two usable CPUs or more, the default hook cuts a large
+update into equal blocks and serves them to two threads, the caller and a
+worker, from one queue in direction order: each thread claims the next
+block once it is free, so neither waits for the other's share; numpy
+releases the GIL inside the elementwise passes, so the blocks run side by
+side.  Each row's level and root depend on that row alone (the row solver
+runs every row with the operations of a one-row solve), so the threads
+move no bit.  The same worker runs other work beside an estimate, such as
+the CLI's plug-in bounds (``_beside``), and joins the update's queue once
+that is done.  The worker belongs to the process that made it: a forked
+child makes its own, since a fork copies only the calling thread.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import os
@@ -68,12 +71,15 @@ NORM_EXPONENT = 100
 STOP_TOL = 1e-8
 
 
-# Streams of one update of the default hook: 2 (the caller and one worker)
-# where two CPUs are usable, else 1.  Only an update of two directions or
-# more and 4 * TILE_ELEMS squares runs as two streams, so each stream fills
-# at least two of the solver's tiles, and the paper-size updates (10^4
-# squares) never start the worker.  Against solving each block's rows as
-# two halves, the streams ran cov-tall 12-15% faster (BENCH_pr19.json).
+# Threads that solve one update of the default hook: 2 (the caller and one
+# worker) where two CPUs are usable, else 1.  Only an update of two
+# directions or more and 4 * TILE_ELEMS squares starts the worker, so each
+# thread fills at least two of the solver's tiles, and the paper-size
+# updates (10^4 squares) never start it.  Against solving each block's rows
+# as two halves, two fixed halves of the directions ran cov-tall 12-15%
+# faster (BENCH_pr19.json); one queue of blocks for both threads, with the
+# CLI's bounds on the worker, ran estimate-tall faster again
+# (BENCH_pr20.json).
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -92,6 +98,19 @@ def _worker():
 
         _pool, _pool_pid = ThreadPoolExecutor(1, thread_name_prefix="robustgram"), os.getpid()
     return _pool
+
+
+def _beside(fn, *args):
+    """A future of fn(*args), run on the worker where ``_THREADS`` = 2 and at
+    once on the caller otherwise, where its error is raised here.  The
+    worker takes the first update's blocks once fn is done."""
+    if _THREADS >= 2:
+        return _worker().submit(fn, *args)
+    from concurrent.futures import Future
+
+    future = Future()
+    future.set_result(fn(*args))
+    return future
 
 
 class NumericalError(RuntimeError):
@@ -216,38 +235,37 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     holds the new N values.  Without it, every start is nan.
 
     A custom ``estimate`` sees the blocks on the calling thread in
-    direction order, as many as fit ``BLOCK_ELEMS`` each.  The default
-    hook of ``iterate_polarization`` runs as streams: the directions are
-    cut into equal blocks of at most ``BLOCK_ELEMS`` projections, and with
-    ``_THREADS`` = 2 an update of two directions or more and at least
-    4 * ``TILE_ELEMS`` squares runs as two streams, the first half of its
-    directions on the calling thread and the second on the worker, each
-    with its own buffers and its own hook, joined once.  Each row's level
-    and root depend on that row alone, so neither the blocks nor the
-    threads move a bit.
+    direction order, as many directions as fit ``BLOCK_ELEMS`` each.  The
+    default hook of ``iterate_polarization`` gets equal blocks of at most
+    ``BLOCK_ELEMS`` projections, each with its own hook, whose levels and
+    counts it takes in block order.  With ``_THREADS`` = 2 an update of two
+    directions or more and at least 4 * ``TILE_ELEMS`` squares is cut into
+    two blocks or more, which the caller and the worker claim in direction
+    order from one queue; a worker still busy with other work once the
+    queue is dry is left out.  Each row's level and root depend on that row
+    alone, so neither the blocks nor the threads move a bit.  The first
+    failing block in direction order raises, as on one thread.
     """
     cols = np.ascontiguousarray(np.moveaxis(np.asarray(w, dtype=float), -1, 0))
     count = len(cols) ** 2
     if n_values is None:
         n_values = np.full(count, np.nan)
     size = cols[0].size  # projections per direction, n or m * g
-    if not isinstance(estimate, _RobustScale):
-        _estimate_blocks(cols, estimate, n_values, 0, count, max(1, BLOCK_ELEMS // size))
-    elif _THREADS < 2 or count < 2 or count * size < 4 * TILE_ELEMS:
-        _stream(cols, estimate, n_values, 0, count)
+    rows = max(1, BLOCK_ELEMS // size)
+    default = isinstance(estimate, _RobustScale)
+    threads = 2 if (default and _THREADS >= 2 and count >= 2
+                    and count * size >= 4 * TILE_ELEMS) else 1
+    if default:
+        # equal blocks, at least one per thread
+        rows = -(-count // max(threads, -(-count // rows)))
+        hooks = [_RobustScale(estimate.epsilon) for _ in range(0, count, rows)]
     else:
-        half = count // 2
-        other = _RobustScale(estimate.epsilon)
-        second = _worker().submit(_stream, cols, other, n_values, half, count)
-        try:
-            _stream(cols, estimate, n_values, 0, half)
-        finally:
-            # the worker writes n_values: wait for it, and let the caller's
-            # error, on earlier directions, win over the worker's
-            second.exception()
-        second.result()
-        estimate.levels += other.levels
-        estimate.failed += other.failed
+        hooks = [estimate] * -(-count // rows)
+    _solve_blocks(cols, hooks, n_values, rows, threads)
+    if default:
+        for hook in hooks:
+            estimate.levels += hook.levels
+            estimate.failed += hook.failed
     _, _, sign, _, iu, ju = _directions(len(cols))
     minus = np.zeros(len(iu))
     minus[iu < ju] = n_values[sign < 0.0]
@@ -256,24 +274,42 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     return c
 
 
-def _stream(cols, estimate, n_values, lo: int, hi: int) -> None:
-    """Directions lo..hi of an update in equal blocks of at most ``BLOCK_ELEMS``
-    projections."""
-    blocks = -(-(hi - lo) // max(1, BLOCK_ELEMS // cols[0].size))
-    _estimate_blocks(cols, estimate, n_values, lo, hi, -(-(hi - lo) // blocks))
+def _solve_blocks(cols, hooks, n_values, rows: int, threads: int) -> None:
+    """Solve the blocks of ``rows`` consecutive directions of an update, block
+    b with hooks[b], on the caller and, for ``threads`` = 2, on the worker,
+    both claiming blocks from one cursor.  Raises the error of the first
+    failing block in direction order."""
+    cursor, failures = itertools.count(), {}
+    task = None
+    if threads > 1:
+        task = _worker().submit(_claim_blocks, cols, hooks, n_values, rows, cursor, failures)
+    try:
+        _claim_blocks(cols, hooks, n_values, rows, cursor, failures)
+    finally:
+        # a task that has not started is dropped; a running one writes
+        # n_values, so wait for it
+        if task is not None and not task.cancel():
+            task.result()
+    if failures:
+        raise failures[min(failures)]
 
 
-def _estimate_blocks(cols, estimate, n_values, lo: int, hi: int, rows: int) -> None:
-    """Hand directions lo..hi of an update to ``estimate`` in blocks of
-    ``rows`` consecutive directions, and write their N into n_values.
+def _claim_blocks(cols, hooks, n_values, rows: int, cursor, failures: dict) -> None:
+    """Claim the next block from ``cursor`` and solve it, until the cursor
+    runs dry or a block has failed; a failing block's error goes to
+    ``failures`` under its index.  A thread claims blocks in increasing
+    order and checks for a failure before each claim, so every block before
+    the first failing one has run, on some thread; a block claimed as
+    another fails is solved for nothing, and comes later than the failure.
 
-    ``cols`` holds the columns of w, shape (d, n) or (d, m, g).  The blocks
-    are built in one buffer, a tile of ``mestimator.TILE_ELEMS`` projections
-    at a time: a tile gathers the columns w_j of its directions, multiplies
-    them by the signs, adds their columns w_i, gathered into one tile-sized
-    buffer, and squares, all in place.  For g > 1 v is the group sum, a
-    fresh array; for g = 1, v is the buffer itself, which the next block
-    overwrites, so a hook that keeps v after it returns must copy it.
+    ``cols`` holds the columns of w, shape (d, n) or (d, m, g).  This
+    thread's blocks are built in one buffer, a tile of
+    ``mestimator.TILE_ELEMS`` projections at a time: a tile gathers the
+    columns w_j of its directions, multiplies them by the signs, adds their
+    columns w_i, gathered into one tile-sized buffer, and squares, all in
+    place.  For g > 1 v is the group sum, a fresh array; for g = 1, v is the
+    buffer itself, which the next block overwrites, so a hook that keeps v
+    after it returns must copy it.
     """
     first, second, sign, norm_sq, _, _ = _directions(len(cols))
     row_sign = sign.reshape(-1, *[1] * (cols.ndim - 1))
@@ -282,30 +318,38 @@ def _estimate_blocks(cols, estimate, n_values, lo: int, hi: int, rows: int) -> N
     # array: on 2000 x 20 projections (cov-tall) an update built its 2^18
     # blocks in 6.2 ms in fresh arrays and in 3.2 ms in one buffer (medians
     # of 40 interleaved updates, 2-vCPU Xeon host).
-    buf = np.empty((min(rows, hi - lo), *cols.shape[1:]))
+    buf = np.empty((min(rows, len(first)), *cols.shape[1:]))
     col_i = np.empty((min(tile, len(buf)), *cols.shape[1:]))
-    for start in range(lo, hi, rows):
-        stop = min(start + rows, hi)
+    while not failures:
+        b = next(cursor)
+        start, stop = b * rows, min(b * rows + rows, len(first))
+        if start >= stop:
+            return
         blk = slice(start, stop)
         v = buf[:stop - start]
-        # a tile at a time, in cache; sign * x is exact and addition
-        # commutes, so each row equals w_i + w_j or w_i - w_j bit for bit
-        for t_lo in range(start, stop, tile):
-            t_hi = min(t_lo + tile, stop)
-            p = np.take(cols, second[t_lo:t_hi], axis=0, out=v[t_lo - start:t_hi - start],
-                        mode="clip")
-            p *= row_sign[t_lo:t_hi]
-            p += np.take(cols, first[t_lo:t_hi], axis=0, out=col_i[:t_hi - t_lo], mode="clip")
-            np.multiply(p, p, out=p)
-        if v.ndim == 3:
-            v = v.reshape(v.shape[:2]) if v.shape[2] == 1 else v.sum(axis=2)
         try:
-            # a copy: the hook may keep its starts, and this assignment overwrites them
-            n_values[blk] = estimate(v, norm_sq[blk], n_values[blk].copy())
-        except ValueError as exc:
-            raise NumericalError(
-                f"scale solve failed at entries ({first[start]}, {second[start]}) to "
-                f"({first[stop - 1]}, {second[stop - 1]}): {exc}") from exc
+            # a tile at a time, in cache; sign * x is exact and addition
+            # commutes, so each row equals w_i + w_j or w_i - w_j bit for bit
+            for t_lo in range(start, stop, tile):
+                t_hi = min(t_lo + tile, stop)
+                p = np.take(cols, second[t_lo:t_hi], axis=0, out=v[t_lo - start:t_hi - start],
+                            mode="clip")
+                p *= row_sign[t_lo:t_hi]
+                p += np.take(cols, first[t_lo:t_hi], axis=0, out=col_i[:t_hi - t_lo],
+                             mode="clip")
+                np.multiply(p, p, out=p)
+            if v.ndim == 3:
+                v = v.reshape(v.shape[:2]) if v.shape[2] == 1 else v.sum(axis=2)
+            try:
+                # a copy: the hook may keep its starts, and this assignment overwrites them
+                n_values[blk] = hooks[b](v, norm_sq[blk], n_values[blk].copy())
+            except ValueError as exc:
+                raise NumericalError(
+                    f"scale solve failed at entries ({first[start]}, {second[start]}) to "
+                    f"({first[stop - 1]}, {second[stop - 1]}): {exc}") from exc
+        except Exception as exc:  # noqa: BLE001 - raised by the caller, in block order
+            failures[b] = exc
+            return
 
 
 def _norm_exponent(x: np.ndarray) -> int:
@@ -366,10 +410,19 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     q = prev
     basis = _descending_eigenbasis(prev)
     deltas, lam_means = [], []
+    # The projections of every update go to one buffer and their columns to
+    # another, w a view of it, so ``polarization_update`` copies nothing:
+    # fresh arrays cost the estimate-tall op 10k first-touch page faults.
+    # matmul on flat as given keeps the bits of flat @ basis; a product
+    # written in column order does not.
+    proj = np.empty(flat.shape)
+    cols = np.empty(flat.shape[::-1])
+    w = np.moveaxis(cols.reshape(flat.shape[1], *vectors.shape[:-1]), 0, -1)
     for k in range(num_updates):
         if default:
             estimate = _RobustScale(epsilon)
-        c = polarization_update((flat @ basis).reshape(vectors.shape), estimate, n_values)
+        np.copyto(cols, np.matmul(flat, basis, out=proj).T)
+        c = polarization_update(w, estimate, n_values)
         if default and estimate.failed:
             logger.warning("%d of %d scale solves did not converge", estimate.failed,
                            len(n_values))

@@ -328,8 +328,10 @@ def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> floa
     some = norms > 0
     dirs = np.vstack([np.eye(sample.d), raw[some] / norms[some, None]])
     best = 1.0
+    # one buffer for every chunk: a fresh product would coexist with the last
+    chunk = np.empty((min(KAPPA_CHUNK, len(dirs)), sample.n))
     for j in range(0, len(dirs), KAPPA_CHUNK):
-        p2 = dirs[j:j + KAPPA_CHUNK] @ data.T
+        p2 = np.matmul(dirs[j:j + KAPPA_CHUNK], data.T, out=chunk[:len(dirs) - j])
         np.square(p2, out=p2)
         m2 = np.mean(p2, axis=1)
         m4 = np.mean(np.square(p2, out=p2), axis=1)

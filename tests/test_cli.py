@@ -1,8 +1,11 @@
 import json
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from robustgram import cli, gram
 from robustgram.cli import main
 from robustgram.harness import save_matrix_csv
 
@@ -22,6 +25,15 @@ def overflow_csv(tmp_path):
     path = tmp_path / "huge.csv"
     save_matrix_csv(str(path), 1e160 * rng.standard_normal((40, 3)))
     return str(path)
+
+
+def main_warning_of_nothing(argv) -> int:
+    """main(argv), asserting that no RuntimeWarning is issued on any thread."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code
 
 
 class TestEstimate:
@@ -70,6 +82,31 @@ class TestEstimate:
         assert report["moment_bounds"] is None and report["confidence_intervals"] is None
         assert "all zeros" in report["grid_note"]
 
+    def test_outputs_equal_at_one_and_two_threads(self, tmp_path, monkeypatch):
+        # n = 14004 admits the grid at d = 4, and its updates of 16 * 14004
+        # squares run on two threads, beside the bounds on the worker
+        path = tmp_path / "sample.csv"
+        save_matrix_csv(str(path), np.random.default_rng(4).standard_normal((14004, 4)) + 1.0)
+        bounds_threads = []
+
+        def bounds_report(*args):
+            bounds_threads.append(threading.get_ident())
+            return report(*args)
+
+        report = cli._bounds_report
+        monkeypatch.setattr(cli, "_bounds_report", bounds_report)
+        files = []
+        for threads in (1, 2):
+            monkeypatch.setattr(gram, "_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            assert main(["estimate", str(path), "--out", str(out)]) == 0
+            files.append({name: (out / name).read_bytes()
+                          for name in ("estimate.json", "q.csv", "q_plus.csv", "g_bar.csv")})
+        assert files[0] == files[1]
+        assert json.loads(files[0]["estimate.json"])["confidence_intervals"] is not None
+        caller = threading.get_ident()
+        assert bounds_threads[0] == caller and bounds_threads[1] != caller
+
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv")]) == 1
 
@@ -85,17 +122,20 @@ class TestEstimate:
         assert main(["estimate", overflow_csv, "--out", str(tmp_path / "est")]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_one_huge_row_is_numerical_failure(self, tmp_path, capsys):
+    def test_one_huge_row_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # the robust estimate of this sample is finite, but the empirical
-        # Gram matrix and the moment bounds overflow
+        # Gram matrix and the moment bounds overflow; the bounds' error wins,
+        # on the worker too
         x = np.random.default_rng(1).standard_normal((200, 3))
         x[0] *= 1e160
         path = tmp_path / "outlier.csv"
         save_matrix_csv(str(path), x)
         out = tmp_path / "est"
-        assert main(["estimate", str(path), "--out", str(out)]) == 2
-        assert "overflow" in capsys.readouterr().err
-        assert not (out / "g_bar.csv").exists() and not (out / "estimate.json").exists()
+        for threads in (1, 2):
+            monkeypatch.setattr(gram, "_THREADS", threads)
+            assert main_warning_of_nothing(["estimate", str(path), "--out", str(out)]) == 2
+            assert "the plug-in moments overflow" in capsys.readouterr().err
+            assert not (out / "g_bar.csv").exists() and not (out / "estimate.json").exists()
 
 
 class TestBounds:
@@ -201,7 +241,8 @@ class TestCov:
 
 class TestRangeFailures:
     """Data whose moments or grid leave the floating-point range fail with
-    exit 2 and a message, never with a traceback or a configuration error."""
+    exit 2 and a message, never with a traceback or a configuration error.
+    ``estimate`` runs its bounds on the worker, which warns of nothing."""
 
     @pytest.fixture(scope="class")
     def scaled_csv(self, tmp_path_factory):
@@ -218,15 +259,23 @@ class TestRangeFailures:
         (-300, ["cov", "--mode", "grid-certified"]),
         (256, ["cov", "--mode", "grid-certified"]),
         (300, ["cov", "--mode", "grid-certified"]),
+        (300, ["estimate"]),
     ])
-    def test_scaled_sample_exits_2(self, scaled_csv, tmp_path, capsys, k, command):
-        out = str(tmp_path / ("est" if command[0] == "estimate" else "cov.csv"))
-        assert main([command[0], scaled_csv[k], "--out", out, *command[1:]]) == 2
+    def test_scaled_sample_exits_2(self, scaled_csv, tmp_path, capsys, monkeypatch, k,
+                                   command):
+        argv = [command[0], scaled_csv[k], "--out",
+                str(tmp_path / ("est" if command[0] == "estimate" else "cov.csv")), *command[1:]]
+        if command[0] == "estimate":
+            monkeypatch.setattr(gram, "_THREADS", 2)
+            assert main_warning_of_nothing(argv) == 2
+        else:
+            assert main(argv) == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_underflowing_plug_in_moments_exit_2(self, tmp_path, capsys):
+    def test_underflowing_plug_in_moments_exit_2(self, tmp_path, capsys, monkeypatch):
         # the fourth powers of 2^-600 data underflow to 0 though the sample is not 0
         path = str(tmp_path / "tiny.csv")
         save_matrix_csv(path, np.ldexp(np.random.default_rng(3).standard_normal((10, 3)), -600))
-        assert main(["estimate", path, "--out", str(tmp_path / "est")]) == 2
+        monkeypatch.setattr(gram, "_THREADS", 2)
+        assert main_warning_of_nothing(["estimate", path, "--out", str(tmp_path / "est")]) == 2
         assert "underflow" in capsys.readouterr().err

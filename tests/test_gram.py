@@ -295,20 +295,19 @@ class TestWarmStart:
 
 
 def _split_cases():
-    """Samples whose updates the default hook runs as two streams, with the
+    """Samples whose updates the default hook runs on two threads, with the
     estimator to run."""
     rng = np.random.default_rng(23)
-    # 7 x 7 directions of 3000 values: streams of 24 and 25 directions, one
-    # block each, with a zero column and a tiny one, whose doubled
-    # direction's squares fall below 2^-256 after the normalization and are
-    # rescaled
+    # 7 x 7 directions of 3000 values: blocks of 25 and 24 directions, with
+    # a zero column and a tiny one, whose doubled direction's squares fall
+    # below 2^-256 after the normalization and are rescaled
     odd = rng.standard_t(3, (3000, 7))
     odd[:, 3] = 0.0
     odd[:, 5] = np.ldexp(odd[:, 5], -250)
-    # the cov-tall shape: 400 directions of 2000 pair differences, streams
-    # of 200 directions in two blocks of 100
+    # the cov-tall shape: 400 directions of 2000 pair differences in four
+    # blocks of 100
     tall = rng.standard_t(3, (4000, 20)) + np.linspace(-8.0, 8.0, 20)
-    # 2000 triples: streams of 24 and 25 directions, one block each
+    # 2000 triples: blocks of 25 and 24 directions
     grouped = rng.standard_t(3, (6000, 7))
     return {
         "odd rows": lambda: robust_gram(Sample(odd)),
@@ -318,13 +317,14 @@ def _split_cases():
 
 
 class TestSplitBlocks:
-    """With two threads, the default hook runs a large update as two streams
-    of directions, the second on a worker thread, and returns the bits of
-    one thread."""
+    """With two threads, the caller and a worker thread claim the blocks of
+    a large update of the default hook from one queue, and the update
+    returns the bits of one thread."""
 
     @staticmethod
     def run_both(monkeypatch, compute):
-        """compute() on one thread and on two; the second run must use the worker."""
+        """compute() on one thread and on two; the second run must use the
+        worker.  A short switch interval makes the threads interleave finely."""
         splits = []
 
         def worker():
@@ -334,11 +334,16 @@ class TestSplitBlocks:
         pool = gram._worker
         monkeypatch.setattr(gram, "_worker", worker)
         out = []
-        for threads in (1, 2):
-            monkeypatch.setattr(gram, "_THREADS", threads)
-            splits.clear()
-            out.append(compute())
-            assert bool(splits) == (threads == 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (1, 2):
+                monkeypatch.setattr(gram, "_THREADS", threads)
+                splits.clear()
+                out.append(compute())
+                assert bool(splits) == (threads == 2)
+        finally:
+            sys.setswitchinterval(interval)
         return out
 
     @staticmethod
@@ -367,13 +372,7 @@ class TestSplitBlocks:
             hook, n_values = gram._RobustScale(0.1), start.copy()
             return polarization_update(w, hook, n_values), n_values, hook.levels, hook.failed
 
-        # a short switch interval makes the two streams interleave finely
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            one, two = self.run_both(monkeypatch, compute)
-        finally:
-            sys.setswitchinterval(interval)
+        one, two = self.run_both(monkeypatch, compute)
         np.testing.assert_array_equal(one[0], two[0])
         assert [x.hex() for x in one[1].tolist()] == [x.hex() for x in two[1].tolist()]
         assert one[2] == two[2] and one[3] == two[3] == 0
@@ -391,7 +390,7 @@ class TestSplitBlocks:
 
     def test_one_warning_per_block(self, monkeypatch, caplog):
         # one Newton step per row leaves most rows unconverged; an update run
-        # as two streams still logs one warning with its whole count
+        # on two threads still logs one warning with its whole count
         monkeypatch.setattr(mestimator, "MAX_ITER", 1)
         blocks = []
 
@@ -413,7 +412,7 @@ class TestSplitBlocks:
         (one, blocks_one, logged_one), (two, blocks_two, logged_two) = self.run_both(
             monkeypatch, compute)
         np.testing.assert_array_equal(one.matrix, two.matrix)
-        # one block per update on one thread, one per stream on two
+        # one block per update on one thread, two of 25 and 24 on two
         assert blocks_one == [49, 49]
         assert sorted(blocks_two[:2]) == sorted(blocks_two[2:]) == [24, 25]
         assert logged_one == logged_two
@@ -442,32 +441,110 @@ class TestSplitBlocks:
         np.testing.assert_array_equal(np.concatenate([s for _, s in seen]), np.arange(49.0))
         np.testing.assert_allclose(c, w.T @ w / 3000, rtol=1e-12)
 
-    def test_the_callers_error_wins(self, monkeypatch):
-        # every block fails, the worker's after a delay: the caller raises
-        # its first block's error, as one thread does, once the worker is
-        # done.  Blocks of 4 directions on one thread and on two.
+    def test_the_first_failing_block_wins(self, monkeypatch):
+        # every block fails; block 0 waits until block 1 has failed on the
+        # other thread, and still raises, as one thread does, once both are
+        # done.  Blocks of 4 directions; each direction's start is its index.
         monkeypatch.setattr(gram, "BLOCK_ELEMS", 4 * 3000)
-        caller, calls = threading.get_ident(), []
+        later, calls = threading.Event(), []
 
         def failing(v, epsilon, lam_log, start):
-            on_worker = threading.get_ident() != caller
-            if on_worker:
-                time.sleep(0.2)
-            calls.append(on_worker)
-            raise ValueError("on the worker" if on_worker else "on the caller")
+            block = int(start[0]) // 4
+            if block == 0 and gram._THREADS == 2:
+                assert later.wait(30.0), "block 1 did not run on the other thread"
+            calls.append(block)
+            if block == 1:
+                later.set()
+            raise ValueError(f"block {block}")
 
         monkeypatch.setattr(gram, "_robust_scale_rows", failing)
         w = np.random.default_rng(27).standard_normal((3000, 7))
 
         def compute():
             calls.clear()
+            later.clear()
             with pytest.raises(NumericalError) as info:
-                polarization_update(w, gram._RobustScale(0.1))
+                polarization_update(w, gram._RobustScale(0.1), np.arange(49.0))
             return str(info.value), list(calls)
 
         (one, calls_one), (two, calls_two) = self.run_both(monkeypatch, compute)
-        assert one == two == "scale solve failed at entries (0, 0) to (0, 2): on the caller"
-        assert calls_one == [False] and calls_two == [False, True]
+        assert one == two == "scale solve failed at entries (0, 0) to (0, 2): block 0"
+        # a thread stops claiming once a block has failed
+        assert calls_one == [0] and calls_two == [1, 0]
+
+    def test_no_block_is_claimed_after_a_failure(self, monkeypatch):
+        # block 1 fails while block 0 waits for the other thread to stop
+        # claiming; block 0 then succeeds, and its thread claims no further
+        # block either
+        monkeypatch.setattr(gram, "BLOCK_ELEMS", 4 * 3000)
+        stopped, calls = threading.Event(), []
+
+        def claim(*args):
+            try:
+                return claim_blocks(*args)
+            finally:
+                stopped.set()
+
+        def second_fails(v, epsilon, lam_log, start):
+            block = int(start[0]) // 4
+            if block == 0 and gram._THREADS == 2:
+                assert stopped.wait(30.0), "the other thread did not stop"
+            calls.append(block)
+            if block == 1:
+                raise ValueError("block 1")
+            return np.ones(len(v)), 0
+
+        claim_blocks = gram._claim_blocks
+        monkeypatch.setattr(gram, "_claim_blocks", claim)
+        monkeypatch.setattr(gram, "_robust_scale_rows", second_fails)
+        w = np.random.default_rng(27).standard_normal((3000, 7))
+
+        def compute():
+            calls.clear()
+            stopped.clear()
+            with pytest.raises(NumericalError) as info:
+                polarization_update(w, gram._RobustScale(0.1), np.arange(49.0))
+            return str(info.value), list(calls)
+
+        (one, calls_one), (two, calls_two) = self.run_both(monkeypatch, compute)
+        assert one == two == "scale solve failed at entries (0, 2) to (0, 4): block 1"
+        assert calls_one == [0, 1] and calls_two == [1, 0]
+
+    def test_a_busy_worker_does_not_delay_an_update(self, monkeypatch):
+        # the worker waits on an event until the update is done: the caller
+        # solves both blocks alone, and the update's task, dropped before it
+        # started, never runs
+        w, start = self.stream_update()
+        monkeypatch.setattr(gram, "_THREADS", 1)
+        hook = gram._RobustScale(0.1)
+        alone = polarization_update(w, hook, start.copy())
+        monkeypatch.setattr(gram, "_THREADS", 2)
+        claims, solves = [], []
+
+        def claim(*args):
+            claims.append(threading.get_ident())
+            return claim_blocks(*args)
+
+        def solve(*args):
+            solves.append(threading.get_ident())
+            return solve_rows(*args)
+
+        claim_blocks, solve_rows = gram._claim_blocks, gram._robust_scale_rows
+        monkeypatch.setattr(gram, "_claim_blocks", claim)
+        monkeypatch.setattr(gram, "_robust_scale_rows", solve)
+        gate = threading.Event()
+        busy = gram._worker().submit(gate.wait, 30.0)
+        try:
+            other, n_values = gram._RobustScale(0.1), start.copy()
+            c = polarization_update(w, other, n_values)
+            assert not busy.done()
+        finally:
+            gate.set()
+        assert busy.result()
+        gram._worker().submit(int).result()  # every task before this one has run or was dropped
+        assert claims == [threading.get_ident()] and solves == [threading.get_ident()] * 2
+        np.testing.assert_array_equal(c, alone)
+        assert other.levels == hook.levels and other.failed == hook.failed
 
     def test_one_direction_starts_no_thread(self, monkeypatch):
         # at d = 1 the update's one direction makes one stream, however long
@@ -521,8 +598,17 @@ if sys.argv[1] == "fork":
     os.waitpid(pid, 0)
     sys.exit("the forked child hung")
 else:
-    # 64 directions of 2000 values: each trial's blocks split
-    cfg = ExperimentConfig(n=2000, d=8, trials=2, seed=3, jobs=2)
+    # 64 directions of 2100 values (134400 squares): each trial's updates
+    # start a worker, which each forked child must make for itself
+    from robustgram import harness
+
+    def checked(config, t):
+        result = trial(config, t)
+        assert gram._pool_pid == os.getpid(), "the child made no worker of its own"
+        return result
+
+    trial, harness._run_trial = harness._run_trial, checked
+    cfg = ExperimentConfig(n=2100, d=8, trials=2, seed=3, jobs=2)
     results = run_benchmark(cfg)
     assert len(results) == 2
 """
