@@ -44,8 +44,8 @@ logger = logging.getLogger(__name__)
 
 # Projections per block of directions (rows x m x g).  Each block is one
 # solver call, and this cap bounds its memory: the block's v, 2 MB at 2^18,
-# and the solver's per-row state.  The default hook's streams cut their
-# directions into equal blocks of at most this many projections, a custom
+# and the solver's per-row state.  The default hook cuts an update into
+# equal blocks of at most this many projections, a custom
 # hook gets as many directions per block as fit.  The solver's cache
 # footprint is set apart by ``mestimator.TILE_ELEMS``, so a larger call only
 # makes fewer calls, each paying its fixed preamble and its per-pass

@@ -5,7 +5,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -347,7 +346,7 @@ class TestSplitBlocks:
         return out
 
     @staticmethod
-    def stream_update():
+    def two_thread_update():
         """Projections whose 81 directions of 2000 values (162000 >= 4
         TILE_ELEMS squares) make heavy-tailed rows, vanishing rows from a 0.0
         and a -0.0 column, rows beyond 2^+-256 from columns scaled by
@@ -365,7 +364,7 @@ class TestSplitBlocks:
         return w, start * 0.9
 
     def test_stream_rows_keep_their_bits(self, monkeypatch):
-        w, start = self.stream_update()
+        w, start = self.two_thread_update()
         assert w.shape[1] ** 2 * len(w) >= 4 * mestimator.TILE_ELEMS
 
         def compute():
@@ -420,7 +419,7 @@ class TestSplitBlocks:
                                             for m in logged_one)
 
     def test_custom_hooks_run_on_the_caller_in_direction_order(self, monkeypatch):
-        # 49 directions of 3000 values, enough for two streams, in blocks of
+        # 49 directions of 3000 values, enough for two threads, in blocks of
         # 5 at BLOCK_ELEMS = 2^14; each direction's start is its index
         def worker():
             raise AssertionError("a custom hook started the worker")
@@ -514,7 +513,7 @@ class TestSplitBlocks:
         # the worker waits on an event until the update is done: the caller
         # solves both blocks alone, and the update's task, dropped before it
         # started, never runs
-        w, start = self.stream_update()
+        w, start = self.two_thread_update()
         monkeypatch.setattr(gram, "_THREADS", 1)
         hook = gram._RobustScale(0.1)
         alone = polarization_update(w, hook, start.copy())
@@ -540,14 +539,15 @@ class TestSplitBlocks:
             assert not busy.done()
         finally:
             gate.set()
-        assert busy.result()
-        gram._worker().submit(int).result()  # every task before this one has run or was dropped
+        assert busy.result(timeout=30.0)
+        # every task before this one has run or was dropped
+        gram._worker().submit(int).result(timeout=30.0)
         assert claims == [threading.get_ident()] and solves == [threading.get_ident()] * 2
         np.testing.assert_array_equal(c, alone)
         assert other.levels == hook.levels and other.failed == hook.failed
 
     def test_one_direction_starts_no_thread(self, monkeypatch):
-        # at d = 1 the update's one direction makes one stream, however long
+        # at d = 1 the update's one direction makes one block, however long
         def worker():
             raise AssertionError("a one-direction update started the worker")
 
