@@ -6,17 +6,24 @@ Usage, with the ``src`` directory of the checkout under test on the path::
 
 Each line is ``<family> <sha256>``.  A family's digest covers its outputs on
 every input sample, bit for bit: matrices and floats as their exact bytes,
-iteration counts, and the type and message of any exception raised.  Run it
-on two checkouts and diff the lines: a change that keeps the numbers keeps
-every line.  The samples are a unit-scale one, the same with a zero column,
-the same with a column so small that its squares underflow to 0, the zero
-sample, one with d > n, and a shifted 4000 x 20 one, whose updates the
-default hook solves on two threads on a host with two usable CPUs.  The
-``estimate`` line covers the four files ``robustgram estimate`` writes for
-a 14004 x 4 sample, which admits the bounds grid and whose updates run on
-two threads, beside the bounds.  ``--one-thread`` solves every update and
-the bounds on the calling thread: on one checkout, the lines with and
-without it must agree.  Uses numpy and the standard library only.
+iteration counts, and the type and message of any exception raised.  The
+estimator families cover the matrix, the iteration count and the Frobenius
+deltas; the ``lambda_used`` line covers the mean truncation levels of
+``robust_gram`` and q = 2 and q = 3 ``robust_covariance``, so that a change
+to how the levels are summed moves that line alone.  Run it on two
+checkouts and diff the lines: a change that keeps the numbers keeps every
+line.  The samples are a unit-scale one, the same with a zero column, the
+same with a column so small that its squares underflow to 0, the zero
+sample, one with d > n, and a shifted 4000 x 20 one, whose updates run on
+two threads on a host with two usable CPUs.  The
+``grid_certified_two_threads`` line covers grid-certified covariance on a
+40000 x 4 sample, 320,000 squares per update, which the grid hook solves
+on two threads there too.  The ``estimate`` line covers the four files
+``robustgram estimate`` writes for a 14004 x 4 sample, which admits the
+bounds grid and whose updates run on two threads, beside the bounds.
+``--one-thread`` solves every update and the bounds on the calling thread:
+on one checkout, the lines with and without it must agree.  Uses numpy and
+the standard library only.
 """
 
 from __future__ import annotations
@@ -84,7 +91,12 @@ def feed(h, obj) -> None:
 
 
 def estimate_fields(est) -> tuple:
-    return est.matrix, est.iterations, est.frobenius_deltas, est.lambda_used
+    return est.matrix, est.iterations, est.frobenius_deltas
+
+
+def grid_certified(sample: Sample):
+    return robust_covariance(sample, q=2, epsilon=EPSILON, mode="grid-certified",
+                             num_updates=2)
 
 
 def grid_setup(sample: Sample) -> tuple:
@@ -110,8 +122,9 @@ FAMILIES = {
     "robust_gram": lambda s: estimate_fields(robust_gram(s)),
     "robust_covariance_q2": lambda s: estimate_fields(robust_covariance(s, q=2)),
     "robust_covariance_q3": lambda s: estimate_fields(robust_covariance(s, q=3)),
-    "grid_certified": lambda s: estimate_fields(robust_covariance(
-        s, q=2, epsilon=EPSILON, mode="grid-certified", num_updates=2)),
+    "grid_certified": lambda s: estimate_fields(grid_certified(s)),
+    "lambda_used": lambda s: [est.lambda_used for est in (
+        robust_gram(s), robust_covariance(s, q=2), robust_covariance(s, q=3))],
     "confidence_interval": confidence_intervals,
     "select_hat_n": selections,
     "tilde_n": lambda s: [tilde_n(s, theta, lam) for theta in directions(s.d)
@@ -139,6 +152,14 @@ def estimate_digest() -> str:
     return h.hexdigest()
 
 
+def grid_certified_two_threads_digest() -> str:
+    """sha256 of grid-certified covariance on a seeded 40000 x 4 sample."""
+    h = hashlib.sha256()
+    x = np.random.default_rng(5).standard_normal((40000, 4)) + 1.0
+    feed(h, estimate_fields(grid_certified(Sample(x))))
+    return h.hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--one-thread", action="store_true",
@@ -156,6 +177,7 @@ def main() -> None:
             except Exception as exc:  # noqa: BLE001 - a raised error is an output too
                 feed(h, f"{type(exc).__name__}: {exc}")
         print(family, h.hexdigest())
+    print("grid_certified_two_threads", grid_certified_two_threads_digest())
     print("estimate", estimate_digest())
 
 

@@ -80,9 +80,11 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
         m = len(vectors)
         kappa_x = kappa_plugin(Sample(vectors.reshape(-1, sample.d)))
         kappa_prime = 1.0 + bnd.tau_q(kappa_x, q) / q
-        # ||A_i||_op is the squared spectral norm of the block's vectors
-        s4_a = float(np.mean(np.linalg.norm(vectors, ord=2, axis=(1, 2)) ** 4)) ** 0.25
-        tr_a = float(np.sum(vectors * vectors)) / m
+        # ||A_i||_op is the squared spectral norm of the block's vectors; an
+        # overflow is reported below as a NumericalError, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            s4_a = float(np.mean(np.linalg.norm(vectors, ord=2, axis=(1, 2)) ** 4)) ** 0.25
+            tr_a = float(np.sum(vectors * vectors)) / m
         if not all(map(math.isfinite, (kappa_prime, s4_a, tr_a))):
             raise NumericalError("the plug-in block moments overflow "
                                  "(data out of floating-point range)")

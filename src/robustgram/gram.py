@@ -13,14 +13,15 @@ quadratic forms, given each direction's form in the previous update as its
 start: the default solves every row of a block, vanishing ones too, with one
 call to the row solver, each direction started there.
 
-On a host with two usable CPUs or more, the default hook cuts a large
-update into equal blocks and serves them to two threads, the caller and a
-worker, from one queue in direction order: each thread claims the next
-block once it is free, so neither waits for the other's share; numpy
-releases the GIL inside the elementwise passes, so the blocks run side by
-side.  Each row's level and root depend on that row alone (the row solver
-runs every row with the operations of a one-row solve), so the threads
-move no bit.  The same worker runs other work beside an estimate, such as
+Every update is cut into equal blocks, and on a host with two usable CPUs
+or more a large one is served to two threads, the caller and a worker,
+from one queue in direction order: each thread claims the next block once
+it is free, so neither waits for the other's share; numpy releases the GIL
+inside the elementwise passes, so the blocks run side by side.  A hook is
+therefore called from both threads at once, on blocks in no fixed order.
+Each row's level and root depend on that row alone (the row solver runs
+every row with the operations of a one-row solve), so the threads move no
+bit.  The same worker runs other work beside an estimate, such as
 the CLI's plug-in bounds (``_beside``), and joins the update's queue once
 that is done.  The worker belongs to the process that made it: a forked
 child makes its own, since a fork copies only the calling thread.
@@ -44,14 +45,13 @@ logger = logging.getLogger(__name__)
 
 # Projections per block of directions (rows x m x g).  Each block is one
 # solver call, and this cap bounds its memory: the block's v, 2 MB at 2^18,
-# and the solver's per-row state.  The default hook cuts an update into
-# equal blocks of at most this many projections, a custom
-# hook gets as many directions per block as fit.  The solver's cache
-# footprint is set apart by ``mestimator.TILE_ELEMS``, so a larger call only
-# makes fewer calls, each paying its fixed preamble and its per-pass
-# bookkeeping once.  Op CPU time and peak RSS against blocks of 2^15
-# (medians of 4 interleaved rounds, one process per size, 2-vCPU Xeon host,
-# one BLAS thread, one thread per update):
+# and the solver's per-row state.  An update is cut into equal blocks of at
+# most this many projections.  The solver's cache footprint is set apart by
+# ``mestimator.TILE_ELEMS``, so a larger call only makes fewer calls, each
+# paying its fixed preamble and its per-pass bookkeeping once.  Op CPU time
+# and peak RSS against blocks of 2^15 (medians of 4 interleaved rounds, one
+# process per size, 2-vCPU Xeon host, one BLAS thread, one thread per
+# update):
 #
 #   block   cov-tall         estimate-tall shape (robust_gram)
 #   2^17    x0.88, +1.1 MB   x0.90, +0.7 MB
@@ -71,7 +71,7 @@ NORM_EXPONENT = 100
 STOP_TOL = 1e-8
 
 
-# Threads that solve one update of the default hook: 2 (the caller and one
+# Threads that solve one update, whatever its hook: 2 (the caller and one
 # worker) where two CPUs are usable, else 1.  Only an update of two
 # directions or more and 4 * TILE_ELEMS squares starts the worker, so each
 # thread fills at least two of the solver's tiles, and the paper-size
@@ -79,7 +79,8 @@ STOP_TOL = 1e-8
 # as two halves, two fixed halves of the directions ran cov-tall 12-15%
 # faster (BENCH_pr19.json); one queue of blocks for both threads, with the
 # CLI's bounds on the worker, ran estimate-tall faster again
-# (BENCH_pr20.json).
+# (BENCH_pr20.json); the grid hook on the same queue kept its bits and its
+# speed.
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -127,11 +128,12 @@ class GramEstimate:
     ``STOP_TOL``; it is scale-free, so it stays finite where the distance
     itself would overflow (0 when both are 0).  lambda_used holds one
     per-update mean of the adaptive truncation levels of the directions that
-    do not vanish; none for an update in which all vanish (the zero sample
-    gives []) or with a custom ``estimate``.  With the default estimate,
-    update k >= 2 starts each direction's solve at its root in update k - 1,
-    so the matrix agrees with cold-started solves only to the solver's
-    tolerance (about 1e-11 relative), not bit for bit.
+    do not vanish, summed in ascending order; none for an update in which
+    all vanish (the zero sample gives []) or with a custom ``estimate``.
+    With the default estimate, update k >= 2 starts each direction's solve
+    at its root in update k - 1, so the matrix agrees with cold-started
+    solves only to the solver's tolerance (about 1e-11 relative), not bit
+    for bit.
     """
 
     matrix: np.ndarray
@@ -191,15 +193,17 @@ def _robust_scale_rows(v: np.ndarray, epsilon: float, lam_log: list, start) -> t
 
 class _RobustScale:
     """The default estimate hook at one epsilon: ``_robust_scale_rows`` on
-    each block, with the levels of its blocks in direction order and their
-    count of unconverged solves."""
+    each block, with the levels of its blocks and one count of unconverged
+    solves per block, both in the order the blocks finish.  Both threads of
+    an update share one hook; ``list.extend`` and ``list.append`` are atomic
+    in CPython, so it needs no lock."""
 
     def __init__(self, epsilon: float):
-        self.epsilon, self.levels, self.failed = epsilon, [], 0
+        self.epsilon, self.levels, self.failed = epsilon, [], []
 
     def __call__(self, v, norm_sq, start):
         value, failed = _robust_scale_rows(v, self.epsilon, self.levels, start)
-        self.failed += failed
+        self.failed.append(failed)
         return value
 
 
@@ -234,38 +238,25 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     one N per direction in this order: it is read for the starts and then
     holds the new N values.  Without it, every start is nan.
 
-    A custom ``estimate`` sees the blocks on the calling thread in
-    direction order, as many directions as fit ``BLOCK_ELEMS`` each.  The
-    default hook of ``iterate_polarization`` gets equal blocks of at most
-    ``BLOCK_ELEMS`` projections, each with its own hook, whose levels and
-    counts it takes in block order.  With ``_THREADS`` = 2 an update of two
-    directions or more and at least 4 * ``TILE_ELEMS`` squares is cut into
-    two blocks or more, which the caller and the worker claim in direction
-    order from one queue; a worker still busy with other work once the
-    queue is dry is left out.  Each row's level and root depend on that row
-    alone, so neither the blocks nor the threads move a bit.  The first
-    failing block in direction order raises, as on one thread.
+    The blocks are equal, of at most ``BLOCK_ELEMS`` projections.  With
+    ``_THREADS`` = 2 an update of two directions or more and at least 4 *
+    ``TILE_ELEMS`` squares is cut into two blocks or more, which the caller
+    and the worker claim in direction order from one queue; a worker still
+    busy with other work once the queue is dry is left out.  So
+    ``estimate`` must be safe to call from two threads at once, on blocks
+    that arrive in no fixed order.  Each row's level and root depend on
+    that row alone, so neither the blocks nor the threads move a bit.  The
+    first failing block in direction order raises, as on one thread.
     """
     cols = np.ascontiguousarray(np.moveaxis(np.asarray(w, dtype=float), -1, 0))
     count = len(cols) ** 2
     if n_values is None:
         n_values = np.full(count, np.nan)
     size = cols[0].size  # projections per direction, n or m * g
-    rows = max(1, BLOCK_ELEMS // size)
-    default = isinstance(estimate, _RobustScale)
-    threads = 2 if (default and _THREADS >= 2 and count >= 2
-                    and count * size >= 4 * TILE_ELEMS) else 1
-    if default:
-        # equal blocks, at least one per thread
-        rows = -(-count // max(threads, -(-count // rows)))
-        hooks = [_RobustScale(estimate.epsilon) for _ in range(0, count, rows)]
-    else:
-        hooks = [estimate] * -(-count // rows)
-    _solve_blocks(cols, hooks, n_values, rows, threads)
-    if default:
-        for hook in hooks:
-            estimate.levels += hook.levels
-            estimate.failed += hook.failed
+    threads = 2 if _THREADS >= 2 and count >= 2 and count * size >= 4 * TILE_ELEMS else 1
+    # equal blocks, at least one per thread
+    rows = -(-count // max(threads, -(-count // max(1, BLOCK_ELEMS // size))))
+    _solve_blocks(cols, estimate, n_values, rows, threads)
     _, _, sign, _, iu, ju = _directions(len(cols))
     minus = np.zeros(len(iu))
     minus[iu < ju] = n_values[sign < 0.0]
@@ -274,17 +265,17 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
     return c
 
 
-def _solve_blocks(cols, hooks, n_values, rows: int, threads: int) -> None:
-    """Solve the blocks of ``rows`` consecutive directions of an update, block
-    b with hooks[b], on the caller and, for ``threads`` = 2, on the worker,
-    both claiming blocks from one cursor.  Raises the error of the first
-    failing block in direction order."""
+def _solve_blocks(cols, estimate, n_values, rows: int, threads: int) -> None:
+    """Solve the blocks of ``rows`` consecutive directions of an update with
+    ``estimate`` on the caller and, for ``threads`` = 2, on the worker, both
+    claiming blocks from one cursor.  Raises the error of the first failing
+    block in direction order."""
     cursor, failures = itertools.count(), {}
     task = None
     if threads > 1:
-        task = _worker().submit(_claim_blocks, cols, hooks, n_values, rows, cursor, failures)
+        task = _worker().submit(_claim_blocks, cols, estimate, n_values, rows, cursor, failures)
     try:
-        _claim_blocks(cols, hooks, n_values, rows, cursor, failures)
+        _claim_blocks(cols, estimate, n_values, rows, cursor, failures)
     finally:
         # a task that has not started is dropped; a running one writes
         # n_values, so wait for it
@@ -294,7 +285,7 @@ def _solve_blocks(cols, hooks, n_values, rows: int, threads: int) -> None:
         raise failures[min(failures)]
 
 
-def _claim_blocks(cols, hooks, n_values, rows: int, cursor, failures: dict) -> None:
+def _claim_blocks(cols, estimate, n_values, rows: int, cursor, failures: dict) -> None:
     """Claim the next block from ``cursor`` and solve it, until the cursor
     runs dry or a block has failed; a failing block's error goes to
     ``failures`` under its index.  A thread claims blocks in increasing
@@ -342,7 +333,7 @@ def _claim_blocks(cols, hooks, n_values, rows: int, cursor, failures: dict) -> N
                 v = v.reshape(v.shape[:2]) if v.shape[2] == 1 else v.sum(axis=2)
             try:
                 # a copy: the hook may keep its starts, and this assignment overwrites them
-                n_values[blk] = hooks[b](v, norm_sq[blk], n_values[blk].copy())
+                n_values[blk] = estimate(v, norm_sq[blk], n_values[blk].copy())
             except ValueError as exc:
                 raise NumericalError(
                     f"scale solve failed at entries ({first[start]}, {second[start]}) to "
@@ -424,15 +415,16 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
             estimate = _RobustScale(epsilon)
         np.copyto(cols, np.matmul(flat, basis, out=proj).T)
         c = polarization_update(w, estimate, n_values)
-        if default and estimate.failed:
-            logger.warning("%d of %d scale solves did not converge", estimate.failed,
-                           len(n_values))
+        failed = sum(estimate.failed) if default else 0
+        if failed:
+            logger.warning("%d of %d scale solves did not converge", failed, len(n_values))
         q = basis @ c @ basis.T
         q = 0.5 * (q + q.T)
         if not np.all(np.isfinite(q)):
             raise NumericalError(f"non-finite iterate at update {k}")
         if default and estimate.levels:
-            lam_means.append(float(np.mean(estimate.levels)))
+            # in ascending order, which neither the blocks nor the threads move
+            lam_means.append(float(np.mean(sorted(estimate.levels))))
         # hypot scales internally: a squared distance between tiny iterates
         # (the bulk under a huge outlier) would underflow to 0 and stop early
         dist = math.hypot(*(q - prev).ravel())

@@ -104,6 +104,65 @@ def mean_of_squares(v, norm_sq, start):
     return np.mean(v, axis=1)
 
 
+def frobenius_norm(a) -> float:
+    """||a||_F, taken on a / max |a_ij|, so that tiny entries do not
+    underflow when squared."""
+    top = float(np.max(np.abs(a), initial=0.0))
+    return top * float(np.linalg.norm(a / top)) if top else 0.0
+
+
+def reference_lambda(v, epsilon: float) -> float:
+    """Adaptive truncation level of one row of quadratic values:
+    m sqrt(u (1 - u) / var), u = (2/n) log(1/epsilon), taken on v / m, where
+    it is scale-free, so that tiny values keep their variance; 1/sqrt(n)
+    where the formula is undefined (n < 2, u >= 1 or var = 0)."""
+    n = len(v)
+    u = 2.0 * math.log(1.0 / epsilon) / n if n >= 2 else 1.0
+    var = float(np.var(v / np.mean(v), ddof=1)) if u < 1.0 else 0.0
+    return math.sqrt(u * (1.0 - u) / var) if var > 0.0 else 1.0 / math.sqrt(n)
+
+
+def reference_gram(vectors, epsilon: float, num_updates: int) -> tuple:
+    """The iterative robust estimate from generating vectors of shape (m, d)
+    or (m, g, d), one direction at a time: per update an eigenbasis of the
+    estimate (the mean of the A_i first), per direction its group-summed
+    squared projections, ``reference_lambda`` and ``bisect_scale`` from a
+    cold bracket, polarization, and the stop at a relative Frobenius step of
+    at most 1e-8.  Returns (matrix, iterations, the eigenvalues of every
+    basis used), the last to check the spectral gaps the comparison needs."""
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim == 2:
+        vectors = vectors[:, None, :]
+    m, _, d = vectors.shape
+    flat = vectors.reshape(-1, d)
+    prev = flat.T @ flat / m
+    prev = 0.5 * (prev + prev.T)
+    spectra = []
+    for k in range(num_updates):
+        vals, basis = np.linalg.eigh(prev)
+        spectra.append(vals)
+        w = vectors @ basis
+
+        def n_of(theta):
+            v = np.sum((w @ theta) ** 2, axis=1)
+            if not (v > 0.0).any():
+                return 0.0
+            return bisect_scale(v, reference_lambda(v, epsilon), iters=100)
+
+        eye = np.eye(d)
+        c = np.empty((d, d))
+        for i in range(d):
+            for j in range(i, d):
+                minus = n_of(eye[i] - eye[j]) if i < j else 0.0
+                c[i, j] = c[j, i] = 0.25 * (n_of(eye[i] + eye[j]) - minus)
+        q = basis @ c @ basis.T
+        q = 0.5 * (q + q.T)
+        dist = frobenius_norm(q - prev)
+        if (dist / frobenius_norm(prev) if dist else 0.0) <= 1e-8 or k + 1 == num_updates:
+            return q, k + 1, spectra
+        prev = q
+
+
 def kappa_per_direction(x: np.ndarray, n_directions: int = 100, seed: int = 0) -> float:
     """Plug-in directional kurtosis one direction at a time: the canonical
     basis, then the same seeded unit directions as ``harness.kappa_plugin``,
@@ -153,6 +212,14 @@ def pairwise_block_covariance(x: np.ndarray, q: int) -> np.ndarray:
             diff = x[j] - x[k]
             acc += np.outer(diff, diff)
     return acc / (q * (q - 1.0))
+
+
+def pair_difference_vectors(x: np.ndarray, q: int) -> np.ndarray:
+    """(m, q(q-1)/2, d) generating vectors (x_j - x_k) / sqrt(q(q-1)), j < k,
+    of each of the m = n // q consecutive q-blocks, pair by pair."""
+    return np.array([[(x[b * q + j] - x[b * q + k]) / math.sqrt(q * (q - 1.0))
+                      for j in range(q) for k in range(j + 1, q)]
+                     for b in range(len(x) // q)])
 
 
 def block_matrices(vectors: np.ndarray) -> np.ndarray:

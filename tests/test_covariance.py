@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -363,10 +364,14 @@ class TestRobustCovariance:
 
     @pytest.mark.parametrize("k", [256, 300])
     def test_grid_certified_overflowing_moments_are_numerical_error(self, k):
-        # the fourth moment of the blocks overflows before MomentBounds is built
+        # the fourth moment of the blocks overflows before MomentBounds is
+        # built, and raises without a RuntimeWarning first
         x = np.ldexp(np.random.default_rng(16).standard_normal((20000, 3)), k)
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="moments overflow"):
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(NumericalError, match="moments overflow"):
+            warnings.simplefilter("always")
             robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_grid_certified_underflowing_moments_are_numerical_error(self):
         # the fourth moment of the blocks underflows to 0, though the data are not 0

@@ -189,7 +189,7 @@ class TestBlockedUpdate:
 
     def test_estimator_sees_blocks_and_norms(self, monkeypatch):
         # at BLOCK_ELEMS = 2^14 the 9 directions of 4000 projections take
-        # three blocks
+        # three equal blocks
         monkeypatch.setattr(gram, "BLOCK_ELEMS", 2**14)
         rng = np.random.default_rng(18)
         w = rng.standard_normal((4000, 3))
@@ -201,7 +201,7 @@ class TestBlockedUpdate:
             return np.mean(v, axis=1)
 
         c = polarization_update(w, estimate)
-        assert shapes == [(4, 4000), (4, 4000), (1, 4000)]
+        assert shapes == [(3, 4000)] * 3
         assert norms == [4.0, 2.0, 2.0, 2.0, 2.0, 4.0, 2.0, 2.0, 4.0]
         np.testing.assert_allclose(c, w.T @ w / 4000, rtol=1e-12)
 
@@ -274,8 +274,8 @@ class TestWarmStart:
 
     def test_any_hook_starts_at_its_own_previous_values(self, monkeypatch):
         # n = 4000, d = 3 at BLOCK_ELEMS = 2^14: the 9 directions come in
-        # blocks of 4, 4 and 1, and the row medians move the iterate, so
-        # every update runs
+        # three blocks of 3, and the row medians move the iterate, so every
+        # update runs
         monkeypatch.setattr(gram, "BLOCK_ELEMS", 2**14)
         calls = []
 
@@ -285,7 +285,7 @@ class TestWarmStart:
 
         x = np.random.default_rng(19).standard_t(3, (4000, 3))
         assert iterate_polarization(x, num_updates=3, estimate=hook).iterations == 3
-        assert [len(start) for start, _ in calls] == [4, 4, 1] * 3
+        assert [len(start) for start, _ in calls] == [3, 3, 3] * 3
         starts, values = ([np.concatenate([c[k] for c in calls[u:u + 3]]) for u in (0, 3, 6)]
                           for k in (0, 1))
         assert np.isnan(starts[0]).all()
@@ -294,8 +294,7 @@ class TestWarmStart:
 
 
 def _split_cases():
-    """Samples whose updates the default hook runs on two threads, with the
-    estimator to run."""
+    """Samples whose updates run on two threads, with the estimator to run."""
     rng = np.random.default_rng(23)
     # 7 x 7 directions of 3000 values: blocks of 25 and 24 directions, with
     # a zero column and a tiny one, whose doubled direction's squares fall
@@ -308,17 +307,22 @@ def _split_cases():
     tall = rng.standard_t(3, (4000, 20)) + np.linspace(-8.0, 8.0, 20)
     # 2000 triples: blocks of 25 and 24 directions
     grouped = rng.standard_t(3, (6000, 7))
+    # the grid hook on 16 directions of 20000 pair differences: two blocks
+    # of 8
+    grid = np.random.default_rng(29).standard_normal((40000, 4)) + 1.0
     return {
         "odd rows": lambda: robust_gram(Sample(odd)),
         "cov-tall": lambda: robust_covariance(Sample(tall), q=2),
         "grouped": lambda: robust_covariance(Sample(grouped), q=3),
+        "grid-certified": lambda: robust_covariance(
+            Sample(grid), q=2, epsilon=0.05, mode="grid-certified", num_updates=2),
     }
 
 
 class TestSplitBlocks:
     """With two threads, the caller and a worker thread claim the blocks of
-    a large update of the default hook from one queue, and the update
-    returns the bits of one thread."""
+    a large update from one queue, and the update returns the bits of one
+    thread."""
 
     @staticmethod
     def run_both(monkeypatch, compute):
@@ -374,7 +378,8 @@ class TestSplitBlocks:
         one, two = self.run_both(monkeypatch, compute)
         np.testing.assert_array_equal(one[0], two[0])
         assert [x.hex() for x in one[1].tolist()] == [x.hex() for x in two[1].tolist()]
-        assert one[2] == two[2] and one[3] == two[3] == 0
+        # the blocks finish in no fixed order
+        assert sorted(one[2]) == sorted(two[2]) and sum(one[3]) == sum(two[3]) == 0
         # the four directions within columns 2 and 3 vanish and report no level
         assert np.count_nonzero(one[1] == 0.0) == 4 and len(one[2]) == 77
         assert 20 <= np.isnan(start).sum() <= 61
@@ -418,27 +423,40 @@ class TestSplitBlocks:
         assert len(logged_one) == 2 and all(m.endswith("of 49 scale solves did not converge")
                                             for m in logged_one)
 
-    def test_custom_hooks_run_on_the_caller_in_direction_order(self, monkeypatch):
+    def test_custom_hooks_run_on_both_threads(self, monkeypatch):
         # 49 directions of 3000 values, enough for two threads, in blocks of
-        # 5 at BLOCK_ELEMS = 2^14; each direction's start is its index
-        def worker():
-            raise AssertionError("a custom hook started the worker")
-
-        monkeypatch.setattr(gram, "_THREADS", 2)
-        monkeypatch.setattr(gram, "_worker", worker)
+        # 5 and 4 at BLOCK_ELEMS = 2^14; each direction's start is its index.
+        # Block 0 waits until block 1 has run on the other thread.
         monkeypatch.setattr(gram, "BLOCK_ELEMS", 2**14)
-        seen = []
+        later, seen = threading.Event(), []
 
         def hook(v, norm_sq, start):
+            if start[0] == 0.0 and gram._THREADS == 2:
+                assert later.wait(30.0), "block 1 did not run on the other thread"
             seen.append((threading.get_ident(), start))
+            if start[0] == 5.0:
+                later.set()
             return np.mean(v, axis=1)
 
         w = np.random.default_rng(26).standard_normal((3000, 7))
-        c = polarization_update(w, hook, np.arange(49.0))
-        assert {ident for ident, _ in seen} == {threading.get_ident()}
-        assert [len(start) for _, start in seen] == [5] * 9 + [4]
-        np.testing.assert_array_equal(np.concatenate([s for _, s in seen]), np.arange(49.0))
-        np.testing.assert_allclose(c, w.T @ w / 3000, rtol=1e-12)
+
+        def compute():
+            later.clear()
+            seen.clear()
+            n_values = np.arange(49.0)
+            c = polarization_update(w, hook, n_values)
+            return c, n_values, {ident for ident, _ in seen}, sorted(
+                (s for _, s in seen), key=lambda s: s[0])
+
+        one, two = self.run_both(monkeypatch, compute)
+        np.testing.assert_array_equal(one[0], two[0])
+        np.testing.assert_array_equal(one[1], two[1])
+        assert one[2] == {threading.get_ident()}
+        assert len(two[2]) == 2 and threading.get_ident() in two[2]
+        for _, _, _, starts in (one, two):
+            assert [len(s) for s in starts] == [5] * 9 + [4]
+            np.testing.assert_array_equal(np.concatenate(starts), np.arange(49.0))
+        np.testing.assert_allclose(one[0], w.T @ w / 3000, rtol=1e-12)
 
     def test_the_first_failing_block_wins(self, monkeypatch):
         # every block fails; block 0 waits until block 1 has failed on the
@@ -544,7 +562,8 @@ class TestSplitBlocks:
         gram._worker().submit(int).result(timeout=30.0)
         assert claims == [threading.get_ident()] and solves == [threading.get_ident()] * 2
         np.testing.assert_array_equal(c, alone)
-        assert other.levels == hook.levels and other.failed == hook.failed
+        assert sorted(other.levels) == sorted(hook.levels)
+        assert sum(other.failed) == sum(hook.failed)
 
     def test_one_direction_starts_no_thread(self, monkeypatch):
         # at d = 1 the update's one direction makes one block, however long
