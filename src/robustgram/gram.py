@@ -254,8 +254,9 @@ def polarization_update(w: np.ndarray, estimate, n_values=None) -> np.ndarray:
         n_values = np.full(count, np.nan)
     size = cols[0].size  # projections per direction, n or m * g
     threads = 2 if _THREADS >= 2 and count >= 2 and count * size >= 4 * TILE_ELEMS else 1
-    # equal blocks, at least one per thread
-    rows = -(-count // max(threads, -(-count // max(1, BLOCK_ELEMS // size))))
+    # equal blocks of at most BLOCK_ELEMS projections, at least one per thread
+    blocks = max(threads, -(-count // max(1, BLOCK_ELEMS // size)))
+    rows = -(-count // blocks)
     _solve_blocks(cols, estimate, n_values, rows, threads)
     _, _, sign, _, iu, ju = _directions(len(cols))
     minus = np.zeros(len(iu))
@@ -364,9 +365,10 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     estimate (the mean of the A_i initially), builds the matrix C in that
     basis with ``polarization_update``, and rotates back.  ``estimate(v,
     norm_sq, start)`` turns the quadratic values of each block of
-    directions into their quadratic forms.  The loop keeps each direction's
-    N, in ``polarization_update``'s order, and hands it to the hook as that
-    direction's start in the next update (nan in update 1).  The default
+    directions into their quadratic forms; it may be called from two
+    threads at once (``polarization_update``).  The loop keeps each
+    direction's N, in ``polarization_update``'s order, and hands it to the
+    hook as that direction's start in the next update (nan in update 1).  The default
     solves each row's adaptive truncation level and robust scale
     (``_robust_scale_rows``), starting each solve there, records the mean
     level per update in ``lambda_used`` and logs one warning per update

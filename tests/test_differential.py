@@ -56,18 +56,18 @@ def small_blocks(threads: int, started: list):
 def gapped_samples(draw):
     """n in [2, 24] by d in [1, 5], d > n included: normal or t(3) or t(1.5)
     rows with column scales 4^j, rotated, and some columns then set to 0 or
-    scaled by 2^-500."""
+    scaled by 2^-500 or 2^400."""
     n, d = draw(st.integers(2, 24)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     df = draw(st.sampled_from([np.inf, 3.0, 1.5]))
     z = rng.standard_normal((n, d)) if df == np.inf else rng.standard_t(df, (n, d))
     x = (z * 4.0 ** np.arange(d)) @ random_orthogonal(d, rng).T
-    for j, kind in enumerate(draw(st.lists(st.sampled_from(["keep", "keep", "zero", "tiny"]),
-                                           min_size=d, max_size=d))):
+    kinds = st.sampled_from(["keep", "keep", "keep", "zero", "tiny", "huge"])
+    for j, kind in enumerate(draw(st.lists(kinds, min_size=d, max_size=d))):
         if kind == "zero":
             x[:, j] = 0.0
-        elif kind == "tiny":
-            x[:, j] = np.ldexp(x[:, j], -500)
+        elif kind != "keep":
+            x[:, j] = np.ldexp(x[:, j], -500 if kind == "tiny" else 400)
     return x
 
 
