@@ -18,7 +18,10 @@ sample, one with d > n, and a shifted 4000 x 20 one, whose updates run on
 two threads on a host with two usable CPUs.  The
 ``grid_certified_two_threads`` line covers grid-certified covariance on a
 40000 x 4 sample, 320,000 squares per update, which the grid hook solves
-on two threads there too.  The ``estimate`` line covers the four files
+on two threads there too.  The ``grid_certified_q3`` line covers q = 3
+grid-certified covariance on that sample, whose 13333 blocks of three
+difference vectors take their moment s4 from spectral norms; the 14004-row
+samples give too few q = 3 blocks for the grid.  The ``estimate`` line covers the four files
 ``robustgram estimate`` writes for a 14004 x 4 sample, which admits the
 bounds grid and whose updates run on two threads, beside the bounds.
 ``--one-thread`` solves every update and the bounds on the calling thread:
@@ -94,8 +97,8 @@ def estimate_fields(est) -> tuple:
     return est.matrix, est.iterations, est.frobenius_deltas
 
 
-def grid_certified(sample: Sample):
-    return robust_covariance(sample, q=2, epsilon=EPSILON, mode="grid-certified",
+def grid_certified(sample: Sample, q: int = 2):
+    return robust_covariance(sample, q=q, epsilon=EPSILON, mode="grid-certified",
                              num_updates=2)
 
 
@@ -152,11 +155,11 @@ def estimate_digest() -> str:
     return h.hexdigest()
 
 
-def grid_certified_two_threads_digest() -> str:
-    """sha256 of grid-certified covariance on a seeded 40000 x 4 sample."""
+def grid_certified_tall_digest(q: int) -> str:
+    """sha256 of q-block grid-certified covariance on a seeded 40000 x 4 sample."""
     h = hashlib.sha256()
     x = np.random.default_rng(5).standard_normal((40000, 4)) + 1.0
-    feed(h, estimate_fields(grid_certified(Sample(x))))
+    feed(h, estimate_fields(grid_certified(Sample(x), q)))
     return h.hexdigest()
 
 
@@ -177,7 +180,8 @@ def main() -> None:
             except Exception as exc:  # noqa: BLE001 - a raised error is an output too
                 feed(h, f"{type(exc).__name__}: {exc}")
         print(family, h.hexdigest())
-    print("grid_certified_two_threads", grid_certified_two_threads_digest())
+    print("grid_certified_two_threads", grid_certified_tall_digest(2))
+    print("grid_certified_q3", grid_certified_tall_digest(3))
     print("estimate", estimate_digest())
 
 

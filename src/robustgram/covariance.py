@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import bounds as bnd
-from .gram import GramEstimate, NumericalError, iterate_polarization, positive_part
+from .gram import GramEstimate, iterate_polarization, positive_part
 from .mestimator import Sample
 
 logger = logging.getLogger(__name__)
@@ -62,10 +62,11 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
     the block count); it requires enough blocks for the theoretical grid.
     Its moment bounds are plug-in values, flagged non-certified: the
     kurtosis of the generating vectors (``harness.kappa_plugin``) mapped
-    through the q-block transfer, and the empirical moments of the blocks;
-    one that overflows, or underflows to 0 on non-zero data, raises
-    ``gram.NumericalError``.  A sample whose blocks all vanish, such as
-    the zero sample, gives the zero matrix in either mode.
+    through the q-block transfer, and the moments of the A_i from the one
+    routine that also serves the Gram instance (``harness.
+    estimate_moment_bounds``); one that overflows, or underflows to 0 on
+    non-zero data, raises ``gram.NumericalError``.  A sample whose blocks
+    all vanish, such as the zero sample, gives the zero matrix in either mode.
     Set ``psd=True`` to clamp negative eigenvalues of the final estimate.
     """
     if mode not in ("iterative-practical", "grid-certified"):
@@ -75,31 +76,17 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
     # without a non-zero difference there are no moment bounds and no grid;
     # every quadratic form is 0, which the default hook returns too
     if mode == "grid-certified" and vectors.any():
-        from .harness import kappa_plugin  # harness imports this module
+        from .harness import _plugin_moments, kappa_plugin  # harness imports this module
 
         m = len(vectors)
         kappa_x = kappa_plugin(Sample(vectors.reshape(-1, sample.d)))
-        kappa_prime = 1.0 + bnd.tau_q(kappa_x, q) / q
-        # ||A_i||_op is the squared spectral norm of the block's vectors; an
-        # overflow is reported below as a NumericalError, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            s4_a = float(np.mean(np.linalg.norm(vectors, ord=2, axis=(1, 2)) ** 4)) ** 0.25
-            tr_a = float(np.sum(vectors * vectors)) / m
-        if not all(map(math.isfinite, (kappa_prime, s4_a, tr_a))):
-            raise NumericalError("the plug-in block moments overflow "
-                                 "(data out of floating-point range)")
-        if not (s4_a > 0.0 and tr_a > 0.0):
-            raise NumericalError("the plug-in block moments underflow to 0 "
-                                 "(data out of floating-point range)")
-        mb_blocks = bnd.MomentBounds(kappa=kappa_prime, s4=s4_a,
-                                     trace_g=max(tr_a, s4_a**2 / math.sqrt(kappa_prime)),
-                                     certified=False)
+        mb_blocks = _plugin_moments(vectors, 1.0 + bnd.tau_q(kappa_x, q) / q)
         grid = bnd.make_grid(m, mb_blocks, a=0.5, epsilon=epsilon)
         coeffs = bnd.coeffs_for_grid(grid, mb_blocks)
         try:
-            sigma = min(bnd.sigma_default(m, mb_blocks, epsilon), s4_a**2)
+            sigma = min(bnd.sigma_default(m, mb_blocks, epsilon), mb_blocks.s4**2)
         except ValueError:
-            sigma = s4_a**2
+            sigma = mb_blocks.s4**2
 
         def estimate(v, norm_sq, start):
             return [sel.value for sel in bnd.select_from_square_rows(

@@ -25,7 +25,8 @@ import numpy as np
 
 from .bounds import MomentBounds
 from .covariance import robust_covariance
-from .gram import NumericalError, _norm_exponent, empirical_gram, frobenius_error, robust_gram
+from .gram import (NumericalError, _mean_matrix, _norm_exponent, empirical_gram,
+                   frobenius_error, robust_gram)
 from .mestimator import Sample
 
 logger = logging.getLogger(__name__)
@@ -341,24 +342,31 @@ def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> floa
     return best
 
 
-def estimate_moment_bounds(sample: Sample, n_directions: int = 100, seed: int = 0,
-                           safety: float = 1.5) -> MomentBounds:
-    """Plug-in MomentBounds, flagged non-certified.
+def _plugin_moments(vectors: np.ndarray, kappa: float) -> MomentBounds:
+    """Plug-in MomentBounds, flagged non-certified, of the A_i = G_i^T G_i
+    from generating vectors G_i of shape (m, d) or (m, g, d).
 
-    The kurtosis plug-in is inflated by ``safety``; s4 and the traces are the
-    empirical moments.  These are point estimates, not the true upper bounds
-    the theory assumes.  Raises NumericalError when s4 or the trace of a
-    non-zero sample underflows to 0, or when a moment overflows.
+    s4 = (mean ||A_i||_op^2)^(1/4), ||A_i||_op being the squared row norm of
+    a block of one vector and the squared spectral norm of G_i otherwise;
+    trace_g is the mean of Tr(A_i), floored at s4^2 / sqrt(kappa), and
+    trace_g2 = Tr(Gbar^2), Gbar the mean of the A_i.  Raises NumericalError
+    when s4 or the trace of non-zero vectors underflows to 0, or when a
+    moment overflows.
     """
-    norms_sq = np.sum(sample.data**2, axis=1)
-    s4 = float(np.mean(norms_sq**2)) ** 0.25
-    trace_g = float(np.mean(norms_sq))
-    if not (s4 > 0.0 and trace_g > 0.0) and sample.data.any():
+    # an overflow is reported below as a NumericalError, not as a warning,
+    # on whichever thread runs this
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = np.sum(np.square(vectors).reshape(len(vectors), -1), axis=1)
+        if vectors.ndim == 2 or vectors.shape[1] == 1:
+            s4 = float(np.mean(traces**2)) ** 0.25
+        else:
+            s4 = float(np.mean(np.linalg.norm(vectors, ord=2, axis=(1, 2)) ** 4)) ** 0.25
+        trace_g = float(np.mean(traces))
+        gbar = _mean_matrix(vectors)
+        trace_g2 = float(np.trace(gbar @ gbar))
+    if not (s4 > 0.0 and trace_g > 0.0) and vectors.any():
         raise NumericalError("the plug-in moments underflow to 0 "
                              "(data out of floating-point range)")
-    gbar = empirical_gram(sample)
-    trace_g2 = float(np.trace(gbar @ gbar))
-    kappa = max(safety * kappa_plugin(sample, n_directions, seed), 1.0 + 1e-6)
     # keep the Cauchy-Schwarz relation that true moments satisfy
     trace_g = max(trace_g, s4**2 / math.sqrt(kappa))
     if not all(map(math.isfinite, (kappa, s4, trace_g, trace_g2))):
@@ -366,3 +374,16 @@ def estimate_moment_bounds(sample: Sample, n_directions: int = 100, seed: int = 
                              "(data out of floating-point range)")
     return MomentBounds(kappa=kappa, s4=s4, trace_g=trace_g,
                         trace_g2=trace_g2, certified=False)
+
+
+def estimate_moment_bounds(sample: Sample, n_directions: int = 100, seed: int = 0,
+                           safety: float = 1.5) -> MomentBounds:
+    """Plug-in MomentBounds of the Gram instance, flagged non-certified.
+
+    The kurtosis plug-in is inflated by ``safety``; s4 and the traces are the
+    empirical moments, from ``_plugin_moments``, which raises NumericalError
+    when they leave the floating-point range.  These are point estimates,
+    not the true upper bounds the theory assumes.
+    """
+    kappa = max(safety * kappa_plugin(sample, n_directions, seed), 1.0 + 1e-6)
+    return _plugin_moments(sample.data, kappa)

@@ -45,12 +45,12 @@ def bisect_scale(v, lam: float, lo: float = None, hi: float = None,
             hi *= 2.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent floats: nothing moves any more
+            break
         if scale_criterion(v, lam, mid) > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
     return 0.5 * (lo + hi)
 
 
@@ -87,6 +87,8 @@ def bisect_alpha(v, lam: float, iters: int = 200) -> float:
     lo = 0.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if alpha_criterion(v, lam, mid) <= 0.0:
             lo = mid
         else:
@@ -147,7 +149,7 @@ def reference_gram(vectors, epsilon: float, num_updates: int) -> tuple:
             v = np.sum((w @ theta) ** 2, axis=1)
             if not (v > 0.0).any():
                 return 0.0
-            return bisect_scale(v, reference_lambda(v, epsilon), iters=100)
+            return bisect_scale(v, reference_lambda(v, epsilon))
 
         eye = np.eye(d)
         c = np.empty((d, d))
@@ -237,6 +239,8 @@ def phi_plus_inverse_ref(phi_plus_fn, u: float, t_max: float = 1e12,
         return math.inf
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if phi_plus_fn(mid) <= u:
             lo = mid
         else:

@@ -172,6 +172,19 @@ class TestBenchmark:
         assert main(["benchmark", str(cfg_path), "--trials", "2", "--out", str(out)]) == 0
         assert len((out / "trials.csv").read_text().splitlines()) == 3
 
+    def test_invalid_override_is_config_error(self, tmp_path, monkeypatch):
+        # the overridden configuration is validated before any trial runs
+        import robustgram.harness as harness
+
+        ran = []
+        monkeypatch.setattr(harness, "_run_trial", lambda config, t: ran.append(t))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 50, "d": 4, "trials": 3, "seed": 5}))
+        out = tmp_path / "run"
+        for flag in ("--trials", "--jobs"):
+            assert main(["benchmark", str(cfg_path), flag, "0", "--out", str(out)]) == 1
+        assert not ran and not out.exists()
+
     def test_invalid_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 1}))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,10 +23,11 @@ from robustgram.harness import (
     trial_rng,
     true_gram,
 )
+from robustgram.covariance import robust_covariance
 from robustgram.gram import NumericalError
 from robustgram.mestimator import Sample
 
-from oracles import kappa_per_direction
+from oracles import block_matrices, kappa_per_direction
 
 
 def small_config(**kw):
@@ -264,3 +266,45 @@ class TestMomentPlugins:
         k = kappa_plugin(Sample(x), seed=seed)
         for e in (-300, -100, 100, 256, 300):
             assert kappa_plugin(Sample(np.ldexp(x, e)), seed=seed) == k
+
+
+class TestPluginMoments:
+    """The one plug-in moment routine of the Gram and q-block instances."""
+
+    @pytest.mark.parametrize("g", [1, 3, 6])
+    def test_moments_match_the_block_matrices(self, g):
+        rng = np.random.default_rng(60 + g)
+        vectors = rng.standard_t(5, (500, g, 4))
+        kappa = 3.0
+        mb = harness._plugin_moments(vectors, kappa)
+        a = block_matrices(vectors)
+        top = np.linalg.eigvalsh(a)[:, -1]
+        assert mb.s4**4 == pytest.approx(float(np.mean(top**2)), rel=1e-12)
+        mean_trace = float(np.mean(np.trace(a, axis1=1, axis2=2)))
+        assert mb.trace_g == pytest.approx(max(mean_trace, mb.s4**2 / math.sqrt(kappa)),
+                                           rel=1e-12)
+        gbar = a.mean(axis=0)
+        assert mb.trace_g2 == pytest.approx(float(np.trace(gbar @ gbar)), rel=1e-12)
+        assert (mb.kappa, mb.certified) == (kappa, False)
+
+    def test_trace_is_floored_at_the_cauchy_schwarz_level(self):
+        # one large block among many small ones: s4^2 / sqrt(kappa) exceeds the mean trace
+        vectors = np.full((1000, 2, 3), 1e-3)
+        vectors[0] = 1.0
+        mb = harness._plugin_moments(vectors, 1.0 + 1e-6)
+        assert mb.trace_g == mb.s4**2 / math.sqrt(1.0 + 1e-6)
+        assert mb.trace_g > float(np.mean(np.sum(vectors**2, axis=(1, 2))))
+
+    def test_blocks_of_one_vector_equal_rows(self):
+        x = np.random.default_rng(64).standard_t(4, (700, 5))
+        assert harness._plugin_moments(x[:, None, :], 2.5) == harness._plugin_moments(x, 2.5)
+
+    def test_grid_certified_q3_overflow_is_numerical_error(self):
+        # the spectral-norm branch: the fourth moment of 3-blocks overflows
+        # and raises without a RuntimeWarning first
+        x = np.ldexp(np.random.default_rng(16).standard_normal((20000, 3)), 256)
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(NumericalError, match="moments overflow"):
+            warnings.simplefilter("always")
+            robust_covariance(Sample(x), q=3, epsilon=0.05, mode="grid-certified")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
