@@ -19,11 +19,12 @@ two threads on a host with two usable CPUs.  The
 ``grid_certified_two_threads`` line covers grid-certified covariance on a
 40000 x 4 sample, 320,000 squares per update, which the grid hook solves
 on two threads there too.  The ``grid_certified_q3`` line covers q = 3
-grid-certified covariance on that sample, whose 13333 blocks of three
-difference vectors take their moment s4 from spectral norms; the 14004-row
-samples give too few q = 3 blocks for the grid.  The ``estimate`` line covers the four files
-``robustgram estimate`` writes for a 14004 x 4 sample, which admits the
-bounds grid and whose updates run on two threads, beside the bounds.
+grid-certified covariance on that sample: its 13333 blocks of three
+difference vectors take their plug-in s4 from spectral norms, the one
+route there, since the 14004-row samples give too few q = 3 blocks for the
+grid.  The ``estimate`` line covers the four files ``robustgram estimate``
+writes for a 14004 x 4 sample, which admits the bounds grid and whose
+updates run on two threads, beside the bounds.
 ``--one-thread`` solves every update and the bounds on the calling thread:
 on one checkout, the lines with and without it must agree.  Uses numpy and
 the standard library only.

@@ -62,11 +62,11 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
     the block count); it requires enough blocks for the theoretical grid.
     Its moment bounds are plug-in values, flagged non-certified: the
     kurtosis of the generating vectors (``harness.kappa_plugin``) mapped
-    through the q-block transfer, and the moments of the A_i from the one
-    routine that also serves the Gram instance (``harness.
-    estimate_moment_bounds``); one that overflows, or underflows to 0 on
-    non-zero data, raises ``gram.NumericalError``.  A sample whose blocks
-    all vanish, such as the zero sample, gives the zero matrix in either mode.
+    through the q-block transfer, and the moments of the A_i from
+    ``harness._plugin_moments``, which serves the Gram instance too; one
+    that overflows, or underflows to 0 on non-zero data, raises
+    ``gram.NumericalError``.  A sample whose blocks all vanish, such as
+    the zero sample, gives the zero matrix in either mode.
     Set ``psd=True`` to clamp negative eigenvalues of the final estimate.
     """
     if mode not in ("iterative-practical", "grid-certified"):
