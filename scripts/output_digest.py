@@ -24,7 +24,12 @@ difference vectors take their plug-in s4 from spectral norms, the one
 route there, since the 14004-row samples give too few q = 3 blocks for the
 grid.  The ``estimate`` line covers the four files ``robustgram estimate``
 writes for a 14004 x 4 sample, which admits the bounds grid and whose
-updates run on two threads, beside the bounds.
+updates run on two threads, beside the bounds.  The ``estimate_scaled``
+line covers ``robustgram estimate`` on that sample scaled by 2^-300,
+2^-200, 2^200 and 2^300: its exit code, its error message and the files
+it writes.  At +-200 the estimate, the moments and the intervals are all
+representable; at +-300 the plug-in moments leave the floating-point
+range and the command exits 2, so the line also covers the failure.
 ``--one-thread`` solves every update and the bounds on the calling thread:
 on one checkout, the lines with and without it must agree.  Uses numpy and
 the standard library only.
@@ -140,19 +145,48 @@ FAMILIES = {
 ESTIMATE_FILES = ("estimate.json", "q.csv", "q_plus.csv", "g_bar.csv")
 
 
-def estimate_digest() -> str:
-    """sha256 of the exit code and the output files of ``robustgram
-    estimate`` on a seeded 14004 x 4 sample."""
-    h = hashlib.sha256()
+# The powers of two of the ``estimate_scaled`` family.
+ESTIMATE_SCALES = (-300, -200, 200, 300)
+
+
+def estimate_sample() -> np.ndarray:
+    """The seeded 14004 x 4 sample of the estimate families."""
+    return np.random.default_rng(4).standard_normal((14004, 4)) + 1.0
+
+
+def feed_estimate(h, x: np.ndarray) -> None:
+    """Add to h the exit code of ``robustgram estimate`` on x, the error
+    message it printed, if any, and each output file it wrote, by name and
+    bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "sample.csv")
-        save_matrix_csv(path, np.random.default_rng(4).standard_normal((14004, 4)) + 1.0)
-        with contextlib.redirect_stdout(io.StringIO()):
+        save_matrix_csv(path, x)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             feed(h, cli.main(["estimate", path, "--out", tmp]))
+        if err.getvalue():
+            feed(h, err.getvalue())
         for name in ESTIMATE_FILES:
-            feed(h, name)
-            with open(os.path.join(tmp, name), "rb") as fh:
-                h.update(fh.read())
+            if os.path.exists(os.path.join(tmp, name)):
+                feed(h, name)
+                with open(os.path.join(tmp, name), "rb") as fh:
+                    h.update(fh.read())
+
+
+def estimate_digest() -> str:
+    """sha256 of ``robustgram estimate`` on the estimate sample."""
+    h = hashlib.sha256()
+    feed_estimate(h, estimate_sample())
+    return h.hexdigest()
+
+
+def estimate_scaled_digest() -> str:
+    """sha256 of ``robustgram estimate`` on the estimate sample scaled by
+    each power of two of ``ESTIMATE_SCALES``."""
+    h = hashlib.sha256()
+    for k in ESTIMATE_SCALES:
+        feed(h, k)
+        feed_estimate(h, np.ldexp(estimate_sample(), k))
     return h.hexdigest()
 
 
@@ -184,6 +218,7 @@ def main() -> None:
     print("grid_certified_two_threads", grid_certified_tall_digest(2))
     print("grid_certified_q3", grid_certified_tall_digest(3))
     print("estimate", estimate_digest())
+    print("estimate_scaled", estimate_scaled_digest())
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import mestimator
 from .gram import NumericalError
 from .influence import C_UNIVERSAL
 from .mestimator import Sample, _row_means, scale_from_squares
@@ -344,31 +345,40 @@ def sigma_default(n: int, mb: MomentBounds, epsilon: float) -> float:
 
 
 def confidence_intervals(sample: Sample, thetas, grid: Grid, mb: MomentBounds,
-                         epsilon: float = None) -> list:
+                         epsilon: float = None, *, _exponent: int = 0) -> list:
     """(lower, upper) confidence bounds for E<theta, X>^2 over the grid, one
     pair per direction of ``thetas``.
 
     lower = max_j phi_minus(tilde_n_j), upper = min_j phi_plus_inverse(tilde_n_j),
-    with the values tilde_n_j of all directions from one row solve per
+    with the values tilde_n_j of the directions from one row solve per
     level on their squared projections, one row each, which gives each
-    direction the bits of its own solve; an interval degenerates to
-    [0, inf) when every gate is inactive.  The coefficients use grid.n, so
-    a grid built for another n raises ValueError.
+    direction the bits of its own solve.  The directions go to the solves
+    a tile of ``mestimator.TILE_ELEMS`` squares (and one row) at a time, in
+    one buffer, never as one (len(thetas), n) array.  An interval
+    degenerates to [0, inf) when every gate is inactive.  The coefficients
+    use grid.n, so a grid built for another n raises ValueError.
+    ``robustgram estimate`` passes its sample divided by 2^_exponent: each
+    tilde_n_j is multiplied by 4^_exponent before the maps, and the grid
+    and the coefficients stay in original units.
     """
-    norms_sq = []
-    v = np.empty((len(thetas), sample.n))
-    for row, theta in zip(v, thetas):
-        squares, norm_sq = _direction_squares(sample, theta, grid)
-        row[:] = squares
-        norms_sq.append(norm_sq)
     coeffs = coeffs_for_grid(grid, mb, epsilon)
+    tile = max(1, mestimator.TILE_ELEMS // sample.n)
+    buf = np.empty((min(tile, len(thetas)), sample.n))
     intervals = []
-    for values, norm_sq in zip(_tilde_n_grid(v, grid).tolist(), norms_sq):
-        lower, upper = 0.0, math.inf
-        for val, co in zip(values, coeffs):
-            lower = max(lower, phi_minus(val, co, norm_sq))
-            upper = min(upper, phi_plus_inverse(val, co, norm_sq))
-        intervals.append((lower, upper))
+    for lo in range(0, len(thetas), tile):
+        norms_sq = []
+        v = buf[:len(thetas[lo:lo + tile])]
+        for row, theta in zip(v, thetas[lo:lo + tile]):
+            squares, norm_sq = _direction_squares(sample, theta, grid)
+            row[:] = squares
+            norms_sq.append(norm_sq)
+        tilde = np.ldexp(_tilde_n_grid(v, grid), 2 * _exponent)
+        for values, norm_sq in zip(tilde.tolist(), norms_sq):
+            lower, upper = 0.0, math.inf
+            for val, co in zip(values, coeffs):
+                lower = max(lower, phi_minus(val, co, norm_sq))
+                upper = min(upper, phi_plus_inverse(val, co, norm_sq))
+            intervals.append((lower, upper))
     return intervals
 
 

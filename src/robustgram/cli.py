@@ -27,7 +27,8 @@ import numpy as np
 
 from . import bounds as bnd
 from .covariance import robust_covariance
-from .gram import NumericalError, _beside, empirical_gram, positive_part, robust_gram
+from .gram import (NumericalError, _beside, _norm_exponent, _scale_back, empirical_gram,
+                   positive_part, robust_gram)
 from .harness import (
     MIN_KAPPA_OBSERVATIONS,
     BenchmarkError,
@@ -39,19 +40,21 @@ from .harness import (
     save_matrix_csv,
     summarize,
 )
+from .mestimator import Sample
 
 
-def _moment_bounds(sample, seed) -> tuple:
-    """(plug-in moment bounds, None), or (None, the reason there are none)."""
+def _moment_bounds(sample, e, gbar, seed) -> tuple:
+    """(plug-in moment bounds, None), or (None, the reason there are none),
+    of the sample divided by 2^e, whose empirical Gram matrix is gbar."""
     if sample.n < MIN_KAPPA_OBSERVATIONS:
         return None, (f"moment bounds need at least {MIN_KAPPA_OBSERVATIONS} "
                       f"observations, got {sample.n}")
     if not sample.data.any():
         return None, "moment bounds need a non-zero observation; the sample is all zeros"
-    return estimate_moment_bounds(sample, seed=seed), None
+    return estimate_moment_bounds(sample, seed=seed, _exponent=e, _gbar=gbar), None
 
 
-def _interval_report(sample, mb, note, epsilon) -> dict:
+def _interval_report(sample, e, mb, note, epsilon) -> dict:
     """Per-axis confidence intervals and their grid, or null intervals and the reason."""
     if mb is None:
         return {"confidence_intervals": None, "grid_note": note}
@@ -59,23 +62,31 @@ def _interval_report(sample, mb, note, epsilon) -> dict:
         grid = bnd.make_grid(sample.n, mb, epsilon=epsilon)
         cis = [{"direction": i, "lower": lo, "upper": hi if math.isfinite(hi) else "inf"}
                for i, (lo, hi) in enumerate(
-                   bnd.confidence_intervals(sample, np.eye(sample.d), grid, mb))]
+                   bnd.confidence_intervals(sample, np.eye(sample.d), grid, mb, _exponent=e))]
     except ValueError as exc:
         return {"confidence_intervals": None, "grid_note": str(exc)}
     return {"confidence_intervals": cis, "grid": {"K": grid.K, "points": list(grid.points)}}
 
 
-def _bounds_report(sample, seed, epsilon) -> dict:
-    """The report's moment bounds and intervals, or the reason there are none."""
-    mb, note = _moment_bounds(sample, seed)
+def _bounds_report(sample, e, gbar, seed, epsilon) -> dict:
+    """The report's moment bounds and intervals, in original units, or the
+    reason there are none, for the sample divided by 2^e."""
+    mb, note = _moment_bounds(sample, e, gbar, seed)
     report = {"moment_bounds": None if mb is None else {
         "kappa": mb.kappa, "s4": mb.s4, "trace_g": mb.trace_g,
         "trace_g2": mb.trace_g2, "certified": mb.certified}}
-    report.update(_interval_report(sample, mb, note, epsilon))
+    report.update(_interval_report(sample, e, mb, note, epsilon))
     return report
 
 
 def _cmd_estimate(args) -> int:
+    """Write the empirical Gram matrix, the robust estimate, its positive
+    part and the report.  The op keeps one copy of the sample, divided by
+    the power of two 2^e of ``gram._norm_exponent`` once the empirical Gram
+    matrix is formed: the robust estimate, kappa, the plug-in moments and
+    the intervals all run on it, and each quantity with units is scaled
+    back by a power of two where it is formed, so the outputs keep the bits
+    of the sample as given."""
     sample = load_sample_csv(args.sample, header=args.header)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -87,17 +98,26 @@ def _cmd_estimate(args) -> int:
     # them the estimate is still written, without moment bounds or intervals.
     with np.errstate(over="ignore", invalid="ignore"):
         gbar = empirical_gram(sample)
-    bounds = _beside(_bounds_report, sample, args.seed, args.epsilon)
+    e = _norm_exponent(sample.data)
+    # The original goes before the Sample copies the scaled array, so the op
+    # never holds three copies; with three, estimate-tall peak RSS read up to
+    # 3 MB higher in some runs.
+    scaled = np.ldexp(sample.data, -e)
+    del sample
+    sample = Sample(scaled)
+    del scaled
+    bounds = _beside(_bounds_report, sample, e, gbar, args.seed, args.epsilon)
     try:
         if not np.all(np.isfinite(gbar)):
             raise NumericalError("the empirical Gram matrix overflows "
                                  "(data out of floating-point range)")
         est = robust_gram(sample, epsilon=args.epsilon, num_updates=args.updates)
-        q_plus = positive_part(est.matrix)
+        q = _scale_back(est.matrix, e)
+        q_plus = positive_part(q)
     finally:
         bounds_report = bounds.result()
     save_matrix_csv(os.path.join(out_dir, "g_bar.csv"), gbar)
-    save_matrix_csv(os.path.join(out_dir, "q.csv"), est.matrix)
+    save_matrix_csv(os.path.join(out_dir, "q.csv"), q)
     save_matrix_csv(os.path.join(out_dir, "q_plus.csv"), q_plus)
 
     report = {

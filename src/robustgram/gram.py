@@ -380,10 +380,12 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     it runs on the vectors divided by 2^e, e the binary exponent of the
     largest |entry| less ``NORM_EXPONENT``, and its result is multiplied by
     2^(2e): scaling the data by 2^k scales the estimate by 4^k bit for bit
-    wherever both are representable.  A custom ``estimate`` sees the
-    quadratic values of the vectors as given.  Non-finite matrices, an
-    estimate beyond the floating-point range and eigh failures raise
-    NumericalError; epsilon outside (0, 1) raises ValueError.
+    wherever both are representable.  Vectors already so scaled have e = 0
+    and are not copied; ``robustgram estimate`` passes them so.  A custom
+    ``estimate`` sees the quadratic values of the vectors as given.
+    Non-finite matrices, an estimate beyond the floating-point range and
+    eigh failures raise NumericalError; epsilon outside (0, 1) raises
+    ValueError.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -395,8 +397,9 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     n_values = np.full(vectors.shape[-1] ** 2, np.nan)
     if default:
         e = _norm_exponent(flat)
-        flat = np.ldexp(flat, -e)
-        vectors = flat.reshape(vectors.shape)
+        if e:
+            flat = np.ldexp(flat, -e)
+            vectors = flat.reshape(vectors.shape)
     prev = _mean_matrix(vectors)
     if not np.all(np.isfinite(prev)):
         raise NumericalError("non-finite start matrix (data out of floating-point range)")
@@ -436,14 +439,21 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
         prev = q
         basis = _descending_eigenbasis(q)
     if e:
-        with np.errstate(over="ignore"):
-            q = np.ldexp(q, 2 * e)
-        if not np.all(np.isfinite(q)):
-            raise NumericalError(
-                f"estimate out of floating-point range: the iteration from the start matrix "
-                f"ran on the vectors divided by 2^{e}, and 4^{e} times its result overflows")
+        q = _scale_back(q, e)
     return GramEstimate(matrix=q, iterations=len(deltas),
                         frobenius_deltas=deltas, lambda_used=lam_means)
+
+
+def _scale_back(q: np.ndarray, e: int) -> np.ndarray:
+    """4^e q, the estimate of vectors that the iteration saw divided by 2^e;
+    NumericalError where it overflows."""
+    with np.errstate(over="ignore"):
+        q = np.ldexp(q, 2 * e)
+    if not np.all(np.isfinite(q)):
+        raise NumericalError(
+            f"estimate out of floating-point range: the iteration from the start matrix "
+            f"ran on the vectors divided by 2^{e}, and 4^{e} times its result overflows")
+    return q
 
 
 def robust_gram(sample: Sample, epsilon: float = 0.1, num_updates: int = 4) -> GramEstimate:

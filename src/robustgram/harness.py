@@ -315,14 +315,16 @@ def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> floa
 
     Zero-variance directions are skipped.  For Gaussian data the value sits
     near 3; heavy-tail mixtures push it higher.  It runs on the data divided
-    by a power of two (``gram._norm_exponent``), so it is exactly scale-free.
+    by a power of two (``gram._norm_exponent``), so it is exactly scale-free;
+    data already so scaled, as ``robustgram estimate`` passes, is not copied.
     The projections come from one matmul per ``KAPPA_CHUNK`` directions,
     each direction's squares in one contiguous row, so its moments sum in
     the order of a 1-d mean.
     """
     if sample.n < MIN_KAPPA_OBSERVATIONS:
         raise ValueError(f"need at least {MIN_KAPPA_OBSERVATIONS} observations")
-    data = np.ldexp(sample.data, -_norm_exponent(sample.data))
+    e = _norm_exponent(sample.data)
+    data = np.ldexp(sample.data, -e) if e else sample.data
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n_directions, sample.d))
     norms = np.linalg.norm(raw, axis=1)
@@ -342,27 +344,35 @@ def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> floa
     return best
 
 
-def _plugin_moments(vectors: np.ndarray, kappa: float) -> MomentBounds:
+def _plugin_moments(vectors: np.ndarray, kappa: float, exponent: int = 0,
+                    gbar: np.ndarray = None) -> MomentBounds:
     """Plug-in MomentBounds, flagged non-certified, of the A_i = G_i^T G_i
-    from generating vectors G_i of shape (m, d) or (m, g, d).
+    from generating vectors G_i of shape (m, d) or (m, g, d), given divided
+    by 2^exponent.
 
     s4 = (mean ||A_i||_op^2)^(1/4), ||A_i||_op being the squared row norm of
     a block of one vector and the squared spectral norm of G_i otherwise;
     trace_g is the mean of Tr(A_i), floored at s4^2 / sqrt(kappa), and
-    trace_g2 = Tr(Gbar^2), Gbar the mean of the A_i.  Raises NumericalError
-    when s4 or the trace of non-zero vectors underflows to 0, or when a
-    moment overflows.
+    trace_g2 = Tr(Gbar^2), Gbar the mean of the A_i: ``gbar`` where given,
+    in original units.  The row traces and spectral norms are scaled back
+    by 4^exponent and 2^exponent as they are formed, so every moment is in
+    original units, with the bits of unscaled vectors wherever their squares
+    are normal.  Raises NumericalError when s4 or the trace of non-zero
+    vectors underflows to 0, or when a moment overflows.
     """
     # an overflow is reported below as a NumericalError, not as a warning,
     # on whichever thread runs this
     with np.errstate(over="ignore", invalid="ignore"):
-        traces = np.sum(np.square(vectors).reshape(len(vectors), -1), axis=1)
+        traces = np.ldexp(np.sum(np.square(vectors).reshape(len(vectors), -1), axis=1),
+                          2 * exponent)
         if vectors.ndim == 2 or vectors.shape[1] == 1:
             s4 = float(np.mean(traces**2)) ** 0.25
         else:
-            s4 = float(np.mean(np.linalg.norm(vectors, ord=2, axis=(1, 2)) ** 4)) ** 0.25
+            norms = np.ldexp(np.linalg.norm(vectors, ord=2, axis=(1, 2)), exponent)
+            s4 = float(np.mean(norms**4)) ** 0.25
         trace_g = float(np.mean(traces))
-        gbar = _mean_matrix(vectors)
+        if gbar is None:
+            gbar = np.ldexp(_mean_matrix(vectors), 2 * exponent)
         trace_g2 = float(np.trace(gbar @ gbar))
     if not (s4 > 0.0 and trace_g > 0.0) and vectors.any():
         raise NumericalError("the plug-in moments underflow to 0 "
@@ -377,13 +387,16 @@ def _plugin_moments(vectors: np.ndarray, kappa: float) -> MomentBounds:
 
 
 def estimate_moment_bounds(sample: Sample, n_directions: int = 100, seed: int = 0,
-                           safety: float = 1.5) -> MomentBounds:
+                           safety: float = 1.5, *, _exponent: int = 0,
+                           _gbar: np.ndarray = None) -> MomentBounds:
     """Plug-in MomentBounds of the Gram instance, flagged non-certified.
 
     The kurtosis plug-in is inflated by ``safety``; s4 and the traces are the
     empirical moments, from ``_plugin_moments``, which raises NumericalError
     when they leave the floating-point range.  These are point estimates,
-    not the true upper bounds the theory assumes.
+    not the true upper bounds the theory assumes.  ``robustgram estimate``
+    passes its sample divided by 2^_exponent and its empirical Gram matrix
+    ``_gbar``; the bounds come back in original units.
     """
     kappa = max(safety * kappa_plugin(sample, n_directions, seed), 1.0 + 1e-6)
-    return _plugin_moments(sample.data, kappa)
+    return _plugin_moments(sample.data, kappa, _exponent, _gbar)

@@ -455,6 +455,24 @@ class TestGridAsRows:
         with pytest.raises(ValueError, match="n = 1000000"):
             confidence_intervals(s, thetas, dataclasses.replace(grid, n=10**6), MB3)
 
+    def test_directions_split_over_tiles(self, monkeypatch):
+        # with tiles of two rows, five directions go to each level in three
+        # solves, and each keeps the bits of its own interval
+        s, grid = self.sample(), self.GRID
+        thetas = self.directions() + [*np.eye(3)]
+        alone = [confidence_interval(s, theta, grid, MB3) for theta in thetas]
+        calls = []
+
+        def counting(v, lam, **kw):
+            calls.append(np.shape(v))
+            return solve(v, lam, **kw)
+
+        solve = bounds.scale_from_squares
+        monkeypatch.setattr(bounds, "scale_from_squares", counting)
+        monkeypatch.setattr(mestimator, "TILE_ELEMS", 2 * s.n)
+        assert confidence_intervals(s, thetas, grid, MB3) == alone
+        assert calls == [(rows, s.n) for rows in (2, 2, 1) for _ in range(grid.K)]
+
     def test_levels_solve_the_rows_in_place(self, monkeypatch):
         # each level is one solve of the block itself, with the row means
         # taken once

@@ -1,13 +1,19 @@
+import dataclasses
 import json
+import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from robustgram import cli, gram
+from robustgram.bounds import confidence_intervals, make_grid
 from robustgram.cli import main
-from robustgram.harness import save_matrix_csv
+from robustgram.gram import empirical_gram, robust_gram
+from robustgram.harness import estimate_moment_bounds, save_matrix_csv
+from robustgram.mestimator import Sample
 
 
 @pytest.fixture
@@ -136,6 +142,66 @@ class TestEstimate:
             assert main_warning_of_nothing(["estimate", str(path), "--out", str(out)]) == 2
             assert "the plug-in moments overflow" in capsys.readouterr().err
             assert not (out / "g_bar.csv").exists() and not (out / "estimate.json").exists()
+
+
+class TestScaledEstimate:
+    """``estimate`` keeps one copy of its sample, divided by a power of two,
+    and scales each result back where it is formed: at any scale its files
+    hold the library's results in original units, bit for bit."""
+
+    SCALES = (-200, 0, 200)
+
+    @pytest.fixture(scope="class")
+    def cases(self, tmp_path_factory):
+        # 14004 x 4 admits the grid, and its updates run on two threads
+        root = tmp_path_factory.mktemp("scaled_estimate")
+        x = np.random.default_rng(4).standard_normal((14004, 4)) + 1.0
+        cases = {}
+        for k in self.SCALES:
+            sample = Sample(np.ldexp(x, k))
+            path = str(root / f"x{k}.csv")
+            save_matrix_csv(path, sample.data)
+            mb = estimate_moment_bounds(sample, seed=0)
+            grid = make_grid(sample.n, mb, epsilon=0.1)
+            cases[k] = path, {
+                "g_bar": empirical_gram(sample),
+                "q": robust_gram(sample).matrix,
+                "moment_bounds": dataclasses.asdict(mb),
+                "intervals": confidence_intervals(sample, np.eye(sample.d), grid, mb)}
+        return cases
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k", SCALES)
+    def test_outputs_equal_the_library(self, cases, tmp_path, monkeypatch, k, threads):
+        monkeypatch.setattr(gram, "_THREADS", threads)
+        path, expected = cases[k]
+        assert main(["estimate", path, "--out", str(tmp_path)]) == 0
+        for name in ("g_bar", "q"):
+            np.testing.assert_array_equal(
+                np.loadtxt(str(tmp_path / f"{name}.csv"), delimiter=","), expected[name])
+        report = json.loads((tmp_path / "estimate.json").read_text())
+        assert report["moment_bounds"] == expected["moment_bounds"]
+        assert [(ci["lower"], math.inf if ci["upper"] == "inf" else ci["upper"])
+                for ci in report["confidence_intervals"]] == expected["intervals"]
+
+    def test_op_peak_is_at_most_4_5_samples(self, tmp_path, monkeypatch):
+        # Traced peak of one op on one thread, which keeps it deterministic,
+        # on a 40000 x 10 sample (3.05 MiB).  Its one scaled copy, the
+        # projections and their columns, a block buffer and the solver's
+        # slab make 4.2 samples; a second scaled copy in the estimate and a
+        # third in kappa, with the intervals' squares as one (d, n) array,
+        # made 5.2.
+        x = np.random.default_rng(0).standard_t(3, (40000, 10))
+        path = str(tmp_path / "tall.csv")
+        save_matrix_csv(path, x)
+        monkeypatch.setattr(gram, "_THREADS", 1)
+        tracemalloc.start()
+        try:
+            assert main(["estimate", path, "--out", str(tmp_path / "est")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * x.nbytes
 
 
 class TestBounds:
