@@ -366,9 +366,9 @@ def confidence_intervals(sample: Sample, thetas, grid: Grid, mb: MomentBounds,
     buf = np.empty((min(tile, len(thetas)), sample.n))
     intervals = []
     for lo in range(0, len(thetas), tile):
-        norms_sq = []
-        v = buf[:len(thetas[lo:lo + tile])]
-        for row, theta in zip(v, thetas[lo:lo + tile]):
+        norms_sq, chunk = [], thetas[lo:lo + tile]
+        v = buf[:len(chunk)]
+        for row, theta in zip(v, chunk):
             squares, norm_sq = _direction_squares(sample, theta, grid)
             row[:] = squares
             norms_sq.append(norm_sq)
