@@ -406,19 +406,20 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     q = prev
     basis = _descending_eigenbasis(prev)
     deltas, lam_means = [], []
-    # The projections of every update go to one buffer and their columns to
-    # another, w a view of it, so ``polarization_update`` copies nothing:
-    # fresh arrays per update gave the estimate-tall op 11.5k minor page
-    # faults, against 4.0k (2-vCPU Xeon host).  matmul on flat as given
-    # keeps the bits of flat @ basis; a product written in column order
-    # does not.
-    proj = np.empty(flat.shape)
+    # The columns of every update's projections go to one buffer, w a view
+    # of it, so ``polarization_update`` copies nothing; the projections
+    # themselves are a temporary, freed before any block is built.  In
+    # perfbench's estimate-tall loop an op took 2.47k minor page faults so,
+    # 2.71k with a fresh columns array per update, and 3.25k with a second
+    # buffer, for the projections, kept beside the columns (2-vCPU Xeon
+    # host).  matmul on flat as given keeps the bits of flat @ basis; a
+    # product written in column order does not.
     cols = np.empty(flat.shape[::-1])
     w = np.moveaxis(cols.reshape(flat.shape[1], *vectors.shape[:-1]), 0, -1)
     for k in range(num_updates):
         if default:
             estimate = _RobustScale(epsilon)
-        np.copyto(cols, np.matmul(flat, basis, out=proj).T)
+        np.copyto(cols, np.matmul(flat, basis).T)
         c = polarization_update(w, estimate, n_values)
         failed = sum(estimate.failed) if default else 0
         if failed:

@@ -18,11 +18,13 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import mestimator
 from .bounds import MomentBounds
 from .covariance import robust_covariance
 from .gram import (NumericalError, _mean_matrix, _norm_exponent, empirical_gram,
@@ -58,14 +60,32 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        # JSON gives floats, booleans and strings where counts and levels
+        # belong; each is a configuration error, not a failed trial
+        for name in ("n", "d", "trials", "seed", "num_updates", "q", "jobs"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("alpha_mix", "contaminant_scale", "epsilon"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+        if (not isinstance(self.estimators, (list, tuple, set, frozenset))
+                or not all(isinstance(name, str) for name in self.estimators)):
+            raise ConfigError(f"estimators must be a list of names, got {self.estimators!r}")
         if self.n < 2 or self.d < 2:
             raise ConfigError("need n >= 2 and d >= 2")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0.0 <= self.alpha_mix <= 1.0:
             raise ConfigError("alpha_mix must lie in [0, 1]")
-        if self.contaminant_scale < 0.0:
-            raise ConfigError("contaminant_scale must be non-negative")
+        if not 0.0 <= self.contaminant_scale < math.inf:
+            raise ConfigError("contaminant_scale must be finite and non-negative")
+        if not 0 <= self.seed <= 2**128 - self.trials:
+            # each trial's Philox key, seed + trial index, is below 2^128
+            raise ConfigError(f"seed must lie in [0, 2^128 - trials], got {self.seed}")
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError("epsilon must lie in (0, 1)")
         if self.num_updates < 1 or self.jobs < 1 or self.q < 2:
@@ -89,8 +109,6 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "estimators" in raw:
-            raw["estimators"] = frozenset(raw["estimators"])
         try:
             return cls(**raw)
         except TypeError as exc:
@@ -344,6 +362,21 @@ def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> floa
     return best
 
 
+def _row_traces(vectors: np.ndarray) -> np.ndarray:
+    """The sum of squares of each of the (m, d) or (m, g, d) ``vectors``'
+    entries, squared a tile of ``mestimator.TILE_ELEMS`` (and one vector) at
+    a time in one buffer, never as one array of the sample's size.  Each
+    row is summed on its own, in C order, so the tiles move no bit."""
+    flat = vectors.reshape(len(vectors), -1)
+    tile = max(1, mestimator.TILE_ELEMS // flat.shape[1])
+    buf = np.empty((min(tile, len(flat)), flat.shape[1]))
+    traces = np.empty(len(flat))
+    for lo in range(0, len(flat), tile):
+        rows = flat[lo:lo + tile]
+        np.sum(np.square(rows, out=buf[:len(rows)]), axis=1, out=traces[lo:lo + tile])
+    return traces
+
+
 def _plugin_moments(vectors: np.ndarray, kappa: float, exponent: int = 0,
                     gbar: np.ndarray = None) -> MomentBounds:
     """Plug-in MomentBounds, flagged non-certified, of the A_i = G_i^T G_i
@@ -363,8 +396,7 @@ def _plugin_moments(vectors: np.ndarray, kappa: float, exponent: int = 0,
     # an overflow is reported below as a NumericalError, not as a warning,
     # on whichever thread runs this
     with np.errstate(over="ignore", invalid="ignore"):
-        traces = np.ldexp(np.sum(np.square(vectors).reshape(len(vectors), -1), axis=1),
-                          2 * exponent)
+        traces = np.ldexp(_row_traces(vectors), 2 * exponent)
         if vectors.ndim == 2 or vectors.shape[1] == 1:
             s4 = float(np.mean(traces**2)) ** 0.25
         else:

@@ -187,8 +187,8 @@ class TestScaledEstimate:
     def test_op_peak_is_at_most_4_5_samples(self, tmp_path, monkeypatch):
         # Traced peak of one op on one thread, which keeps it deterministic,
         # on a 40000 x 10 sample (3.05 MiB).  Its one scaled copy, the
-        # projections and their columns, a block buffer and the solver's
-        # slab make 4.2 samples; a second scaled copy in the estimate and a
+        # columns of the projections, a block buffer and the solver's slab
+        # make 3.2 samples; a second scaled copy in the estimate and a
         # third in kappa, with the intervals' squares as one (d, n) array,
         # made 5.2.  The first op runs untraced, so that the modules it
         # imports do not count.
@@ -205,6 +205,27 @@ class TestScaledEstimate:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * x.nbytes
+
+    @pytest.mark.parametrize("threads, bound", [(2, 4.6), (1, 3.5)])
+    def test_op_peak_without_a_projections_buffer(self, tmp_path, monkeypatch, threads, bound):
+        # The second op of a process on the sample above holds its scaled
+        # copy, the columns of the projections and, per thread, a block
+        # buffer and the solver's slab: 4.4 samples on two threads and 3.2
+        # on one.  A persistent buffer of the projections beside their
+        # columns made 5.4 and 4.2.
+        x = np.random.default_rng(0).standard_t(3, (40000, 10))
+        path = str(tmp_path / "tall.csv")
+        save_matrix_csv(path, x)
+        monkeypatch.setattr(gram, "_THREADS", threads)
+        argv = ["estimate", path, "--out", str(tmp_path / "est")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * x.nbytes
 
 
 class TestBounds:
@@ -266,6 +287,25 @@ class TestBenchmark:
                                         "estimators": ["covariance"]}))
         assert main(["benchmark", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert "trial" not in caplog.text
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("cfg", [
+        {"trials": 2.5},
+        {"n": 50.0, "trials": 2},
+        {"trials": True},
+        {"estimators": "robust"},
+        {"estimators": ["robust", 3]},
+        {"epsilon": "0.1"},
+        {"contaminant_scale": math.inf},
+        {"seed": -1},
+        {"output_path": 5}])
+    def test_ill_typed_config_is_config_error(self, tmp_path, capsys, cfg):
+        # each once escaped as a traceback, a failed trial or a run of the
+        # wrong size
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["benchmark", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert f"error: {next(iter(cfg))} must" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_malformed_json_exit_code(self, tmp_path):

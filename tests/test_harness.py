@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import robustgram.harness as harness
+import robustgram.mestimator as mestimator
 from robustgram.harness import (
     BenchmarkError,
     ConfigError,
@@ -298,6 +299,19 @@ class TestPluginMoments:
     def test_blocks_of_one_vector_equal_rows(self):
         x = np.random.default_rng(64).standard_t(4, (700, 5))
         assert harness._plugin_moments(x[:, None, :], 2.5) == harness._plugin_moments(x, 2.5)
+
+    @pytest.mark.parametrize("shape", [(1001, 10), (1001, 3, 10)])
+    def test_row_tiles_move_no_bit(self, shape, monkeypatch):
+        # the row traces are squared a tile of TILE_ELEMS at a time; rows
+        # of 10 and 30 entries take numpy's pairwise sum, so a row summed
+        # in another order would show
+        vectors = np.random.default_rng(65).standard_t(4, shape)
+        whole = np.sum(np.square(vectors).reshape(len(vectors), -1), axis=1)
+        expected = harness._plugin_moments(vectors, 2.5)
+        for tile_elems in (1, 2 * vectors[0].size + 1, 64 * vectors[0].size):
+            monkeypatch.setattr(mestimator, "TILE_ELEMS", tile_elems)
+            np.testing.assert_array_equal(harness._row_traces(vectors), whole)
+            assert harness._plugin_moments(vectors, 2.5) == expected
 
     def test_grid_certified_q3_overflow_is_numerical_error(self):
         # the spectral-norm branch: the fourth moment of 3-blocks overflows
