@@ -409,11 +409,11 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1, num_updates:
     # The columns of every update's projections go to one buffer, w a view
     # of it, so ``polarization_update`` copies nothing; the projections
     # themselves are a temporary, freed before any block is built.  In
-    # perfbench's estimate-tall loop an op took 2.47k minor page faults so,
-    # 2.71k with a fresh columns array per update, and 3.25k with a second
-    # buffer, for the projections, kept beside the columns (2-vCPU Xeon
-    # host).  matmul on flat as given keeps the bits of flat @ basis; a
-    # product written in column order does not.
+    # perfbench's estimate-tall loop an op took 2.47k minor page faults
+    # this way, 2.71k with a fresh columns array per update, and 3.25k with
+    # a second buffer, for the projections, kept beside the columns (2-vCPU
+    # Xeon host).  matmul on flat as given keeps the bits of flat @ basis;
+    # a product written in column order does not.
     cols = np.empty(flat.shape[::-1])
     w = np.moveaxis(cols.reshape(flat.shape[1], *vectors.shape[:-1]), 0, -1)
     for k in range(num_updates):
