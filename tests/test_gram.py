@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -870,6 +871,24 @@ class TestRobustGram:
 def test_robust_gram_scales_exactly(seed, k):
     x = np.random.default_rng(seed).standard_t(3, (40, 3))
     assert_scales_by_powers_of_four(lambda y: robust_gram(Sample(y), epsilon=0.1).matrix, x, k)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_norm_exponent_takes_max_abs_without_a_temporary(sign):
+    # the exponent of max |x|, whether the largest |entry| is positive or
+    # negative, on 0, subnormal and huge entries, from passes that allocate
+    # no array of the sample's size
+    x = np.random.default_rng(7).standard_t(3, (40000, 10))
+    x[123, 4] = sign * 1e6
+    for y in (x, np.zeros((3, 2)), np.ldexp(x, -1070), np.ldexp(x, 1000), -np.abs(x)):
+        assert gram._norm_exponent(y) == int(np.frexp(np.max(np.abs(y)))[1]) - gram.NORM_EXPONENT
+    tracemalloc.start()
+    try:
+        gram._norm_exponent(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 100
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
