@@ -347,9 +347,9 @@ def _claim_blocks(cols, estimate, n_values, rows: int, cursor, failures: dict) -
 def _norm_exponent(x: np.ndarray) -> int:
     """Binary exponent of max |x| less ``NORM_EXPONENT`` (-NORM_EXPONENT for x = 0).
 
-    max |x| is taken as the larger of max x and -min x, two passes that
-    form no array: ``np.abs(x)`` was a temporary of the sample's size, one
-    on each of the three calls of a ``robustgram estimate`` op."""
+    max |x| is the larger of max x and -min x: two passes that form no
+    array, where ``np.abs(x)`` would form one of the sample's size, on each
+    of the three calls of a ``robustgram estimate`` op."""
     top = max(np.max(x, initial=0.0), -np.min(x, initial=0.0))
     return int(np.frexp(top)[1]) - NORM_EXPONENT
 
