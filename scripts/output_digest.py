@@ -31,8 +31,18 @@ it writes.  At +-200 the estimate, the moments and the intervals are all
 representable; at +-300 the plug-in moments leave the floating-point
 range and the command exits 2, so the line also covers the failure.
 ``--one-thread`` solves every update and the bounds on the calling thread:
-on one checkout, the lines with and without it must agree.  Uses numpy and
-the standard library only.
+on one checkout, the lines with and without it must agree.
+
+``--compare SRC`` runs the script four times, each in a subprocess: on the
+package under the ``src`` directory SRC of another checkout (its
+``PYTHONPATH``) and on the package imported here, each plain and with
+``--one-thread``.  It prints ``<family> same`` where all four digests
+agree and ``<family> DIFFERS`` with the four digests where they do not,
+and exits 1 if any family differs::
+
+    PYTHONPATH=src python3 scripts/output_digest.py --compare <parent>/src
+
+Uses numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -42,6 +52,8 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -198,11 +210,44 @@ def grid_certified_tall_digest(q: int) -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+def digests(src: str, flags: tuple) -> dict:
+    """{family: sha256} printed by this script in a subprocess with
+    ``PYTHONPATH=src``."""
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), *flags],
+                         env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True).stdout
+    return dict(line.split() for line in out.splitlines())
+
+
+def compare(src: str) -> int:
+    """Print one ``same`` or ``DIFFERS`` line per family for the digests of
+    the package under src and of the one imported here, each plain and with
+    ``--one-thread``; 1 if any family differs, else 0."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(gram.__file__)))
+    runs = [(name + suffix, digests(path, flags))
+            for name, path in (("src", os.path.abspath(src)), ("here", here))
+            for suffix, flags in (("", ()), ("/one-thread", ("--one-thread",)))]
+    differs = False
+    for family in runs[0][1]:
+        hashes = [(label, run.get(family)) for label, run in runs]
+        if len({h for _, h in hashes}) == 1:
+            print(family, "same")
+        else:
+            differs = True
+            print(family, "DIFFERS", *(f"{label}={h}" for label, h in hashes))
+    return int(differs)
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--one-thread", action="store_true",
                         help="solve every update on the calling thread")
-    if parser.parse_args().one_thread:
+    parser.add_argument("--compare", metavar="SRC",
+                        help="compare the digests of the package under SRC with this one's")
+    args = parser.parse_args()
+    if args.compare:
+        return compare(args.compare)
+    if args.one_thread:
         gram._THREADS = 1
     inputs = {name: Sample(x) for name, x in samples().items()}
     for family, compute in FAMILIES.items():
@@ -219,7 +264,8 @@ def main() -> None:
     print("grid_certified_q3", grid_certified_tall_digest(3))
     print("estimate", estimate_digest())
     print("estimate_scaled", estimate_scaled_digest())
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -43,40 +43,31 @@ from .harness import (
 from .mestimator import Sample
 
 
-def _moment_bounds(sample, e, gbar, seed) -> tuple:
-    """(plug-in moment bounds, None), or (None, the reason there are none),
-    of the sample divided by 2^e, whose empirical Gram matrix is gbar."""
+def _bounds_report(sample, e, seed, epsilon) -> dict:
+    """The report's plug-in moment bounds and per-axis confidence intervals
+    with their grid, in original units, for the sample divided by 2^e; null
+    bounds or intervals and a ``grid_note`` with the reason where there are
+    none."""
     if sample.n < MIN_KAPPA_OBSERVATIONS:
-        return None, (f"moment bounds need at least {MIN_KAPPA_OBSERVATIONS} "
-                      f"observations, got {sample.n}")
-    if not sample.data.any():
-        return None, "moment bounds need a non-zero observation; the sample is all zeros"
-    return estimate_moment_bounds(sample, seed=seed, _exponent=e, _gbar=gbar), None
-
-
-def _interval_report(sample, e, mb, note, epsilon) -> dict:
-    """Per-axis confidence intervals and their grid, or null intervals and the reason."""
-    if mb is None:
-        return {"confidence_intervals": None, "grid_note": note}
-    try:
-        grid = bnd.make_grid(sample.n, mb, epsilon=epsilon)
-        cis = [{"direction": i, "lower": lo, "upper": hi if math.isfinite(hi) else "inf"}
-               for i, (lo, hi) in enumerate(
-                   bnd.confidence_intervals(sample, np.eye(sample.d), grid, mb, _exponent=e))]
-    except ValueError as exc:
-        return {"confidence_intervals": None, "grid_note": str(exc)}
-    return {"confidence_intervals": cis, "grid": {"K": grid.K, "points": list(grid.points)}}
-
-
-def _bounds_report(sample, e, gbar, seed, epsilon) -> dict:
-    """The report's moment bounds and intervals, in original units, or the
-    reason there are none, for the sample divided by 2^e."""
-    mb, note = _moment_bounds(sample, e, gbar, seed)
-    report = {"moment_bounds": None if mb is None else {
-        "kappa": mb.kappa, "s4": mb.s4, "trace_g": mb.trace_g,
-        "trace_g2": mb.trace_g2, "certified": mb.certified}}
-    report.update(_interval_report(sample, e, mb, note, epsilon))
-    return report
+        note = (f"moment bounds need at least {MIN_KAPPA_OBSERVATIONS} "
+                f"observations, got {sample.n}")
+    elif not sample.data.any():
+        note = "moment bounds need a non-zero observation; the sample is all zeros"
+    else:
+        mb = estimate_moment_bounds(sample, seed=seed, _exponent=e)
+        report = {"moment_bounds": dataclasses.asdict(mb)}
+        try:
+            grid = bnd.make_grid(sample.n, mb, epsilon=epsilon)
+            intervals = bnd.confidence_intervals(sample, np.eye(sample.d), grid, mb,
+                                                 _exponent=e)
+        except ValueError as exc:
+            return {**report, "confidence_intervals": None, "grid_note": str(exc)}
+        return {**report,
+                "confidence_intervals": [
+                    {"direction": i, "lower": lo, "upper": hi if math.isfinite(hi) else "inf"}
+                    for i, (lo, hi) in enumerate(intervals)],
+                "grid": {"K": grid.K, "points": list(grid.points)}}
+    return {"moment_bounds": None, "confidence_intervals": None, "grid_note": note}
 
 
 def _cmd_estimate(args) -> int:
@@ -106,7 +97,7 @@ def _cmd_estimate(args) -> int:
     del sample
     sample = Sample(scaled)
     del scaled
-    bounds = _beside(_bounds_report, sample, e, gbar, args.seed, args.epsilon)
+    bounds = _beside(_bounds_report, sample, e, args.seed, args.epsilon)
     try:
         if not np.all(np.isfinite(gbar)):
             raise NumericalError("the empirical Gram matrix overflows "

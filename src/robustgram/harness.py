@@ -377,8 +377,7 @@ def _row_traces(vectors: np.ndarray) -> np.ndarray:
     return traces
 
 
-def _plugin_moments(vectors: np.ndarray, kappa: float, exponent: int = 0,
-                    gbar: np.ndarray = None) -> MomentBounds:
+def _plugin_moments(vectors: np.ndarray, kappa: float, exponent: int = 0) -> MomentBounds:
     """Plug-in MomentBounds, flagged non-certified, of the A_i = G_i^T G_i
     from generating vectors G_i of shape (m, d) or (m, g, d), given divided
     by 2^exponent.
@@ -386,11 +385,10 @@ def _plugin_moments(vectors: np.ndarray, kappa: float, exponent: int = 0,
     s4 = (mean ||A_i||_op^2)^(1/4), ||A_i||_op being the squared row norm of
     a block of one vector and the squared spectral norm of G_i otherwise;
     trace_g is the mean of Tr(A_i), floored at s4^2 / sqrt(kappa), and
-    trace_g2 = Tr(Gbar^2), Gbar the mean of the A_i: ``gbar`` where given,
-    in original units.  The row traces and spectral norms are scaled back
-    by 4^exponent and 2^exponent as they are formed, so every moment is in
-    original units, with the bits of unscaled vectors wherever their squares
-    are normal.  Raises NumericalError when s4 or the trace of non-zero
+    trace_g2 = Tr(Gbar^2), Gbar the mean of the A_i.  The row traces, the
+    spectral norms and Gbar are scaled back by 4^exponent, 2^exponent and
+    4^exponent as they are formed, so every moment is in original units,
+    with the bits of unscaled vectors wherever their squares are normal.  Raises NumericalError when s4 or the trace of non-zero
     vectors underflows to 0, or when a moment overflows.
     """
     # an overflow is reported below as a NumericalError, not as a warning,
@@ -403,8 +401,7 @@ def _plugin_moments(vectors: np.ndarray, kappa: float, exponent: int = 0,
             norms = np.ldexp(np.linalg.norm(vectors, ord=2, axis=(1, 2)), exponent)
             s4 = float(np.mean(norms**4)) ** 0.25
         trace_g = float(np.mean(traces))
-        if gbar is None:
-            gbar = np.ldexp(_mean_matrix(vectors), 2 * exponent)
+        gbar = np.ldexp(_mean_matrix(vectors), 2 * exponent)
         trace_g2 = float(np.trace(gbar @ gbar))
     if not (s4 > 0.0 and trace_g > 0.0) and vectors.any():
         raise NumericalError("the plug-in moments underflow to 0 "
@@ -419,16 +416,15 @@ def _plugin_moments(vectors: np.ndarray, kappa: float, exponent: int = 0,
 
 
 def estimate_moment_bounds(sample: Sample, n_directions: int = 100, seed: int = 0,
-                           safety: float = 1.5, *, _exponent: int = 0,
-                           _gbar: np.ndarray = None) -> MomentBounds:
+                           safety: float = 1.5, *, _exponent: int = 0) -> MomentBounds:
     """Plug-in MomentBounds of the Gram instance, flagged non-certified.
 
     The kurtosis plug-in is inflated by ``safety``; s4 and the traces are the
     empirical moments, from ``_plugin_moments``, which raises NumericalError
     when they leave the floating-point range.  These are point estimates,
     not the true upper bounds the theory assumes.  ``robustgram estimate``
-    passes its sample divided by 2^_exponent and its empirical Gram matrix
-    ``_gbar``; the bounds come back in original units.
+    passes its sample divided by 2^_exponent; the bounds come back in
+    original units.
     """
     kappa = max(safety * kappa_plugin(sample, n_directions, seed), 1.0 + 1e-6)
-    return _plugin_moments(sample.data, kappa, _exponent, _gbar)
+    return _plugin_moments(sample.data, kappa, _exponent)
