@@ -205,34 +205,28 @@ def phi_plus(t: float, coeffs: BoundCoeffs, norm_theta_sq: float) -> float:
 def phi_plus_inverse(u: float, coeffs: BoundCoeffs, norm_theta_sq: float) -> float:
     """sup{t >= 0 : phi_plus(t) <= u}; math.inf when phi_plus never exceeds u.
 
-    phi_plus is non-decreasing, so the predicate is monotone and the sup is
-    found by doubling an upper bracket from max(u, 2 delta lam ||theta||^2 /
-    margin), past which the gate is open, then bisecting to relative 1e-12.
-    The bracket has no scale of its own, so scaling u and delta by a power
-    of two scales the result by it bit for bit.
+    With a = delta lam ||theta||^2, A = 1 - mu - gamma and P = 1 - mu, the
+    gate of phi_plus is open for t > 2a / (A - xi), where
+    phi_plus(t) = t (A t - 2a) / (P t - a), which increases from -inf to inf
+    on t > a / P.  So the sup is the larger of the gate point and the larger
+    root of A t^2 - (2a + uP) t + ua.  With B = 2a + uP that root is
+    B / (2A) (1 + sqrt(1 - r)), r = 4A (u/B) (a/B) <= 1/2, formed without
+    B^2, which would overflow first.  u, a and B carry the same power of
+    two and r none, so scaling u and delta by a power of two scales the
+    result by it bit for bit.
     """
     if u < 0.0:
         return 0.0
     gate_margin = 1.0 - coeffs.xi - coeffs.mu - coeffs.gamma
-    if gate_margin <= 0.0:
-        return math.inf  # gate never activates, phi_plus is identically 0
-    hi = max(u, 2.0 * coeffs.delta * coeffs.lam * norm_theta_sq / gate_margin)
-    if hi == 0.0:
-        return 0.0  # the gate is open at every t > 0, where phi_plus > 0 = u
-    for _ in range(200):
-        if phi_plus(hi, coeffs, norm_theta_sq) > u:
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    lo = 0.0
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if phi_plus(mid, coeffs, norm_theta_sq) <= u:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if gate_margin <= 0.0 or u == math.inf:
+        return math.inf  # phi_plus is identically 0, or never exceeds u = inf
+    a = coeffs.delta * coeffs.lam * norm_theta_sq
+    b = 2.0 * a + u * (1.0 - coeffs.mu)
+    if b == 0.0:
+        return 0.0  # u = 0 and the gate is open at every t > 0, where phi_plus > 0
+    lead = 1.0 - coeffs.mu - coeffs.gamma
+    r = 4.0 * lead * (u / b) * (a / b)
+    return max(2.0 * a / gate_margin, b / (2.0 * lead) * (1.0 + math.sqrt(1.0 - r)))
 
 
 def b_bound(t: float, sigma: float, coeffs: BoundCoeffs) -> float:

@@ -193,11 +193,57 @@ class TestPhiMaps:
             if val > 0.0:  # sup attained on the continuous branch
                 assert val == pytest.approx(u, abs=1e-9 * max(1.0, u))
 
+    @staticmethod
+    def swept_coeffs(count: int, seed: int):
+        """Seeded coefficient sets, about a fifth with a vacuous gate, each
+        with a squared norm of theta, every tenth 0, and the generator."""
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            xi, mu, gamma = rng.uniform(0.0, 0.45, 3)
+            co = BoundCoeffs(xi=xi, mu=mu, gamma=gamma, delta=10 ** rng.uniform(-2, 2),
+                             lam=10 ** rng.uniform(-2, 0), beta=1.0)
+            yield co, 0.0 if i % 10 == 0 else 10 ** rng.uniform(-1, 1), rng
+
     def test_inverse_matches_reference(self):
-        co = active_coeffs()
-        for u in (0.05, 0.7, 3.0):
-            ref = phi_plus_inverse_ref(lambda t: phi_plus(t, co, 1.0), u)
-            assert phi_plus_inverse(u, co, 1.0) == pytest.approx(ref, rel=1e-8)
+        # the closed form is the exact sup; the oracle bisects to adjacent floats
+        for co, norm_sq, rng in self.swept_coeffs(2000, seed=7):
+            for u in (0.0, math.inf, *10 ** rng.uniform(-8, 8, 2)):
+                ref = phi_plus_inverse_ref(lambda t: phi_plus(t, co, norm_sq), u,
+                                           t_max=1e300)
+                assert phi_plus_inverse(u, co, norm_sq) == pytest.approx(ref, rel=1e-11)
+
+    def test_inverse_is_the_sup(self):
+        # phi_plus is 0 up to the gate point 2a / margin and increases past
+        # it, so the sup is the gate point, where phi_plus jumps above u, or
+        # the root of phi_plus = u on the open branch
+        for co, norm_sq, rng in self.swept_coeffs(2000, seed=8):
+            margin = 1.0 - co.xi - co.mu - co.gamma
+            for u in 10 ** rng.uniform(-8, 8, 2):
+                inv = phi_plus_inverse(u, co, norm_sq)
+                if margin <= 0.0:
+                    assert inv == math.inf and phi_plus(1e300, co, norm_sq) == 0.0
+                    continue
+                assert phi_plus(inv * (1 + 1e-9), co, norm_sq) > u
+                if inv == 2.0 * co.delta * co.lam * norm_sq / margin:
+                    assert phi_plus(inv * (1 - 1e-12), co, norm_sq) == 0.0
+                else:
+                    assert phi_plus(inv, co, norm_sq) <= u * (1 + 1e-12)
+
+    @pytest.mark.parametrize("k", range(-500, 501, 50))
+    def test_inverse_scales_by_powers_of_four(self, k):
+        for co, norm_sq, rng in self.swept_coeffs(100, seed=9):
+            scaled = dataclasses.replace(co, delta=math.ldexp(co.delta, 2 * k))
+            for u in 10 ** rng.uniform(-3, 3, 2):
+                inv = phi_plus_inverse(u, co, norm_sq)
+                assert phi_plus_inverse(math.ldexp(u, 2 * k), scaled, norm_sq) == (
+                    math.ldexp(inv, 2 * k))
+
+    def test_inverse_of_the_largest_values_is_unbounded(self):
+        # doubling an upper bracket from u = 1.7e308 overflowed to inf, and
+        # the bisection returned 0, below phi_minus
+        co = BoundCoeffs(xi=0.1, mu=0.2, gamma=0.05, delta=0.3, lam=0.2, beta=1.0)
+        assert phi_minus(1.7e308, co, 1.0) > 1e308
+        assert phi_plus_inverse(1.7e308, co, 1.0) == math.inf
 
     def test_inverse_of_zero_at_an_open_gate_is_zero(self):
         # with theta = 0 the gate is open at every t > 0, where phi_plus > 0
