@@ -125,8 +125,8 @@ def make_grid(n: int, mb: MomentBounds, a: float = 0.5, epsilon: float = 0.05) -
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if a <= 0.0:
-        raise ValueError("a must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"a must be finite and positive, got {a}")
     if mb.kappa <= 1.0 + 1e-9:
         raise ValueError("kappa must exceed 1 (grid formulas divide by kappa - 1); "
                          "supply kappa >= 1 + 1e-6")

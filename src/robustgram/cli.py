@@ -126,6 +126,12 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    # NaN and inf would print as JSON no parser reads, and a negative trace
+    # would be replaced as if it were the default 0
+    if not 0.0 <= args.trace_g < math.inf:
+        raise ValueError(f"--trace-g must be finite and non-negative, got {args.trace_g}")
+    if args.t and not all(map(math.isfinite, args.t)):
+        raise ValueError(f"--t must be finite, got {args.t}")
     mb = bnd.MomentBounds(kappa=args.kappa, s4=args.s4,
                           trace_g=args.trace_g if args.trace_g > 0
                           else args.s4**2 / math.sqrt(args.kappa))

@@ -229,6 +229,7 @@ def run_benchmark(config: ExperimentConfig) -> list:
             except Exception as exc:  # noqa: BLE001 - trial isolation
                 handle(t, None, exc)
 
+    failures.sort()  # trial order, not the order in which trials finished
     if len(failures) > 0.1 * config.trials:
         raise BenchmarkError(
             f"{len(failures)} of {config.trials} trials failed; first: {failures[0]}"

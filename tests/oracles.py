@@ -1,15 +1,18 @@
 """Independent oracles and shared checks used by the test suite.
 
 Everything here is deliberately naive (bisection, grid scans, brute-force
-pair sums) and shares no solver code with the package.  The sample
-strategy and the checks at the end serve the property tests of both
-matrix estimators.
+pair sums) and shares no solver code with the package; the grid mode of
+``reference_gram`` takes the package's bound formula ``bounds.b_bound``.
+The sample strategy and the checks at the end serve the property tests of
+both matrix estimators.
 """
 
 import math
 
 import numpy as np
 from hypothesis import strategies as st
+
+from robustgram.bounds import b_bound
 
 
 def psi_ref(t: float) -> float:
@@ -124,14 +127,19 @@ def reference_lambda(v, epsilon: float) -> float:
     return math.sqrt(u * (1.0 - u) / var) if var > 0.0 else 1.0 / math.sqrt(n)
 
 
-def reference_gram(vectors, epsilon: float, num_updates: int) -> tuple:
+def reference_gram(vectors, epsilon: float, num_updates: int, grid=None) -> tuple:
     """The iterative robust estimate from generating vectors of shape (m, d)
     or (m, g, d), one direction at a time: per update an eigenbasis of the
     estimate (the mean of the A_i first), per direction its group-summed
     squared projections, ``reference_lambda`` and ``bisect_scale`` from a
     cold bracket, polarization, and the stop at a relative Frobenius step of
-    at most 1e-8.  Returns (matrix, iterations, the eigenvalues of every
-    basis used), the last to check the spectral gaps the comparison needs."""
+    at most 1e-8.  With ``grid`` = (grid, coeffs, sigma), the library's
+    grid, its coefficients and sigma, a direction's value is instead its
+    ``bisect_scale`` root at the grid level whose ``bounds.b_bound`` of
+    root / ||theta||^2 is least, ties going to the smallest index, and at
+    level 0 where every bound is vacuous.  Returns (matrix, iterations, the
+    eigenvalues of every basis used), the last to check the spectral gaps
+    the comparison needs."""
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim == 2:
         vectors = vectors[:, None, :]
@@ -149,7 +157,14 @@ def reference_gram(vectors, epsilon: float, num_updates: int) -> tuple:
             v = np.sum((w @ theta) ** 2, axis=1)
             if not (v > 0.0).any():
                 return 0.0
-            return bisect_scale(v, reference_lambda(v, epsilon))
+            if grid is None:
+                return bisect_scale(v, reference_lambda(v, epsilon))
+            levels, coeffs, sigma = grid
+            roots = [bisect_scale(v, lam) for lam, _ in levels.points]
+            norm_sq = float(theta @ theta)
+            at = [b_bound(root / norm_sq, sigma, co) for root, co in zip(roots, coeffs)]
+            best = min(range(len(at)), key=at.__getitem__)  # the first of the least
+            return roots[best if math.isfinite(at[best]) else 0]
 
         eye = np.eye(d)
         c = np.empty((d, d))

@@ -241,6 +241,23 @@ class TestBounds:
         code = main(["bounds", "--n", "100", "--kappa", "3.0", "--s4", "1.0"])
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--t", "nan", "--t must be finite"),
+        ("--t", "inf", "--t must be finite"),
+        ("--a", "inf", "a must be finite and positive"),
+        ("--a", "nan", "a must be finite and positive"),
+        ("--trace-g", "-1", "--trace-g must be finite and non-negative"),
+    ])
+    def test_bad_flag_is_config_error(self, capsys, flag, value, message):
+        # --t nan and inf printed NaN and Infinity, which are not JSON;
+        # --a inf exited 2 as a numerical failure, --a nan exited 1 only by
+        # failing to convert NaN to an integer; --trace-g -1 was replaced
+        code = main(["bounds", "--n", "100000", "--kappa", "3.0", "--s4", "1.0",
+                     flag, value])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert f"error: {message}" in captured.err
+
 
 class TestBenchmark:
     def test_end_to_end(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The estimators against ``oracles.reference_gram``, a one-direction-at-a-time
-transcription of the iteration that shares no package code.
+transcription of the iteration that shares no package code, and
+grid-certified covariance against its grid mode.
 
 The block and tile caps are patched small, so that every sample makes
 several blocks and tiles and every update of two directions or more starts
@@ -12,12 +13,14 @@ a different set of directions.
 
 import contextlib
 import sys
+import threading
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from robustgram import gram, mestimator
+from robustgram import bounds, gram, mestimator
 from robustgram.covariance import robust_covariance
 from robustgram.gram import robust_gram
 from robustgram.mestimator import Sample
@@ -116,3 +119,47 @@ def test_robust_covariance_matches_the_reference(x, q):
     assume(len(x) >= q)
     check_against_reference(x, pair_difference_vectors(x, q), lambda: robust_covariance(
         Sample(x), q=q, epsilon=EPSILON, num_updates=NUM_UPDATES))
+
+
+@pytest.mark.parametrize("sigma_share", [None, 1e-2])
+@pytest.mark.parametrize("q, n", [(2, 30000), (3, 36000)])
+def test_grid_certified_covariance_matches_the_reference(monkeypatch, q, n, sigma_share):
+    # The grid needs about 12000 blocks, and an update of 9 * 15000 or
+    # 9 * 36000 squares runs on two threads.  At this size sigma_default
+    # exceeds s4^2, so sigma is s4^2, every direction's energy clamps to it
+    # and all take one level; with sigma at a hundredth of s4^2 they take
+    # several, and some rows are vacuous at every level.
+    rng = np.random.default_rng(70 + q)
+    x = ((rng.standard_t(8, (n, 3)) * [3.0, 1.5, 0.5]) @ random_orthogonal(3, rng).T
+         + [5.0, -2.0, 1.0])
+    if sigma_share is not None:
+        monkeypatch.setattr(bounds, "sigma_default", lambda m, mb, eps: sigma_share * mb.s4**2)
+    select, calls = bounds.select_from_square_rows, []
+
+    def spy(v, norm_sq, grid, coeffs, sigma):
+        selected = select(v, norm_sq, grid, coeffs, sigma)
+        calls.append((threading.get_ident(), (grid, coeffs, sigma),
+                      {(sel.lambda_hat, sel.vacuous) for sel in selected}))
+        return selected
+
+    monkeypatch.setattr(bounds, "select_from_square_rows", spy)
+    results = []
+    for threads in (1, 2):
+        monkeypatch.setattr(gram, "_THREADS", threads)
+        calls.clear()
+        results.append(robust_covariance(Sample(x), q=q, epsilon=EPSILON,
+                                          mode="grid-certified", num_updates=2))
+        assert len({ident for ident, _, _ in calls}) == threads
+    one, two = results
+    np.testing.assert_array_equal(one.matrix, two.matrix)
+    assert one.frobenius_deltas == two.frobenius_deltas
+    picked = set().union(*(levels for _, _, levels in calls))
+    if sigma_share is None:
+        assert len(picked) == 1
+    else:
+        assert {vacuous for _, vacuous in picked} == {False, True}
+    ref, iterations, spectra = reference_gram(pair_difference_vectors(x, q), EPSILON, 2,
+                                              grid=calls[0][1])
+    assert gapped(spectra)
+    assert one.iterations == iterations
+    assert frobenius_norm(one.matrix - ref) <= 1e-9 * frobenius_norm(ref)

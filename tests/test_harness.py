@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from robustgram.harness import (
     load_matrix_csv,
     load_sample_csv,
     quantile_curve,
+    _run_trial,
     run_benchmark,
     save_matrix_csv,
     summarize,
@@ -29,6 +31,16 @@ from robustgram.gram import NumericalError
 from robustgram.mestimator import Sample
 
 from oracles import block_matrices, kappa_per_direction
+
+
+def trial_0_fails_last(config, t):
+    """A trial of ``run_benchmark``: trials 0 and 1 fail, 0 a little after
+    1, and the others run.  At the top level, so a process pool can send it."""
+    if t == 0:
+        time.sleep(0.2)
+    if t < 2:
+        raise RuntimeError(f"synthetic failure of trial {t}")
+    return _run_trial(config, t)
 
 
 def small_config(**kw):
@@ -171,6 +183,17 @@ class TestBenchmark:
         monkeypatch.setattr(harness, "_run_trial", broken)
         with pytest.raises(BenchmarkError):
             run_benchmark(small_config(trials=5))
+
+    def test_failures_recorded_in_trial_order(self, tmp_path, monkeypatch):
+        # with two jobs trial 1 fails first; summary.json listed it first,
+        # and the error named it as the first failure
+        monkeypatch.setattr(harness, "_run_trial", trial_0_fails_last)
+        out = tmp_path / "run"
+        run_benchmark(small_config(trials=20, jobs=2, output_path=str(out)))
+        failures = json.loads((out / "summary.json").read_text())["failures"]
+        assert [idx for idx, _ in failures] == [0, 1]
+        with pytest.raises(BenchmarkError, match=r"first: \(0, "):
+            run_benchmark(small_config(trials=2, jobs=2))
 
     def test_paired_seeds_recorded(self):
         res = run_benchmark(small_config(trials=3, seed=40))
