@@ -29,6 +29,10 @@ ZETA_C1 = 2.032
 ZETA_C2 = 0.73
 ZETA_C3 = 98.5
 LOG_K_CAP = 4.35  # valid whenever n <= 1e20 and a = 1/2
+# Most grid levels ``grid_size`` admits.  At a = 1/2 no float n needs more
+# than about 1400; K grows like 1/a, and at a = 1e-300 building the grid
+# would never end.
+MAX_GRID_K = 10_000
 
 
 @dataclass(frozen=True)
@@ -103,9 +107,14 @@ class BoundCoeffs:
 
 
 def grid_size(n: float, kappa: float, a: float = 0.5) -> int:
-    """K = 1 + ceil(a^-1 log(n / (72 (2+c) sqrt(kappa))))."""
+    """K = 1 + ceil(a^-1 log(n / (72 (2+c) sqrt(kappa)))); ValueError for a K
+    above ``MAX_GRID_K``."""
     c = C_UNIVERSAL
-    return 1 + math.ceil(math.log(n / (72.0 * (2.0 + c) * math.sqrt(kappa))) / a)
+    steps = math.log(n / (72.0 * (2.0 + c) * math.sqrt(kappa))) / a
+    if not steps < MAX_GRID_K:
+        raise ValueError(f"a = {a:.6g} gives K = {1.0 + steps:.4g} grid levels at n = {n}, "
+                         f"more than MAX_GRID_K = {MAX_GRID_K}; take a larger a")
+    return 1 + math.ceil(steps)
 
 
 def min_sample_size(kappa: float) -> float:

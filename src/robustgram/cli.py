@@ -27,8 +27,8 @@ import numpy as np
 
 from . import bounds as bnd
 from .covariance import robust_covariance
-from .gram import (NumericalError, _beside, _norm_exponent, _scale_back, empirical_gram,
-                   positive_part, robust_gram)
+from .gram import (NUM_UPDATES, NumericalError, _beside, _norm_exponent, _scale_back,
+                   empirical_gram, positive_part, robust_gram)
 from .harness import (
     MIN_KAPPA_OBSERVATIONS,
     BenchmarkError,
@@ -125,33 +125,48 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _finite(name: str, value: float, args) -> float:
+    """value, or a NumericalError naming the overflow and the moment flags."""
+    if not math.isfinite(value):
+        raise NumericalError(f"{name} overflows to {value} (--kappa {args.kappa}, "
+                             f"--s4 {args.s4}, --trace-g {args.trace_g})")
+    return value
+
+
 def _cmd_bounds(args) -> int:
     # NaN and inf would print as JSON no parser reads, and a negative trace
     # would be replaced as if it were the default 0
     if not 0.0 <= args.trace_g < math.inf:
         raise ValueError(f"--trace-g must be finite and non-negative, got {args.trace_g}")
-    if args.t and not all(map(math.isfinite, args.t)):
-        raise ValueError(f"--t must be finite, got {args.t}")
+    # the bounds hold at a positive energy only
+    if args.t and not all(0.0 < t < math.inf for t in args.t):
+        raise ValueError(f"--t must be finite and positive, got {args.t}")
     mb = bnd.MomentBounds(kappa=args.kappa, s4=args.s4,
                           trace_g=args.trace_g if args.trace_g > 0
                           else args.s4**2 / math.sqrt(args.kappa))
     out = {"n": args.n, "epsilon": args.epsilon,
            "min_sample_size": bnd.min_sample_size(mb.kappa)}
-    grid = bnd.make_grid(args.n, mb, a=args.a, epsilon=args.epsilon)
+    try:
+        grid = bnd.make_grid(args.n, mb, a=args.a, epsilon=args.epsilon)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (--n {args.n}, --kappa {args.kappa}, --a {args.a}, "
+                         f"--epsilon {args.epsilon})") from None
     out["grid"] = {"K": grid.K, "a": grid.a,
                    "points": [{"lambda": l, "beta": b} for l, b in grid.points]}
     try:
-        sigma = bnd.sigma_default(args.n, mb, args.epsilon)
+        sigma = _finite("sigma_default", bnd.sigma_default(args.n, mb, args.epsilon), args)
         out["sigma_default"] = sigma
         sigma_eff = min(sigma, mb.s4**2)
     except ValueError as exc:
         out["sigma_default"] = None
         out["sigma_note"] = str(exc)
         sigma_eff = mb.s4**2
-    ts = args.t if args.t else list(np.geomspace(sigma_eff, mb.s4**2, 5))
+    # Python floats, whose overflow gives inf with no numpy warning
+    ts = args.t if args.t else np.geomspace(sigma_eff, mb.s4**2, 5).tolist()
     rows = []
     for t in ts:
-        z = bnd.zeta_star(max(t, sigma_eff), mb, grid.K, args.epsilon)
+        z = _finite("zeta_star", bnd.zeta_star(max(t, sigma_eff), mb, grid.K, args.epsilon),
+                    args)
         bstar = bnd.b_star(t, sigma_eff, args.n, mb, grid.K, args.epsilon)
         rows.append({"t": t, "zeta_star": z,
                      "b_star": bstar if math.isfinite(bstar) else "inf"})
@@ -190,6 +205,10 @@ def _cmd_cov(args) -> int:
     return 0
 
 
+UPDATES_HELP = (f"polarization updates, at most (default {NUM_UPDATES}; see "
+                "\"How many updates\" in the README)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robustgram",
@@ -201,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("sample", help="CSV file, one observation per row")
     p_est.add_argument("--header", action="store_true", help="skip one header line")
     p_est.add_argument("--epsilon", type=float, default=0.1)
-    p_est.add_argument("--updates", type=int, default=4)
+    p_est.add_argument("--updates", type=int, default=NUM_UPDATES, help=UPDATES_HELP)
     p_est.add_argument("--seed", type=int, default=0)
     p_est.add_argument("--out", default="", help="output directory")
     p_est.set_defaults(func=_cmd_estimate)
@@ -232,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--epsilon", type=float, default=0.1)
     p_cov.add_argument("--mode", choices=["iterative-practical", "grid-certified"],
                        default="iterative-practical")
-    p_cov.add_argument("--updates", type=int, default=4)
+    p_cov.add_argument("--updates", type=int, default=NUM_UPDATES, help=UPDATES_HELP)
     p_cov.add_argument("--psd", action="store_true",
                        help="clamp negative eigenvalues of the result")
     p_cov.add_argument("--out", default="", help="output CSV path")

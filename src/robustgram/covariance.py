@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import bounds as bnd
-from .gram import GramEstimate, iterate_polarization, positive_part
+from .gram import NUM_UPDATES, GramEstimate, iterate_polarization, positive_part
 from .mestimator import Sample
 
 logger = logging.getLogger(__name__)
@@ -50,7 +50,7 @@ def _pair_differences(sample: Sample, q: int) -> np.ndarray:
 
 
 def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
-                      mode: str = "iterative-practical", num_updates: int = 4,
+                      mode: str = "iterative-practical", num_updates: int = NUM_UPDATES,
                       psd: bool = False) -> GramEstimate:
     """Robust estimate of the covariance matrix with unknown mean.
 

@@ -20,6 +20,7 @@ import logging
 import math
 import numbers
 import os
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -55,6 +56,8 @@ class ExperimentConfig:
     epsilon: float = 0.1
     estimators: frozenset = frozenset({"robust", "empirical"})
     output_path: str = ""
+    # the reference experiment's setting, which its acceptance band and
+    # quoted figures use; the estimators' own default is gram.NUM_UPDATES
     num_updates: int = 4
     q: int = 2
     jobs: int = 1
@@ -310,8 +313,14 @@ def save_matrix_csv(path: str, matrix: np.ndarray) -> None:
 
 
 def load_matrix_csv(path: str, header: bool = False) -> np.ndarray:
-    arr = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
-    return arr
+    """The rows of a CSV file; ValueError for a file without one, where
+    numpy would warn and return an empty array."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+        except UserWarning:
+            raise ValueError(f"{path} holds no data rows") from None
 
 
 def load_sample_csv(path: str, header: bool = False) -> Sample:

@@ -13,6 +13,7 @@ from robustgram.bounds import (
     ZETA_C2,
     ZETA_C3,
     LOG_K_CAP,
+    MAX_GRID_K,
     b_bound,
     b_star,
     bound_coeffs,
@@ -76,6 +77,15 @@ class TestGrid:
         assert grid_size(1e5, 3.0, 0.5) == 7
         grid = make_grid(10**5, MB3, a=0.5, epsilon=0.05)
         assert grid.K == 7
+
+    def test_too_many_levels_rejected_before_any_is_built(self):
+        # a = 1e-6 asks for 2.85e6 levels, which make_grid built one by one;
+        # 1e-300 for about 3e300
+        with pytest.raises(ValueError, match="MAX_GRID_K"):
+            make_grid(10**5, MB3, a=1e-6, epsilon=0.05)
+        with pytest.raises(ValueError, match="MAX_GRID_K"):
+            grid_size(1e5, 3.0, 1e-300)
+        assert grid_size(1e308, 1.0 + 1e-6, 0.5) < MAX_GRID_K
 
     def test_k_at_exact_threshold(self):
         n_star = 72.0 * (2.0 + C_UNIVERSAL) * math.sqrt(3.0)

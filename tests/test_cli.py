@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -8,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import robustgram
 from robustgram import cli, gram
 from robustgram.bounds import confidence_intervals, make_grid
 from robustgram.cli import main
@@ -31,6 +36,22 @@ def overflow_csv(tmp_path):
     path = tmp_path / "huge.csv"
     save_matrix_csv(str(path), 1e160 * rng.standard_normal((40, 3)))
     return str(path)
+
+
+def run_cli(argv, timeout=30.0) -> subprocess.CompletedProcess:
+    """``python -m robustgram.cli`` in a subprocess, on this package; a
+    TimeoutExpired fails the test where the command would hang."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(robustgram.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "robustgram.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def main_warning_of_nothing(argv) -> int:
@@ -233,7 +254,7 @@ class TestBounds:
         code = main(["bounds", "--n", "100000", "--kappa", "3.0", "--s4", "1.0",
                      "--trace-g", "1.0", "--epsilon", "0.05"])
         assert code == 0
-        out = json.loads(capsys.readouterr().out)
+        out = strict_json(capsys.readouterr().out)
         assert out["grid"]["K"] == 7
         assert len(out["bounds"]) == 5
 
@@ -244,6 +265,8 @@ class TestBounds:
     @pytest.mark.parametrize("flag, value, message", [
         ("--t", "nan", "--t must be finite"),
         ("--t", "inf", "--t must be finite"),
+        ("--t", "-1", "--t must be finite and positive"),
+        ("--t", "0", "--t must be finite and positive"),
         ("--a", "inf", "a must be finite and positive"),
         ("--a", "nan", "a must be finite and positive"),
         ("--trace-g", "-1", "--trace-g must be finite and non-negative"),
@@ -257,6 +280,41 @@ class TestBounds:
         captured = capsys.readouterr()
         assert code == 1 and not captured.out
         assert f"error: {message}" in captured.err
+
+    @pytest.mark.parametrize("a", ["1e-300", "1e-6"])
+    def test_grid_of_too_many_levels_is_config_error(self, a):
+        # --a 1e-300 asked for about 3e300 grid levels and never ended, and
+        # --a 1e-6 printed 2.85e6 of them
+        proc = run_cli(["bounds", "--n", "100000", "--kappa", "3", "--s4", "1", "--a", a])
+        assert proc.returncode == 1 and not proc.stdout
+        assert proc.stderr.startswith("error: ") and "MAX_GRID_K" in proc.stderr
+        assert f"--a {float(a)}" in proc.stderr
+
+    @pytest.mark.parametrize("s4, trace_g, term", [
+        ("1.0", "1e308", "sigma_default"),
+        ("1e-10", "1e305", "zeta_star"),
+    ])
+    def test_overflowing_term_is_numerical_failure(self, capsys, s4, trace_g, term):
+        # both exited 0 and printed Infinity, which is not JSON; the first
+        # also warned of an overflow in a numpy scalar product
+        code = main_warning_of_nothing(["bounds", "--n", "100000", "--kappa", "3.0",
+                                        "--s4", s4, "--trace-g", trace_g])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert f"numerical failure: {term} overflows" in captured.err
+
+
+@pytest.mark.parametrize("command", ["estimate", "cov"])
+@pytest.mark.parametrize("text, header", [("", False), ("a,b\n", True)],
+                         ids=["empty", "header only"])
+def test_sample_without_rows_prints_only_the_error(tmp_path, command, text, header):
+    # numpy's "loadtxt: input contained no data" warning came before the error
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    proc = run_cli([command, str(path), "--out", str(tmp_path / "out"),
+                    *(["--header"] if header else [])])
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr.splitlines() == [f"error: {path} holds no data rows"]
 
 
 class TestBenchmark:

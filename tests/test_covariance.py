@@ -302,11 +302,27 @@ class TestRobustCovariance:
         np.testing.assert_array_equal(q, q.T)
         assert [float(v).hex() for v in q[np.triu_indices(3)]] == self.GRID_CERTIFIED_UPPER
 
+    # the same input at the default number of updates, one
+    DEFAULT_ONE_UPDATE_Q3_UPPER = [
+        "0x1.482bd14dd5fb1p+1", "0x1.2b6791fb81b08p-3", "-0x1.82ec8804fca3fp-5",
+        "0x1.4d0b706a304c0p-7", "0x1.61f39bfa745f2p+1", "-0x1.0d996951d009bp-2",
+        "-0x1.ceebc48ca0036p-4", "0x1.4322295f2ae2bp+1", "-0x1.7d12a6bd4260bp-3",
+        "0x1.fe654706a76bep+0",
+    ]
+
     def test_bitwise_reference_default_q3(self):
         x = np.random.default_rng(21).standard_t(3, size=(300, 4)) + 2.0
-        q = robust_covariance(Sample(x), q=3, epsilon=0.1).matrix
+        q = robust_covariance(Sample(x), q=3, epsilon=0.1, num_updates=4).matrix
         np.testing.assert_array_equal(q, q.T)
         assert [float(v).hex() for v in q[np.triu_indices(4)]] == self.DEFAULT_Q3_UPPER
+
+    def test_bitwise_reference_default_q3_one_update(self):
+        x = np.random.default_rng(21).standard_t(3, size=(300, 4)) + 2.0
+        est = robust_covariance(Sample(x), q=3, epsilon=0.1)
+        assert est.iterations == 1
+        q = est.matrix
+        np.testing.assert_array_equal(q, q.T)
+        assert [float(v).hex() for v in q[np.triu_indices(4)]] == self.DEFAULT_ONE_UPDATE_Q3_UPPER
 
     def test_grid_certified_solves_a_block_once_per_level(self, monkeypatch):
         # each grid level of a block is one solve of its rows, with the bits

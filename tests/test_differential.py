@@ -28,7 +28,6 @@ from robustgram.mestimator import Sample
 from oracles import frobenius_norm, pair_difference_vectors, random_orthogonal, reference_gram
 
 EPSILON = 0.1
-NUM_UPDATES = 4
 
 
 @contextlib.contextmanager
@@ -84,10 +83,10 @@ def gapped(spectra) -> bool:
     return True
 
 
-def check_against_reference(x, vectors, estimate):
+def check_against_reference(x, vectors, estimate, num_updates):
     """estimate() at one and two threads equals itself bit for bit and the
-    oracle on ``vectors`` to 1e-9 relative Frobenius."""
-    ref, iterations, spectra = reference_gram(vectors, EPSILON, NUM_UPDATES)
+    oracle at ``num_updates`` on ``vectors`` to 1e-9 relative Frobenius."""
+    ref, iterations, spectra = reference_gram(vectors, EPSILON, num_updates)
     assume(gapped(spectra))
     results = []
     for threads in (1, 2):
@@ -110,7 +109,14 @@ SAMPLES = dict(max_examples=25, deadline=None, derandomize=True)
 @given(x=gapped_samples())
 @example(x=np.array([[1.0], [-3.0]]))
 def test_robust_gram_matches_the_reference(x):
-    check_against_reference(x, x, lambda: robust_gram(Sample(x), EPSILON, NUM_UPDATES))
+    check_against_reference(x, x, lambda: robust_gram(Sample(x), EPSILON, 4), 4)
+
+
+@settings(**SAMPLES)
+@given(x=gapped_samples())
+@example(x=np.array([[1.0], [-3.0]]))
+def test_robust_gram_matches_the_reference_by_default(x):
+    check_against_reference(x, x, lambda: robust_gram(Sample(x), EPSILON), gram.NUM_UPDATES)
 
 
 @settings(**SAMPLES)
@@ -118,7 +124,15 @@ def test_robust_gram_matches_the_reference(x):
 def test_robust_covariance_matches_the_reference(x, q):
     assume(len(x) >= q)
     check_against_reference(x, pair_difference_vectors(x, q), lambda: robust_covariance(
-        Sample(x), q=q, epsilon=EPSILON, num_updates=NUM_UPDATES))
+        Sample(x), q=q, epsilon=EPSILON, num_updates=4), 4)
+
+
+@settings(**SAMPLES)
+@given(x=gapped_samples(), q=st.sampled_from([2, 3]))
+def test_robust_covariance_matches_the_reference_by_default(x, q):
+    assume(len(x) >= q)
+    check_against_reference(x, pair_difference_vectors(x, q), lambda: robust_covariance(
+        Sample(x), q=q, epsilon=EPSILON), gram.NUM_UPDATES)
 
 
 @pytest.mark.parametrize("sigma_share", [None, 1e-2])

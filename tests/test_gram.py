@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustgram.gram import (
+    STOP_TOL,
     NumericalError,
     empirical_gram,
     frobenius_error,
@@ -215,9 +216,10 @@ class TestBlockSize:
     def estimates():
         x = _projection_cases()["several blocks"]
         y = np.random.default_rng(11).standard_normal((14000, 3)) + 1.0
-        yield robust_gram(Sample(x))
-        yield robust_covariance(Sample(x), q=2)
-        yield robust_covariance(Sample(x), q=3)
+        # 4 updates, so that warm-started solves are blocked too
+        yield robust_gram(Sample(x), num_updates=4)
+        yield robust_covariance(Sample(x), q=2, num_updates=4)
+        yield robust_covariance(Sample(x), q=3, num_updates=4)
         yield robust_covariance(Sample(y), q=2, epsilon=0.05, mode="grid-certified",
                                 num_updates=2)
 
@@ -259,7 +261,7 @@ class TestWarmStart:
         monkeypatch.setattr(mestimator, "psi_and_prime_into", counting)
         monkeypatch.setattr(gram, "scale_from_squares", solve)
         cfg = ExperimentConfig(n=40000, d=10, trials=1, seed=0)
-        est = robust_gram(gen_mixture(cfg, trial_rng(cfg.seed)), epsilon=0.1)
+        est = robust_gram(gen_mixture(cfg, trial_rng(cfg.seed)), epsilon=0.1, num_updates=4)
         assert est.iterations == 4 and len(calls) == 400
         updates = [calls[k:k + 100] for k in range(0, 400, 100)]
         assert all(np.isnan(start).all() for start, _, _ in updates[0])
@@ -312,9 +314,9 @@ def _split_cases():
     # of 8
     grid = np.random.default_rng(29).standard_normal((40000, 4)) + 1.0
     return {
-        "odd rows": lambda: robust_gram(Sample(odd)),
-        "cov-tall": lambda: robust_covariance(Sample(tall), q=2),
-        "grouped": lambda: robust_covariance(Sample(grouped), q=3),
+        "odd rows": lambda: robust_gram(Sample(odd), num_updates=4),
+        "cov-tall": lambda: robust_covariance(Sample(tall), q=2, num_updates=4),
+        "grouped": lambda: robust_covariance(Sample(grouped), q=3, num_updates=4),
         "grid-certified": lambda: robust_covariance(
             Sample(grid), q=2, epsilon=0.05, mode="grid-certified", num_updates=2),
     }
@@ -807,6 +809,49 @@ class TestRobustGram:
         "0x1.49e439661c9adp-2",
     ]
 
+    # the same trial at the default number of updates, one
+    REFERENCE_ONE_UPDATE_UPPER = [
+        "0x1.f9259b7fa933fp+1", "0x1.b067304b99a02p+0", "0x1.5114d65064a8fp-2",
+        "0x1.59f9ded28d940p-1", "0x1.f1b5d80767814p-4", "-0x1.a8870a6b53d57p-3",
+        "-0x1.0c6a7f8047ea2p-7", "-0x1.c7a52432c2c2cp-3", "0x1.4e81336f19330p-2",
+        "0x1.e9d7aed0b2688p-5", "0x1.5c6013aed1498p+1", "0x1.1aad8fda517b7p-6",
+        "0x1.062a4ff4e0fb4p-3", "-0x1.1da1e32861274p-1", "-0x1.b7dca7880e750p-3",
+        "0x1.9b0005842c0f3p-3", "0x1.4147e8945a3c2p-5", "0x1.9b62f5069c28fp-2",
+        "0x1.c7ef04b2a0dfep-5", "0x1.f95a0f40e500bp-2", "0x1.19f33f2d58d91p-3",
+        "0x1.e6b33c78a7daep-3", "0x1.1379a8c0e52bap-4", "0x1.90085bcd69b6cp-3",
+        "-0x1.206ef79dbaa96p-2", "-0x1.19d47865624b9p-4", "0x1.10165e5151eb8p-4",
+        "0x1.0dcf73caa1c79p-1", "0x1.2df843216834cp-3", "-0x1.5a6ba281a99ecp-2",
+        "-0x1.7b26db09fdee8p-6", "-0x1.ca3cd52d5062cp-7", "0x1.26695c91a34cap-4",
+        "-0x1.734d81c265696p-5", "0x1.08fb5770743aep-1", "0x1.4035f391bbfd0p-2",
+        "-0x1.267ba7e024994p-4", "0x1.b7cea570e8d34p-4", "-0x1.a8123e3525f20p-3",
+        "-0x1.6b214ffb2d156p-3", "0x1.a2b5ca5bf10c0p-1", "-0x1.66b6571568aacp-5",
+        "0x1.e78ed0ac553e6p-3", "-0x1.136a35db97638p-3", "-0x1.3230060edd4e7p-3",
+        "0x1.798dcfcc45d08p-3", "-0x1.df060f3af2624p-3", "0x1.f786345a14adap-5",
+        "0x1.c2351e57d4fcdp-4", "0x1.53356879c021bp-1", "-0x1.47b062dfa14e3p-3",
+        "-0x1.21267e7126506p-2", "0x1.1abcc24d3e066p-2", "0x1.9777852480554p-4",
+        "0x1.155032d0e1be6p-2",
+    ]
+
+    def test_bitwise_reference_matrix_one_update(self):
+        cfg = ExperimentConfig(seed=0)
+        est = robust_gram(gen_mixture(cfg, trial_rng(cfg.seed, 1)), epsilon=cfg.epsilon)
+        assert est.iterations == 1 and est.frobenius_deltas[0] > STOP_TOL
+        q = est.matrix
+        np.testing.assert_array_equal(q, q.T)
+        assert [float(x).hex() for x in q[np.triu_indices(cfg.d)]] == (
+            self.REFERENCE_ONE_UPDATE_UPPER)
+
+    @pytest.mark.parametrize("seed, last", [(0, 1.4e-9), (1511, 3.2e-10)])
+    def test_stop_tol_fires_on_the_estimate_tall_mixture(self, seed, last):
+        # at n = 40000 the relative change falls by one to two orders of
+        # magnitude per update (1.4e-3, 7.5e-6, 3.7e-7, 2.2e-8, 1.4e-9 at
+        # seed 0), so STOP_TOL ends the loop after 5 of the 10 updates asked for
+        cfg = ExperimentConfig(n=40000, d=10, trials=1, seed=seed)
+        est = robust_gram(gen_mixture(cfg, trial_rng(seed)), epsilon=0.1, num_updates=10)
+        assert est.iterations == 5
+        assert est.frobenius_deltas[-1] <= STOP_TOL < est.frobenius_deltas[-2]
+        assert est.frobenius_deltas[-1] == pytest.approx(last, rel=0.05)
+
     def test_bitwise_reference_matrix(self):
         cfg = ExperimentConfig(seed=0)
         q = robust_gram(gen_mixture(cfg, trial_rng(cfg.seed, 1)), epsilon=cfg.epsilon,
@@ -841,9 +886,9 @@ class TestRobustGram:
         # underflow to 0 and end the loop early
         x = np.random.default_rng(1).standard_normal((200, 3))
         x[0] *= 1e50
-        ref = robust_gram(Sample(x)).matrix
+        ref = robust_gram(Sample(x), num_updates=4).matrix
         x[0] *= 1e110
-        est = robust_gram(Sample(x))
+        est = robust_gram(Sample(x), num_updates=4)
         assert est.iterations == 4
         np.testing.assert_allclose(est.matrix, ref, rtol=1e-6, atol=1e-6)
         # the distance to the overflowing mean matrix is beyond float64; the
