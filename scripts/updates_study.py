@@ -2,21 +2,25 @@
 
 Usage, with the ``src`` directory of the checkout under study on the path::
 
-    PYTHONPATH=src python3 scripts/updates_study.py [--quick]
+    PYTHONPATH=src python3 scripts/updates_study.py
 
 Each shape is a list of runs, one seeded sample each, estimated through the
-public API at 1, 2, 4 and 8 updates.  The first table gives the mean
-squared Frobenius error against the truth at each count and, beside every
-count after the first, the mean paired difference from 1 update with its
-standard error (the standard deviation of the per-run differences over the
-square root of the run count).  Its last column is the check that decides
-the default: the error at 1 update is no worse than at 4 by more than two
-standard errors of their paired difference.  The second table runs the
-first sample of each shape for 40 updates and gives the relative change
-per update (``frobenius_deltas``): after update 2, the median of the last
-ten, the smallest, and the number of updates run, fewer than 40 where the
-stop test (``gram.STOP_TOL``) fired.  The script exits 1 if any shape
-fails the check.
+public API at 1, 2, 4 and 8 updates.  The first table gives the default
+number of updates of the shape's estimator (``gram.NUM_UPDATES`` for
+``robust_gram``, ``covariance.NUM_UPDATES`` for ``robust_covariance``) and
+the mean squared Frobenius error against the truth at each count and,
+beside every count after the first, the mean paired difference from 1
+update with its standard error (the standard deviation of the per-run
+differences over the square root of the run count).  Its last column is
+the check that decides the defaults: the error at 1 update is no worse
+than at 4 by more than two standard errors of their paired difference.
+An estimator runs 1 update by default only if every shape of it holds.
+The second table runs the first sample of each shape for 40 updates and
+gives the relative change per update (``frobenius_deltas``): after update
+2, the median of the last ten, the smallest, and the number of updates
+run, fewer than 40 where the stop test (``gram.STOP_TOL``) fired.  The
+script exits 1 if a shape fails the check while its estimator runs 1
+update by default.
 
 The shapes:
 
@@ -25,16 +29,14 @@ The shapes:
 - ``estimate-tall`` and ``cov-tall``: the samples of the perfbench workloads
   of those names at seeds 0 and 1511, ``robust_gram`` on a 40000 x 10
   mixture and q = 2 ``robust_covariance`` on a shifted 4000 x 20 one;
-- ``t3``: ``robust_gram`` on 40000 x 10 ``standard_t(3)`` data, against 3 I;
+- ``t3``: ``robust_gram`` on 40000 x 10 ``standard_t(3)`` data, against 3 I,
+  24 samples;
+- ``t3-cov``: q = 2 ``robust_covariance`` on the same samples shifted by 2;
 - ``wide-mixture``: ``robust_gram`` on n = 1000, d = 30 mixtures with
   contaminant scale 64 and alpha = 0.1;
 - ``grid-certified``: grid-certified q = 2 ``robust_covariance`` at epsilon
   0.05 on 14000 x 3 normal data shifted by 1, against I; its 7000 blocks
   admit the theoretical grid.
-
-``--quick`` runs every shape at a small size (a few runs, small n; the grid
-shape keeps its size, which the grid needs) and with 1 and 2 updates, in a
-few seconds: a check that the script runs, not a study.
 
 Uses numpy and the standard library only.
 """
@@ -57,10 +59,12 @@ DRIFT_UPDATES = 40
 
 class Shape(NamedTuple):
     """``runs`` holds one (estimate, truth) pair per seeded sample, where
-    estimate(num_updates) returns the ``GramEstimate`` of that sample."""
+    estimate(num_updates) returns the ``GramEstimate`` of that sample;
+    ``default`` is the estimator's default number of updates."""
 
     name: str
     runs: list
+    default: int
 
 
 def _mixture(n, d, seed, **mix):
@@ -76,9 +80,16 @@ def _cov_run(x, truth, **kw):
     return (lambda k: covariance.robust_covariance(Sample(x), q=2, num_updates=k, **kw)), truth
 
 
+def _t3(n, seed):
+    return np.random.default_rng(seed).standard_t(3, (n, 10))
+
+
 def shapes(quick: bool = False) -> list:
-    """The studied shapes; small ones for ``quick``."""
-    trials, tall, wide, seeds = (4, 400, 60, (0, 1)) if quick else (500, 40000, 1000, range(6))
+    """The studied shapes; for ``quick``, a few small runs of each (the grid
+    shape keeps its size, which the grid needs): a check that the study
+    runs, not a study."""
+    trials, tall, wide, seeds, heavy = ((4, 400, 60, (0, 1), (0, 1)) if quick
+                                        else (500, 40000, 1000, range(6), range(24)))
     ref = harness.ExperimentConfig(trials=trials, seed=20260809)
     reference = [_gram_run(harness.gen_mixture(ref, harness.trial_rng(ref.seed, t)).data,
                            harness.true_gram(ref)) for t in range(ref.trials)]
@@ -87,16 +98,17 @@ def shapes(quick: bool = False) -> list:
     for seed in (0, 1511):
         x, truth = _mixture(tall // 10, 20, seed)
         cov_tall.append(_cov_run(x + np.linspace(-8.0, 8.0, 20), truth))
-    t3 = [_gram_run(np.random.default_rng(seed).standard_t(3, (tall, 10)), 3.0 * np.eye(10))
-          for seed in seeds[:4]]
+    t3 = [_gram_run(_t3(tall, seed), 3.0 * np.eye(10)) for seed in heavy]
+    t3_cov = [_cov_run(_t3(tall, seed) + 2.0, 3.0 * np.eye(10)) for seed in heavy]
     wide_mixture = [_gram_run(*_mixture(wide, 30, seed, alpha_mix=0.1, contaminant_scale=64.0))
                     for seed in seeds]
     grid = [_cov_run(np.random.default_rng(seed).standard_normal((14000, 3)) + 1.0, np.eye(3),
                      epsilon=0.05, mode="grid-certified")
             for seed in seeds[:4]]
-    return [Shape("reference", reference), Shape("estimate-tall", estimate_tall),
-            Shape("cov-tall", cov_tall), Shape("t3", t3),
-            Shape("wide-mixture", wide_mixture), Shape("grid-certified", grid)]
+    g, c = gram.NUM_UPDATES, covariance.NUM_UPDATES
+    return [Shape("reference", reference, g), Shape("estimate-tall", estimate_tall, g),
+            Shape("cov-tall", cov_tall, c), Shape("t3", t3, g), Shape("t3-cov", t3_cov, c),
+            Shape("wide-mixture", wide_mixture, g), Shape("grid-certified", grid, c)]
 
 
 def errors(shape: Shape, updates=UPDATES) -> np.ndarray:
@@ -119,24 +131,28 @@ def one_update_holds(errs: np.ndarray, updates=UPDATES) -> bool:
     return mean >= -2.0 * se
 
 
+def defaults_hold(rows) -> bool:
+    """Whether every (shape, errs) pair whose estimator runs 1 update by
+    default holds the check."""
+    return all(one_update_holds(errs) for shape, errs in rows if shape.default == 1)
+
+
 def drift(shape: Shape, updates: int = DRIFT_UPDATES) -> list:
     """Relative change per update of the first run over ``updates`` updates."""
     return shape.runs[0][0](updates).frobenius_deltas
 
 
 def error_table(rows, updates=UPDATES) -> list:
-    """Markdown lines from (shape, errs) pairs."""
-    head = ["shape", "runs", *(f"{k} update{'s' * (k > 1)}" for k in updates)]
-    if 4 in updates:
-        head.append("1 vs 4")
+    """Markdown lines from (shape, errs) pairs; ``updates`` holds 1 and 4."""
+    head = ["shape", "default", "runs", *(f"{k} update{'s' * (k > 1)}" for k in updates),
+            "1 vs 4"]
     lines = ["| " + " | ".join(head) + " |", "|" + "---|" * len(head)]
-    for name, errs in rows:
-        cells = [name, str(len(errs)), f"{errs[:, 0].mean():.4g}"]
+    for shape, errs in rows:
+        cells = [shape.name, str(shape.default), str(len(errs)), f"{errs[:, 0].mean():.4g}"]
         for col in range(1, len(updates)):
             mean, se = paired(errs, col)
             cells.append(f"{errs[:, col].mean():.4g} ({mean:+.2g} ± {se:.2g})")
-        if 4 in updates:
-            cells.append("holds" if one_update_holds(errs, updates) else "FAILS")
+        cells.append("holds" if one_update_holds(errs, updates) else "FAILS")
         lines.append("| " + " | ".join(cells) + " |")
     return lines
 
@@ -146,28 +162,21 @@ def drift_table(rows) -> list:
     update 2, the median of the last ten, the smallest, and updates run."""
     lines = ["| shape | after update 2 | median of the last 10 | smallest | updates run |",
              "|---|---|---|---|---|"]
-    for name, deltas in rows:
+    for shape, deltas in rows:
         after2 = deltas[1] if len(deltas) > 1 else math.nan
-        lines.append(f"| {name} | {after2:.2g} | {np.median(deltas[-10:]):.2g} "
+        lines.append(f"| {shape.name} | {after2:.2g} | {np.median(deltas[-10:]):.2g} "
                      f"| {min(deltas):.2g} | {len(deltas)} |")
     return lines
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small sizes and 1 and 2 updates: a check that the script runs")
-    args = parser.parse_args(argv)
-    updates = (1, 2) if args.quick else UPDATES
-    drift_updates = 3 if args.quick else DRIFT_UPDATES
-    studied = shapes(args.quick)
-    rows = [(shape.name, errors(shape, updates)) for shape in studied]
-    print("\n".join(error_table(rows, updates)))
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
+    studied = shapes()
+    rows = [(shape, errors(shape)) for shape in studied]
+    print("\n".join(error_table(rows)))
     print()
-    print("\n".join(drift_table([(shape.name, drift(shape, drift_updates))
-                                 for shape in studied])))
-    held = 4 not in updates or all(one_update_holds(errs, updates) for _, errs in rows)
-    return 0 if held else 1
+    print("\n".join(drift_table([(shape, drift(shape)) for shape in studied])))
+    return 0 if defaults_hold(rows) else 1
 
 
 if __name__ == "__main__":

@@ -111,8 +111,10 @@ def grid_size(n: float, kappa: float, a: float = 0.5) -> int:
     above ``MAX_GRID_K``."""
     c = C_UNIVERSAL
     steps = math.log(n / (72.0 * (2.0 + c) * math.sqrt(kappa))) / a
-    if not steps < MAX_GRID_K:
-        raise ValueError(f"a = {a:.6g} gives K = {1.0 + steps:.4g} grid levels at n = {n}, "
+    # K = 1 + ceil(steps) <= MAX_GRID_K; false for nan too
+    if not steps <= MAX_GRID_K - 1:
+        k = 1 + math.ceil(steps) if math.isfinite(steps) else steps
+        raise ValueError(f"a = {a:.6g} gives K = {k:.4g} grid levels at n = {n}, "
                          f"more than MAX_GRID_K = {MAX_GRID_K}; take a larger a")
     return 1 + math.ceil(steps)
 

@@ -26,9 +26,10 @@ import sys
 import numpy as np
 
 from . import bounds as bnd
+from . import covariance, gram
 from .covariance import robust_covariance
-from .gram import (NUM_UPDATES, NumericalError, _beside, _norm_exponent, _scale_back,
-                   empirical_gram, positive_part, robust_gram)
+from .gram import (NumericalError, _beside, _norm_exponent, _scale_back, empirical_gram,
+                   positive_part, robust_gram)
 from .harness import (
     MIN_KAPPA_OBSERVATIONS,
     BenchmarkError,
@@ -205,8 +206,8 @@ def _cmd_cov(args) -> int:
     return 0
 
 
-UPDATES_HELP = (f"polarization updates, at most (default {NUM_UPDATES}; see "
-                "\"How many updates\" in the README)")
+UPDATES_HELP = ("polarization updates, at most (default %(default)s; see \"How many "
+                "updates\" in the README)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("sample", help="CSV file, one observation per row")
     p_est.add_argument("--header", action="store_true", help="skip one header line")
     p_est.add_argument("--epsilon", type=float, default=0.1)
-    p_est.add_argument("--updates", type=int, default=NUM_UPDATES, help=UPDATES_HELP)
+    p_est.add_argument("--updates", type=int, default=gram.NUM_UPDATES, help=UPDATES_HELP)
     p_est.add_argument("--seed", type=int, default=0)
     p_est.add_argument("--out", default="", help="output directory")
     p_est.set_defaults(func=_cmd_estimate)
@@ -251,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--epsilon", type=float, default=0.1)
     p_cov.add_argument("--mode", choices=["iterative-practical", "grid-certified"],
                        default="iterative-practical")
-    p_cov.add_argument("--updates", type=int, default=NUM_UPDATES, help=UPDATES_HELP)
+    p_cov.add_argument("--updates", type=int, default=covariance.NUM_UPDATES,
+                       help=UPDATES_HELP)
     p_cov.add_argument("--psd", action="store_true",
                        help="clamp negative eigenvalues of the result")
     p_cov.add_argument("--out", default="", help="output CSV path")

@@ -21,10 +21,18 @@ import math
 import numpy as np
 
 from . import bounds as bnd
-from .gram import NUM_UPDATES, GramEstimate, iterate_polarization, positive_part
+from .gram import GramEstimate, iterate_polarization, positive_part
 from .mestimator import Sample
 
 logger = logging.getLogger(__name__)
+
+# Updates robust_covariance runs by default: one, the paper's estimator.  On
+# each covariance shape of scripts/updates_study.py (its tables are in the
+# README), t(3) data among them, the mean error at 1 update is no worse than
+# at 4 by more than two standard errors of the paired difference, and
+# perfbench's cov-tall runs at 3.3-3.5x the ops/s of 4 updates (BENCH_pr26.json).
+# robust_gram keeps 4 (gram.NUM_UPDATES).
+NUM_UPDATES = 1
 
 
 def _pair_differences(sample: Sample, q: int) -> np.ndarray:

@@ -57,7 +57,7 @@ class ExperimentConfig:
     estimators: frozenset = frozenset({"robust", "empirical"})
     output_path: str = ""
     # the reference experiment's setting, which its acceptance band and
-    # quoted figures use; the estimators' own default is gram.NUM_UPDATES
+    # quoted figures use
     num_updates: int = 4
     q: int = 2
     jobs: int = 1

@@ -24,6 +24,7 @@ from robustgram.bounds import (
     grid_size,
     lambda_star,
     make_grid,
+    min_sample_size,
     phi_minus,
     phi_plus,
     phi_plus_inverse,
@@ -85,7 +86,15 @@ class TestGrid:
             make_grid(10**5, MB3, a=1e-6, epsilon=0.05)
         with pytest.raises(ValueError, match="MAX_GRID_K"):
             grid_size(1e5, 3.0, 1e-300)
+        with pytest.raises(ValueError, match="MAX_GRID_K"):
+            grid_size(1e5, 3.0, 5e-324)  # an infinite step count
         assert grid_size(1e308, 1.0 + 1e-6, 0.5) < MAX_GRID_K
+        # at the cap: a fractional step count just above MAX_GRID_K - 1 rounds
+        # K up past it
+        log_ratio = math.log(1e5 / min_sample_size(3.0))
+        assert grid_size(1e5, 3.0, log_ratio / (MAX_GRID_K - 1.5)) == MAX_GRID_K
+        with pytest.raises(ValueError, match="MAX_GRID_K"):
+            grid_size(1e5, 3.0, log_ratio / (MAX_GRID_K - 0.5))
 
     def test_k_at_exact_threshold(self):
         n_star = 72.0 * (2.0 + C_UNIVERSAL) * math.sqrt(3.0)

@@ -281,18 +281,25 @@ class TestRobustCovariance:
         assert frobenius_error(est.matrix, np.eye(d)) <= 0.5
 
     # upper triangles, row by row, of grid-certified mode on the input of
-    # test_grid_certified_mode_runs and of the default mode at q = 3; computed
+    # test_grid_certified_mode_runs and of the default mode at q = 3, at 4
+    # updates and at the default one; computed
     # on x86-64 with numpy 2.4.6 and OpenBLAS (another BLAS may round the
     # rotations differently)
     GRID_CERTIFIED_UPPER = [
         "0x1.fb9230c15b3a4p-1", "0x1.ef8bc4dee0f62p-6", "-0x1.9909105bcfdcbp-7",
         "0x1.0200ee899a7e7p+0", "-0x1.876a1c3665c1ap-7", "0x1.fff9ea412bf44p-1",
     ]
-    DEFAULT_Q3_UPPER = [
+    FOUR_UPDATES_Q3_UPPER = [
         "0x1.4e673b6f5d003p+1", "0x1.f44fac76927acp-4", "-0x1.a8e5699a75ca4p-5",
         "0x1.52aaf4fc6e0d8p-8", "0x1.6a9837b7b54a3p+1", "-0x1.edaf53660760bp-3",
         "-0x1.88320a81c8b60p-4", "0x1.4f9a5126e64c6p+1", "-0x1.d0f1928d1bc1cp-3",
         "0x1.015d314bc82e4p+1",
+    ]
+    ONE_UPDATE_Q3_UPPER = [
+        "0x1.482bd14dd5fb1p+1", "0x1.2b6791fb81b08p-3", "-0x1.82ec8804fca3fp-5",
+        "0x1.4d0b706a304c0p-7", "0x1.61f39bfa745f2p+1", "-0x1.0d996951d009bp-2",
+        "-0x1.ceebc48ca0036p-4", "0x1.4322295f2ae2bp+1", "-0x1.7d12a6bd4260bp-3",
+        "0x1.fe654706a76bep+0",
     ]
 
     def test_bitwise_reference_grid_certified(self):
@@ -302,27 +309,13 @@ class TestRobustCovariance:
         np.testing.assert_array_equal(q, q.T)
         assert [float(v).hex() for v in q[np.triu_indices(3)]] == self.GRID_CERTIFIED_UPPER
 
-    # the same input at the default number of updates, one
-    DEFAULT_ONE_UPDATE_Q3_UPPER = [
-        "0x1.482bd14dd5fb1p+1", "0x1.2b6791fb81b08p-3", "-0x1.82ec8804fca3fp-5",
-        "0x1.4d0b706a304c0p-7", "0x1.61f39bfa745f2p+1", "-0x1.0d996951d009bp-2",
-        "-0x1.ceebc48ca0036p-4", "0x1.4322295f2ae2bp+1", "-0x1.7d12a6bd4260bp-3",
-        "0x1.fe654706a76bep+0",
-    ]
-
     def test_bitwise_reference_default_q3(self):
         x = np.random.default_rng(21).standard_t(3, size=(300, 4)) + 2.0
-        q = robust_covariance(Sample(x), q=3, epsilon=0.1, num_updates=4).matrix
-        np.testing.assert_array_equal(q, q.T)
-        assert [float(v).hex() for v in q[np.triu_indices(4)]] == self.DEFAULT_Q3_UPPER
-
-    def test_bitwise_reference_default_q3_one_update(self):
-        x = np.random.default_rng(21).standard_t(3, size=(300, 4)) + 2.0
-        est = robust_covariance(Sample(x), q=3, epsilon=0.1)
-        assert est.iterations == 1
-        q = est.matrix
-        np.testing.assert_array_equal(q, q.T)
-        assert [float(v).hex() for v in q[np.triu_indices(4)]] == self.DEFAULT_ONE_UPDATE_Q3_UPPER
+        for kwargs, upper in (({}, self.ONE_UPDATE_Q3_UPPER),
+                              ({"num_updates": 4}, self.FOUR_UPDATES_Q3_UPPER)):
+            q = robust_covariance(Sample(x), q=3, epsilon=0.1, **kwargs).matrix
+            np.testing.assert_array_equal(q, q.T)
+            assert [float(v).hex() for v in q[np.triu_indices(4)]] == upper
 
     def test_grid_certified_solves_a_block_once_per_level(self, monkeypatch):
         # each grid level of a block is one solve of its rows, with the bits
@@ -359,10 +352,12 @@ class TestRobustCovariance:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((120, 4))
         x[rng.random(120) < 0.05] *= 4.0
-        cov = robust_covariance(Sample(x), q=2, epsilon=0.1)
-        gram = robust_gram(Sample((x[0::2] - x[1::2]) / math.sqrt(2.0)), epsilon=0.1)
-        np.testing.assert_array_equal(cov.matrix, gram.matrix)
-        assert cov.frobenius_deltas == gram.frobenius_deltas
+        for num_updates in (1, 4):
+            cov = robust_covariance(Sample(x), q=2, epsilon=0.1, num_updates=num_updates)
+            gram = robust_gram(Sample((x[0::2] - x[1::2]) / math.sqrt(2.0)), epsilon=0.1,
+                               num_updates=num_updates)
+            np.testing.assert_array_equal(cov.matrix, gram.matrix)
+            assert cov.frobenius_deltas == gram.frobenius_deltas
 
     def test_diagnostics_populated(self):
         rng = np.random.default_rng(14)
@@ -424,6 +419,11 @@ class TestRobustCovariance:
             robust_covariance(s, q=2, epsilon=epsilon, mode=mode)
 
 
+# the invariances hold at the default, one update, and at four, whose
+# later updates start their solves warm in the eigenbasis of a robust iterate
+UPDATE_COUNTS = (1, 4)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**16), k=st.integers(-500, 500))
 @example(seed=0, k=-20)
@@ -431,8 +431,9 @@ class TestRobustCovariance:
 @example(seed=2, k=-500)
 def test_robust_covariance_scales_exactly(seed, k):
     x = np.random.default_rng(seed).standard_t(3, (80, 3))
-    assert_scales_by_powers_of_four(
-        lambda y: robust_covariance(Sample(y), q=2, epsilon=0.1).matrix, x, k)
+    for num_updates in UPDATE_COUNTS:
+        assert_scales_by_powers_of_four(lambda y: robust_covariance(
+            Sample(y), q=2, epsilon=0.1, num_updates=num_updates).matrix, x, k)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -441,8 +442,9 @@ def test_robust_covariance_is_rotation_equivariant(seed, n, d):
     # continuous data, as for robust_gram: the eigenbasis must be unique
     rng = np.random.default_rng(seed)
     x = rng.standard_t(3, (n, d))
-    assert_rotation_equivariant(
-        lambda y: robust_covariance(Sample(y), q=2, epsilon=0.1).matrix, x, rng)
+    for num_updates in UPDATE_COUNTS:
+        assert_rotation_equivariant(lambda y: robust_covariance(
+            Sample(y), q=2, epsilon=0.1, num_updates=num_updates).matrix, x, rng)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -452,7 +454,9 @@ def test_degenerate_samples_give_symmetric_finite_estimates(case, shift):
     # duplicate rows, zero columns, n = 2 and d > n; an integer shift of
     # lattice data is exact, so the estimate must not move by a bit
     x, zero = case
-    q = robust_covariance(Sample(x), q=2, epsilon=0.1).matrix
-    assert_symmetric_finite_zero_columns(q, zero)
     shifted = x + np.array(shift[: x.shape[1]], dtype=float)
-    np.testing.assert_array_equal(robust_covariance(Sample(shifted), q=2, epsilon=0.1).matrix, q)
+    for num_updates in UPDATE_COUNTS:
+        q = robust_covariance(Sample(x), q=2, epsilon=0.1, num_updates=num_updates).matrix
+        assert_symmetric_finite_zero_columns(q, zero)
+        np.testing.assert_array_equal(robust_covariance(
+            Sample(shifted), q=2, epsilon=0.1, num_updates=num_updates).matrix, q)

@@ -809,7 +809,7 @@ class TestRobustGram:
         "0x1.49e439661c9adp-2",
     ]
 
-    # the same trial at the default number of updates, one
+    # the same trial at one update, the paper's estimator
     REFERENCE_ONE_UPDATE_UPPER = [
         "0x1.f9259b7fa933fp+1", "0x1.b067304b99a02p+0", "0x1.5114d65064a8fp-2",
         "0x1.59f9ded28d940p-1", "0x1.f1b5d80767814p-4", "-0x1.a8870a6b53d57p-3",
@@ -832,15 +832,6 @@ class TestRobustGram:
         "0x1.155032d0e1be6p-2",
     ]
 
-    def test_bitwise_reference_matrix_one_update(self):
-        cfg = ExperimentConfig(seed=0)
-        est = robust_gram(gen_mixture(cfg, trial_rng(cfg.seed, 1)), epsilon=cfg.epsilon)
-        assert est.iterations == 1 and est.frobenius_deltas[0] > STOP_TOL
-        q = est.matrix
-        np.testing.assert_array_equal(q, q.T)
-        assert [float(x).hex() for x in q[np.triu_indices(cfg.d)]] == (
-            self.REFERENCE_ONE_UPDATE_UPPER)
-
     @pytest.mark.parametrize("seed, last", [(0, 1.4e-9), (1511, 3.2e-10)])
     def test_stop_tol_fires_on_the_estimate_tall_mixture(self, seed, last):
         # at n = 40000 the relative change falls by one to two orders of
@@ -854,10 +845,12 @@ class TestRobustGram:
 
     def test_bitwise_reference_matrix(self):
         cfg = ExperimentConfig(seed=0)
-        q = robust_gram(gen_mixture(cfg, trial_rng(cfg.seed, 1)), epsilon=cfg.epsilon,
-                        num_updates=cfg.num_updates).matrix
-        np.testing.assert_array_equal(q, q.T)
-        assert [float(x).hex() for x in q[np.triu_indices(cfg.d)]] == self.REFERENCE_UPPER
+        sample = gen_mixture(cfg, trial_rng(cfg.seed, 1))
+        for num_updates, upper in ((cfg.num_updates, self.REFERENCE_UPPER),
+                                   (1, self.REFERENCE_ONE_UPDATE_UPPER)):
+            q = robust_gram(sample, epsilon=cfg.epsilon, num_updates=num_updates).matrix
+            np.testing.assert_array_equal(q, q.T)
+            assert [float(x).hex() for x in q[np.triu_indices(cfg.d)]] == upper
 
     def test_reference_trials_take_no_bisection_step(self, monkeypatch):
         # Newton on 1/S from the row mean stays inside its bracket on the
