@@ -131,8 +131,8 @@ def make_grid(n: int, mb: MomentBounds, a: float = 0.5, epsilon: float = 0.05) -
                                           + log(K / epsilon)))
     beta_j   = sqrt(2 (2+c) sqrt(kappa) s4^4 n e^{-(j - 1/2) a})
 
-    A lambda_j or beta_j beyond the floating-point range, as from an s4 whose
-    fourth power overflows, raises ``gram.NumericalError``.
+    A lambda_j or beta_j that overflows, or underflows to 0, as from an s4
+    whose fourth power does, raises ``gram.NumericalError``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -160,7 +160,7 @@ def make_grid(n: int, mb: MomentBounds, a: float = 0.5, epsilon: float = 0.05) -
         beta_j = math.sqrt(
             2.0 * (2.0 + c) * math.sqrt(kap) * mb.s4**4 * n * math.exp(-(j - 0.5) * a)
         )
-        if not (math.isfinite(lam_j) and math.isfinite(beta_j)):
+        if not (0.0 < lam_j < math.inf and 0.0 < beta_j < math.inf):
             raise NumericalError(
                 f"grid point {j} is out of floating-point range: lambda_j = {lam_j}, "
                 f"beta_j = {beta_j} (kappa = {kap:.6g}, s4 = {mb.s4:.6g})")
@@ -346,11 +346,13 @@ def sigma_default(n: int, mb: MomentBounds, epsilon: float) -> float:
             f"n = {n} too small for a finite threshold; need n > "
             f"{math.ceil(128.0 * (LOG_K_CAP + math.log(1.0 / epsilon)))}"
         )
-    return 100.0 * mb.kappa * mb.trace_g / denom
+    threshold = 100.0 * mb.kappa * mb.trace_g / denom
+    # 100 kappa Tr(G) may overflow where the threshold does not (kappa / denom is normal)
+    return threshold if threshold < math.inf else mb.kappa / denom * mb.trace_g * 100.0
 
 
 def confidence_intervals(sample: Sample, thetas, grid: Grid, mb: MomentBounds,
-                         epsilon: float = None, *, _exponent: int = 0) -> list:
+                         epsilon: float = None) -> list:
     """(lower, upper) confidence bounds for E<theta, X>^2 over the grid, one
     pair per direction of ``thetas``.
 
@@ -361,10 +363,9 @@ def confidence_intervals(sample: Sample, thetas, grid: Grid, mb: MomentBounds,
     a tile of ``mestimator.TILE_ELEMS`` squares (and one row) at a time, in
     one buffer, never as one (len(thetas), n) array.  An interval
     degenerates to [0, inf) when every gate is inactive.  The coefficients
-    use grid.n, so a grid built for another n raises ValueError.
-    ``robustgram estimate`` passes its sample divided by 2^_exponent: each
-    tilde_n_j is multiplied by 4^_exponent before the maps, and the grid
-    and the coefficients stay in original units.
+    use grid.n, so a grid built for another n raises ValueError.  The
+    projections come from ``Sample.projections``, in original units, as
+    the grid and the coefficients are.
     """
     coeffs = coeffs_for_grid(grid, mb, epsilon)
     tile = max(1, mestimator.TILE_ELEMS // sample.n)
@@ -377,8 +378,7 @@ def confidence_intervals(sample: Sample, thetas, grid: Grid, mb: MomentBounds,
             squares, norm_sq = _direction_squares(sample, theta, grid)
             row[:] = squares
             norms_sq.append(norm_sq)
-        tilde = np.ldexp(_tilde_n_grid(v, grid), 2 * _exponent)
-        for values, norm_sq in zip(tilde.tolist(), norms_sq):
+        for values, norm_sq in zip(_tilde_n_grid(v, grid).tolist(), norms_sq):
             lower, upper = 0.0, math.inf
             for val, co in zip(values, coeffs):
                 lower = max(lower, phi_minus(val, co, norm_sq))

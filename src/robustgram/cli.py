@@ -28,8 +28,7 @@ import numpy as np
 from . import bounds as bnd
 from . import covariance, gram
 from .covariance import robust_covariance
-from .gram import (NumericalError, _beside, _norm_exponent, _scale_back, empirical_gram,
-                   positive_part, robust_gram)
+from .gram import NumericalError, _beside, empirical_gram, positive_part, robust_gram
 from .harness import (
     MIN_KAPPA_OBSERVATIONS,
     BenchmarkError,
@@ -41,26 +40,23 @@ from .harness import (
     save_matrix_csv,
     summarize,
 )
-from .mestimator import Sample
 
 
-def _bounds_report(sample, e, seed, epsilon) -> dict:
+def _bounds_report(sample, seed, epsilon) -> dict:
     """The report's plug-in moment bounds and per-axis confidence intervals
-    with their grid, in original units, for the sample divided by 2^e; null
-    bounds or intervals and a ``grid_note`` with the reason where there are
-    none."""
+    with their grid; null bounds or intervals and a ``grid_note`` with the
+    reason where there are none."""
     if sample.n < MIN_KAPPA_OBSERVATIONS:
         note = (f"moment bounds need at least {MIN_KAPPA_OBSERVATIONS} "
                 f"observations, got {sample.n}")
     elif not sample.data.any():
         note = "moment bounds need a non-zero observation; the sample is all zeros"
     else:
-        mb = estimate_moment_bounds(sample, seed=seed, _exponent=e)
+        mb = estimate_moment_bounds(sample, seed=seed)
         report = {"moment_bounds": dataclasses.asdict(mb)}
         try:
             grid = bnd.make_grid(sample.n, mb, epsilon=epsilon)
-            intervals = bnd.confidence_intervals(sample, np.eye(sample.d), grid, mb,
-                                                 _exponent=e)
+            intervals = bnd.confidence_intervals(sample, np.eye(sample.d), grid, mb)
         except ValueError as exc:
             return {**report, "confidence_intervals": None, "grid_note": str(exc)}
         return {**report,
@@ -72,13 +68,8 @@ def _bounds_report(sample, e, seed, epsilon) -> dict:
 
 
 def _cmd_estimate(args) -> int:
-    """Write the empirical Gram matrix, the robust estimate, its positive
-    part and the report.  The op keeps one copy of the sample, divided by
-    the power of two 2^e of ``gram._norm_exponent`` once the empirical Gram
-    matrix is formed: the robust estimate, kappa, the plug-in moments and
-    the intervals all run on it, and each quantity with units is scaled
-    back by a power of two where it is formed, so the outputs keep the bits
-    of the sample as given."""
+    """Write the empirical Gram matrix, the robust estimate, its positive part
+    and the report, from the one copy of the sample ``load_sample_csv`` holds."""
     sample = load_sample_csv(args.sample, header=args.header)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -90,35 +81,21 @@ def _cmd_estimate(args) -> int:
     # them the estimate is still written, without moment bounds or intervals.
     with np.errstate(over="ignore", invalid="ignore"):
         gbar = empirical_gram(sample)
-    e = _norm_exponent(sample.data)
-    # The original goes before the Sample copies the scaled array, so the op
-    # never holds three copies; with three, estimate-tall peak RSS read up to
-    # 3 MB higher in some runs.
-    scaled = np.ldexp(sample.data, -e)
-    del sample
-    sample = Sample(scaled)
-    del scaled
-    bounds = _beside(_bounds_report, sample, e, args.seed, args.epsilon)
+    bounds = _beside(_bounds_report, sample, args.seed, args.epsilon)
     try:
         if not np.all(np.isfinite(gbar)):
             raise NumericalError("the empirical Gram matrix overflows "
                                  "(data out of floating-point range)")
         est = robust_gram(sample, epsilon=args.epsilon, num_updates=args.updates)
-        q = _scale_back(est.matrix, e)
-        q_plus = positive_part(q)
+        q_plus = positive_part(est.matrix)
     finally:
         bounds_report = bounds.result()
     save_matrix_csv(os.path.join(out_dir, "g_bar.csv"), gbar)
-    save_matrix_csv(os.path.join(out_dir, "q.csv"), q)
+    save_matrix_csv(os.path.join(out_dir, "q.csv"), est.matrix)
     save_matrix_csv(os.path.join(out_dir, "q_plus.csv"), q_plus)
 
-    report = {
-        "n": sample.n,
-        "d": sample.d,
-        "iterations": est.iterations,
-        "frobenius_deltas": est.frobenius_deltas,
-        **bounds_report,
-    }
+    report = {"n": sample.n, "d": sample.d, "iterations": est.iterations,
+              "frobenius_deltas": est.frobenius_deltas, **bounds_report}
     with open(os.path.join(out_dir, "estimate.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -126,15 +103,28 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _finite(name: str, value: float, args) -> float:
-    """value, or a NumericalError naming the overflow and the moment flags."""
-    if not math.isfinite(value):
-        raise NumericalError(f"{name} overflows to {value} (--kappa {args.kappa}, "
-                             f"--s4 {args.s4}, --trace-g {args.trace_g})")
+def _in_range(name: str, value: float) -> float:
+    """value, or a NumericalError naming the term that left the floating-point range."""
+    if not 0.0 < value < math.inf:
+        change = "underflows to 0" if value == 0.0 else f"overflows to {value}"
+        raise NumericalError(f"{name} {change}")
     return value
 
 
 def _cmd_bounds(args) -> int:
+    try:
+        out = _bounds(args)
+    except (ValueError, ArithmeticError, NumericalError) as exc:
+        # the library's messages name no flag; a ValueError stays a configuration error
+        kind = ValueError if isinstance(exc, ValueError) else NumericalError
+        raise kind(f"{exc} (--n {args.n}, --kappa {args.kappa}, --s4 {args.s4}, "
+                   f"--trace-g {args.trace_g}, --epsilon {args.epsilon}, --a {args.a})") from None
+    print(json.dumps(out, indent=2))
+    return 0
+
+
+def _bounds(args) -> dict:
+    """The grid, threshold and bound terms ``robustgram bounds`` prints."""
     # NaN and inf would print as JSON no parser reads, and a negative trace
     # would be replaced as if it were the default 0
     if not 0.0 <= args.trace_g < math.inf:
@@ -142,39 +132,38 @@ def _cmd_bounds(args) -> int:
     # the bounds hold at a positive energy only
     if args.t and not all(0.0 < t < math.inf for t in args.t):
         raise ValueError(f"--t must be finite and positive, got {args.t}")
+    # before the default trace divides by sqrt(kappa)
+    if not (1.0 <= args.kappa < math.inf and 0.0 < args.s4 < math.inf):
+        raise ValueError("--kappa must be finite and at least 1, and --s4 finite and positive")
+    # s4 enters the energies squared and the grid to the fourth power; out of
+    # range, a Python float power raises a bare OverflowError or gives 0
+    square = _in_range("s4^2", args.s4 * args.s4)
+    _in_range("s4^4", square * square)
     mb = bnd.MomentBounds(kappa=args.kappa, s4=args.s4,
                           trace_g=args.trace_g if args.trace_g > 0
                           else args.s4**2 / math.sqrt(args.kappa))
     out = {"n": args.n, "epsilon": args.epsilon,
            "min_sample_size": bnd.min_sample_size(mb.kappa)}
-    try:
-        grid = bnd.make_grid(args.n, mb, a=args.a, epsilon=args.epsilon)
-    except ValueError as exc:
-        raise ValueError(f"{exc} (--n {args.n}, --kappa {args.kappa}, --a {args.a}, "
-                         f"--epsilon {args.epsilon})") from None
+    grid = bnd.make_grid(args.n, mb, a=args.a, epsilon=args.epsilon)
     out["grid"] = {"K": grid.K, "a": grid.a,
                    "points": [{"lambda": l, "beta": b} for l, b in grid.points]}
+    out["sigma_default"] = None
     try:
-        sigma = _finite("sigma_default", bnd.sigma_default(args.n, mb, args.epsilon), args)
-        out["sigma_default"] = sigma
-        sigma_eff = min(sigma, mb.s4**2)
+        out["sigma_default"] = _in_range("sigma_default",
+                                         bnd.sigma_default(args.n, mb, args.epsilon))
     except ValueError as exc:
-        out["sigma_default"] = None
         out["sigma_note"] = str(exc)
-        sigma_eff = mb.s4**2
+    sigma_eff = min(out["sigma_default"] or math.inf, mb.s4**2)
     # Python floats, whose overflow gives inf with no numpy warning
     ts = args.t if args.t else np.geomspace(sigma_eff, mb.s4**2, 5).tolist()
     rows = []
     for t in ts:
-        z = _finite("zeta_star", bnd.zeta_star(max(t, sigma_eff), mb, grid.K, args.epsilon),
-                    args)
+        z = _in_range("zeta_star", bnd.zeta_star(max(t, sigma_eff), mb, grid.K, args.epsilon))
         bstar = bnd.b_star(t, sigma_eff, args.n, mb, grid.K, args.epsilon)
         rows.append({"t": t, "zeta_star": z,
                      "b_star": bstar if math.isfinite(bstar) else "inf"})
     out["bounds"] = rows
-    json.dump(out, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return 0
+    return out
 
 
 def _cmd_benchmark(args) -> int:

@@ -39,9 +39,9 @@ def _pair_differences(sample: Sample, q: int) -> np.ndarray:
     """Generating vectors (x_j - x_k) / sqrt(q(q-1)), j < k, of each q-block.
 
     Splits the sample contiguously into floor(n/q) blocks and returns an
-    (m, q(q-1)/2, d) array.  Only differences enter, so shifting every
-    observation by the same vector leaves the result bitwise unchanged.
-    Trailing n mod q observations are discarded with a warning.
+    (m, q(q-1)/2, d) array, in original units.  Only differences enter, so
+    shifting every observation by the same vector leaves the result bitwise
+    unchanged.  Trailing n mod q observations are discarded with a warning.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -54,7 +54,8 @@ def _pair_differences(sample: Sample, q: int) -> np.ndarray:
                        rest, sample.n, q)
     x = sample.data[: m * q].reshape(m, q, sample.d)
     jj, kk = np.triu_indices(q, k=1)
-    return (x[:, jj, :] - x[:, kk, :]) / math.sqrt(q * (q - 1.0))
+    vectors = (x[:, jj, :] - x[:, kk, :]) / math.sqrt(q * (q - 1.0))
+    return np.ldexp(vectors, sample._exponent, out=vectors)
 
 
 def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,

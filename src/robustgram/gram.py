@@ -159,7 +159,7 @@ class GramEstimate:
 
 def empirical_gram(sample: Sample) -> np.ndarray:
     """Classical estimator (1/n) sum X_i X_i^T."""
-    return _mean_matrix(sample.data)
+    return np.ldexp(_mean_matrix(sample.data), 2 * sample._exponent)
 
 
 def _mean_matrix(vectors: np.ndarray) -> np.ndarray:
@@ -360,13 +360,11 @@ def _claim_blocks(cols, estimate, n_values, rows: int, cursor, failures: dict) -
 
 
 def _norm_exponent(x: np.ndarray) -> int:
-    """Binary exponent of max |x| less ``NORM_EXPONENT`` (-NORM_EXPONENT for x = 0).
-
-    max |x| is the larger of max x and -min x: two passes that form no
-    array, where ``np.abs(x)`` would form one of the sample's size, on each
-    of the three calls of a ``robustgram estimate`` op."""
+    """Binary exponent of max |x| less ``NORM_EXPONENT`` (-NORM_EXPONENT for
+    x = 0, 0 for a non-finite entry, which no Sample admits).  max |x| is
+    the larger of max x and -min x: two passes that form no array."""
     top = max(np.max(x, initial=0.0), -np.min(x, initial=0.0))
-    return int(np.frexp(top)[1]) - NORM_EXPONENT
+    return int(np.frexp(top)[1]) - NORM_EXPONENT if math.isfinite(top) else 0
 
 
 def _descending_eigenbasis(q: np.ndarray) -> np.ndarray:
@@ -405,29 +403,27 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1,
     perfbench's estimate-tall, but not in 40 updates where it keeps
     moving, as on a reference trial or on t(3) data.  The default estimate
     is homogeneous of degree 2 and each of its steps scales exactly under
-    a power of two, so it runs on the vectors divided by 2^e, e the binary
-    exponent of the largest |entry| less ``NORM_EXPONENT``, and its result
-    is multiplied by 2^(2e): scaling the data by 2^k scales the estimate by 4^k bit for bit
-    wherever both are representable.  Vectors already so scaled have e = 0
-    and are not copied; ``robustgram estimate`` passes them so.  A custom
-    ``estimate`` sees the quadratic values of the vectors as given.
-    Non-finite matrices, an estimate beyond the floating-point range and
-    eigh failures raise NumericalError; epsilon outside (0, 1) raises
-    ValueError.
+    a power of two, so it runs on the vectors divided by 2^e
+    (``_norm_exponent``) and multiplies its result by 4^e: scaling the data
+    by 2^k scales the estimate by 4^k bit for bit wherever both are
+    representable.  Vectors already so scaled, as a loaded sample's rows
+    are, have e = 0 and are not copied.  A custom ``estimate`` sees the
+    quadratic values of the vectors as given.  Non-finite matrices, an
+    estimate beyond the floating-point range and eigh failures raise
+    NumericalError; epsilon outside (0, 1) raises ValueError.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if num_updates < 1:
         raise ValueError("num_updates must be at least 1")
     flat = vectors.reshape(-1, vectors.shape[-1])
-    e, default = 0, estimate is None
+    default = estimate is None
     # each direction's N of the previous update; nan in update 1
     n_values = np.full(vectors.shape[-1] ** 2, np.nan)
-    if default:
-        e = _norm_exponent(flat)
-        if e:
-            flat = np.ldexp(flat, -e)
-            vectors = flat.reshape(vectors.shape)
+    e = _norm_exponent(flat) if default else 0
+    if e:
+        flat = np.ldexp(flat, -e)
+        vectors = flat.reshape(vectors.shape)
     prev = _mean_matrix(vectors)
     if not np.all(np.isfinite(prev)):
         raise NumericalError("non-finite start matrix (data out of floating-point range)")
@@ -467,9 +463,7 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1,
             break  # no basis is needed after the last update
         prev = q
         basis = _descending_eigenbasis(q)
-    if e:
-        q = _scale_back(q, e)
-    return GramEstimate(matrix=q, iterations=len(deltas),
+    return GramEstimate(matrix=_scale_back(q, e), iterations=len(deltas),
                         frobenius_deltas=deltas, lambda_used=lam_means)
 
 
@@ -490,4 +484,6 @@ def robust_gram(sample: Sample, epsilon: float = 0.1,
     """Iterative robust estimate of E[X X^T]: ``iterate_polarization`` on the rows."""
     if sample.n < 2:
         raise ValueError("robust_gram needs at least two observations")
-    return iterate_polarization(sample.data, epsilon, num_updates)
+    est = iterate_polarization(sample.data, epsilon, num_updates)
+    est.matrix = _scale_back(est.matrix, sample._exponent)
+    return est

@@ -324,7 +324,16 @@ def load_matrix_csv(path: str, header: bool = False) -> np.ndarray:
 
 
 def load_sample_csv(path: str, header: bool = False) -> Sample:
-    return Sample(load_matrix_csv(path, header=header))
+    """The sample in a CSV file, held divided by the power of two 2^e, its
+    ``_exponent``, that puts its largest |entry| in [2^99, 2^100)
+    (``gram._norm_exponent``): the parsed array is scaled in place before
+    the Sample copies it, and every routine scales back where it forms a
+    quantity with units, so it gives the bits of the sample as given."""
+    x = load_matrix_csv(path, header=header)
+    e = _norm_exponent(x)
+    sample = Sample(np.ldexp(x, -e, out=x))
+    object.__setattr__(sample, "_exponent", e)
+    return sample
 
 
 # Fewest observations ``kappa_plugin`` takes.
@@ -344,7 +353,7 @@ def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> floa
     Zero-variance directions are skipped.  For Gaussian data the value sits
     near 3; heavy-tail mixtures push it higher.  It runs on the data divided
     by a power of two (``gram._norm_exponent``), so it is exactly scale-free;
-    data already so scaled, as ``robustgram estimate`` passes, is not copied.
+    data already so scaled, as a loaded sample's is, is not copied.
     The projections come from one matmul per ``KAPPA_CHUNK`` directions,
     each direction's squares in one contiguous row, so its moments sum in
     the order of a 1-d mean.
@@ -398,9 +407,9 @@ def _plugin_moments(vectors: np.ndarray, kappa: float, exponent: int = 0) -> Mom
     trace_g2 = Tr(Gbar^2), Gbar the mean of the A_i.  The row traces, the
     spectral norms and Gbar are scaled back by 4^exponent, 2^exponent and
     4^exponent as they are formed, so every moment is in original units,
-    with the bits of unscaled vectors wherever their squares are normal.  Raises NumericalError when s4 or the trace of non-zero
-    vectors underflows to 0, or when a moment overflows.
-    """
+    with the bits of unscaled vectors wherever their squares are normal.
+    Raises NumericalError when s4 or the trace of non-zero vectors
+    underflows to 0, or when a moment overflows."""
     # an overflow is reported below as a NumericalError, not as a warning,
     # on whichever thread runs this
     with np.errstate(over="ignore", invalid="ignore"):
@@ -426,15 +435,15 @@ def _plugin_moments(vectors: np.ndarray, kappa: float, exponent: int = 0) -> Mom
 
 
 def estimate_moment_bounds(sample: Sample, n_directions: int = 100, seed: int = 0,
-                           safety: float = 1.5, *, _exponent: int = 0) -> MomentBounds:
+                           safety: float = 1.5) -> MomentBounds:
     """Plug-in MomentBounds of the Gram instance, flagged non-certified.
 
     The kurtosis plug-in is inflated by ``safety``; s4 and the traces are the
     empirical moments, from ``_plugin_moments``, which raises NumericalError
     when they leave the floating-point range.  These are point estimates,
-    not the true upper bounds the theory assumes.  ``robustgram estimate``
-    passes its sample divided by 2^_exponent; the bounds come back in
-    original units.
+    not the true upper bounds the theory assumes.  They are in original
+    units: ``_plugin_moments`` scales them back by the sample's
+    ``_exponent``.
     """
     kappa = max(safety * kappa_plugin(sample, n_directions, seed), 1.0 + 1e-6)
-    return _plugin_moments(sample.data, kappa, _exponent)
+    return _plugin_moments(sample.data, kappa, sample._exponent)

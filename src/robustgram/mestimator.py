@@ -42,11 +42,15 @@ from .influence import LOG2, psi, psi_and_prime_into
 
 @dataclass(frozen=True)
 class Sample:
-    """Immutable n x d matrix of observations (one observation per row)."""
+    """Immutable n x d matrix of observations, one per row of
+    ``data * 2**_exponent``: ``_exponent`` is 0 but for a sample that
+    ``harness.load_sample_csv`` holds divided by a power of two, and each
+    quantity with units is scaled back where it is formed."""
 
     data: np.ndarray
     n: int = field(init=False)
     d: int = field(init=False)
+    _exponent: int = field(default=0, init=False)
 
     def __post_init__(self):
         arr = np.array(self.data, dtype=float)
@@ -65,7 +69,7 @@ class Sample:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.d,):
             raise ValueError(f"direction has shape {theta.shape}, expected ({self.d},)")
-        return self.data @ theta
+        return np.ldexp(self.data @ theta, self._exponent)
 
 
 # The solver's tolerance on |f|, and its Newton and bisection steps per row.

@@ -38,6 +38,7 @@ from robustgram.bounds import (
     zeta_star,
 )
 from robustgram import bounds, mestimator
+from robustgram.gram import NumericalError
 from robustgram.influence import C_UNIVERSAL
 from robustgram.mestimator import Sample, tilde_n
 
@@ -143,6 +144,12 @@ class TestGrid:
         c = C_UNIVERSAL
         expect = math.sqrt(2 * (2 + c) * math.sqrt(3.0) * 1e5 * math.exp(0.25))
         assert grid.points[0][1] == pytest.approx(expect, rel=1e-12)
+
+    def test_lambda_that_underflows_is_numerical_failure(self):
+        # n (kappa - 1) overflows, so lambda_0 came out 0, and the Grid
+        # rejected it as a configuration error ("grid points must be positive")
+        with pytest.raises(NumericalError, match="grid point 0 is out of floating-point range"):
+            make_grid(10**300, MomentBounds(kappa=1e10, s4=1.0, trace_g=1.0))
 
 
 class TestBoundCoeffs:
@@ -402,6 +409,21 @@ class TestSigmaDefault:
         mb = MomentBounds(kappa=3.0, s4=1.0, trace_g=1.0)
         with pytest.raises(ValueError):
             sigma_default(100, mb, 0.05)
+
+    def test_finite_where_only_the_product_overflows(self):
+        # 100 kappa Tr(G) overflowed before the division, which gave inf
+        mb = MomentBounds(kappa=3.0, s4=1.0, trace_g=1e308)
+        assert sigma_default(10**300, mb, 0.05) == pytest.approx(3.84e12, rel=1e-12)
+        assert sigma_default(10**5, mb, 0.05) == pytest.approx(
+            3.0 * (1e308 / (10**5 / 128.0 - LOG_K_CAP - math.log(20.0))) * 100.0, rel=1e-12)
+        # a threshold beyond the range still overflows
+        assert sigma_default(5773, mb, 0.05) == math.inf
+
+    @pytest.mark.parametrize("n, trace_g", [(10**4, 1.0), (10**5, 1e300), (10**300, 1e-300)])
+    def test_bits_kept_where_the_product_is_finite(self, n, trace_g):
+        mb = MomentBounds(kappa=3.0, s4=1e-160, trace_g=trace_g)
+        denom = n / 128.0 - LOG_K_CAP - math.log(1.0 / 0.05)
+        assert sigma_default(n, mb, 0.05) == 100.0 * 3.0 * trace_g / denom
 
 
 class TestConfidenceInterval:

@@ -1,24 +1,33 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robustgram
 from robustgram import cli, gram
-from robustgram.bounds import confidence_intervals, make_grid
+from robustgram.bounds import (confidence_intervals, make_grid, select_hat_n,
+                               sigma_default)
 from robustgram.cli import main
+from robustgram.covariance import robust_covariance
 from robustgram.gram import empirical_gram, robust_gram
-from robustgram.harness import estimate_moment_bounds, save_matrix_csv
-from robustgram.mestimator import Sample
+from robustgram.harness import (estimate_moment_bounds, kappa_plugin, load_matrix_csv,
+                                load_sample_csv, save_matrix_csv)
+from robustgram.mestimator import Sample, alpha_hat, r_lambda, tilde_n
 
 
 @pytest.fixture
@@ -52,6 +61,16 @@ def strict_json(text: str):
         raise ValueError(f"{name} is not JSON")
 
     return json.loads(text, parse_constant=reject)
+
+
+def result_bits(result):
+    """The bytes of a result: arrays and floats exactly, dataclasses and
+    tuples item by item."""
+    if dataclasses.is_dataclass(result):
+        return [result_bits(getattr(result, f.name)) for f in dataclasses.fields(result)]
+    if isinstance(result, (list, tuple)):
+        return [result_bits(item) for item in result]
+    return np.asarray(result).tobytes()
 
 
 def main_warning_of_nothing(argv) -> int:
@@ -149,6 +168,14 @@ class TestEstimate:
         assert main(["estimate", overflow_csv, "--out", str(tmp_path / "est")]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_non_finite_entry_is_config_error(self, tmp_path, capsys):
+        # the entry next to nan would overflow if the sample were scaled as
+        # if its largest |entry| were below 1
+        path = tmp_path / "nan.csv"
+        path.write_text("nan,1e300\n1,2\n3,4\n")
+        assert main_warning_of_nothing(["estimate", str(path), "--out", str(tmp_path)]) == 1
+        assert "non-finite entries" in capsys.readouterr().err
+
     def test_one_huge_row_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # the robust estimate of this sample is finite, but the empirical
         # Gram matrix and the moment bounds overflow; the bounds' error wins,
@@ -204,6 +231,38 @@ class TestScaledEstimate:
         assert report["moment_bounds"] == expected["moment_bounds"]
         assert [(ci["lower"], math.inf if ci["upper"] == "inf" else ci["upper"])
                 for ci in report["confidence_intervals"]] == expected["intervals"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k", SCALES)
+    def test_loaded_sample_gives_the_bits_of_the_array(self, cases, monkeypatch, k, threads):
+        # a loaded sample is held divided by 2^_exponent; every public
+        # function taking a Sample returns the bits it returns on the array
+        monkeypatch.setattr(gram, "_THREADS", threads)
+        path, _ = cases[k]
+        plain, loaded = Sample(load_matrix_csv(path)), load_sample_csv(path)
+        assert plain._exponent == 0 and loaded._exponent != 0
+        mb = estimate_moment_bounds(plain)
+        grid = make_grid(plain.n, mb, epsilon=0.1)
+        sigma = min(sigma_default(plain.n, mb, 0.1), mb.s4**2)
+        theta = np.array([1.0, -2.0, 0.5, 3.0])
+        lam = float(np.mean(plain.projections(theta) ** 2))
+        consumers = {
+            "empirical_gram": empirical_gram,
+            "robust_gram": robust_gram,
+            "robust_covariance q=2": robust_covariance,
+            "robust_covariance q=3": lambda s: robust_covariance(s, q=3),
+            "grid-certified": lambda s: robust_covariance(s, mode="grid-certified"),
+            "kappa_plugin": kappa_plugin,
+            "estimate_moment_bounds": estimate_moment_bounds,
+            "confidence_intervals": lambda s: confidence_intervals(s, np.eye(s.d), grid, mb),
+            "select_hat_n": lambda s: select_hat_n(s, theta, grid, sigma, mb),
+            "tilde_n": lambda s: tilde_n(s, theta, 1.0),
+            "r_lambda": lambda s: r_lambda(s, theta, lam),
+            "alpha_hat": lambda s: alpha_hat(s, theta, 1.0),
+            "projections": lambda s: s.projections(theta),
+        }
+        for name, consumer in consumers.items():
+            assert result_bits(consumer(loaded)) == result_bits(consumer(plain)), name
 
     def test_op_peak_is_at_most_4_5_samples(self, tmp_path, monkeypatch):
         # Traced peak of one op on one thread, which keeps it deterministic,
@@ -291,7 +350,7 @@ class TestBounds:
         assert f"--a {float(a)}" in proc.stderr
 
     @pytest.mark.parametrize("s4, trace_g, term", [
-        ("1.0", "1e308", "sigma_default"),
+        ("1.0", "1e308", "zeta_star"),
         ("1e-10", "1e305", "zeta_star"),
     ])
     def test_overflowing_term_is_numerical_failure(self, capsys, s4, trace_g, term):
@@ -302,6 +361,99 @@ class TestBounds:
         captured = capsys.readouterr()
         assert code == 2 and not captured.out
         assert f"numerical failure: {term} overflows" in captured.err
+
+    def test_overflowing_threshold_is_numerical_failure(self, capsys):
+        # the smallest n the grid admits leaves 100 kappa Tr(G) / 37.8 out of range
+        code = main(["bounds", "--n", "5773", "--kappa", "3", "--s4", "1", "--trace-g", "1e308"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert "numerical failure: sigma_default overflows to inf" in captured.err
+
+    @pytest.mark.parametrize("s4, term", [
+        ("1e100", "s4^4 overflows to inf"),
+        ("1e160", "s4^2 overflows to inf"),
+        ("1e200", "s4^2 overflows to inf"),
+        ("1e-160", "s4^4 underflows to 0"),
+        ("1e-200", "s4^2 underflows to 0"),
+    ])
+    def test_s4_out_of_range_is_numerical_failure(self, capsys, s4, term):
+        # the large ones exited 2 with the bare OverflowError message
+        # "(34, 'Numerical result out of range')"; the small ones exited 1,
+        # as if s4 were not positive
+        code = main(["bounds", "--n", "100000", "--kappa", "3", "--s4", s4])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert f"numerical failure: {term}" in captured.err
+        assert f"--s4 {float(s4)}" in captured.err
+
+    @pytest.mark.parametrize("argv, code, flag", [
+        (["--n", "100000", "--kappa", "-1", "--s4", "1"], 1, "--kappa -1.0"),
+        (["--n", "100000", "--kappa", "0", "--s4", "1"], 1, "--kappa 0.0"),
+        (["--n", "100000", "--kappa", "3", "--s4", "0"], 1, "--s4 0.0"),
+        (["--n", "100000", "--kappa", "3", "--s4", "nan"], 1, "--s4 nan"),
+        (["--n", "100000", "--kappa", "3", "--s4", "3", "--trace-g", "1e-300"], 1,
+         "--trace-g 1e-300"),
+        (["--n", str(10**300), "--kappa", "1e100", "--s4", "1", "--trace-g", "1e300"], 2,
+         "--kappa 1e+100"),
+        (["--n", "5773", "--kappa", "3", "--s4", "1", "--a", "1e300"], 2, "--a 1e+300"),
+    ], ids=["kappa-negative", "kappa-zero", "s4-zero", "s4-nan", "inconsistent",
+            "grid-point", "math-range"])
+    def test_error_names_the_flags(self, capsys, argv, code, flag):
+        # each message named no flag: "math domain error", "float division by
+        # zero" (exit 2), "s4 and trace_g must be positive", "moment bounds
+        # must be finite", "inconsistent bounds", "grid point 0 is out of
+        # floating-point range" and "math range error"
+        assert main(["bounds", *argv]) == code
+        captured = capsys.readouterr()
+        assert not captured.out and flag in captured.err
+
+
+# Values argparse accepts for every float flag of ``robustgram bounds``, and for --n.
+FLAG_VALUES = ["0", "-1", "nan", "inf", "1e-300", "1e-160", "1", "3", "1e100", "1e160", "1e300"]
+N_VALUES = ["0", "1", "5773", "100000", str(10**300)]
+
+
+def finite_json_problems(node, key=None):
+    """The non-finite numbers, and the strings other than "inf" and a note,
+    in a parsed JSON document."""
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in finite_json_problems(v, k)]
+    if isinstance(node, list):
+        return [p for v in node for p in finite_json_problems(v, key)]
+    if isinstance(node, float) and not math.isfinite(node):
+        return [f"{key}: {node}"]
+    if isinstance(node, str) and node != "inf" and key != "sigma_note":
+        return [f"{key}: {node!r}"]
+    return []
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.sampled_from(N_VALUES), kappa=st.sampled_from(FLAG_VALUES),
+       s4=st.sampled_from(FLAG_VALUES),
+       optional=st.fixed_dictionaries({
+           flag: st.none() | st.sampled_from(FLAG_VALUES)
+           for flag in ("--trace-g", "--epsilon", "--a")}),
+       t=st.none() | st.lists(st.sampled_from(FLAG_VALUES), max_size=2))
+def test_bounds_contract(n, kappa, s4, optional, t):
+    """``robustgram bounds`` on any values its parser accepts exits 0 with
+    strict, finite JSON, or exits 1 or 2 naming a flag, within 2 s and with
+    no warning."""
+    argv = ["bounds", "--n", n, "--kappa", kappa, "--s4", s4,
+            *[x for flag, value in optional.items() if value is not None for x in (flag, value)],
+            *(["--t", *t] if t is not None else [])]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        start = time.perf_counter()
+        code = main(argv)
+        seconds = time.perf_counter() - start
+    assert seconds < 2.0, argv
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert finite_json_problems(strict_json(out.getvalue())) == [], argv
+    else:
+        assert not out.getvalue() and re.search(r"--[a-z]", err.getvalue()), (argv, err.getvalue())
 
 
 @pytest.mark.parametrize("command", ["estimate", "cov"])
