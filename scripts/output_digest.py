@@ -22,7 +22,10 @@ on two threads there too.  The ``grid_certified_q3`` line covers q = 3
 grid-certified covariance on that sample: its 13333 blocks of three
 difference vectors take their plug-in s4 from spectral norms, the one
 route there, since the 14004-row samples give too few q = 3 blocks for the
-grid.  The ``estimate`` line covers the four files ``robustgram estimate``
+grid.  The ``grid_certified_scaled`` line covers q = 2 grid-certified
+covariance on the 40000 x 4 sample scaled by 2^-500, 2^-300, 2^256, 2^300
+and 2^500: its outputs, or the type and message of the error it raises.
+The ``estimate`` line covers the four files ``robustgram estimate``
 writes for a 14004 x 4 sample, which admits the bounds grid and whose
 updates run on two threads, beside the bounds.  The ``estimate_scaled``
 line covers ``robustgram estimate`` on that sample scaled by 2^-300,
@@ -33,12 +36,15 @@ range and the command exits 2, so the line also covers the failure.
 ``--one-thread`` solves every update and the bounds on the calling thread:
 on one checkout, the lines with and without it must agree.
 
-``--compare SRC`` runs the script four times, each in a subprocess: on the
-package under the ``src`` directory SRC of another checkout (its
-``PYTHONPATH``) and on the package imported here, each plain and with
-``--one-thread``.  It prints ``<family> same`` where all four digests
-agree and ``<family> DIFFERS`` with the four digests where they do not,
-and exits 1 if any family differs::
+``--compare SRC`` runs a digest script four times, each in a subprocess:
+that of the checkout whose ``src`` directory is SRC (this one where it has
+none) on the package under SRC (its ``PYTHONPATH``), and this one on the
+package imported here, each plain and with ``--one-thread``.  It prints
+``<family> same`` where all four digests agree and ``<family> DIFFERS``
+with the four digests where they do not.  A family that only this script
+prints is ``<family> new`` where its two digests agree, and one that only
+SRC's prints is ``<family> missing``.  It exits 1 if any family differs or
+is missing::
 
     PYTHONPATH=src python3 scripts/output_digest.py --compare <parent>/src
 
@@ -202,40 +208,72 @@ def estimate_scaled_digest() -> str:
     return h.hexdigest()
 
 
+# The powers of two of the ``grid_certified_scaled`` family.
+GRID_SCALES = (-500, -300, 256, 300, 500)
+
+
+def tall_sample() -> np.ndarray:
+    """The seeded 40000 x 4 sample of the tall grid-certified families."""
+    return np.random.default_rng(5).standard_normal((40000, 4)) + 1.0
+
+
 def grid_certified_tall_digest(q: int) -> str:
-    """sha256 of q-block grid-certified covariance on a seeded 40000 x 4 sample."""
+    """sha256 of q-block grid-certified covariance on the tall sample."""
     h = hashlib.sha256()
-    x = np.random.default_rng(5).standard_normal((40000, 4)) + 1.0
-    feed(h, estimate_fields(grid_certified(Sample(x), q)))
+    feed(h, estimate_fields(grid_certified(Sample(tall_sample()), q)))
     return h.hexdigest()
 
 
-def digests(src: str, flags: tuple) -> dict:
-    """{family: sha256} printed by this script in a subprocess with
+def grid_certified_scaled_digest() -> str:
+    """sha256 of q = 2 grid-certified covariance, or of its error, on the
+    tall sample scaled by each power of two of ``GRID_SCALES``."""
+    h = hashlib.sha256()
+    for k in GRID_SCALES:
+        feed(h, k)
+        try:
+            feed(h, estimate_fields(grid_certified(Sample(np.ldexp(tall_sample(), k)))))
+        except Exception as exc:  # noqa: BLE001 - a raised error is an output too
+            feed(h, f"{type(exc).__name__}: {exc}")
+    return h.hexdigest()
+
+
+def digests(script: str, src: str, flags: tuple) -> dict:
+    """{family: sha256} printed by ``script`` in a subprocess with
     ``PYTHONPATH=src``."""
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), *flags],
+    out = subprocess.run([sys.executable, script, *flags],
                          env={**os.environ, "PYTHONPATH": src},
                          check=True, capture_output=True, text=True).stdout
     return dict(line.split() for line in out.splitlines())
 
 
 def compare(src: str) -> int:
-    """Print one ``same`` or ``DIFFERS`` line per family for the digests of
-    the package under src and of the one imported here, each plain and with
-    ``--one-thread``; 1 if any family differs, else 0."""
+    """Print one ``same``, ``DIFFERS``, ``new`` or ``missing`` line per
+    family for the digests of the package under src and of the one imported
+    here, each plain and with ``--one-thread``; 1 if any family differs or
+    is missing, else 0."""
     here = os.path.dirname(os.path.dirname(os.path.abspath(gram.__file__)))
-    runs = [(name + suffix, digests(path, flags))
-            for name, path in (("src", os.path.abspath(src)), ("here", here))
+    src = os.path.abspath(src)
+    mine = os.path.abspath(__file__)
+    theirs = os.path.join(os.path.dirname(src), "scripts", os.path.basename(mine))
+    checkouts = (("src", theirs if os.path.exists(theirs) else mine, src), ("here", mine, here))
+    runs = [(name + suffix, digests(script, path, flags))
+            for name, script, path in checkouts
             for suffix, flags in (("", ()), ("/one-thread", ("--one-thread",)))]
-    differs = False
-    for family in runs[0][1]:
-        hashes = [(label, run.get(family)) for label, run in runs]
-        if len({h for _, h in hashes}) == 1:
-            print(family, "same")
-        else:
-            differs = True
+    failed = False
+    for family in {**runs[0][1], **runs[2][1]}:
+        if family not in runs[2][1]:
+            failed = True
+            print(family, "missing")
+            continue
+        # a family new here is checked across threads only
+        hashes = [(label, run[family]) for label, run in runs
+                  if family in runs[0][1] or label.startswith("here")]
+        if len({h for _, h in hashes}) > 1:
+            failed = True
             print(family, "DIFFERS", *(f"{label}={h}" for label, h in hashes))
-    return int(differs)
+        else:
+            print(family, "same" if family in runs[0][1] else "new")
+    return int(failed)
 
 
 def main() -> int:
@@ -262,6 +300,7 @@ def main() -> int:
         print(family, h.hexdigest())
     print("grid_certified_two_threads", grid_certified_tall_digest(2))
     print("grid_certified_q3", grid_certified_tall_digest(3))
+    print("grid_certified_scaled", grid_certified_scaled_digest())
     print("estimate", estimate_digest())
     print("estimate_scaled", estimate_scaled_digest())
     return 0

@@ -317,9 +317,15 @@ def zeta_star(t: float, mb: MomentBounds, K: int, epsilon: float) -> float:
     if t <= 0.0:
         raise ValueError("t must be positive")
     kap, tr = mb.kappa, mb.trace_g
-    return (math.sqrt(ZETA_C1 * (kap - 1.0)
-                      * (ZETA_C2 * tr / t + math.log(K) + math.log(1.0 / epsilon)))
-            + math.sqrt(ZETA_C3 * kap * tr / t))
+    first = ZETA_C1 * (kap - 1.0) * (ZETA_C2 * tr / t + math.log(K) + math.log(1.0 / epsilon))
+    second = ZETA_C3 * kap * tr / t
+    if max(first, second) < math.inf:
+        return math.sqrt(first) + math.sqrt(second)
+    # a product overflows where zeta may not: root each factor, as Tr(G) / t may overflow too
+    root, logs = math.sqrt(tr) / math.sqrt(t), math.log(K) + math.log(1.0 / epsilon)
+    return (math.sqrt(ZETA_C1) * math.sqrt(kap - 1.0)
+            * math.hypot(math.sqrt(ZETA_C2) * root, math.sqrt(logs))
+            + math.sqrt(ZETA_C3) * math.sqrt(kap) * root)
 
 
 def b_star(t: float, sigma: float, n: int, mb: MomentBounds, K: int,

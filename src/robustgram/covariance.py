@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import bounds as bnd
-from .gram import GramEstimate, iterate_polarization, positive_part
+from .gram import GramEstimate, _normalized, _scale_back, iterate_polarization, positive_part
 from .mestimator import Sample
 
 logger = logging.getLogger(__name__)
@@ -39,9 +39,10 @@ def _pair_differences(sample: Sample, q: int) -> np.ndarray:
     """Generating vectors (x_j - x_k) / sqrt(q(q-1)), j < k, of each q-block.
 
     Splits the sample contiguously into floor(n/q) blocks and returns an
-    (m, q(q-1)/2, d) array, in original units.  Only differences enter, so
-    shifting every observation by the same vector leaves the result bitwise
-    unchanged.  Trailing n mod q observations are discarded with a warning.
+    (m, q(q-1)/2, d) array, in the units of ``sample.data``.  Only
+    differences enter, so shifting every observation by the same vector
+    leaves the result bitwise unchanged.  Trailing n mod q observations are
+    discarded with a warning.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -54,8 +55,7 @@ def _pair_differences(sample: Sample, q: int) -> np.ndarray:
                        rest, sample.n, q)
     x = sample.data[: m * q].reshape(m, q, sample.d)
     jj, kk = np.triu_indices(q, k=1)
-    vectors = (x[:, jj, :] - x[:, kk, :]) / math.sqrt(q * (q - 1.0))
-    return np.ldexp(vectors, sample._exponent, out=vectors)
+    return (x[:, jj, :] - x[:, kk, :]) / math.sqrt(q * (q - 1.0))
 
 
 def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
@@ -63,24 +63,24 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
                       psd: bool = False) -> GramEstimate:
     """Robust estimate of the covariance matrix with unknown mean.
 
-    Both modes run ``iterate_polarization`` on the blocks' generating vectors.
-    Mode "iterative-practical" uses its default adaptive scale solver.  Mode
-    "grid-certified" passes as its ``estimate`` the grid-selected estimator
-    ``bounds.select_from_square_rows`` on the quadratic values of a block
-    of directions, one solver call per block and grid level (n replaced by
-    the block count); it requires enough blocks for the theoretical grid.
-    Its moment bounds are plug-in values, flagged non-certified: the
-    kurtosis of the generating vectors (``harness.kappa_plugin``) mapped
-    through the q-block transfer, and the moments of the A_i from
-    ``harness._plugin_moments``, which serves the Gram instance too; one
-    that overflows, or underflows to 0 on non-zero data, raises
-    ``gram.NumericalError``.  A sample whose blocks all vanish, such as
-    the zero sample, gives the zero matrix in either mode.
-    Set ``psd=True`` to clamp negative eigenvalues of the final estimate.
+    Both modes run ``iterate_polarization`` on the blocks' generating vectors
+    divided by 2^e in place (``gram.NORM_EXPONENT``), and scale its result
+    back by 4^e.  Mode "iterative-practical" uses its default adaptive scale
+    solver.  Mode "grid-certified" passes as its ``estimate`` the
+    grid-selected estimator ``bounds.select_from_square_rows`` on the
+    quadratic values of a block of directions, one solver call per block and
+    grid level (n replaced by the block count); it requires enough blocks
+    for the theoretical grid.  Its moment bounds are plug-in values of the
+    scaled vectors, flagged non-certified: their kurtosis
+    (``harness.kappa_plugin``) mapped through the q-block transfer, and the
+    moments of the A_i from ``harness._plugin_moments``, which serves the
+    Gram instance too.  A sample whose blocks all vanish, such as the zero
+    sample, gives the zero matrix in either mode.  Set ``psd=True`` to clamp
+    negative eigenvalues of the final estimate.
     """
     if mode not in ("iterative-practical", "grid-certified"):
         raise ValueError(f"unknown mode {mode!r}")
-    vectors = _pair_differences(sample, q)
+    vectors, e = _normalized(_pair_differences(sample, q), in_place=True)
     estimate = None
     # without a non-zero difference there are no moment bounds and no grid;
     # every quadratic form is 0, which the default hook returns too
@@ -101,7 +101,8 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
             return [sel.value for sel in bnd.select_from_square_rows(
                 v, norm_sq.tolist(), grid, coeffs, sigma)]
 
-    est = iterate_polarization(vectors, epsilon, num_updates, estimate)
+    est = _scale_back(iterate_polarization(vectors, epsilon, num_updates, estimate),
+                      e + sample._exponent)
     if psd:
         est.matrix = positive_part(est.matrix)
     return est

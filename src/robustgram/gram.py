@@ -59,12 +59,14 @@ logger = logging.getLogger(__name__)
 #   2^19    x0.83, +4.1 MB   x0.84, +3.7 MB
 BLOCK_ELEMS = 2**18
 
-# The default estimate, and ``harness.kappa_plugin``, run on the vectors scaled
-# by the power of two (``_norm_exponent``) that puts the largest |entry| in
+# Both estimators, and ``harness.kappa_plugin``, run on their vectors divided
+# by the power of two 2^e (``_normalized``) that puts the largest |entry| in
 # [2^99, 2^100).  Squares then stay below 2^200, far from overflow and below
 # the solver's rescale threshold, and every entry within 2^610 of the largest
 # keeps a normal square, so the bulk of a sample with a huge outlier is still
-# resolved.
+# resolved.  Each step of an estimate scales exactly under a power of two, so
+# the estimators multiply their result by 4^e, and scaling the data by 2^k
+# scales the estimate by 4^k bit for bit wherever both are representable.
 NORM_EXPONENT = 100
 
 # Updates robust_gram and iterate_polarization run by default.  On
@@ -359,12 +361,14 @@ def _claim_blocks(cols, estimate, n_values, rows: int, cursor, failures: dict) -
             return
 
 
-def _norm_exponent(x: np.ndarray) -> int:
-    """Binary exponent of max |x| less ``NORM_EXPONENT`` (-NORM_EXPONENT for
-    x = 0, 0 for a non-finite entry, which no Sample admits).  max |x| is
-    the larger of max x and -min x: two passes that form no array."""
+def _normalized(x: np.ndarray, in_place: bool = False) -> tuple:
+    """(x / 2^e, e), e the binary exponent of max |x| less ``NORM_EXPONENT``
+    (-NORM_EXPONENT for x = 0, 0 for a non-finite entry, which no Sample
+    admits): x itself where e = 0 or ``in_place``, else a new array.  max
+    |x| is the larger of max x and -min x: two passes that form no array."""
     top = max(np.max(x, initial=0.0), -np.min(x, initial=0.0))
-    return int(np.frexp(top)[1]) - NORM_EXPONENT if math.isfinite(top) else 0
+    e = int(np.frexp(top)[1]) - NORM_EXPONENT if math.isfinite(top) else 0
+    return (np.ldexp(x, -e, out=x if in_place else None) if e else x), e
 
 
 def _descending_eigenbasis(q: np.ndarray) -> np.ndarray:
@@ -401,15 +405,9 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1,
     update costs nearly as much as the first.  The stop test fires where the
     iterate settles, as after 5 updates on the 40000 x 10 mixture of
     perfbench's estimate-tall, but not in 40 updates where it keeps
-    moving, as on a reference trial or on t(3) data.  The default estimate
-    is homogeneous of degree 2 and each of its steps scales exactly under
-    a power of two, so it runs on the vectors divided by 2^e
-    (``_norm_exponent``) and multiplies its result by 4^e: scaling the data
-    by 2^k scales the estimate by 4^k bit for bit wherever both are
-    representable.  Vectors already so scaled, as a loaded sample's rows
-    are, have e = 0 and are not copied.  A custom ``estimate`` sees the
-    quadratic values of the vectors as given.  Non-finite matrices, an
-    estimate beyond the floating-point range and eigh failures raise
+    moving, as on a reference trial or on t(3) data.  The loop runs in
+    the units it is given, whatever the hook; the estimators normalize their
+    vectors (``NORM_EXPONENT``).  Non-finite matrices and eigh failures raise
     NumericalError; epsilon outside (0, 1) raises ValueError.
     """
     if not 0.0 < epsilon < 1.0:
@@ -420,10 +418,6 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1,
     default = estimate is None
     # each direction's N of the previous update; nan in update 1
     n_values = np.full(vectors.shape[-1] ** 2, np.nan)
-    e = _norm_exponent(flat) if default else 0
-    if e:
-        flat = np.ldexp(flat, -e)
-        vectors = flat.reshape(vectors.shape)
     prev = _mean_matrix(vectors)
     if not np.all(np.isfinite(prev)):
         raise NumericalError("non-finite start matrix (data out of floating-point range)")
@@ -463,27 +457,27 @@ def iterate_polarization(vectors: np.ndarray, epsilon: float = 0.1,
             break  # no basis is needed after the last update
         prev = q
         basis = _descending_eigenbasis(q)
-    return GramEstimate(matrix=_scale_back(q, e), iterations=len(deltas),
+    return GramEstimate(matrix=q, iterations=len(deltas),
                         frobenius_deltas=deltas, lambda_used=lam_means)
 
 
-def _scale_back(q: np.ndarray, e: int) -> np.ndarray:
-    """4^e q, the estimate of vectors that the iteration saw divided by 2^e;
-    NumericalError where it overflows."""
+def _scale_back(est: GramEstimate, e: int) -> GramEstimate:
+    """est with its matrix times 4^e, the estimate of vectors that the
+    iteration saw divided by 2^e; NumericalError where it overflows."""
     with np.errstate(over="ignore"):
-        q = np.ldexp(q, 2 * e)
-    if not np.all(np.isfinite(q)):
+        est.matrix = np.ldexp(est.matrix, 2 * e)
+    if not np.all(np.isfinite(est.matrix)):
         raise NumericalError(
             f"estimate out of floating-point range: the iteration from the start matrix "
             f"ran on the vectors divided by 2^{e}, and 4^{e} times its result overflows")
-    return q
+    return est
 
 
 def robust_gram(sample: Sample, epsilon: float = 0.1,
                 num_updates: int = NUM_UPDATES) -> GramEstimate:
-    """Iterative robust estimate of E[X X^T]: ``iterate_polarization`` on the rows."""
+    """Iterative robust estimate of E[X X^T]: ``iterate_polarization`` on the
+    rows divided by 2^e (``NORM_EXPONENT``), its result times 4^e."""
     if sample.n < 2:
         raise ValueError("robust_gram needs at least two observations")
-    est = iterate_polarization(sample.data, epsilon, num_updates)
-    est.matrix = _scale_back(est.matrix, sample._exponent)
-    return est
+    data, e = _normalized(sample.data)
+    return _scale_back(iterate_polarization(data, epsilon, num_updates), e + sample._exponent)

@@ -28,7 +28,7 @@ import numpy as np
 from . import mestimator
 from .bounds import MomentBounds
 from .covariance import robust_covariance
-from .gram import (NumericalError, _mean_matrix, _norm_exponent, empirical_gram,
+from .gram import (NumericalError, _mean_matrix, _normalized, empirical_gram,
                    frobenius_error, robust_gram)
 from .mestimator import Sample
 
@@ -326,12 +326,11 @@ def load_matrix_csv(path: str, header: bool = False) -> np.ndarray:
 def load_sample_csv(path: str, header: bool = False) -> Sample:
     """The sample in a CSV file, held divided by the power of two 2^e, its
     ``_exponent``, that puts its largest |entry| in [2^99, 2^100)
-    (``gram._norm_exponent``): the parsed array is scaled in place before
+    (``gram._normalized``): the parsed array is scaled in place before
     the Sample copies it, and every routine scales back where it forms a
     quantity with units, so it gives the bits of the sample as given."""
-    x = load_matrix_csv(path, header=header)
-    e = _norm_exponent(x)
-    sample = Sample(np.ldexp(x, -e, out=x))
+    x, e = _normalized(load_matrix_csv(path, header=header), in_place=True)
+    sample = Sample(x)
     object.__setattr__(sample, "_exponent", e)
     return sample
 
@@ -352,7 +351,7 @@ def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> floa
 
     Zero-variance directions are skipped.  For Gaussian data the value sits
     near 3; heavy-tail mixtures push it higher.  It runs on the data divided
-    by a power of two (``gram._norm_exponent``), so it is exactly scale-free;
+    by a power of two (``gram._normalized``), so it is exactly scale-free;
     data already so scaled, as a loaded sample's is, is not copied.
     The projections come from one matmul per ``KAPPA_CHUNK`` directions,
     each direction's squares in one contiguous row, so its moments sum in
@@ -360,8 +359,7 @@ def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> floa
     """
     if sample.n < MIN_KAPPA_OBSERVATIONS:
         raise ValueError(f"need at least {MIN_KAPPA_OBSERVATIONS} observations")
-    e = _norm_exponent(sample.data)
-    data = np.ldexp(sample.data, -e) if e else sample.data
+    data, _ = _normalized(sample.data)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n_directions, sample.d))
     norms = np.linalg.norm(raw, axis=1)

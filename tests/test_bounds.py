@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -376,6 +377,32 @@ class TestZetaAndBStar:
         ts = np.geomspace(1e-3, 1e3, 100)
         vals = [zeta_star(t, MB3, 7, 0.05) for t in ts]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("kappa, trace_g, t", [(3.0, 1e308, 1.0), (3.0, 1e305, 1e-20),
+                                                   (1e307, 1e-300, 1e-300)])
+    def test_zeta_star_finite_where_only_a_product_overflows(self, kappa, trace_g, t):
+        # gave inf: ZETA_C3 kappa Tr(G) overflows, Tr(G) / t too in the
+        # second case, and ZETA_C3 kappa in the third
+        mb = MomentBounds(kappa=kappa, s4=1e-150, trace_g=trace_g)
+        kappa_, ratio = Decimal(kappa), Decimal(trace_g) / Decimal(t)
+        logs = Decimal(math.log(7)) + Decimal(math.log(1.0 / 0.05))
+        expected = ((Decimal(ZETA_C1) * (kappa_ - 1) * (Decimal(ZETA_C2) * ratio + logs)).sqrt()
+                    + (Decimal(ZETA_C3) * kappa_ * ratio).sqrt())
+        assert zeta_star(t, mb, 7, 0.05) == pytest.approx(float(expected), rel=1e-14)
+
+    @pytest.mark.parametrize("kappa, trace_g, t", [(3.0, 1.0, 1.0), (3.0, 1e300, 1.0),
+                                                   (1.5, 1e-300, 1e-300), (1e10, 1e100, 1e-100)])
+    def test_zeta_star_bits_kept_where_the_products_are_finite(self, kappa, trace_g, t):
+        mb = MomentBounds(kappa=kappa, s4=1e-150, trace_g=trace_g)
+        assert zeta_star(t, mb, 7, 0.05) == (
+            math.sqrt(ZETA_C1 * (kappa - 1.0)
+                      * (ZETA_C2 * trace_g / t + math.log(7) + math.log(1.0 / 0.05)))
+            + math.sqrt(ZETA_C3 * kappa * trace_g / t))
+
+    def test_zeta_star_beyond_the_range_is_inf(self):
+        # Tr(G) / t = 2e631, so zeta is about 8e316
+        mb = MomentBounds(kappa=3.0, s4=1e-150, trace_g=1e308)
+        assert zeta_star(5e-324, mb, 7, 0.05) == math.inf
 
     def test_b_star_gate_and_monotonicity(self):
         n = 10**6

@@ -349,18 +349,20 @@ class TestBounds:
         assert proc.stderr.startswith("error: ") and "MAX_GRID_K" in proc.stderr
         assert f"--a {float(a)}" in proc.stderr
 
-    @pytest.mark.parametrize("s4, trace_g, term", [
-        ("1.0", "1e308", "zeta_star"),
-        ("1e-10", "1e305", "zeta_star"),
+    @pytest.mark.parametrize("log_n, s4, trace_g", [
+        (5, "1.0", "1e308"),
+        (5, "1e-10", "1e305"),
+        (300, "1.0", "1e308"),
     ])
-    def test_overflowing_term_is_numerical_failure(self, capsys, s4, trace_g, term):
-        # both exited 0 and printed Infinity, which is not JSON; the first
-        # also warned of an overflow in a numpy scalar product
-        code = main_warning_of_nothing(["bounds", "--n", "100000", "--kappa", "3.0",
+    def test_zeta_star_finite_where_only_a_product_overflows(self, capsys, log_n, s4, trace_g):
+        # exited 2 with "zeta_star overflows to inf": ZETA_C3 kappa Tr(G),
+        # and in the second case Tr(G) / t, overflow though zeta_star does not
+        code = main_warning_of_nothing(["bounds", "--n", str(10**log_n), "--kappa", "3.0",
                                         "--s4", s4, "--trace-g", trace_g])
         captured = capsys.readouterr()
-        assert code == 2 and not captured.out
-        assert f"numerical failure: {term} overflows" in captured.err
+        assert code == 0 and not captured.err
+        rows = json.loads(captured.out)["bounds"]
+        assert rows and all(1e150 < row["zeta_star"] < math.inf for row in rows)
 
     def test_overflowing_threshold_is_numerical_failure(self, capsys):
         # the smallest n the grid admits leaves 100 kappa Tr(G) / 37.8 out of range
@@ -591,33 +593,44 @@ class TestCov:
 class TestRangeFailures:
     """Data whose moments or grid leave the floating-point range fail with
     exit 2 and a message, never with a traceback or a configuration error,
-    and warn of nothing first; ``estimate`` runs its bounds on the worker."""
+    and warn of nothing first; ``estimate`` runs its bounds on the worker.
+    Grid-certified ``cov`` forms its moments and grid on scaled vectors, so
+    the same data no longer leave the range there."""
 
     @pytest.fixture(scope="class")
     def scaled_csv(self, tmp_path_factory):
         x = np.random.default_rng(2).standard_normal((20000, 4))
         root = tmp_path_factory.mktemp("scaled")
         paths = {}
-        for k in (-300, 256, 300):
+        for k in (-300, 0, 256, 300):
             paths[k] = str(root / f"x{k}.csv")
             save_matrix_csv(paths[k], np.ldexp(x, k))
         return paths
 
     @pytest.mark.parametrize("k, command", [
         (-300, ["estimate"]),
-        (-300, ["cov", "--mode", "grid-certified"]),
-        (256, ["cov", "--mode", "grid-certified"]),
-        (300, ["cov", "--mode", "grid-certified"]),
         (300, ["estimate"]),
     ])
     def test_scaled_sample_exits_2(self, scaled_csv, tmp_path, capsys, monkeypatch, k,
                                    command):
-        argv = [command[0], scaled_csv[k], "--out",
-                str(tmp_path / ("est" if command[0] == "estimate" else "cov.csv")), *command[1:]]
-        if command[0] == "estimate":
-            monkeypatch.setattr(gram, "_THREADS", 2)
+        monkeypatch.setattr(gram, "_THREADS", 2)
+        argv = [*command, scaled_csv[k], "--out", str(tmp_path / "est")]
         assert main_warning_of_nothing(argv) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q", ["2", "3"])
+    def test_scaled_grid_certified_cov_scales_by_powers_of_four(self, scaled_csv, tmp_path, q):
+        # exited 2 at each k: the plug-in moments of the blocks, formed in
+        # original units, overflowed or underflowed to 0
+        def cov(k):
+            out = str(tmp_path / f"cov{k}.csv")
+            assert main_warning_of_nothing(["cov", scaled_csv[k], "--out", out, "--q", q,
+                                            "--mode", "grid-certified"]) == 0
+            return load_matrix_csv(out)
+
+        unit = cov(0)
+        for k in (-300, 256, 300):
+            np.testing.assert_array_equal(cov(k), np.ldexp(unit, 2 * k))
 
     def test_underflowing_plug_in_moments_exit_2(self, tmp_path, capsys, monkeypatch):
         # the fourth powers of 2^-600 data underflow to 0 though the sample is not 0

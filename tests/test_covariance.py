@@ -373,22 +373,21 @@ class TestRobustCovariance:
         with pytest.raises(NumericalError, match="start matrix"):
             robust_covariance(Sample(1e160 * rng.standard_normal((20, 3))), q=2)
 
-    @pytest.mark.parametrize("k", [256, 300])
-    def test_grid_certified_overflowing_moments_are_numerical_error(self, k):
-        # the fourth moment of the blocks overflows before MomentBounds is
-        # built, and raises without a RuntimeWarning first
-        x = np.ldexp(np.random.default_rng(16).standard_normal((20000, 3)), k)
-        with warnings.catch_warnings(record=True) as caught, \
-                pytest.raises(NumericalError, match="moments overflow"):
-            warnings.simplefilter("always")
-            robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified")
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-    def test_grid_certified_underflowing_moments_are_numerical_error(self):
-        # the fourth moment of the blocks underflows to 0, though the data are not 0
-        x = np.ldexp(np.random.default_rng(16).standard_normal((20000, 3)), -300)
-        with pytest.raises(NumericalError, match="moments underflow"):
-            robust_covariance(Sample(x), q=2, epsilon=0.05, mode="grid-certified")
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("k", [-300, 256, 300])
+    def test_grid_certified_scales_where_the_moments_left_the_range(self, k, q):
+        # formed in original units, the fourth moment of the blocks
+        # overflowed (256, 300) or underflowed to 0 (-300), a NumericalError;
+        # the moments, the grid and the threshold are now those of the
+        # scaled difference vectors, and no RuntimeWarning is issued
+        x = np.random.default_rng(16).standard_normal((20000, 3))
+        unit = robust_covariance(Sample(x), q=q, epsilon=0.05, mode="grid-certified")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = robust_covariance(Sample(np.ldexp(x, k)), q=q, epsilon=0.05,
+                                    mode="grid-certified")
+        np.testing.assert_array_equal(est.matrix, np.ldexp(unit.matrix, 2 * k))
+        assert est.frobenius_deltas == unit.frobenius_deltas
 
     @pytest.mark.parametrize("shift", [0.0, 2.5])
     def test_grid_certified_vanishing_blocks_give_zero(self, shift):
@@ -434,6 +433,21 @@ def test_robust_covariance_scales_exactly(seed, k):
     for num_updates in UPDATE_COUNTS:
         assert_scales_by_powers_of_four(lambda y: robust_covariance(
             Sample(y), q=2, epsilon=0.1, num_updates=num_updates).matrix, x, k)
+
+
+# A sample of 24000 rows gives enough q-blocks for the theoretical grid,
+# for q = 2 and q = 3.
+GRID_SAMPLE = np.random.default_rng(17).standard_t(5, (24000, 3))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(k=st.integers(-500, 500), q=st.sampled_from([2, 3]))
+@example(k=-500, q=2)
+@example(k=300, q=3)
+@example(k=500, q=2)
+def test_grid_certified_covariance_scales_exactly(k, q):
+    assert_scales_by_powers_of_four(lambda y: robust_covariance(
+        Sample(y), q=q, epsilon=0.05, mode="grid-certified").matrix, GRID_SAMPLE, k)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

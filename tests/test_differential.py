@@ -162,8 +162,11 @@ def test_grid_certified_covariance_matches_the_reference(monkeypatch, q, n, sigm
         assert len(picked) == 1
     else:
         assert {vacuous for _, vacuous in picked} == {False, True}
-    ref, iterations, spectra = reference_gram(pair_difference_vectors(x, q), EPSILON, 2,
-                                              grid=calls[0][1])
+    # the grid is that of the difference vectors divided by 2^e, as the
+    # estimator sees them, and the estimate is scaled back by 4^e: both exact
+    vectors, e = gram._normalized(pair_difference_vectors(x, q))
+    ref, iterations, spectra = reference_gram(vectors, EPSILON, 2, grid=calls[0][1])
     assert gapped(spectra)
     assert one.iterations == iterations
-    assert frobenius_norm(one.matrix - ref) <= 1e-9 * frobenius_norm(ref)
+    matrix = np.ldexp(one.matrix, -2 * e)
+    assert frobenius_norm(matrix - ref) <= 1e-9 * frobenius_norm(ref)

@@ -915,14 +915,17 @@ def test_robust_gram_scales_exactly(seed, k):
 def test_norm_exponent_takes_max_abs_without_a_temporary(sign):
     # the exponent of max |x|, whether the largest |entry| is positive or
     # negative, on 0, subnormal and huge entries, from passes that allocate
-    # no array of the sample's size
+    # no array of the sample's size; the array comes back divided by 2^e
     x = np.random.default_rng(7).standard_t(3, (40000, 10))
     x[123, 4] = sign * 1e6
     for y in (x, np.zeros((3, 2)), np.ldexp(x, -1070), np.ldexp(x, 1000), -np.abs(x)):
-        assert gram._norm_exponent(y) == int(np.frexp(np.max(np.abs(y)))[1]) - gram.NORM_EXPONENT
+        z, e = gram._normalized(y)
+        assert e == int(np.frexp(np.max(np.abs(y)))[1]) - gram.NORM_EXPONENT
+        np.testing.assert_array_equal(np.ldexp(z, e), y)
+        assert not y.any() or 2.0**99 <= np.max(np.abs(z)) < 2.0**100
     tracemalloc.start()
     try:
-        gram._norm_exponent(x)
+        gram._normalized(x, in_place=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

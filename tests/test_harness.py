@@ -26,7 +26,6 @@ from robustgram.harness import (
     trial_rng,
     true_gram,
 )
-from robustgram.covariance import robust_covariance
 from robustgram.gram import NumericalError
 from robustgram.mestimator import Sample
 
@@ -336,12 +335,12 @@ class TestPluginMoments:
             np.testing.assert_array_equal(harness._row_traces(vectors), whole)
             assert harness._plugin_moments(vectors, 2.5) == expected
 
-    def test_grid_certified_q3_overflow_is_numerical_error(self):
-        # the spectral-norm branch: the fourth moment of 3-blocks overflows
-        # and raises without a RuntimeWarning first
-        x = np.ldexp(np.random.default_rng(16).standard_normal((20000, 3)), 256)
+    def test_overflowing_spectral_norms_are_numerical_error(self):
+        # the spectral-norm branch: the fourth moment of blocks of three
+        # vectors overflows and raises without a RuntimeWarning first
+        vectors = np.ldexp(np.random.default_rng(16).standard_normal((6666, 3, 3)), 256)
         with warnings.catch_warnings(record=True) as caught, \
                 pytest.raises(NumericalError, match="moments overflow"):
             warnings.simplefilter("always")
-            robust_covariance(Sample(x), q=3, epsilon=0.05, mode="grid-certified")
+            harness._plugin_moments(vectors, 3.0)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
