@@ -618,19 +618,26 @@ class TestRangeFailures:
         assert main_warning_of_nothing(argv) == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("q", ["2", "3"])
-    def test_scaled_grid_certified_cov_scales_by_powers_of_four(self, scaled_csv, tmp_path, q):
+    @staticmethod
+    def _grid_certified_cov(path, out, q):
+        assert main_warning_of_nothing(["cov", path, "--out", out, "--q", q,
+                                        "--mode", "grid-certified"]) == 0
+        return load_matrix_csv(out)
+
+    @pytest.fixture(scope="class")
+    def unit_cov(self, scaled_csv, tmp_path_factory):
+        root = tmp_path_factory.mktemp("unit_cov")
+        return {q: self._grid_certified_cov(scaled_csv[0], str(root / f"cov{q}.csv"), q)
+                for q in ("2", "3")}
+
+    @pytest.mark.parametrize("k", [-300, 256, 300])
+    def test_scaled_grid_certified_cov_scales_by_powers_of_four(self, scaled_csv, unit_cov,
+                                                                tmp_path, k):
         # exited 2 at each k: the plug-in moments of the blocks, formed in
         # original units, overflowed or underflowed to 0
-        def cov(k):
-            out = str(tmp_path / f"cov{k}.csv")
-            assert main_warning_of_nothing(["cov", scaled_csv[k], "--out", out, "--q", q,
-                                            "--mode", "grid-certified"]) == 0
-            return load_matrix_csv(out)
-
-        unit = cov(0)
-        for k in (-300, 256, 300):
-            np.testing.assert_array_equal(cov(k), np.ldexp(unit, 2 * k))
+        for q in ("2", "3"):
+            est = self._grid_certified_cov(scaled_csv[k], str(tmp_path / f"cov{q}.csv"), q)
+            np.testing.assert_array_equal(est, np.ldexp(unit_cov[q], 2 * k))
 
     def test_underflowing_plug_in_moments_exit_2(self, tmp_path, capsys, monkeypatch):
         # the fourth powers of 2^-600 data underflow to 0 though the sample is not 0

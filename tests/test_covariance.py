@@ -373,13 +373,10 @@ class TestRobustCovariance:
         with pytest.raises(NumericalError, match="start matrix"):
             robust_covariance(Sample(1e160 * rng.standard_normal((20, 3))), q=2)
 
-    @pytest.mark.parametrize("q", [2, 3])
-    @pytest.mark.parametrize("k", [-300, 256, 300])
-    def test_grid_certified_scales_where_the_moments_left_the_range(self, k, q):
-        # formed in original units, the fourth moment of the blocks
-        # overflowed (256, 300) or underflowed to 0 (-300), a NumericalError;
-        # the moments, the grid and the threshold are now those of the
-        # scaled difference vectors, and no RuntimeWarning is issued
+    @staticmethod
+    def _assert_grid_certified_scales(k, q):
+        # the moments, the grid and the threshold are those of the scaled
+        # difference vectors, and no RuntimeWarning is issued
         x = np.random.default_rng(16).standard_normal((20000, 3))
         unit = robust_covariance(Sample(x), q=q, epsilon=0.05, mode="grid-certified")
         with warnings.catch_warnings():
@@ -388,6 +385,19 @@ class TestRobustCovariance:
                                     mode="grid-certified")
         np.testing.assert_array_equal(est.matrix, np.ldexp(unit.matrix, 2 * k))
         assert est.frobenius_deltas == unit.frobenius_deltas
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("k", [256, 300])
+    def test_grid_certified_scales_past_moment_overflow(self, k, q):
+        # formed in original units, the fourth moment of the blocks
+        # overflowed, a NumericalError
+        self._assert_grid_certified_scales(k, q)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_grid_certified_scales_past_moment_underflow(self, q):
+        # formed in original units, the fourth moment of the blocks
+        # underflowed to 0, though the data are not 0, a NumericalError
+        self._assert_grid_certified_scales(-300, q)
 
     @pytest.mark.parametrize("shift", [0.0, 2.5])
     def test_grid_certified_vanishing_blocks_give_zero(self, shift):
