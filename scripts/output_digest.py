@@ -32,7 +32,12 @@ line covers ``robustgram estimate`` on that sample scaled by 2^-300,
 2^-200, 2^200 and 2^300: its exit code, its error message and the files
 it writes.  At +-200 the estimate, the moments and the intervals are all
 representable; at +-300 the plug-in moments leave the floating-point
-range and the command exits 2, so the line also covers the failure.
+range and the command exits 2, so the line also covers the failure.  The
+``bound_terms`` line covers the explicit bound terms (``zeta_star``,
+``b_star``, ``lambda_star``, ``sigma_default``, ``empirical_bounds`` in both
+modes, ``grid_size``, the ``make_grid`` points and ``coeffs_for_grid``) on
+seeded moment bounds, with cases at the edges of the floating-point range:
+their values, or the type and message of the error each raises.
 ``--one-thread`` solves every update and the bounds on the calling thread:
 on one checkout, the lines with and without it must agree.
 
@@ -55,8 +60,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -115,6 +122,14 @@ def feed(h, obj) -> None:
         h.update(b"]")
     else:
         h.update(repr(obj).encode())
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - a raised error is an output too
+        return f"{type(exc).__name__}: {exc}"
 
 
 def estimate_fields(est) -> tuple:
@@ -230,10 +245,51 @@ def grid_certified_scaled_digest() -> str:
     h = hashlib.sha256()
     for k in GRID_SCALES:
         feed(h, k)
-        try:
-            feed(h, estimate_fields(grid_certified(Sample(np.ldexp(tall_sample(), k)))))
-        except Exception as exc:  # noqa: BLE001 - a raised error is an output too
-            feed(h, f"{type(exc).__name__}: {exc}")
+        feed(h, outcome(lambda: estimate_fields(
+            grid_certified(Sample(np.ldexp(tall_sample(), k))))))
+    return h.hexdigest()
+
+
+def bound_cases() -> list:
+    """(n, MomentBounds, t, sigma, epsilon, radius) inputs of the bound
+    terms: seeded ones, then cases where only a product overflows (zeta_star
+    and sigma_default stay finite), where zeta_star itself overflows, and
+    where s4^4, a beta_j or a lambda_j leaves the floating-point range."""
+    rng = np.random.default_rng(6)
+    cases = []
+    for _ in range(200):
+        # Python floats, as the library is called with
+        kappa, s4, tr, t, sigma, log_n, eps, r = rng.uniform(
+            [-3, -70, 0, -4, -4, 4, 0.01, -2], [3, 70, 6, 2, 2, 12, 0.5, 2]).tolist()
+        kappa, s4 = 1.0 + 10.0**kappa, 10.0**s4
+        mb = bounds.MomentBounds(kappa, s4, s4 * s4 / math.sqrt(kappa) * 10.0**tr)
+        cases.append((int(10.0**log_n), mb, s4 * s4 * 10.0**t, s4 * s4 * 10.0**sigma, eps,
+                      s4 * 10.0**r))
+    edges = [(10**5, (3.0, 1e-150, 1e308), 1.0), (10**300, (3.0, 1.0, 1e308), 1.0),
+             (10**200, (1e307, 1e-150, 1e-300), 1e-300), (10**5, (3.0, 1e-150, 1e308), 5e-324),
+             (10**5, (3.0, 1e76, 1e160), 1e152), (10**300, (1e10, 1.0, 1.0), 1.0),
+             (10**5, (3.0, 1e-78, 1e-150), 1e-156)]
+    return cases + [(n, bounds.MomentBounds(*mb), t, t, EPSILON, 1.0) for n, mb, t in edges]
+
+
+def grid_terms(n: int, mb, epsilon: float) -> list:
+    """The make_grid points and their coeffs_for_grid quadruples."""
+    grid = bounds.make_grid(n, mb, epsilon=epsilon)
+    return [grid.points, [dataclasses.astuple(co) for co in bounds.coeffs_for_grid(grid, mb)]]
+
+
+def bound_terms_digest() -> str:
+    """sha256 of the bound terms on each of ``bound_cases``."""
+    h = hashlib.sha256()
+    for n, mb, t, sigma, eps, radius in bound_cases():
+        K = bounds.grid_size(n, mb.kappa)
+        feed(h, [K, outcome(bounds.zeta_star, t, mb, K, eps),
+                 outcome(bounds.b_star, t, sigma, n, mb, K, eps),
+                 outcome(bounds.lambda_star, t, sigma, n, mb, K, eps),
+                 outcome(bounds.sigma_default, n, mb, eps),
+                 *(outcome(bounds.empirical_bounds, t, n, mb, sigma, eps, radius, mode)
+                   for mode in ("R", "R_tilde")),
+                 outcome(grid_terms, n, mb, eps)])
     return h.hexdigest()
 
 
@@ -292,17 +348,15 @@ def main() -> int:
         h = hashlib.sha256()
         for name, sample in inputs.items():
             feed(h, name)
-            try:
-                with np.errstate(all="ignore"):
-                    feed(h, compute(sample))
-            except Exception as exc:  # noqa: BLE001 - a raised error is an output too
-                feed(h, f"{type(exc).__name__}: {exc}")
+            with np.errstate(all="ignore"):
+                feed(h, outcome(compute, sample))
         print(family, h.hexdigest())
     print("grid_certified_two_threads", grid_certified_tall_digest(2))
     print("grid_certified_q3", grid_certified_tall_digest(3))
     print("grid_certified_scaled", grid_certified_scaled_digest())
     print("estimate", estimate_digest())
     print("estimate_scaled", estimate_scaled_digest())
+    print("bound_terms", bound_terms_digest())
     return 0
 
 

@@ -7,6 +7,9 @@ logic stays explicit (``math.isinf`` marks the gated-out regions).
 The grid estimators solve a direction, or a block of directions, at the K
 levels lambda_j with one ``mestimator.scale_from_squares`` call per level on
 the block itself, uncopied.
+One evaluator per formula shape: ``_zeta``, overflow-safe, for the complexity
+terms ``zeta_star``, ``zeta_q`` and ``sym_zeta_star``, and ``_level`` for the
+truncation levels of ``make_grid`` and ``lambda_star``.
 """
 
 from __future__ import annotations
@@ -62,9 +65,10 @@ class MomentBounds:
         if self.trace_g2 < 0.0:
             raise ValueError("trace_g2 must be non-negative")
         # Cauchy-Schwarz consistency of the supplied bounds
-        if self.s4**2 > math.sqrt(self.kappa) * self.trace_g * (1.0 + 1e-9):
+        s4_sq = _power(self.s4, 2, "s4^2")
+        if s4_sq > math.sqrt(self.kappa) * self.trace_g * (1.0 + 1e-9):
             raise ValueError(
-                f"inconsistent bounds: s4^2 = {self.s4 ** 2:.6g} exceeds "
+                f"inconsistent bounds: s4^2 = {s4_sq:.6g} exceeds "
                 f"sqrt(kappa) * trace_g = {math.sqrt(self.kappa) * self.trace_g:.6g}"
             )
 
@@ -107,10 +111,9 @@ class BoundCoeffs:
 
 
 def grid_size(n: float, kappa: float, a: float = 0.5) -> int:
-    """K = 1 + ceil(a^-1 log(n / (72 (2+c) sqrt(kappa)))); ValueError for a K
+    """K = 1 + ceil(a^-1 log(n / min_sample_size(kappa))); ValueError for a K
     above ``MAX_GRID_K``."""
-    c = C_UNIVERSAL
-    steps = math.log(n / (72.0 * (2.0 + c) * math.sqrt(kappa))) / a
+    steps = math.log(n / min_sample_size(kappa)) / a
     # K = 1 + ceil(steps) <= MAX_GRID_K; false for nan too
     if not steps <= MAX_GRID_K - 1:
         k = 1 + math.ceil(steps) if math.isfinite(steps) else steps
@@ -124,15 +127,30 @@ def min_sample_size(kappa: float) -> float:
     return 72.0 * (2.0 + C_UNIVERSAL) * math.sqrt(kappa)
 
 
+def _power(x: float, p: int, term: str) -> float:
+    """x**p; where it overflows, a NumericalError naming the term, not an OverflowError."""
+    try:
+        return x**p
+    except OverflowError:
+        raise NumericalError(f"{term} overflows to inf") from None
+
+
+def _level(n: float, kappa: float, num: float, den: float, K: int, epsilon: float) -> float:
+    """Truncation level sqrt(2 / (n (kappa-1)) ((2+3c) num / (4 (2+c) sqrt(kappa) den)
+                                              + log(K / epsilon)))."""
+    c = C_UNIVERSAL
+    ratio = (2.0 + 3.0 * c) * num / (4.0 * (2.0 + c) * math.sqrt(kappa) * den)
+    return math.sqrt(2.0 / (n * (kappa - 1.0)) * (ratio + math.log(K / epsilon)))
+
+
 def make_grid(n: int, mb: MomentBounds, a: float = 0.5, epsilon: float = 0.05) -> Grid:
     """Theoretical grid of (lambda_j, beta_j), j = 0..K-1.
 
-    lambda_j = sqrt((2 / (n (kappa-1))) ((2+3c) / (4 (2+c) sqrt(kappa) e^{-ja})
-                                          + log(K / epsilon)))
+    lambda_j = _level(n, kappa, 1, e^{-ja}, K, epsilon)
     beta_j   = sqrt(2 (2+c) sqrt(kappa) s4^4 n e^{-(j - 1/2) a})
 
-    A lambda_j or beta_j that overflows, or underflows to 0, as from an s4
-    whose fourth power does, raises ``gram.NumericalError``.
+    An s4^4, lambda_j or beta_j that overflows, or a lambda_j or beta_j that
+    underflows to 0, raises ``gram.NumericalError``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -150,15 +168,12 @@ def make_grid(n: int, mb: MomentBounds, a: float = 0.5, epsilon: float = 0.05) -
     c = C_UNIVERSAL
     kap = mb.kappa
     K = grid_size(n, kap, a)
+    s4_4 = _power(mb.s4, 4, "s4^4")
     points = []
     for j in range(K):
-        lam_j = math.sqrt(
-            2.0 / (n * (kap - 1.0))
-            * ((2.0 + 3.0 * c) / (4.0 * (2.0 + c) * math.sqrt(kap) * math.exp(-j * a))
-               + math.log(K / epsilon))
-        )
+        lam_j = _level(n, kap, 1.0, math.exp(-j * a), K, epsilon)
         beta_j = math.sqrt(
-            2.0 * (2.0 + c) * math.sqrt(kap) * mb.s4**4 * n * math.exp(-(j - 0.5) * a)
+            2.0 * (2.0 + c) * math.sqrt(kap) * s4_4 * n * math.exp(-(j - 0.5) * a)
         )
         if not (0.0 < lam_j < math.inf and 0.0 < beta_j < math.inf):
             raise NumericalError(
@@ -170,24 +185,24 @@ def make_grid(n: int, mb: MomentBounds, a: float = 0.5, epsilon: float = 0.05) -
 
 def bound_coeffs(lam: float, beta: float, n: int, mb: MomentBounds,
                  grid_cardinality: int, epsilon: float) -> BoundCoeffs:
-    """Quadruple (xi, mu, gamma, delta) attached to one grid point."""
+    """Quadruple (xi, mu, gamma, delta) attached to one grid point; an s4^2,
+    s4^4 or beta^2 that overflows raises ``gram.NumericalError``."""
     if lam <= 0 or beta <= 0:
         raise ValueError("lambda and beta must be positive")
     c = C_UNIVERSAL
-    kap, s4 = mb.kappa, mb.s4
+    kap, s4_2, s4_4 = mb.kappa, _power(mb.s4, 2, "s4^2"), _power(mb.s4, 4, "s4^4")
     xi = kap * lam / 2.0
-    mu = lam * (kap - 1.0) + (2.0 + c) * math.sqrt(kap) * s4**2 / beta
+    mu = lam * (kap - 1.0) + (2.0 + c) * math.sqrt(kap) * s4_2 / beta
     gamma = (lam * (kap - 1.0) / 2.0
-             + (2.0 + c) * math.sqrt(kap) * s4**2 / beta
-             + (2.0 + 3.0 * c) * s4**4 / (2.0 * beta**2 * lam)
+             + (2.0 + c) * math.sqrt(kap) * s4_2 / beta
+             + (2.0 + 3.0 * c) * s4_4 / (2.0 * _power(beta, 2, "beta^2") * lam)
              + math.log(grid_cardinality / epsilon) / (n * lam))
     delta = beta / (2.0 * n * lam)
     return BoundCoeffs(xi=xi, mu=mu, gamma=gamma, delta=delta, lam=lam, beta=beta)
 
 
-def coeffs_for_grid(grid: Grid, mb: MomentBounds, epsilon: float = None) -> list:
-    eps = grid.epsilon if epsilon is None else epsilon
-    return [bound_coeffs(lam, beta, grid.n, mb, grid.K, eps)
+def coeffs_for_grid(grid: Grid, mb: MomentBounds) -> list:
+    return [bound_coeffs(lam, beta, grid.n, mb, grid.K, grid.epsilon)
             for lam, beta in grid.points]
 
 
@@ -312,20 +327,29 @@ def select_hat_n(sample: Sample, theta, grid: Grid, sigma: float,
                                    sigma)[0]
 
 
-def zeta_star(t: float, mb: MomentBounds, K: int, epsilon: float) -> float:
-    """Explicit complexity term of the a = 1/2 grid bound."""
+def _zeta(t: float, kurt: float, num: float, den: float, coef: float, scale: float,
+          K: int, epsilon: float) -> float:
+    """sqrt(C1 kurt (C2 num / (den t) + log K + log(1/epsilon))) + sqrt(C3 coef scale / t).
+
+    Where a product overflows, each factor is rooted on its own, num / (den t)
+    among them; a kurtosis factor kurt of 0 contributes 0, never 0 * inf."""
     if t <= 0.0:
         raise ValueError("t must be positive")
-    kap, tr = mb.kappa, mb.trace_g
-    first = ZETA_C1 * (kap - 1.0) * (ZETA_C2 * tr / t + math.log(K) + math.log(1.0 / epsilon))
-    second = ZETA_C3 * kap * tr / t
+    first = ZETA_C1 * kurt * (ZETA_C2 * num / (den * t) + math.log(K) + math.log(1.0 / epsilon))
+    second = ZETA_C3 * coef * scale / t
     if max(first, second) < math.inf:
         return math.sqrt(first) + math.sqrt(second)
-    # a product overflows where zeta may not: root each factor, as Tr(G) / t may overflow too
-    root, logs = math.sqrt(tr) / math.sqrt(t), math.log(K) + math.log(1.0 / epsilon)
-    return (math.sqrt(ZETA_C1) * math.sqrt(kap - 1.0)
-            * math.hypot(math.sqrt(ZETA_C2) * root, math.sqrt(logs))
-            + math.sqrt(ZETA_C3) * math.sqrt(kap) * root)
+    root_t = math.sqrt(t)
+    logs = math.log(K) + math.log(1.0 / epsilon)
+    first = (math.sqrt(ZETA_C1) * math.sqrt(kurt)
+             * math.hypot(math.sqrt(ZETA_C2) * (math.sqrt(num) / (math.sqrt(den) * root_t)),
+                          math.sqrt(logs))) if kurt else 0.0
+    return first + math.sqrt(ZETA_C3) * math.sqrt(coef) * (math.sqrt(scale) / root_t)
+
+
+def zeta_star(t: float, mb: MomentBounds, K: int, epsilon: float) -> float:
+    """Explicit complexity term of the a = 1/2 grid bound."""
+    return _zeta(t, mb.kappa - 1.0, mb.trace_g, 1.0, mb.kappa, mb.trace_g, K, epsilon)
 
 
 def b_star(t: float, sigma: float, n: int, mb: MomentBounds, K: int,
@@ -357,8 +381,7 @@ def sigma_default(n: int, mb: MomentBounds, epsilon: float) -> float:
     return threshold if threshold < math.inf else mb.kappa / denom * mb.trace_g * 100.0
 
 
-def confidence_intervals(sample: Sample, thetas, grid: Grid, mb: MomentBounds,
-                         epsilon: float = None) -> list:
+def confidence_intervals(sample: Sample, thetas, grid: Grid, mb: MomentBounds) -> list:
     """(lower, upper) confidence bounds for E<theta, X>^2 over the grid, one
     pair per direction of ``thetas``.
 
@@ -373,7 +396,7 @@ def confidence_intervals(sample: Sample, thetas, grid: Grid, mb: MomentBounds,
     projections come from ``Sample.projections``, in original units, as
     the grid and the coefficients are.
     """
-    coeffs = coeffs_for_grid(grid, mb, epsilon)
+    coeffs = coeffs_for_grid(grid, mb)
     tile = max(1, mestimator.TILE_ELEMS // sample.n)
     buf = np.empty((min(tile, len(thetas)), sample.n))
     intervals = []
@@ -393,22 +416,15 @@ def confidence_intervals(sample: Sample, thetas, grid: Grid, mb: MomentBounds,
     return intervals
 
 
-def confidence_interval(sample: Sample, theta, grid: Grid, mb: MomentBounds,
-                        epsilon: float = None) -> tuple:
+def confidence_interval(sample: Sample, theta, grid: Grid, mb: MomentBounds) -> tuple:
     """``confidence_intervals`` of the one direction theta."""
-    return confidence_intervals(sample, [theta], grid, mb, epsilon)[0]
+    return confidence_intervals(sample, [theta], grid, mb)[0]
 
 
 def lambda_star(t: float, sigma: float, n: int, mb: MomentBounds, K: int,
                 epsilon: float) -> float:
     """Truncation level optimizing the grid bound at energy max(t, sigma)."""
-    c = C_UNIVERSAL
-    m = max(t, sigma)
-    return math.sqrt(
-        2.0 / (n * (mb.kappa - 1.0))
-        * ((2.0 + 3.0 * c) * mb.s4**2 / (4.0 * (2.0 + c) * math.sqrt(mb.kappa) * m)
-           + math.log(K / epsilon))
-    )
+    return _level(n, mb.kappa, _power(mb.s4, 2, "s4^2"), max(t, sigma), K, epsilon)
 
 
 def _pos(x: float) -> float:
@@ -427,23 +443,16 @@ def empirical_bounds(t: float, n: int, mb: MomentBounds, sigma: float,
     """
     if t <= 0.0 or radius < 0.0:
         raise ValueError("t must be positive and radius non-negative")
+    power = {"R": 4, "R_tilde": 6}.get(mode)
+    if power is None:
+        raise ValueError(f"mode must be 'R' or 'R_tilde', got {mode!r}")
     K = grid_size(n, mb.kappa, a)
     base = b_star(t, sigma, n, mb, K, epsilon)
     lam = lambda_star(t, sigma, n, mb, K, epsilon)
     m = max(t, sigma)
-    if mode == "R":
-        tau = lam**2 * math.exp(a / 2.0) * radius**4 / (3.0 * m**2)
-        denom = _pos(1.0 - tau) * _pos(1.0 - base)
-        if denom == 0.0:
-            return math.inf
-        return base + tau / denom
-    if mode == "R_tilde":
-        zeta = lam**2 * math.exp(a / 2.0) * radius**6 / (3.0 * m**3)
-        denom = _pos(1.0 - base)
-        if denom == 0.0:
-            return math.inf
-        return base + zeta / denom
-    raise ValueError(f"mode must be 'R' or 'R_tilde', got {mode!r}")
+    tail = lam**2 * math.exp(a / 2.0) * radius**power / (3.0 * m**(power // 2))
+    denom = _pos(1.0 - base) * (_pos(1.0 - tail) if mode == "R" else 1.0)
+    return base + tail / denom if denom else math.inf
 
 
 def radius_envelope(trace_g: float, p: float, alpha: float, eta: float,
@@ -498,21 +507,12 @@ def zeta_q(t: float, q: int, kappa: float, trace_sigma: float,
     Uses the simplified form when q ||Sigma||_inf <= Tr(Sigma), otherwise the
     full form built from the block moment bounds (``block_moment_bounds``).
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if q < 2:
-        raise ValueError("q must be at least 2")
     tq = tau_q(kappa, q)
-    log_term = math.log(K) + math.log(1.0 / epsilon)
     if q * op_norm_sigma <= trace_sigma:
-        first = math.sqrt(ZETA_C1 * tq * (ZETA_C2 * trace_sigma / t + log_term))
-        second = math.sqrt(ZETA_C3 * (kappa + 1.0 + 2.0 / (q * (q - 1.0)))
-                           * trace_sigma / t)
-        return first + second
+        return _zeta(t, tq, trace_sigma, 1.0, kappa + 1.0 + 2.0 / (q * (q - 1.0)),
+                     trace_sigma, K, epsilon)
     b1, b2 = _block_moments(op_norm_sigma, trace_sigma, trace_sigma2, kappa, q)
-    first = math.sqrt(ZETA_C1 * tq * (ZETA_C2 * b2 / (b1 * t) + log_term))
-    second = math.sqrt(ZETA_C3 * q * b1 / t)
-    return first + second
+    return _zeta(t, tq, b2, b1, q, b1, K, epsilon)
 
 
 def sym_zeta_star(t: float, e_tr_a: float, e_tr_a2: float, e_opnorm_a2: float,
@@ -523,18 +523,9 @@ def sym_zeta_star(t: float, e_tr_a: float, e_tr_a2: float, e_opnorm_a2: float,
     form "full" uses E[Tr(A^2)] and E[||A||_inf^2]; form "trace" is the
     simplified variant that only needs E[Tr(A)].
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    log_term = math.log(K) + math.log(1.0 / epsilon)
     if form == "full":
-        s = math.sqrt(e_opnorm_a2)
-        first = math.sqrt(ZETA_C1 * (kappa - 1.0)
-                          * (ZETA_C2 * e_tr_a2 / (math.sqrt(kappa) * s * t) + log_term))
-        second = math.sqrt(ZETA_C3 * math.sqrt(kappa) * s / t)
-        return first + second
+        root_k, s = math.sqrt(kappa), math.sqrt(e_opnorm_a2)
+        return _zeta(t, kappa - 1.0, e_tr_a2, root_k * s, root_k, s, K, epsilon)
     if form == "trace":
-        first = math.sqrt(ZETA_C1 * (kappa - 1.0)
-                          * (ZETA_C2 * e_tr_a / t + log_term))
-        second = math.sqrt(ZETA_C3 * kappa * e_tr_a / t)
-        return first + second
+        return _zeta(t, kappa - 1.0, e_tr_a, 1.0, kappa, e_tr_a, K, epsilon)
     raise ValueError(f"form must be 'full' or 'trace', got {form!r}")

@@ -85,10 +85,10 @@ def robust_covariance(sample: Sample, q: int = 2, epsilon: float = 0.1,
     # without a non-zero difference there are no moment bounds and no grid;
     # every quadratic form is 0, which the default hook returns too
     if mode == "grid-certified" and vectors.any():
-        from .harness import _plugin_moments, kappa_plugin  # harness imports this module
+        from .harness import _kappa_of_rows, _plugin_moments  # harness imports this module
 
         m = len(vectors)
-        kappa_x = kappa_plugin(Sample(vectors.reshape(-1, sample.d)))
+        kappa_x = _kappa_of_rows(vectors.reshape(-1, sample.d))
         mb_blocks = _plugin_moments(vectors, 1.0 + bnd.tau_q(kappa_x, q) / q)
         grid = bnd.make_grid(m, mb_blocks, a=0.5, epsilon=epsilon)
         coeffs = bnd.coeffs_for_grid(grid, mb_blocks)

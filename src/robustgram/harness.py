@@ -337,6 +337,8 @@ def load_sample_csv(path: str, header: bool = False) -> Sample:
 
 # Fewest observations ``kappa_plugin`` takes.
 MIN_KAPPA_OBSERVATIONS = 4
+# Factor by which ``estimate_moment_bounds`` inflates the plug-in kurtosis.
+KAPPA_SAFETY = 1.5
 
 # Directions per ``kappa_plugin`` matmul.  On the estimate-tall sample
 # (n = 40000, d = 10, 110 directions; 2-vCPU Xeon host, one BLAS thread)
@@ -357,17 +359,24 @@ def kappa_plugin(sample: Sample, n_directions: int = 100, seed: int = 0) -> floa
     each direction's squares in one contiguous row, so its moments sum in
     the order of a 1-d mean.
     """
-    if sample.n < MIN_KAPPA_OBSERVATIONS:
+    return _kappa_of_rows(sample.data, n_directions, seed)
+
+
+def _kappa_of_rows(x: np.ndarray, n_directions: int = 100, seed: int = 0) -> float:
+    """``kappa_plugin`` of the observations in the rows of the (n, d) array x,
+    which it reads in place, as a view of other vectors may be."""
+    n, d = x.shape
+    if n < MIN_KAPPA_OBSERVATIONS:
         raise ValueError(f"need at least {MIN_KAPPA_OBSERVATIONS} observations")
-    data, _ = _normalized(sample.data)
+    data, _ = _normalized(x)
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((n_directions, sample.d))
+    raw = rng.standard_normal((n_directions, d))
     norms = np.linalg.norm(raw, axis=1)
     some = norms > 0
-    dirs = np.vstack([np.eye(sample.d), raw[some] / norms[some, None]])
+    dirs = np.vstack([np.eye(d), raw[some] / norms[some, None]])
     best = 1.0
     # one buffer for every chunk: a fresh product would coexist with the last
-    chunk = np.empty((min(KAPPA_CHUNK, len(dirs)), sample.n))
+    chunk = np.empty((min(KAPPA_CHUNK, len(dirs)), n))
     for j in range(0, len(dirs), KAPPA_CHUNK):
         p2 = np.matmul(dirs[j:j + KAPPA_CHUNK], data.T, out=chunk[:len(dirs) - j])
         np.square(p2, out=p2)
@@ -432,16 +441,15 @@ def _plugin_moments(vectors: np.ndarray, kappa: float, exponent: int = 0) -> Mom
                         trace_g2=trace_g2, certified=False)
 
 
-def estimate_moment_bounds(sample: Sample, n_directions: int = 100, seed: int = 0,
-                           safety: float = 1.5) -> MomentBounds:
+def estimate_moment_bounds(sample: Sample, seed: int = 0) -> MomentBounds:
     """Plug-in MomentBounds of the Gram instance, flagged non-certified.
 
-    The kurtosis plug-in is inflated by ``safety``; s4 and the traces are the
+    The kurtosis plug-in is inflated by ``KAPPA_SAFETY``; s4 and the traces are the
     empirical moments, from ``_plugin_moments``, which raises NumericalError
     when they leave the floating-point range.  These are point estimates,
     not the true upper bounds the theory assumes.  They are in original
     units: ``_plugin_moments`` scales them back by the sample's
     ``_exponent``.
     """
-    kappa = max(safety * kappa_plugin(sample, n_directions, seed), 1.0 + 1e-6)
+    kappa = max(KAPPA_SAFETY * kappa_plugin(sample, seed=seed), 1.0 + 1e-6)
     return _plugin_moments(sample.data, kappa, sample._exponent)

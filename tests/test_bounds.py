@@ -48,6 +48,14 @@ from oracles import phi_plus_inverse_ref
 MB3 = MomentBounds(kappa=3.0, s4=1.0, trace_g=1.0, trace_g2=1.0)
 
 
+def zeta_decimal(t, kurt, num, den, coef, scale, K=7, epsilon=0.05) -> float:
+    """sqrt(C1 kurt (C2 num / (den t) + log K + log(1/epsilon))) + sqrt(C3 coef scale / t),
+    evaluated in Decimal, where no product overflows; kurt to scale are Decimals."""
+    logs = Decimal(math.log(K)) + Decimal(math.log(1.0 / epsilon))
+    first = Decimal(ZETA_C1) * kurt * (Decimal(ZETA_C2) * num / (den * Decimal(t)) + logs)
+    return float(first.sqrt() + (Decimal(ZETA_C3) * coef * scale / Decimal(t)).sqrt())
+
+
 def active_coeffs():
     """A coefficient set whose gates are active near t = 1 (large-n regime)."""
     return bound_coeffs(lam=0.02, beta=3000.0, n=10**6, mb=MB3,
@@ -73,6 +81,11 @@ class TestMomentBounds:
         # kappa = inf used to pass, and make_grid then overflowed in math.ceil
         with pytest.raises(ValueError, match="finite"):
             MomentBounds(**{"kappa": 3.0, "s4": 1.0, "trace_g": 1.0, field: value})
+
+    def test_overflowing_s4_squared_is_numerical_failure(self):
+        # s4**2 raised a bare OverflowError, in the message too
+        with pytest.raises(NumericalError, match=r"s4\^2 overflows"):
+            MomentBounds(kappa=3.0, s4=1e200, trace_g=1e300)
 
 
 class TestGrid:
@@ -146,6 +159,11 @@ class TestGrid:
         expect = math.sqrt(2 * (2 + c) * math.sqrt(3.0) * 1e5 * math.exp(0.25))
         assert grid.points[0][1] == pytest.approx(expect, rel=1e-12)
 
+    def test_overflowing_s4_fourth_power_is_numerical_failure(self):
+        # s4**4 raised a bare OverflowError
+        with pytest.raises(NumericalError, match=r"s4\^4 overflows"):
+            make_grid(10**5, MomentBounds(kappa=3.0, s4=1e100, trace_g=1e300))
+
     def test_lambda_that_underflows_is_numerical_failure(self):
         # n (kappa - 1) overflows, so lambda_0 came out 0, and the Grid
         # rejected it as a configuration error ("grid points must be positive")
@@ -175,6 +193,14 @@ class TestBoundCoeffs:
         co = bound_coeffs(0.1, 100.0, 1000, mb, 7, 0.05)
         c = C_UNIVERSAL
         assert co.mu == pytest.approx((2 + c) / 100.0, rel=1e-14)
+
+    def test_overflowing_power_is_numerical_failure(self):
+        # s4**4 and beta**2 raised a bare OverflowError
+        with pytest.raises(NumericalError, match=r"s4\^4 overflows"):
+            bound_coeffs(0.1, 100.0, 1000, MomentBounds(kappa=3.0, s4=1e100, trace_g=1e300),
+                         7, 0.05)
+        with pytest.raises(NumericalError, match=r"beta\^2 overflows"):
+            bound_coeffs(0.1, 1e200, 1000, MB3, 7, 0.05)
 
     def test_gamma_blows_up_as_lambda_vanishes(self):
         g1 = bound_coeffs(1e-3, 100.0, 1000, MB3, 7, 0.05).gamma
@@ -384,11 +410,9 @@ class TestZetaAndBStar:
         # gave inf: ZETA_C3 kappa Tr(G) overflows, Tr(G) / t too in the
         # second case, and ZETA_C3 kappa in the third
         mb = MomentBounds(kappa=kappa, s4=1e-150, trace_g=trace_g)
-        kappa_, ratio = Decimal(kappa), Decimal(trace_g) / Decimal(t)
-        logs = Decimal(math.log(7)) + Decimal(math.log(1.0 / 0.05))
-        expected = ((Decimal(ZETA_C1) * (kappa_ - 1) * (Decimal(ZETA_C2) * ratio + logs)).sqrt()
-                    + (Decimal(ZETA_C3) * kappa_ * ratio).sqrt())
-        assert zeta_star(t, mb, 7, 0.05) == pytest.approx(float(expected), rel=1e-14)
+        kappa_, tr = Decimal(kappa), Decimal(trace_g)
+        expected = zeta_decimal(t, kappa_ - 1, tr, Decimal(1), kappa_, tr)
+        assert zeta_star(t, mb, 7, 0.05) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("kappa, trace_g, t", [(3.0, 1.0, 1.0), (3.0, 1e300, 1.0),
                                                    (1.5, 1e-300, 1e-300), (1e10, 1e100, 1e-100)])
@@ -403,6 +427,22 @@ class TestZetaAndBStar:
         # Tr(G) / t = 2e631, so zeta is about 8e316
         mb = MomentBounds(kappa=3.0, s4=1e-150, trace_g=1e308)
         assert zeta_star(5e-324, mb, 7, 0.05) == math.inf
+
+    def test_no_term_is_nan_at_kappa_one(self):
+        # the first term is 0 there; sqrt(C1 (kappa - 1)) times an overflowing
+        # root gave 0 * inf = nan
+        mb = MomentBounds(kappa=1.0, s4=1e-150, trace_g=1e308)
+        assert zeta_star(5e-324, mb, 7, 0.05) == math.inf
+        assert zeta_star(1e-300, mb, 7, 0.05) == pytest.approx(
+            zeta_decimal(1e-300, Decimal(0), Decimal(1e308), Decimal(1), Decimal(1), Decimal(1e308)),
+            rel=1e-14)
+        for t in (5e-324, 1e-300, 1.0):
+            terms = [zeta_star(t, mb, 7, 0.05), sigma_default(10**5, mb, 0.05),
+                     zeta_q(t, 2, 1.0, 1e308, 1e308, 1.0, 7, 0.05),
+                     zeta_q(t, 2, 1.0, 1e10, 1e20, 1e10, 7, 0.05),
+                     *(sym_zeta_star(t, 1e308, 1e300, 1e200, 1.0, 7, 0.05, form)
+                       for form in ("full", "trace"))]
+            assert not any(map(math.isnan, terms)), (t, terms)
 
     def test_b_star_gate_and_monotonicity(self):
         n = 10**6
@@ -731,6 +771,24 @@ class TestBlockCoefficients:
                   + math.sqrt(ZETA_C3 * q * b1 / t))
         assert got == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("branch", ["simplified", "full"])
+    def test_zeta_q_finite_where_only_a_product_overflows(self, branch):
+        # gave inf: Tr(Sigma) / t and b2 / (b1 t) overflow, and so does each
+        # second product
+        t, q, kappa = 1e-300, 2, 3.0
+        tr, tr2, op = (1e308, 1e308, 1.0) if branch == "simplified" else (1e10, 1e20, 1e10)
+        kap, trace = Decimal(kappa), Decimal(tr)
+        tq = kap - 1 + Decimal(2) / (q - 1)
+        if branch == "simplified":
+            expected = zeta_decimal(t, tq, trace, Decimal(1), kap + 1 + Decimal(2) / (q * (q - 1)),
+                                    trace)
+        else:
+            b1 = Decimal(op) + (kap + 1) * trace / q
+            b2 = Decimal(tr2) + (kap + 1) * trace * trace / q
+            expected = zeta_decimal(t, tq, b2, b1, Decimal(q), b1)
+        assert math.isfinite(expected)
+        assert zeta_q(t, q, kappa, tr, tr2, op, 7, 0.05) == pytest.approx(expected, rel=1e-14)
+
 
 class TestSymZetaStar:
     def test_rank_one_reduction_toward_gram_form(self):
@@ -740,7 +798,7 @@ class TestSymZetaStar:
         mb = MomentBounds(kappa=3.0, s4=1.3, trace_g=2.0)
         got = sym_zeta_star(t, e_tr_a=mb.trace_g, e_tr_a2=0.0, e_opnorm_a2=0.0,
                             kappa=mb.kappa, K=K, epsilon=eps, form="trace")
-        assert got == pytest.approx(zeta_star(t, mb, K, eps), rel=1e-12)
+        assert got == zeta_star(t, mb, K, eps)
 
     def test_inequality_chain_on_wishart_samples(self):
         # E||A||inf^2 / k^(1/2) <= E Tr(A^2) / (k^(1/2) E||A||inf^2^(1/2)) ... <= E Tr A
@@ -767,6 +825,21 @@ class TestSymZetaStar:
         expect = (math.sqrt(ZETA_C1 * (kappa - 1) * (ZETA_C2 * e_tr_a2 / (math.sqrt(kappa) * s * t) + lt))
                   + math.sqrt(ZETA_C3 * math.sqrt(kappa) * s / t))
         assert got == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("form", ["full", "trace"])
+    def test_finite_where_only_a_product_overflows(self, form):
+        # gave inf: E[Tr A] / t, E[Tr(A^2)] / (sqrt(kappa) s t) and each second
+        # product overflow
+        t, e_tr_a, e_tr_a2, e_op2, kappa = 1e-300, 1e308, 1e300, 1e200, 3.0
+        kap, root_k = Decimal(kappa), Decimal(kappa).sqrt()
+        if form == "full":
+            s = Decimal(e_op2).sqrt()
+            expected = zeta_decimal(t, kap - 1, Decimal(e_tr_a2), root_k * s, root_k, s)
+        else:
+            expected = zeta_decimal(t, kap - 1, Decimal(e_tr_a), Decimal(1), kap, Decimal(e_tr_a))
+        assert math.isfinite(expected)
+        assert sym_zeta_star(t, e_tr_a, e_tr_a2, e_op2, kappa, 7, 0.05, form) == pytest.approx(
+            expected, rel=1e-14)
 
     def test_form_validation(self):
         with pytest.raises(ValueError):

@@ -347,6 +347,20 @@ class TestRobustCovariance:
         np.testing.assert_array_equal(blocked.matrix, single.matrix)
         assert len(calls) == (10 + 18) * len(levels)
 
+    def test_grid_certified_makes_no_second_sample(self, monkeypatch):
+        # kappa of the difference vectors is taken on their view: a Sample of
+        # them copied every difference once more
+        made, init = [], Sample.__post_init__
+
+        def spy(self):
+            made.append(np.shape(self.data))
+            init(self)
+
+        sample = Sample(np.random.default_rng(11).standard_normal((14000, 3)) + 1.0)
+        monkeypatch.setattr(Sample, "__post_init__", spy)
+        robust_covariance(sample, q=2, epsilon=0.05, mode="grid-certified")
+        assert made == []
+
     def test_q2_equals_gram_on_scaled_differences(self):
         # one code path: q = 2 is the Gram estimator on (x_{2i} - x_{2i+1}) / sqrt(2)
         rng = np.random.default_rng(13)

@@ -9,10 +9,12 @@ import pytest
 import robustgram.harness as harness
 import robustgram.mestimator as mestimator
 from robustgram.harness import (
+    MIN_KAPPA_OBSERVATIONS,
     BenchmarkError,
     ConfigError,
     ExperimentConfig,
     TrialResult,
+    _kappa_of_rows,
     estimate_moment_bounds,
     gen_mixture,
     kappa_plugin,
@@ -249,6 +251,12 @@ class TestMomentPlugins:
         cfg = ExperimentConfig(n=5000, d=10, trials=1, alpha_mix=0.05, seed=2)
         s = gen_mixture(cfg)
         assert kappa_plugin(s, n_directions=100, seed=0) > 3.0
+
+    def test_too_few_observations_rejected_on_both_paths(self):
+        x = np.ones((MIN_KAPPA_OBSERVATIONS - 1, 2))
+        for call in (lambda: kappa_plugin(Sample(x)), lambda: _kappa_of_rows(x)):
+            with pytest.raises(ValueError, match="observations"):
+                call()
 
     def test_estimate_moment_bounds_fields(self):
         rng = np.random.default_rng(3)
